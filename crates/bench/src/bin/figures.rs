@@ -63,7 +63,7 @@ use p10_core::{ablation, flush, gemm, inference, rasstudy, scenario, socket, tab
 use p10_kernels::models::{bert_large, resnet50};
 use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
-use p10_workloads::chopstix;
+use p10_workloads::{chopstix, Benchmark};
 use serde_json::json;
 
 const EXPERIMENTS: [&str; 22] = [
@@ -1540,6 +1540,35 @@ fn default_sampling_mode(ops: u64) -> SamplingMode {
     }
 }
 
+/// One job of the sampling study's job graph.
+enum StudyJob<'a> {
+    /// Exact reference, then the sampled estimate, then — when `bound`
+    /// is set — the target-bound demo, chained in the same job because
+    /// it reuses this workload's interval measurements and checkpoints.
+    Study {
+        bench: &'a Benchmark,
+        bound: Option<SamplingMode>,
+    },
+    /// Cross-workload training rows of one non-study workload.
+    Train(&'a Benchmark),
+}
+
+/// What one study job measured.
+struct StudyRun {
+    exact_cpi: f64,
+    exact_power: f64,
+    exact_s: f64,
+    sampled: sampling::SampledScenario,
+    sampled_s: f64,
+    /// The target-bound demo's result and wall time.
+    bound: Option<(sampling::SampledScenario, f64)>,
+}
+
+enum StudyOut {
+    Study(Box<StudyRun>),
+    Train(Vec<sampling::TrainingRow>),
+}
+
 fn do_sampling(o: &Opts) {
     header(
         "Sampled simulation — exact vs SimPoint-weighted execution",
@@ -1556,23 +1585,94 @@ fn do_sampling(o: &Opts) {
     let suite = suite();
     let benches = &suite[7..10];
     println!("mode: {}  ops/workload: {}", mode.describe(), o.ops);
+    // Cross-workload fast-forward geometry: the study mode's interval and
+    // cluster budget, or the budget-scaled default's.
+    let (xi, xk) = match mode {
+        SamplingMode::SimPoints {
+            interval_ops, k, ..
+        }
+        | SamplingMode::Learned {
+            interval_ops, k, ..
+        } => (interval_ops, k),
+        _ => match default_sampling_mode(o.ops) {
+            SamplingMode::SimPoints {
+                interval_ops, k, ..
+            } => (interval_ops, k),
+            _ => unreachable!("default mode is simpoints"),
+        },
+    };
+    // Target-bound auto-tuning demo: instead of fixing K, grow it until
+    // the reported error bound meets a target. Later rounds reuse the
+    // warm checkpoints and cached interval measurements earlier rounds
+    // (and the study run of the same workload) persisted, so each round
+    // only pays for its newly measured intervals. Skipped when the CLI
+    // already asked for bound mode — the main table covered it then.
+    let bound_target = (!matches!(mode, SamplingMode::Bound { .. }))
+        .then(|| SamplingMode::parse("bound:5").expect("static mode"));
+    let store = sampling::CkptStore::process_default();
+
+    // One flat job graph on the worker pool: a study job per workload
+    // (the first, longest one chaining the bound demo), then a
+    // training-row job per cross-workload training benchmark. Each job
+    // owns one distinct trace, so no two jobs share an engine cache key
+    // or a warm class, and every counter is independent of `--jobs`.
+    // Per-row walls are therefore measured while other jobs run.
+    let jobs: Vec<StudyJob> = benches
+        .iter()
+        .enumerate()
+        .map(|(i, bench)| StudyJob::Study {
+            bench,
+            bound: bound_target.filter(|_| i == 0),
+        })
+        .chain(suite[..7].iter().map(StudyJob::Train))
+        .collect();
+    let outs = runner::run_jobs_par(&jobs, |_, job| match *job {
+        StudyJob::Study { bench, bound } => {
+            let t0 = std::time::Instant::now();
+            let exact = scenario::run_benchmark(&cfg, bench, 42, o.ops);
+            let exact_s = t0.elapsed().as_secs_f64();
+            let t1 = std::time::Instant::now();
+            let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, o.ops, &mode);
+            let sampled_s = t1.elapsed().as_secs_f64();
+            let bound = bound.map(|target| {
+                let t2 = std::time::Instant::now();
+                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, o.ops, &target);
+                (s, t2.elapsed().as_secs_f64())
+            });
+            StudyOut::Study(Box::new(StudyRun {
+                exact_cpi: exact.sim.cpi(),
+                exact_power: exact.core_power(),
+                exact_s,
+                sampled,
+                sampled_s,
+                bound,
+            }))
+        }
+        StudyJob::Train(bench) => StudyOut::Train(sampling::cross_workload_rows(
+            &cfg, bench, 42, o.ops, xi, xk, store,
+        )),
+    });
+    let mut runs = Vec::new();
+    let mut training_rows = Vec::new();
+    for out in outs {
+        match out {
+            StudyOut::Study(run) => runs.push(run),
+            StudyOut::Train(rows) => training_rows.extend(rows),
+        }
+    }
+
+    // Results print (and reach `[obs]`) in the serial order, whatever
+    // order the jobs finished in.
     let mut rows = Vec::new();
     let mut all_ok = true;
     let mut speedup_sum = 0.0;
-    let mut exacts = Vec::new();
-    for b in benches {
-        let t0 = std::time::Instant::now();
-        let exact = scenario::run_benchmark(&cfg, b, 42, o.ops);
-        let exact_s = t0.elapsed().as_secs_f64();
-        exacts.push((exact.sim.cpi(), exact.core_power(), exact_s));
-        let t1 = std::time::Instant::now();
-        let s = sampling::run_benchmark_sampled(&cfg, b, 42, o.ops, &mode);
-        let sampled_s = t1.elapsed().as_secs_f64();
+    for (b, run) in benches.iter().zip(&runs) {
+        let s = &run.sampled;
+        let (exact_s, sampled_s) = (run.exact_s, run.sampled_s);
         sampling::record_obs(&s.stats);
 
-        let cpi_err = (s.stats.cpi_est - exact.sim.cpi()).abs() / exact.sim.cpi().max(1e-12);
-        let power_err =
-            (s.stats.power_est - exact.core_power()).abs() / exact.core_power().max(1e-12);
+        let cpi_err = (s.stats.cpi_est - run.exact_cpi).abs() / run.exact_cpi.max(1e-12);
+        let power_err = (s.stats.power_est - run.exact_power).abs() / run.exact_power.max(1e-12);
         let within = cpi_err <= s.stats.cpi_bound_rel && power_err <= s.stats.power_bound_rel;
         let speedup = exact_s / sampled_s.max(1e-9);
         all_ok &= within;
@@ -1580,11 +1680,11 @@ fn do_sampling(o: &Opts) {
         rows.push(json!({
             "workload": b.name,
             "mode": s.stats.mode,
-            "exact_cpi": exact.sim.cpi(),
+            "exact_cpi": run.exact_cpi,
             "sampled_cpi": s.stats.cpi_est,
             "cpi_rel_err": cpi_err,
             "cpi_bound_rel": s.stats.cpi_bound_rel,
-            "exact_core_power": exact.core_power(),
+            "exact_core_power": run.exact_power,
             "sampled_core_power": s.stats.power_est,
             "power_rel_err": power_err,
             "power_bound_rel": s.stats.power_bound_rel,
@@ -1602,11 +1702,11 @@ fn do_sampling(o: &Opts) {
                 "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
                  power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
                 b.name,
-                exact.sim.cpi(),
+                run.exact_cpi,
                 s.stats.cpi_est,
                 cpi_err * 100.0,
                 s.stats.cpi_bound_rel * 100.0,
-                exact.core_power(),
+                run.exact_power,
                 s.stats.power_est,
                 power_err * 100.0,
                 s.stats.power_bound_rel * 100.0,
@@ -1636,20 +1736,12 @@ fn do_sampling(o: &Opts) {
         );
     }
 
-    // Target-bound auto-tuning: instead of fixing K, grow it until the
-    // reported error bound meets a target. Later rounds reuse the warm
-    // checkpoints and cached interval measurements earlier rounds (and
-    // the study loop above) persisted, so each round only pays for its
-    // newly measured intervals. Skipped when the CLI already asked for
-    // bound mode — the main table covered it then.
-    let bound = (!matches!(mode, SamplingMode::Bound { .. })).then(|| {
-        let target = SamplingMode::parse("bound:5").expect("static mode");
+    let bound = runs[0].bound.as_ref().map(|(s, wall)| {
         let b = &benches[0];
-        let t0 = std::time::Instant::now();
-        let s = sampling::run_benchmark_sampled(&cfg, b, 42, o.ops, &target);
-        let wall = t0.elapsed().as_secs_f64();
+        let wall = *wall;
         sampling::record_obs(&s.stats);
-        let (exact_cpi, exact_power, exact_s) = exacts[0];
+        let (exact_cpi, exact_power, exact_s) =
+            (runs[0].exact_cpi, runs[0].exact_power, runs[0].exact_s);
         let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
         let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
         if !o.json {
@@ -1685,56 +1777,39 @@ fn do_sampling(o: &Opts) {
     // predictors on the seven non-study workloads' measured intervals,
     // then estimate the last study workload from its functional-warming
     // features alone — one anchor interval simulated, everything else
-    // predicted.
-    let store = sampling::CkptStore::process_default();
-    let (xi, xk) = match mode {
-        SamplingMode::SimPoints {
-            interval_ops, k, ..
+    // predicted. Only the fit and this estimate run after the join.
+    let xw = sampling::fit_cross_workload(&training_rows, 4).map(|model| {
+        let b = &benches[2];
+        let s = sampling::run_benchmark_predicted(&cfg, b, 42, o.ops, xi, &model, store);
+        sampling::record_obs(&s.stats);
+        let (exact_cpi, exact_power) = (runs[2].exact_cpi, runs[2].exact_power);
+        let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
+        let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
+        if !o.json {
+            println!(
+                "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
+                 CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
+                model.training_rows,
+                model.cv_cpi_error_pct(),
+                model.cv_power_error_pct(),
+                b.name,
+                s.stats.cpi_est,
+                cpi_err * 100.0,
+                s.stats.power_est,
+                power_err * 100.0,
+                s.stats.mode
+            );
         }
-        | SamplingMode::Learned {
-            interval_ops, k, ..
-        } => (interval_ops, k),
-        _ => match default_sampling_mode(o.ops) {
-            SamplingMode::SimPoints {
-                interval_ops, k, ..
-            } => (interval_ops, k),
-            _ => unreachable!("default mode is simpoints"),
-        },
-    };
-    let xw = sampling::train_cross_workload(&cfg, &suite[..7], 42, o.ops, xi, xk, 4, store).map(
-        |model| {
-            let b = &benches[2];
-            let s = sampling::run_benchmark_predicted(&cfg, b, 42, o.ops, xi, &model, store);
-            sampling::record_obs(&s.stats);
-            let (exact_cpi, exact_power, _) = exacts[2];
-            let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
-            let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-            if !o.json {
-                println!(
-                    "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
-                     CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
-                    model.training_rows,
-                    model.cv_cpi_error_pct(),
-                    model.cv_power_error_pct(),
-                    b.name,
-                    s.stats.cpi_est,
-                    cpi_err * 100.0,
-                    s.stats.power_est,
-                    power_err * 100.0,
-                    s.stats.mode
-                );
-            }
-            json!({
-                "workload": b.name,
-                "mode": s.stats.mode,
-                "training_rows": model.training_rows,
-                "cv_cpi_error_pct": model.cv_cpi_error_pct(),
-                "cv_power_error_pct": model.cv_power_error_pct(),
-                "cpi_rel_err": cpi_err,
-                "power_rel_err": power_err,
-            })
-        },
-    );
+        json!({
+            "workload": b.name,
+            "mode": s.stats.mode,
+            "training_rows": model.training_rows,
+            "cv_cpi_error_pct": model.cv_cpi_error_pct(),
+            "cv_power_error_pct": model.cv_power_error_pct(),
+            "cpi_rel_err": cpi_err,
+            "power_rel_err": power_err,
+        })
+    });
 
     // Warm-state checkpoint traffic across all of the above. A cold run
     // reports misses and warm passes; a repeat run (same budget, shared

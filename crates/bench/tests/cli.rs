@@ -443,6 +443,92 @@ fn stdout_is_byte_identical_with_flight_recorder_enabled() {
     );
 }
 
+/// The payload without wall-clock fields (`*_s`, `speedup`), which are
+/// the only ones allowed to vary between runs.
+fn strip_walls(v: &serde_json::Value) -> serde_json::Value {
+    use serde_json::Value;
+    match v {
+        Value::Object(entries) => Value::Object(
+            entries
+                .iter()
+                .filter(|(k, _)| !(k.ends_with("_s") || k == "speedup"))
+                .map(|(k, v)| (k.clone(), strip_walls(v)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.iter().map(strip_walls).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn sampling_study_is_invariant_to_the_job_count() {
+    // The study runs as one job graph on the worker pool; its payload and
+    // every counter but the per-worker `engine.*` ones must not depend on
+    // how many workers ran it.
+    let run = |jobs: &str| {
+        let ckpt = scratch(&format!("jobs{jobs}-ckpt"), "");
+        let obs = scratch(&format!("jobs{jobs}-obs"), "obs.json");
+        let mut cmd = figures();
+        for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
+            cmd.env_remove(k);
+        }
+        let out = cmd
+            .env("P10SIM_CKPT_DIR", &ckpt)
+            .args([
+                "sampling",
+                "--ops",
+                "20000",
+                "--no-cache",
+                "--no-ledger",
+                "--json",
+                "--jobs",
+                jobs,
+                "--obs-json",
+            ])
+            .arg(&obs)
+            .output()
+            .expect("run figures");
+        assert!(
+            out.status.success(),
+            "sampling --jobs {jobs} failed: {out:?}"
+        );
+        let payload = strip_walls(&json_payload(&String::from_utf8_lossy(&out.stdout)));
+        let summary: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&obs).expect("obs json written"))
+                .expect("obs json parses");
+        let counters: Vec<(String, u64)> = summary
+            .get("counters")
+            .and_then(serde_json::Value::as_array)
+            .expect("counters array")
+            .iter()
+            .map(|c| {
+                let name = match c.get("name") {
+                    Some(serde_json::Value::Str(s)) => s.clone(),
+                    other => panic!("counter name must be a string, got {other:?}"),
+                };
+                (name, field_u64(c, "value"))
+            })
+            .filter(|(name, _)| !name.starts_with("engine."))
+            .collect();
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let _ = std::fs::remove_dir_all(obs.parent().expect("scratch dir"));
+        (payload, counters)
+    };
+    let (serial_payload, serial_counters) = run("1");
+    let (pool_payload, pool_counters) = run("2");
+    assert_eq!(serial_payload, pool_payload, "payload differs at --jobs 2");
+    assert!(
+        serial_counters
+            .iter()
+            .any(|(n, _)| n == "sampling.ckpt_misses"),
+        "checkpoint counters missing: {serial_counters:?}"
+    );
+    assert_eq!(
+        serial_counters, pool_counters,
+        "counters differ at --jobs 2"
+    );
+}
+
 #[test]
 fn gate_flag_outside_obsreport_fails_loudly() {
     assert_usage_error(&["table1", "--gate", "50"], "--gate/--baseline");

@@ -139,6 +139,14 @@ impl Engine {
     /// With one worker (or one item) this degenerates to a plain serial
     /// map, so results are bit-identical either way; `f` only ever sees
     /// `(index, item)` and must not depend on execution order.
+    ///
+    /// Counters stay job-count-invariant only if the jobs of one batch
+    /// share no [`Engine::cached`] key and no warm-equivalence class
+    /// (`sampling::CkptStore`): there is no in-flight dedup, so two jobs
+    /// racing on one key both compute it and both count the compute, and
+    /// two jobs on one warm class both warm it. Chain such work inside
+    /// one job instead. Checkpoint hit counts are invariant only when the
+    /// store has a disk tier (see `sampling::CkptStore`).
     pub fn run_jobs_par<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -185,6 +193,9 @@ impl Engine {
                     }
                     p10_obs::counter(&format!("engine.worker{w:02}.jobs"), done);
                     p10_obs::counter(&format!("engine.worker{w:02}.busy_us"), busy_us);
+                    // Drain now: the thread-local buffer's exit-time drain
+                    // may run after the scope has already returned.
+                    p10_obs::flush();
                 });
             }
         });
@@ -205,6 +216,12 @@ impl Engine {
     /// `label` is only for the progress line. Results must be
     /// deterministic functions of the key — the engine trusts the caller
     /// that equal keys mean equal results.
+    ///
+    /// Concurrent callers are not deduplicated: two threads that miss on
+    /// the same key at once both run `compute`, and `cache.computes`
+    /// counts both. Jobs of one [`Engine::run_jobs_par`] batch must
+    /// therefore not share a key if their counters are to match a serial
+    /// run's.
     pub fn cached<T, F>(&self, label: &str, key: &str, compute: F) -> T
     where
         T: Clone + Serialize + Deserialize + Send + Sync + 'static,
@@ -343,19 +360,10 @@ impl Engine {
     }
 
     fn disk_put<T: Serialize>(&self, key: &str, value: &T) {
+        // Best-effort: a failed write leaves a miss, the result still stands.
         let Some(dir) = &self.disk_cache else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return; // cache is best-effort; simulation results still stand
-        }
-        let Ok(text) = serde_json::to_string(value) else {
-            return;
-        };
-        // Write-then-rename so concurrent workers never observe a torn
-        // entry; collisions on the same key write identical bytes anyway.
-        let tmp = dir.join(format!("{key}.tmp.{}", std::process::id()));
-        let final_path = dir.join(format!("{key}.json"));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &final_path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        if let Ok(text) = serde_json::to_string(value) {
+            write_atomic(dir, &format!("{key}.json"), text.as_bytes());
         }
     }
 
@@ -470,6 +478,31 @@ pub fn point_key(cfg: &CoreConfig, bench: &Benchmark, seed: u64, max_ops: u64) -
         serde_json::to_string(&timing_projection(cfg)).expect("config serializes"),
         serde_json::to_string(bench).expect("benchmark serializes"),
     )
+}
+
+/// Writes `bytes` to `dir/name` atomically: the bytes go to a temp file
+/// first and are renamed into place, so a reader never sees a torn file.
+/// The temp name carries the pid plus a process-wide sequence number, so
+/// concurrent writers — in one process or several — never share a temp
+/// path; the last rename wins, and same-name writers write the same bytes
+/// anyway. Creates `dir` if needed. Best-effort: returns whether the file
+/// landed, and removes the temp file when it did not.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> bool {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    if std::fs::create_dir_all(dir).is_err() {
+        return false;
+    }
+    let tmp = dir.join(format!(
+        "{name}.tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let landed =
+        std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, dir.join(name)).is_ok();
+    if !landed {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    landed
 }
 
 /// 64-bit FNV-1a — deterministic across runs and Rust versions, which the
@@ -690,6 +723,62 @@ mod tests {
         });
         let _: Vec<u64> = third.cached("healed", "point", || panic!("entry must be healed"));
         assert_eq!(third.cache_counts().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Names in `dir` that look like leftover temp files.
+    fn temp_leftovers(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .expect("dir exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|n| n.contains(".tmp."))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_same_key_disk_writes_land_whole() {
+        let dir = scratch_dir("race");
+        let value: Vec<u64> = (0..20_000).collect();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    // A private engine per thread: every thread misses its
+                    // memo and writes the same disk entry concurrently.
+                    let eng = Engine::new(EngineConfig {
+                        disk_cache: Some(dir.clone()),
+                        ..EngineConfig::default()
+                    });
+                    start.wait();
+                    let _: Vec<u64> = eng.cached("race", "point", || value.clone());
+                });
+            }
+        });
+        let fresh = Engine::new(EngineConfig {
+            disk_cache: Some(dir.clone()),
+            ..EngineConfig::default()
+        });
+        let back: Vec<u64> = fresh.cached("reread", "point", || panic!("entry must decode"));
+        assert_eq!(back, value);
+        assert_eq!(fresh.cache_counts().disk_decode_errors, 0);
+        assert_eq!(temp_leftovers(&dir), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_atomic_reports_failure_and_cleans_up() {
+        let dir = scratch_dir("atomic");
+        assert!(write_atomic(&dir, "a.bin", b"abc"));
+        assert_eq!(std::fs::read(dir.join("a.bin")).expect("written"), b"abc");
+        // A directory squatting on the target name makes the rename fail.
+        std::fs::create_dir_all(dir.join("b.bin").join("x")).expect("squat");
+        assert!(!write_atomic(&dir, "b.bin", b"def"));
+        assert_eq!(temp_leftovers(&dir), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -123,9 +123,11 @@ const COLD_TOL_REL: f64 = 0.25;
 /// low-CPI intervals honestly report large uncertainty while long
 /// intervals (where the residue amortizes) stay tight.
 const BOUNDARY_RESIDUE_CYCLES: f64 = 300.0;
-/// In-memory checkpoint-blob memo entries per [`CkptStore`] before the
-/// memo is dropped wholesale (checkpoints are tens of KB each; the disk
-/// tier, when configured, still serves evicted entries).
+/// In-memory checkpoint-blob memo entries per memory-only [`CkptStore`]
+/// before the memo is dropped wholesale. Blobs are ~1.5 MB each (206.6 MB
+/// over 140 saves in the 300k-op `figures sampling` study), so a full
+/// memo holds ~100 MB. A store with a disk tier keeps no blobs in memory:
+/// the disk tier and the page cache already serve its loads.
 const CKPT_MEMO_CAP: usize = 64;
 
 /// Detailed-interval count [`BOUND_FLOOR_SKIP_REL`] was calibrated at:
@@ -380,9 +382,12 @@ pub fn record_obs(stats: &SamplingStats) {
 /// [`crate::runner::warm_projection`] of the config plus a trace
 /// signature and the interval size — and by interval boundary index, so
 /// every config in a sweep that shares warm-relevant geometry shares one
-/// set of checkpoints. A two-tier layout (in-memory memo over an
-/// optional disk directory, same shape as the engine's result cache)
-/// makes reuse free within a process and persistent across runs.
+/// set of checkpoints. Blobs live in exactly one tier: on disk when the
+/// store has a directory (persistent across runs; the page cache makes
+/// in-process reloads cheap), otherwise in a capped in-memory memo.
+/// Only the disk tier makes hit counts independent of how concurrent
+/// jobs interleave: the memo's wholesale eviction depends on the order
+/// in which all jobs save.
 ///
 /// All traffic is counted per store (`ckpt_hits`/`ckpt_misses`/
 /// `ckpt_bytes`/`warm_passes`) *and* mirrored into the process-wide
@@ -462,57 +467,54 @@ impl CkptStore {
         format!("ckpt-{class:016x}-{idx}.bin")
     }
 
-    fn memo_put(&self, key: String, blob: Arc<Vec<u8>>) {
-        let mut m = self.blobs.lock().expect("ckpt memo poisoned");
-        if m.len() >= CKPT_MEMO_CAP {
-            // Blobs are large; drop the memo wholesale rather than track
-            // LRU — the disk tier still serves evicted entries.
-            m.clear();
-        }
-        m.insert(key, blob);
-    }
-
     /// Loads the warmer checkpointed at interval boundary `idx` for the
     /// given warm class, if one exists and decodes under `cfg`.
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
         let key = Self::blob_name(class, idx);
-        let blob = self
-            .blobs
-            .lock()
-            .expect("ckpt memo poisoned")
-            .get(&key)
-            .cloned();
-        let blob = match blob {
-            Some(b) => b,
+        let w = match &self.dir {
+            Some(dir) => FunctionalWarmer::from_bytes(cfg, &std::fs::read(dir.join(&key)).ok()?),
             None => {
-                let path = self.dir.as_ref()?.join(&key);
-                let b = Arc::new(std::fs::read(path).ok()?);
-                self.memo_put(key, Arc::clone(&b));
-                b
+                let blob = self
+                    .blobs
+                    .lock()
+                    .expect("ckpt memo poisoned")
+                    .get(&key)
+                    .cloned()?;
+                FunctionalWarmer::from_bytes(cfg, &blob)
             }
-        };
-        let w = FunctionalWarmer::from_bytes(cfg, &blob)?;
+        }?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_hits", 1);
         Some(w)
     }
 
-    /// Serializes and stores a checkpoint at interval boundary `idx`.
-    /// Disk writes are best-effort (tmp + rename, errors ignored): the
-    /// store is a cache, never a source of truth.
+    /// Serializes and stores a checkpoint at interval boundary `idx`:
+    /// on disk when the store has a directory, else in the memo. Disk
+    /// writes are best-effort ([`runner::write_atomic`], errors ignored):
+    /// the store is a cache, never a source of truth.
     fn save(&self, class: u64, idx: usize, w: &FunctionalWarmer) {
         let key = Self::blob_name(class, idx);
         let bytes = w.to_bytes();
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_bytes", bytes.len() as u64);
         if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-            let tmp = dir.join(format!("{key}.tmp.{}", std::process::id()));
-            if std::fs::write(&tmp, &bytes).is_ok() {
-                let _ = std::fs::rename(&tmp, dir.join(&key));
-            }
+            runner::write_atomic(dir, &key, &bytes);
+            return;
         }
-        self.memo_put(key, Arc::new(bytes));
+        let mut m = self.blobs.lock().expect("ckpt memo poisoned");
+        if m.len() >= CKPT_MEMO_CAP {
+            // Blobs are large; drop the memo wholesale rather than track
+            // LRU.
+            m.clear();
+        }
+        m.insert(key, Arc::new(bytes));
+    }
+
+    /// Checkpoint blobs held in memory (always 0 for a store with a disk
+    /// tier).
+    #[cfg(test)]
+    fn memo_blobs(&self) -> usize {
+        self.blobs.lock().expect("ckpt memo poisoned").len()
     }
 
     fn note_miss(&self) {
@@ -550,14 +552,8 @@ impl CkptStore {
         debug_assert_eq!(v.len(), expected_len, "warm feature pass length");
         self.warm_passes.fetch_add(1, Ordering::Relaxed);
         p10_obs::counter("sampling.warm_passes", 1);
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-            if let Ok(text) = serde_json::to_string(&v) {
-                let tmp = dir.join(format!("{fname}.tmp.{}", std::process::id()));
-                if std::fs::write(&tmp, text).is_ok() {
-                    let _ = std::fs::rename(&tmp, dir.join(&fname));
-                }
-            }
+        if let (Some(dir), Ok(text)) = (&self.dir, serde_json::to_string(&v)) {
+            runner::write_atomic(dir, &fname, text.as_bytes());
         }
         let a = Arc::new(v);
         self.feat_put(class, Arc::clone(&a));
@@ -1771,12 +1767,81 @@ impl CrossWorkloadModel {
     }
 }
 
-/// Trains one cross-workload fast-forward model: each training benchmark
+/// One detailed interval measurement as a cross-workload training row:
+/// the interval's fast-forward features and its measured CPI and power.
+#[derive(Debug)]
+pub struct TrainingRow {
+    features: Vec<f64>,
+    cpi: f64,
+    power: f64,
+}
+
+/// Collects one benchmark's cross-workload training rows: the benchmark
 /// is partitioned, clustered, and measured exactly as a sampled run
 /// would (sharing `store` checkpoints and cached measurements with those
-/// runs), and every detailed interval becomes a training row. Returns
-/// `None` with fewer than four rows or when forward selection finds no
-/// usable feature.
+/// runs), and every detailed interval becomes a row, in interval order.
+/// Benchmarks are independent, so their rows can be collected in
+/// parallel and fitted together with [`fit_cross_workload`].
+#[must_use]
+pub fn cross_workload_rows(
+    cfg: &CoreConfig,
+    bench: &Benchmark,
+    seed: u64,
+    max_ops: u64,
+    interval_ops: usize,
+    k: usize,
+    store: &CkptStore,
+) -> Vec<TrainingRow> {
+    let views = scenario::benchmark_views(cfg, bench, seed, max_ops);
+    let core = sample_core(
+        cfg,
+        &bench.name,
+        &views,
+        interval_ops,
+        k,
+        interval_ops / 8,
+        store,
+    );
+    core.measured
+        .iter()
+        .flatten()
+        .map(|m| TrainingRow {
+            features: interval_features(&core.ivs[m.interval]),
+            cpi: m.cpi,
+            power: m.power,
+        })
+        .collect()
+}
+
+/// Fits the cross-workload predictors on training rows (in the order
+/// given). Returns `None` with fewer than four rows or when forward
+/// selection finds no usable feature.
+#[must_use]
+pub fn fit_cross_workload(rows: &[TrainingRow], max_features: usize) -> Option<CrossWorkloadModel> {
+    if rows.len() < 4 {
+        return None;
+    }
+    let mut cpi_data = Dataset::new(feature_names());
+    let mut power_data = Dataset::new(feature_names());
+    for r in rows {
+        cpi_data.push(r.features.clone(), r.cpi);
+        power_data.push(r.features.clone(), r.power);
+    }
+    let opts = FitOptions::default();
+    let (cpi, power) = forward_select_loo(&cpi_data, max_features, opts)
+        .zip(forward_select_loo(&power_data, max_features, opts))?;
+    Some(CrossWorkloadModel {
+        cpi,
+        power,
+        cpi_range: min_max(rows.iter().map(|r| r.cpi)),
+        power_range: min_max(rows.iter().map(|r| r.power)),
+        training_rows: rows.len(),
+    })
+}
+
+/// Trains one cross-workload fast-forward model on `benches`, one after
+/// another: [`cross_workload_rows`] per benchmark, then
+/// [`fit_cross_workload`] on all rows in benchmark order.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn train_cross_workload(
@@ -1789,42 +1854,11 @@ pub fn train_cross_workload(
     max_features: usize,
     store: &CkptStore,
 ) -> Option<CrossWorkloadModel> {
-    let mut cpi_data = Dataset::new(feature_names());
-    let mut power_data = Dataset::new(feature_names());
-    let mut cpi_vals = Vec::new();
-    let mut power_vals = Vec::new();
-    for bench in benches {
-        let views = scenario::benchmark_views(cfg, bench, seed, max_ops);
-        let core = sample_core(
-            cfg,
-            &bench.name,
-            &views,
-            interval_ops,
-            k,
-            interval_ops / 8,
-            store,
-        );
-        for m in core.measured.iter().flatten() {
-            let row = interval_features(&core.ivs[m.interval]);
-            cpi_data.push(row.clone(), m.cpi);
-            power_data.push(row, m.power);
-            cpi_vals.push(m.cpi);
-            power_vals.push(m.power);
-        }
-    }
-    if cpi_data.len() < 4 {
-        return None;
-    }
-    let opts = FitOptions::default();
-    let (cpi, power) = forward_select_loo(&cpi_data, max_features, opts)
-        .zip(forward_select_loo(&power_data, max_features, opts))?;
-    Some(CrossWorkloadModel {
-        cpi,
-        power,
-        cpi_range: min_max(cpi_vals.iter().copied()),
-        power_range: min_max(power_vals.iter().copied()),
-        training_rows: cpi_vals.len(),
-    })
+    let rows: Vec<TrainingRow> = benches
+        .iter()
+        .flat_map(|b| cross_workload_rows(cfg, b, seed, max_ops, interval_ops, k, store))
+        .collect();
+    fit_cross_workload(&rows, max_features)
 }
 
 /// Fast-forwards a benchmark through a [`CrossWorkloadModel`]: only the
@@ -2326,6 +2360,131 @@ mod tests {
         assert!(fresh2.load(&cfg, 7, 3).is_none());
         assert_eq!(fresh2.ckpt_hits(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh, empty scratch directory unique to this test process.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("p10ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    #[test]
+    fn disk_tier_store_keeps_no_blobs_in_memory() {
+        let dir = scratch_dir("nomemo");
+        let cfg = CoreConfig::power10();
+        let views = scenario::benchmark_views(&cfg, &specint_like()[5], 9, 6_000);
+        let mode = SamplingMode::SimPoints {
+            interval_ops: 1_000,
+            k: 3,
+            warmup_ops: 0,
+        };
+        let store = CkptStore::new(Some(dir.clone()));
+        let _ = run_traces_sampled_with(&cfg, "nomemo", views, &mode, &store);
+        assert!(store.ckpt_bytes() > 0, "the run must write checkpoints");
+        assert_eq!(
+            store.memo_blobs(),
+            0,
+            "a disk-tier store must not memo blobs"
+        );
+        // A reload is served from disk and still counts as a hit.
+        let mut w = FunctionalWarmer::new(&cfg);
+        w.observe(&scenario::benchmark_views(&cfg, &specint_like()[3], 4, 512));
+        store.save(7, 3, &w);
+        let hits = store.ckpt_hits();
+        assert!(store.load(&cfg, 7, 3).is_some());
+        assert_eq!(store.ckpt_hits(), hits + 1);
+        assert_eq!(store.memo_blobs(), 0);
+        // A memory-only store keeps the same blob in its memo.
+        let mem = CkptStore::new(None);
+        mem.save(7, 3, &w);
+        assert_eq!(mem.memo_blobs(), 1);
+        assert!(mem.load(&cfg, 7, 3).is_some());
+        assert_eq!(mem.ckpt_hits(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_same_key_checkpoint_saves_land_whole() {
+        let dir = scratch_dir("race");
+        let cfg = CoreConfig::power10();
+        let mut w = FunctionalWarmer::new(&cfg);
+        w.observe(&scenario::benchmark_views(
+            &cfg,
+            &specint_like()[3],
+            4,
+            2_000,
+        ));
+        let store = CkptStore::new(Some(dir.clone()));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    store.save(7, 3, &w);
+                });
+            }
+        });
+        let back = CkptStore::new(Some(dir.clone()))
+            .load(&cfg, 7, 3)
+            .expect("the surviving blob must decode");
+        assert_eq!(back.to_bytes(), w.to_bytes());
+        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .expect("dir exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert_eq!(leftovers, Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cross_workload_fit_on_parallel_rows_matches_serial_training() {
+        let cfg = CoreConfig::power10();
+        let suite = specint_like();
+        let benches = &suite[0..4];
+        // The parallel side runs first, so its interval measurements are
+        // computed on the pool rather than served from the engine memo.
+        let pool = runner::Engine::new(runner::EngineConfig {
+            jobs: 4,
+            ..runner::EngineConfig::default()
+        });
+        let store = CkptStore::new(None);
+        let rows: Vec<TrainingRow> = pool
+            .run_jobs_par(benches, |_, b| {
+                cross_workload_rows(&cfg, b, 13, 5_000, 1_000, 3, &store)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let par = fit_cross_workload(&rows, 4).expect("enough training rows");
+        let serial =
+            train_cross_workload(&cfg, benches, 13, 5_000, 1_000, 3, 4, &CkptStore::new(None))
+                .expect("enough training rows");
+        assert_eq!(par.training_rows, serial.training_rows);
+        assert_eq!(
+            par.cv_cpi_error_pct().to_bits(),
+            serial.cv_cpi_error_pct().to_bits()
+        );
+        assert_eq!(
+            par.cv_power_error_pct().to_bits(),
+            serial.cv_power_error_pct().to_bits()
+        );
+        for r in &rows {
+            assert_eq!(
+                par.cpi.model.predict(&r.features).to_bits(),
+                serial.cpi.model.predict(&r.features).to_bits()
+            );
+            assert_eq!(
+                par.power.model.predict(&r.features).to_bits(),
+                serial.power.model.predict(&r.features).to_bits()
+            );
+        }
     }
 
     #[test]
