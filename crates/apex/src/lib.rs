@@ -23,8 +23,9 @@
 //!   the software-vs-software analog shows the same asymmetry, smaller).
 //! * [`core_model`]/[`chip_model`] build the Fig. 10 configurations: the
 //!   core-only model with infinite L2 versus the full chip model with the
-//!   real cache/memory hierarchy, and [`run_fig10`] produces the
-//!   power-vs-IPC scatter for SPECint-like snippets in SMT2 mode.
+//!   real cache/memory hierarchy, and [`fig10_snippet`] produces one
+//!   snippet's pair of points of the power-vs-IPC scatter for
+//!   SPECint-like snippets in SMT2 mode.
 //! * [`lfsr`] implements the LFSR counters themselves.
 
 #![forbid(unsafe_code)]
@@ -273,37 +274,34 @@ pub struct Fig10Point {
     pub core_power: f64,
 }
 
-/// Runs the Fig. 10 experiment: `snippets` simpoint-like snippets per
-/// benchmark, SMT2 mode, both the core model and the chip model.
+/// One snippet of the Fig. 10 experiment: simpoint-like snippet `snippet`
+/// of a benchmark in SMT2 mode, run on the core model and on the chip
+/// model (in that order). Snippets are independent, so the experiment
+/// runs one per pool job (`p10_core::powerstudies::run_fig10`).
 #[must_use]
-pub fn run_fig10(benchmarks: &[Benchmark], snippets: u32, ops_per_snippet: u64) -> Vec<Fig10Point> {
-    let mut points = Vec::new();
+pub fn fig10_snippet(b: &Benchmark, snippet: u32, ops_per_snippet: u64) -> [Fig10Point; 2] {
     let mut base = CoreConfig::power10();
     base.smt = SmtMode::Smt2;
-    for b in benchmarks {
-        for s in 0..snippets {
-            let traces: Vec<p10_isa::TraceView> = (0..2)
-                .map(|t| {
-                    b.workload(1000 + u64::from(s) * 17 + t)
-                        .trace_view_or_panic(ops_per_snippet)
-                })
-                .collect();
-            for (model, cfg) in [
-                (ApexModel::Core, core_model(base.clone())),
-                (ApexModel::Chip, chip_model(base.clone())),
-            ] {
-                let report = run_apex(&cfg, traces.clone(), 4096, ops_per_snippet * 40);
-                points.push(Fig10Point {
-                    bench: b.name.clone(),
-                    snippet: s,
-                    model,
-                    ipc: report.sim.ipc(),
-                    core_power: report.power.core_total(),
-                });
-            }
+    let traces: Vec<p10_isa::TraceView> = (0..2)
+        .map(|t| {
+            b.workload(1000 + u64::from(snippet) * 17 + t)
+                .trace_view_or_panic(ops_per_snippet)
+        })
+        .collect();
+    [
+        (ApexModel::Core, core_model(base.clone())),
+        (ApexModel::Chip, chip_model(base)),
+    ]
+    .map(|(model, cfg)| {
+        let report = run_apex(&cfg, traces.clone(), 4096, ops_per_snippet * 40);
+        Fig10Point {
+            bench: b.name.clone(),
+            snippet,
+            model,
+            ipc: report.sim.ipc(),
+            core_power: report.power.core_total(),
         }
-    }
-    points
+    })
 }
 
 #[cfg(test)]
@@ -360,12 +358,15 @@ mod tests {
 
     #[test]
     fn fig10_produces_paired_points() {
-        let suite = specint_like();
-        let pts = run_fig10(&suite[8..9], 2, 4_000);
-        assert_eq!(pts.len(), 4); // 1 bench x 2 snippets x 2 models
-        assert!(pts.iter().all(|p| p.ipc > 0.0 && p.core_power > 0.0));
-        assert!(pts.iter().any(|p| p.model == ApexModel::Core));
-        assert!(pts.iter().any(|p| p.model == ApexModel::Chip));
+        let b = &specint_like()[8];
+        for snippet in 0..2 {
+            let [core, chip] = fig10_snippet(b, snippet, 4_000);
+            assert_eq!((core.model, chip.model), (ApexModel::Core, ApexModel::Chip));
+            for p in [&core, &chip] {
+                assert_eq!((p.bench.as_str(), p.snippet), (b.name.as_str(), snippet));
+                assert!(p.ipc > 0.0 && p.core_power > 0.0);
+            }
+        }
     }
 
     /// Property tests driving random live/span delivery patterns through

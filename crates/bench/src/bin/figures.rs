@@ -55,7 +55,7 @@
 use p10_bench::{suite, FULL_OPS};
 use p10_core::dse;
 use p10_core::powerstudies::{
-    build_dataset, build_datasets, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
+    build_dataset, build_datasets, run_fig10, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
 };
 use p10_core::runner;
 use p10_core::sampling::{self, SamplingMode};
@@ -950,7 +950,7 @@ fn do_fig10(o: &Opts) {
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
-    let pts = p10_apex::run_fig10(&suite(), 4, o.ops / 10);
+    let pts = run_fig10(&suite(), 4, o.ops / 10);
     if o.json {
         println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
         return;
@@ -1171,7 +1171,7 @@ fn do_coverage(o: &Opts) {
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
     let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
-    let rows = chopstix::coverage_table(&workloads, o.ops, 10);
+    let rows = runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, o.ops, 10));
     if o.json {
         println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
         return;
@@ -1367,10 +1367,12 @@ fn do_tracking(o: &Opts) {
     );
     let suite = suite();
     let sel = &suite[..4];
-    let rows = [
-        p10_core::tracking::track(&CoreConfig::power9(), sel, 42, o.ops / 6),
-        p10_core::tracking::track(&CoreConfig::power10(), sel, 42, o.ops / 6),
-    ];
+    let rows = p10_core::tracking::track(
+        &[CoreConfig::power9(), CoreConfig::power10()],
+        sel,
+        42,
+        o.ops / 6,
+    );
     if o.json {
         println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
         return;

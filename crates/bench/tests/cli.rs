@@ -460,63 +460,79 @@ fn strip_walls(v: &serde_json::Value) -> serde_json::Value {
     }
 }
 
-#[test]
-fn sampling_study_is_invariant_to_the_job_count() {
-    // The study runs as one job graph on the worker pool; its payload and
-    // every counter but the per-worker `engine.*` ones must not depend on
-    // how many workers ran it.
+/// Runs `figures` with `args` plus `--no-ledger --jobs N --obs-json`,
+/// with no inherited `P10SIM_*` variable but the given checkpoint dir.
+/// Returns stdout and every `[obs]` counter except the per-worker
+/// `engine.*` ones.
+fn run_counted(
+    args: &[&str],
+    jobs: &str,
+    ckpt: Option<&std::path::Path>,
+) -> (String, Vec<(String, u64)>) {
+    let obs = scratch(&format!("jobs{jobs}-obs"), "obs.json");
+    let mut cmd = figures();
+    for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
+        cmd.env_remove(k);
+    }
+    if let Some(dir) = ckpt {
+        cmd.env("P10SIM_CKPT_DIR", dir);
+    }
+    let out = cmd
+        .args(args)
+        .args(["--no-ledger", "--jobs", jobs, "--obs-json"])
+        .arg(&obs)
+        .output()
+        .expect("run figures");
+    assert!(
+        out.status.success(),
+        "{args:?} --jobs {jobs} failed: {out:?}"
+    );
+    let summary: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&obs).expect("obs json written"))
+            .expect("obs json parses");
+    let counters = summary
+        .get("counters")
+        .and_then(serde_json::Value::as_array)
+        .expect("counters array")
+        .iter()
+        .map(|c| {
+            let name = match c.get("name") {
+                Some(serde_json::Value::Str(s)) => s.clone(),
+                other => panic!("counter name must be a string, got {other:?}"),
+            };
+            (name, field_u64(c, "value"))
+        })
+        .filter(|(name, _)| !name.starts_with("engine."))
+        .collect();
+    let _ = std::fs::remove_dir_all(obs.parent().expect("scratch dir"));
+    (String::from_utf8_lossy(&out.stdout).into_owned(), counters)
+}
+
+/// The sampling study at `--jobs 1` and `--jobs 2`, each with a fresh
+/// checkpoint dir (`disk_tier`) or a memory-only store: the payload
+/// without wall fields and the counters must not depend on the job count.
+fn assert_sampling_study_invariant(ops: &str, disk_tier: bool) {
+    let args = ["sampling", "--ops", ops, "--no-cache", "--json"];
     let run = |jobs: &str| {
-        let ckpt = scratch(&format!("jobs{jobs}-ckpt"), "");
-        let obs = scratch(&format!("jobs{jobs}-obs"), "obs.json");
-        let mut cmd = figures();
-        for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
-            cmd.env_remove(k);
+        let ckpt = disk_tier.then(|| scratch(&format!("jobs{jobs}-ckpt"), ""));
+        let (stdout, counters) = run_counted(&args, jobs, ckpt.as_deref());
+        if let Some(dir) = ckpt {
+            let _ = std::fs::remove_dir_all(dir);
         }
-        let out = cmd
-            .env("P10SIM_CKPT_DIR", &ckpt)
-            .args([
-                "sampling",
-                "--ops",
-                "20000",
-                "--no-cache",
-                "--no-ledger",
-                "--json",
-                "--jobs",
-                jobs,
-                "--obs-json",
-            ])
-            .arg(&obs)
-            .output()
-            .expect("run figures");
-        assert!(
-            out.status.success(),
-            "sampling --jobs {jobs} failed: {out:?}"
-        );
-        let payload = strip_walls(&json_payload(&String::from_utf8_lossy(&out.stdout)));
-        let summary: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&obs).expect("obs json written"))
-                .expect("obs json parses");
-        let counters: Vec<(String, u64)> = summary
-            .get("counters")
-            .and_then(serde_json::Value::as_array)
-            .expect("counters array")
-            .iter()
-            .map(|c| {
-                let name = match c.get("name") {
-                    Some(serde_json::Value::Str(s)) => s.clone(),
-                    other => panic!("counter name must be a string, got {other:?}"),
-                };
-                (name, field_u64(c, "value"))
-            })
-            .filter(|(name, _)| !name.starts_with("engine."))
-            .collect();
-        let _ = std::fs::remove_dir_all(&ckpt);
-        let _ = std::fs::remove_dir_all(obs.parent().expect("scratch dir"));
-        (payload, counters)
+        (strip_walls(&json_payload(&stdout)), counters)
     };
     let (serial_payload, serial_counters) = run("1");
     let (pool_payload, pool_counters) = run("2");
     assert_eq!(serial_payload, pool_payload, "payload differs at --jobs 2");
+    if !disk_tier {
+        let hits = field_u64(
+            serial_payload
+                .get("checkpoints")
+                .expect("checkpoints field"),
+            "hits",
+        );
+        assert!(hits > 0, "no memo hits to compare: {serial_payload:?}");
+    }
     assert!(
         serial_counters
             .iter()
@@ -527,6 +543,41 @@ fn sampling_study_is_invariant_to_the_job_count() {
         serial_counters, pool_counters,
         "counters differ at --jobs 2"
     );
+}
+
+#[test]
+fn sampling_study_is_invariant_to_the_job_count() {
+    // The study runs as one job graph on the worker pool; its payload and
+    // every counter but the per-worker `engine.*` ones must not depend on
+    // how many workers ran it.
+    assert_sampling_study_invariant("20000", true);
+}
+
+#[test]
+fn sampling_study_is_invariant_to_the_job_count_in_memory() {
+    // Same, with a memory-only checkpoint store: its memo evicts per warm
+    // class, so checkpoint hits do not depend on job interleaving either.
+    // At 100k ops the study's classes overflow the memo and still hit.
+    assert_sampling_study_invariant("100000", false);
+}
+
+#[test]
+fn pool_drivers_are_invariant_to_the_job_count() {
+    // Each of these drivers runs its independent points on the worker
+    // pool and folds the results in input order.
+    for driver in [
+        "fig5", "fig10", "fig13", "fig14", "flushes", "coverage", "tracking",
+    ] {
+        let args = [driver, "--ops", "3000", "--no-cache"];
+        let (serial_out, serial_counters) = run_counted(&args, "1", None);
+        let (pool_out, pool_counters) = run_counted(&args, "2", None);
+        assert!(!serial_out.is_empty(), "{driver} printed nothing");
+        assert_eq!(serial_out, pool_out, "{driver} stdout differs at --jobs 2");
+        assert_eq!(
+            serial_counters, pool_counters,
+            "{driver} counters differ at --jobs 2"
+        );
+    }
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! wasted/flushed instructions by 25% on average for SPECint and up to
 //! 38% for interpreted languages and business analytics.
 
+use crate::runner;
 use crate::scenario::run_benchmark;
 use p10_uarch::CoreConfig;
 use p10_workloads::suite::{extended_groups, specint_like};
@@ -74,21 +75,23 @@ fn waste(cfg: &CoreConfig, b: &Benchmark, seed: u64, ops: u64) -> f64 {
 }
 
 /// Runs the flush study over the SPECint-like suite plus the extended
-/// workload groups.
+/// workload groups: one pool job per workload, POWER9 then POWER10 inside
+/// the job (so the second run reuses the first's traces), rows in
+/// workload order.
 #[must_use]
 pub fn run_flush_study(seed: u64, ops: u64) -> FlushStudy {
     let p9 = CoreConfig::power9();
     let p10 = CoreConfig::power10();
-    let rows = specint_like()
+    let workloads: Vec<Benchmark> = specint_like()
         .into_iter()
         .chain(extended_groups())
-        .map(|b| FlushRow {
-            workload: b.name.clone(),
-            group: b.group,
-            p9_waste_per_inst: waste(&p9, &b, seed, ops),
-            p10_waste_per_inst: waste(&p10, &b, seed, ops),
-        })
         .collect();
+    let rows = runner::run_jobs_par(&workloads, |_, b| FlushRow {
+        workload: b.name.clone(),
+        group: b.group,
+        p9_waste_per_inst: waste(&p9, b, seed, ops),
+        p10_waste_per_inst: waste(&p10, b, seed, ops),
+    });
     FlushStudy { rows }
 }
 

@@ -1,4 +1,5 @@
-//! Counter-based power-model experiments: Figs. 11, 12, 15(a) and 15(b).
+//! APEX-driven power experiments: the Fig. 10 core-vs-chip scatter and
+//! the counter-based power models of Figs. 11, 12, 15(a) and 15(b).
 //!
 //! Datasets are built from APEX-style windowed runs of the workload
 //! suite: each extraction window contributes one sample of per-cycle
@@ -6,12 +7,28 @@
 //! component power model — the stand-in for Einspower reference data).
 
 use crate::runner;
-use p10_apex::{run_apex, ApexReport};
+use p10_apex::{fig10_snippet, run_apex, ApexReport, Fig10Point};
 use p10_power::PowerModel;
 use p10_powermodel::{fit, forward_select, input_sweep, Dataset, FitOptions, SweepPoint};
 use p10_uarch::{Activity, CoreConfig};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
+
+/// Runs the Fig. 10 experiment: `snippets` simpoint-like snippets per
+/// benchmark, one pool job per `(benchmark, snippet)`, each yielding its
+/// core-model then chip-model point. Points come out in benchmark, then
+/// snippet order.
+#[must_use]
+pub fn run_fig10(benchmarks: &[Benchmark], snippets: u32, ops_per_snippet: u64) -> Vec<Fig10Point> {
+    let jobs: Vec<(&Benchmark, u32)> = benchmarks
+        .iter()
+        .flat_map(|b| (0..snippets).map(move |s| (b, s)))
+        .collect();
+    runner::run_jobs_par(&jobs, |_, &(b, s)| fig10_snippet(b, s, ops_per_snippet))
+        .into_iter()
+        .flatten()
+        .collect()
+}
 
 /// Per-cycle counter rates as a named feature vector.
 #[must_use]

@@ -145,8 +145,11 @@ impl Engine {
     /// (`sampling::CkptStore`): there is no in-flight dedup, so two jobs
     /// racing on one key both compute it and both count the compute, and
     /// two jobs on one warm class both warm it. Chain such work inside
-    /// one job instead. Checkpoint hit counts are invariant only when the
-    /// store has a disk tier (see `sampling::CkptStore`).
+    /// one job instead. Jobs may share a trace-arena key only at equal
+    /// `max_ops` (the arena dedups those; a longer request racing a
+    /// shorter one makes the grow count order-dependent). Fold `f64`
+    /// results in item order after the join, and write `[obs]` gauges
+    /// (last write wins) on the calling thread.
     pub fn run_jobs_par<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

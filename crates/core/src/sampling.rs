@@ -123,12 +123,13 @@ const COLD_TOL_REL: f64 = 0.25;
 /// low-CPI intervals honestly report large uncertainty while long
 /// intervals (where the residue amortizes) stay tight.
 const BOUNDARY_RESIDUE_CYCLES: f64 = 300.0;
-/// In-memory checkpoint-blob memo entries per memory-only [`CkptStore`]
-/// before the memo is dropped wholesale. Blobs are ~1.5 MB each (206.6 MB
-/// over 140 saves in the 300k-op `figures sampling` study), so a full
-/// memo holds ~100 MB. A store with a disk tier keeps no blobs in memory:
-/// the disk tier and the page cache already serve its loads.
-const CKPT_MEMO_CAP: usize = 64;
+/// In-memory checkpoint blobs a memory-only [`CkptStore`] keeps per warm
+/// class; a save into a full class evicts that class's lowest boundary
+/// (the cheapest to replay). Blobs are ~1.5 MB each (206.6 MB over 140
+/// saves in 10 classes in the 300k-op `figures sampling` study), so a
+/// class holds at most ~6 MB. A store with a disk tier keeps no blobs in
+/// memory: the disk tier and the page cache already serve its loads.
+const CKPT_MEMO_CAP: usize = 4;
 
 /// Detailed-interval count [`BOUND_FLOOR_SKIP_REL`] was calibrated at:
 /// the differential grid in `tests/sampling_diff.rs` measures ~4
@@ -375,6 +376,9 @@ pub fn record_obs(stats: &SamplingStats) {
 // Checkpoint store
 // ---------------------------------------------------------------------------
 
+/// One warm class's in-memory checkpoint blobs, by interval boundary.
+type ClassBlobs = HashMap<usize, Arc<Vec<u8>>>;
+
 /// Content-keyed store for functional-warming checkpoints and per-class
 /// warm feature vectors.
 ///
@@ -384,10 +388,10 @@ pub fn record_obs(stats: &SamplingStats) {
 /// every config in a sweep that shares warm-relevant geometry shares one
 /// set of checkpoints. Blobs live in exactly one tier: on disk when the
 /// store has a directory (persistent across runs; the page cache makes
-/// in-process reloads cheap), otherwise in a capped in-memory memo.
-/// Only the disk tier makes hit counts independent of how concurrent
-/// jobs interleave: the memo's wholesale eviction depends on the order
-/// in which all jobs save.
+/// in-process reloads cheap), otherwise in an in-memory memo capped per
+/// warm class. Either way what a class finds depends only on that
+/// class's own saves, so hit counts do not depend on how concurrent jobs
+/// interleave as long as no two concurrent jobs share a class.
 ///
 /// All traffic is counted per store (`ckpt_hits`/`ckpt_misses`/
 /// `ckpt_bytes`/`warm_passes`) *and* mirrored into the process-wide
@@ -396,7 +400,7 @@ pub fn record_obs(stats: &SamplingStats) {
 /// tests running in parallel.
 pub struct CkptStore {
     dir: Option<PathBuf>,
-    blobs: Mutex<HashMap<String, Arc<Vec<u8>>>>,
+    blobs: Mutex<HashMap<u64, ClassBlobs>>,
     feats: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -470,15 +474,18 @@ impl CkptStore {
     /// Loads the warmer checkpointed at interval boundary `idx` for the
     /// given warm class, if one exists and decodes under `cfg`.
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
-        let key = Self::blob_name(class, idx);
         let w = match &self.dir {
-            Some(dir) => FunctionalWarmer::from_bytes(cfg, &std::fs::read(dir.join(&key)).ok()?),
+            Some(dir) => FunctionalWarmer::from_bytes(
+                cfg,
+                &std::fs::read(dir.join(Self::blob_name(class, idx))).ok()?,
+            ),
             None => {
                 let blob = self
                     .blobs
                     .lock()
                     .expect("ckpt memo poisoned")
-                    .get(&key)
+                    .get(&class)?
+                    .get(&idx)
                     .cloned()?;
                 FunctionalWarmer::from_bytes(cfg, &blob)
             }
@@ -493,28 +500,32 @@ impl CkptStore {
     /// writes are best-effort ([`runner::write_atomic`], errors ignored):
     /// the store is a cache, never a source of truth.
     fn save(&self, class: u64, idx: usize, w: &FunctionalWarmer) {
-        let key = Self::blob_name(class, idx);
         let bytes = w.to_bytes();
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_bytes", bytes.len() as u64);
         if let Some(dir) = &self.dir {
-            runner::write_atomic(dir, &key, &bytes);
+            runner::write_atomic(dir, &Self::blob_name(class, idx), &bytes);
             return;
         }
         let mut m = self.blobs.lock().expect("ckpt memo poisoned");
-        if m.len() >= CKPT_MEMO_CAP {
-            // Blobs are large; drop the memo wholesale rather than track
-            // LRU.
-            m.clear();
+        let class_blobs = m.entry(class).or_default();
+        if class_blobs.len() >= CKPT_MEMO_CAP {
+            let first = *class_blobs.keys().min().expect("full memo");
+            class_blobs.remove(&first);
         }
-        m.insert(key, Arc::new(bytes));
+        class_blobs.insert(idx, Arc::new(bytes));
     }
 
     /// Checkpoint blobs held in memory (always 0 for a store with a disk
     /// tier).
     #[cfg(test)]
     fn memo_blobs(&self) -> usize {
-        self.blobs.lock().expect("ckpt memo poisoned").len()
+        self.blobs
+            .lock()
+            .expect("ckpt memo poisoned")
+            .values()
+            .map(HashMap::len)
+            .sum()
     }
 
     fn note_miss(&self) {
@@ -560,12 +571,13 @@ impl CkptStore {
         a
     }
 
+    /// Memoizes a class's features, replacing only that class's entry
+    /// (one small vector per class, so no cap).
     fn feat_put(&self, class: u64, feats: Arc<Vec<f64>>) {
-        let mut m = self.feats.lock().expect("feat memo poisoned");
-        if m.len() >= CKPT_MEMO_CAP {
-            m.clear();
-        }
-        m.insert(class, feats);
+        self.feats
+            .lock()
+            .expect("feat memo poisoned")
+            .insert(class, feats);
     }
 }
 
@@ -2402,6 +2414,38 @@ mod tests {
         assert!(mem.load(&cfg, 7, 3).is_some());
         assert_eq!(mem.ckpt_hits(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_memo_hits_do_not_depend_on_save_interleaving() {
+        let cfg = CoreConfig::power10();
+        let mut w = FunctionalWarmer::new(&cfg);
+        w.observe(&scenario::benchmark_views(&cfg, &specint_like()[3], 4, 512));
+        // Two classes of 40 saves each: 80 saves overflow a store-wide
+        // memo of 64, so a shared eviction would make what each class
+        // keeps depend on the order the two classes saved in.
+        const SAVES: usize = 40;
+        let per_class_hits = |order: &[(u64, usize)]| {
+            let store = CkptStore::new(None);
+            for &(class, idx) in order {
+                store.save(class, idx, &w);
+            }
+            [1u64, 2].map(|class| {
+                (1..=SAVES)
+                    .filter(|&idx| store.load(&cfg, class, idx).is_some())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let interleaved: Vec<(u64, usize)> = (1..=SAVES).flat_map(|i| [(1, i), (2, i)]).collect();
+        let one_then_other: Vec<(u64, usize)> = [1u64, 2]
+            .iter()
+            .flat_map(|&c| (1..=SAVES).map(move |i| (c, i)))
+            .collect();
+        let kept = per_class_hits(&interleaved);
+        assert_eq!(kept, per_class_hits(&one_then_other));
+        // Each class keeps its highest boundaries.
+        let highest: Vec<usize> = (SAVES - CKPT_MEMO_CAP + 1..=SAVES).collect();
+        assert_eq!(kept, [highest.clone(), highest]);
     }
 
     #[test]

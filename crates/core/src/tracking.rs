@@ -4,7 +4,8 @@
 //! switching, and observed latch switching ratio — computed for any
 //! configuration over the suite.
 
-use p10_rtlsim::{run_detailed, Roi, ToggleDensity};
+use crate::runner;
+use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_uarch::CoreConfig;
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -30,31 +31,74 @@ pub struct TrackingRow {
     pub observed_ratio: f64,
 }
 
-/// Computes the tracking row for one configuration over a suite subset.
+/// Computes the tracking row of each configuration over a suite subset.
+///
+/// Every `(config, benchmark)` detailed run is one pool job; each row's
+/// suite means are then summed in suite order, so rows are bit-identical
+/// at any worker count.
 #[must_use]
-pub fn track(cfg: &CoreConfig, suite: &[Benchmark], seed: u64, ops: u64) -> TrackingRow {
+pub fn track(cfgs: &[CoreConfig], suite: &[Benchmark], seed: u64, ops: u64) -> Vec<TrackingRow> {
+    let jobs: Vec<(&CoreConfig, &Benchmark)> = cfgs
+        .iter()
+        .flat_map(|c| suite.iter().map(move |b| (c, b)))
+        .collect();
+    let samples = runner::run_jobs_par(&jobs, |_, &(cfg, b)| {
+        let trace = b.workload(seed).trace_view_or_panic(ops);
+        Sample::of(&run_detailed(
+            cfg,
+            vec![trace],
+            Roi::new(500, ops * 40),
+            ToggleDensity::default(),
+        ))
+    });
+    let n = suite.len();
+    cfgs.iter()
+        .enumerate()
+        .map(|(i, cfg)| row(cfg, &samples[i * n..(i + 1) * n]))
+        .collect()
+}
+
+/// The tracked quantities of one detailed run.
+struct Sample {
+    ipc: f64,
+    power: f64,
+    clock_pct: f64,
+    potential: f64,
+    observed: f64,
+    latches: f64,
+}
+
+impl Sample {
+    fn of(r: &RtlReport) -> Self {
+        Sample {
+            ipc: r.roi_activity.ipc(),
+            power: r.power.core_total(),
+            clock_pct: r.powerminer.clock_enable_pct,
+            potential: r.powerminer.potential_switching,
+            observed: r.powerminer.observed_switching,
+            latches: r.powerminer.total_latches,
+        }
+    }
+}
+
+/// Folds one configuration's per-benchmark samples, in suite order, into
+/// its row.
+fn row(cfg: &CoreConfig, samples: &[Sample]) -> TrackingRow {
     let mut ipc = 0.0;
     let mut power = 0.0;
     let mut clock_pct = 0.0;
     let mut potential = 0.0;
     let mut observed = 0.0;
     let mut latches = 0.0;
-    for b in suite {
-        let trace = b.workload(seed).trace_view_or_panic(ops);
-        let r = run_detailed(
-            cfg,
-            vec![trace],
-            Roi::new(500, ops * 40),
-            ToggleDensity::default(),
-        );
-        ipc += r.roi_activity.ipc();
-        power += r.power.core_total();
-        clock_pct += r.powerminer.clock_enable_pct;
-        potential += r.powerminer.potential_switching;
-        observed += r.powerminer.observed_switching;
-        latches = r.powerminer.total_latches;
+    for s in samples {
+        ipc += s.ipc;
+        power += s.power;
+        clock_pct += s.clock_pct;
+        potential += s.potential;
+        observed += s.observed;
+        latches = s.latches;
     }
-    let n = suite.len().max(1) as f64;
+    let n = samples.len().max(1) as f64;
     let (ipc, power) = (ipc / n, power / n);
     TrackingRow {
         config: cfg.name.clone(),
@@ -81,8 +125,14 @@ mod tests {
     fn tracking_dashboard_shows_the_development_story() {
         let suite = specint_like();
         let sel = &suite[7..9];
-        let p9 = track(&CoreConfig::power9(), sel, 42, 6_000);
-        let p10 = track(&CoreConfig::power10(), sel, 42, 6_000);
+        let [p9, p10]: [TrackingRow; 2] = track(
+            &[CoreConfig::power9(), CoreConfig::power10()],
+            sel,
+            42,
+            6_000,
+        )
+        .try_into()
+        .expect("one row per config");
         // The §III-B narrative: POWER10 has MORE latches yet LESS clock
         // enabled, higher IPC, lower power, much better efficiency.
         assert!(
