@@ -125,10 +125,12 @@ const COLD_TOL_REL: f64 = 0.25;
 const BOUNDARY_RESIDUE_CYCLES: f64 = 300.0;
 /// In-memory checkpoint blobs a memory-only [`CkptStore`] keeps per warm
 /// class; a save into a full class evicts that class's lowest boundary
-/// (the cheapest to replay). Blobs are ~1.5 MB each (206.6 MB over 140
-/// saves in 10 classes in the 300k-op `figures sampling` study), so a
-/// class holds at most ~6 MB. A store with a disk tier keeps no blobs in
-/// memory: the disk tier and the page cache already serve its loads.
+/// (the cheapest to replay). Blobs grow with the cache lines warmed so
+/// far: 142–905 KB, 278 KB on average (39.9 MB over 140 saves in 10
+/// classes in the 300k-op `figures sampling` study), so a class holds at
+/// most 3.3 MB and 1.3 MB on average. A store with a disk tier keeps no
+/// blobs in memory: the disk tier and the page cache already serve its
+/// loads.
 const CKPT_MEMO_CAP: usize = 4;
 
 /// Detailed-interval count [`BOUND_FLOOR_SKIP_REL`] was calibrated at:
@@ -404,6 +406,7 @@ pub struct CkptStore {
     feats: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    rejects: AtomicU64,
     bytes: AtomicU64,
     warm_passes: AtomicU64,
 }
@@ -420,6 +423,7 @@ impl CkptStore {
             feats: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rejects: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             warm_passes: AtomicU64::new(0),
         }
@@ -453,6 +457,14 @@ impl CkptStore {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Stored checkpoints that were found but failed to decode (corrupt,
+    /// truncated, or written in an older format); each is re-warmed and
+    /// overwritten under the same name.
+    #[must_use]
+    pub fn ckpt_rejects(&self) -> u64 {
+        self.rejects.load(Ordering::Relaxed)
+    }
+
     /// Total checkpoint bytes serialized through this store.
     #[must_use]
     pub fn ckpt_bytes(&self) -> u64 {
@@ -472,7 +484,9 @@ impl CkptStore {
     }
 
     /// Loads the warmer checkpointed at interval boundary `idx` for the
-    /// given warm class, if one exists and decodes under `cfg`.
+    /// given warm class, if one exists and decodes under `cfg`. A blob
+    /// that exists but does not decode counts as a reject
+    /// (`sampling.ckpt_rejects`, emitted only when one happens).
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
         let w = match &self.dir {
             Some(dir) => FunctionalWarmer::from_bytes(
@@ -489,7 +503,12 @@ impl CkptStore {
                     .cloned()?;
                 FunctionalWarmer::from_bytes(cfg, &blob)
             }
-        }?;
+        };
+        let Some(w) = w else {
+            self.rejects.fetch_add(1, Ordering::Relaxed);
+            p10_obs::counter("sampling.ckpt_rejects", 1);
+            return None;
+        };
         self.hits.fetch_add(1, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_hits", 1);
         Some(w)
@@ -2371,7 +2390,55 @@ mod tests {
         let fresh2 = CkptStore::new(Some(dir.clone()));
         assert!(fresh2.load(&cfg, 7, 3).is_none());
         assert_eq!(fresh2.ckpt_hits(), 0);
+        assert_eq!(
+            fresh2.ckpt_rejects(),
+            1,
+            "a present but bad blob is a reject"
+        );
+        // A missing blob is a plain miss, not a reject.
+        assert!(fresh2.load(&cfg, 7, 4).is_none());
+        assert_eq!(fresh2.ckpt_rejects(), 1);
+        // Re-warming overwrites the blob under the same name; the healed
+        // blob is a hit.
+        fresh2.save(7, 3, &w);
+        assert!(fresh2.load(&cfg, 7, 3).is_some());
+        assert_eq!((fresh2.ckpt_hits(), fresh2.ckpt_rejects()), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restored_warmer_keeps_warming_byte_identically_at_smt2() {
+        // A SPECint-like workload at SMT2 fills the L3 only partly, so
+        // most lines stay default and are absent from the blob.
+        let mut cfg = CoreConfig::power10();
+        cfg.smt = p10_uarch::SmtMode::Smt2;
+        let views = scenario::benchmark_views(&cfg, &specint_like()[3], 4, 40_000);
+        let upto = |a: usize, b: usize| -> Vec<TraceView> {
+            views
+                .iter()
+                .map(|v| v.slice(v.len() * a / 4..v.len() * b / 4))
+                .collect()
+        };
+        let mut direct = FunctionalWarmer::new(&cfg);
+        direct.observe(&upto(0, 2));
+        let blob = direct.to_bytes();
+        let mut restored = FunctionalWarmer::from_bytes(&cfg, &blob).expect("own blob decodes");
+        assert_eq!(restored.to_bytes(), blob);
+        let lines: u64 = [&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3]
+            .iter()
+            .map(|c| c.size_bytes / u64::from(c.line_bytes))
+            .sum();
+        // A dense line section alone would take 18 bytes per line.
+        assert!(
+            (blob.len() as u64) < 18 * lines / 4,
+            "{} bytes for {lines} lines",
+            blob.len()
+        );
+        for (a, b) in [(2, 3), (3, 4)] {
+            direct.observe(&upto(a, b));
+            restored.observe(&upto(a, b));
+            assert_eq!(direct.to_bytes(), restored.to_bytes());
+        }
     }
 
     /// A fresh, empty scratch directory unique to this test process.

@@ -287,6 +287,23 @@ impl BranchPredictor {
         self.path[tid] = ((self.path[tid] << 3) ^ (pc >> 2)) & ((1 << PATH_BITS) - 1);
     }
 
+    /// Bytes [`BranchPredictor::encode`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let tables = self.bimodal.len() + self.gshare.len() + self.chooser.len();
+        let ras: usize = self.ras.iter().map(|s| 8 + 8 * s.len()).sum();
+        24 + tables
+            + 8
+            + 4 * self.tage.len()
+            + 8
+            + 8 * self.indirect.len()
+            + 8
+            + ras
+            + 8 * self.history.len()
+            + 8
+            + 8 * self.local_hist.len()
+            + 8 * self.path.len()
+    }
+
     /// Serializes every table and per-thread history (checkpoint payload).
     /// The prediction-resource configuration itself is not stored; decode
     /// rebuilds from the current config and validates table sizes.

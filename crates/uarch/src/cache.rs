@@ -10,7 +10,7 @@ use crate::stats::Activity;
 use crate::wire::{self, Reader};
 use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -115,25 +115,54 @@ impl Cache {
             .any(|l| l.valid && l.tag == tag)
     }
 
-    /// Serializes the replacement state (checkpoint payload).
+    /// Lines that differ from [`Line::default`] — the only ones a
+    /// checkpoint carries.
+    fn live_lines(&self) -> impl Iterator<Item = (usize, &Line)> {
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| **l != Line::default())
+    }
+
+    /// Bytes [`Cache::encode`] appends: a 40-byte header plus one
+    /// 22-byte record per non-default line.
+    pub(crate) fn encoded_len(&self) -> usize {
+        40 + 22 * self.live_lines().count()
+    }
+
+    /// Serializes the replacement state (checkpoint payload): geometry,
+    /// stamp, line count, then one `(index, tag, lru, valid, prefetched)`
+    /// record per non-default line in ascending index order (the index
+    /// is a `u32`). A cache mostly holds cold (default) lines, so a blob
+    /// grows with the lines the workload touched, not with capacity.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_u64(buf, self.sets);
         wire::put_u32(buf, self.ways as u32);
         wire::put_u32(buf, self.line_shift);
         wire::put_u64(buf, self.stamp);
         wire::put_u64(buf, self.lines.len() as u64);
-        for l in &self.lines {
+        // The record count is patched in once the records are written.
+        let count_at = buf.len();
+        wire::put_u64(buf, 0);
+        let mut live = 0u64;
+        for (i, l) in self.live_lines() {
+            live += 1;
+            wire::put_u32(buf, u32::try_from(i).expect("line index fits a u32"));
             wire::put_u64(buf, l.tag);
             wire::put_u64(buf, l.lru);
             wire::put_bool(buf, l.valid);
             wire::put_bool(buf, l.prefetched);
         }
+        buf[count_at..count_at + 8].copy_from_slice(&live.to_le_bytes());
     }
 
     /// Restores a cache encoded by [`Cache::encode`]. The geometry in the
     /// blob must match `cfg` exactly (checkpoints never migrate across
     /// geometries — the warm projection keys on them); any mismatch or
-    /// truncation yields `None`.
+    /// truncation yields `None`. So does a non-canonical line section: a
+    /// record count above the line count, indices that are not strictly
+    /// increasing or not below the line count, or a record equal to the
+    /// default line — every accepted blob re-encodes to itself.
     pub(crate) fn decode(r: &mut Reader<'_>, cfg: &CacheConfig) -> Option<Cache> {
         let mut c = Cache::new(cfg);
         if r.take_u64()? != c.sets
@@ -143,14 +172,31 @@ impl Cache {
             return None;
         }
         c.stamp = r.take_u64()?;
-        if r.take_u64()? != c.lines.len() as u64 {
+        let n = c.lines.len() as u64;
+        if r.take_u64()? != n {
             return None;
         }
-        for l in &mut c.lines {
-            l.tag = r.take_u64()?;
-            l.lru = r.take_u64()?;
-            l.valid = r.take_bool()?;
-            l.prefetched = r.take_bool()?;
+        let live = r.take_u64()?;
+        if live > n {
+            return None;
+        }
+        let mut next = 0u64;
+        for _ in 0..live {
+            let i = u64::from(r.take_u32()?);
+            if i < next || i >= n {
+                return None;
+            }
+            next = i + 1;
+            let l = Line {
+                tag: r.take_u64()?,
+                lru: r.take_u64()?,
+                valid: r.take_bool()?,
+                prefetched: r.take_bool()?,
+            };
+            if l == Line::default() {
+                return None;
+            }
+            c.lines[i as usize] = l;
         }
         Some(c)
     }
@@ -222,6 +268,11 @@ impl StreamPrefetcher {
             lru: self.stamp,
         };
         Vec::new()
+    }
+
+    /// Bytes [`StreamPrefetcher::encode`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        24 + 26 * self.streams.len()
     }
 
     /// Serializes the stream table (checkpoint payload).
@@ -360,6 +411,15 @@ impl MemHierarchy {
         (self.mem_latency, HitLevel::Mem)
     }
 
+    /// Bytes [`MemHierarchy::encode`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        [&self.l1i, &self.l1d, &self.l2, &self.l3]
+            .iter()
+            .map(|c| c.encoded_len())
+            .sum::<usize>()
+            + self.prefetcher.encoded_len()
+    }
+
     /// Serializes the warm (content) state of the hierarchy: the four
     /// caches and the prefetcher. Latencies and `perfect_l2` are timing
     /// parameters re-derived from the config at decode time, so a
@@ -435,6 +495,29 @@ mod tests {
         assert!(first.hit && first.prefetch_hit);
         let second = c.access(0x3000);
         assert!(second.hit && !second.prefetch_hit);
+    }
+
+    #[test]
+    fn encoding_grows_with_touched_lines_not_capacity() {
+        let cfg = |size_bytes| CacheConfig {
+            size_bytes,
+            ways: 8,
+            line_bytes: 128,
+            latency: 1,
+        };
+        let (mut small, mut big) = (Cache::new(&cfg(64 * 1024)), Cache::new(&cfg(1 << 20)));
+        assert_eq!(small.encoded_len(), 40, "a cold cache carries no records");
+        assert_eq!(big.encoded_len(), 40);
+        for i in 0..100u64 {
+            small.access(i * 128);
+            big.access(i * 128);
+        }
+        for c in [&small, &big] {
+            assert_eq!(c.encoded_len(), 40 + 22 * 100);
+            let mut buf = Vec::new();
+            c.encode(&mut buf);
+            assert_eq!(buf.len(), c.encoded_len());
+        }
     }
 
     #[test]

@@ -88,6 +88,11 @@ impl Mmu {
         self.erat_miss_latency + self.walk_latency
     }
 
+    /// Bytes [`Mmu::encode`] appends.
+    pub(crate) fn encoded_len(&self) -> usize {
+        24 + 8 * self.erat.len() + 32 * self.tlb.len()
+    }
+
     /// Serializes the translation state (checkpoint payload). Latencies
     /// are timing parameters re-derived from the config at decode time.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {

@@ -19,7 +19,7 @@ use p10_isa::{DynOp, TraceView};
 
 /// Checkpoint container magic + format version. Bump on any layout change
 /// so stale on-disk checkpoints decode to `None` and are re-warmed.
-const CKPT_MAGIC: &[u8; 8] = b"P10WARM1";
+const CKPT_MAGIC: &[u8; 8] = b"P10WARM2";
 
 /// The long-lived microarchitectural state shared between functional
 /// warming and detailed simulation: branch predictor, cache hierarchy,
@@ -41,6 +41,10 @@ impl WarmState {
             mem: MemHierarchy::new(cfg),
             mmu: Mmu::new(cfg),
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.predictor.encoded_len() + self.mem.encoded_len() + self.mmu.encoded_len()
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -155,18 +159,27 @@ impl FunctionalWarmer {
     /// warm-equivalence class.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 * 1024);
+        let scratch = serde_json::to_string(&self.scratch).expect("Activity serializes");
+        // Header, iline memo, scratch JSON, warm state, trailer.
+        let len = CKPT_MAGIC.len()
+            + 12
+            + 8 * self.last_iline.len()
+            + 8
+            + scratch.len()
+            + self.state.encoded_len()
+            + 8;
+        let mut buf = Vec::with_capacity(len);
         buf.extend_from_slice(CKPT_MAGIC);
         wire::put_u64(&mut buf, self.ops);
         wire::put_u32(&mut buf, self.iline_shift);
         for &l in &self.last_iline {
             wire::put_u64(&mut buf, l);
         }
-        let scratch = serde_json::to_string(&self.scratch).expect("Activity serializes");
         wire::put_bytes(&mut buf, scratch.as_bytes());
         self.state.encode(&mut buf);
         let sum = wire::fnv1a64(&buf);
         wire::put_u64(&mut buf, sum);
+        debug_assert_eq!(buf.len(), len, "encoded_len disagrees with encode");
         buf
     }
 
@@ -174,9 +187,11 @@ impl FunctionalWarmer {
     /// [`FunctionalWarmer::to_bytes`] under a config in the same
     /// warm-equivalence class.
     ///
-    /// Returns `None` — never panics — on a bad magic, failed checksum,
-    /// truncated payload, trailing garbage, or any geometry that does not
-    /// match `cfg`; callers fall back to warming from scratch.
+    /// Returns `None` — never panics — on a bad magic (including blobs
+    /// of the older dense `P10WARM1` format), failed checksum, truncated
+    /// payload, trailing garbage, a non-canonical encoding, or any
+    /// geometry that does not match `cfg`; callers fall back to warming
+    /// from scratch.
     #[must_use]
     pub fn from_bytes(cfg: &CoreConfig, bytes: &[u8]) -> Option<FunctionalWarmer> {
         if bytes.len() < CKPT_MAGIC.len() + 8 {
@@ -202,6 +217,11 @@ impl FunctionalWarmer {
         }
         let scratch_json = std::str::from_utf8(r.take_bytes()?).ok()?;
         let scratch: Activity = serde_json::from_str(scratch_json).ok()?;
+        // Only the canonical rendering is accepted (no stray whitespace
+        // or reordered fields), so every accepted blob re-encodes to itself.
+        if serde_json::to_string(&scratch).ok()? != scratch_json {
+            return None;
+        }
         let state = WarmState::decode(&mut r, cfg)?;
         if !r.is_done() {
             return None;
@@ -302,6 +322,233 @@ mod tests {
             FunctionalWarmer::from_bytes(&CoreConfig::power9(), &bytes).is_none(),
             "POWER9 geometry must reject a POWER10 checkpoint"
         );
+    }
+
+    /// Appends a fresh FNV-1a trailer to a checkpoint body, so a mutated
+    /// blob reaches the structural checks instead of failing the checksum.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = wire::fnv1a64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    /// Byte range of the cache-hierarchy section inside `w.to_bytes()`:
+    /// after the header, the iline memo, the scratch JSON and the
+    /// predictor.
+    fn mem_section(w: &FunctionalWarmer) -> std::ops::Range<usize> {
+        let scratch = serde_json::to_string(&w.scratch).expect("json");
+        let start =
+            CKPT_MAGIC.len() + 12 + 32 + 8 + scratch.len() + w.state.predictor.encoded_len();
+        start..start + w.state.mem.encoded_len()
+    }
+
+    /// A trace mixing loads, stores, conditional and indirect branches
+    /// over a footprint that partly fills the L2, drawn from `(kind, x)`
+    /// pairs.
+    fn mixed_trace(ops: &[(u8, u64)]) -> TraceView {
+        use p10_isa::{BranchInfo, BranchKind};
+        let ops: Vec<DynOp> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, x))| {
+                let pc = 0x1_0000 + (i as u64 % 512) * 4;
+                let mut op = DynOp::new(pc, OpClass::Load);
+                match kind {
+                    0 | 1 => {
+                        op.class = if kind == 0 {
+                            OpClass::Load
+                        } else {
+                            OpClass::Store
+                        };
+                        op.mem = Some(MemRef {
+                            addr: x * 64,
+                            size: 8,
+                        });
+                    }
+                    _ => {
+                        op.class = OpClass::Branch;
+                        op.branch = Some(BranchInfo {
+                            kind: if kind == 2 {
+                                BranchKind::Conditional
+                            } else {
+                                BranchKind::Indirect
+                            },
+                            taken: x & 1 == 1,
+                            target: 0x1_0000 + (x % 512) * 4,
+                        });
+                    }
+                }
+                op
+            })
+            .collect();
+        TraceView::from(ops)
+    }
+
+    /// Decodes `bytes`; an accepted blob must re-encode to itself.
+    fn decode_canonical(cfg: &CoreConfig, bytes: &[u8]) -> Option<FunctionalWarmer> {
+        let w = FunctionalWarmer::from_bytes(cfg, bytes)?;
+        assert!(
+            w.to_bytes() == bytes,
+            "an accepted blob must re-encode to the same bytes"
+        );
+        Some(w)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn mutated_checkpoints_never_panic_and_decode_canonically(
+            power10 in 0u8..2,
+            ops in proptest::collection::vec((0u8..4, 0u64..1 << 14), 0..3000),
+            trials in proptest::collection::vec(
+                (0u64..u64::MAX, 1u8..=255, 0u8..4, 0u64..u64::MAX),
+                1..16,
+            ),
+        ) {
+            let cfg = if power10 == 1 {
+                CoreConfig::power10()
+            } else {
+                CoreConfig::power9()
+            };
+            let mut w = FunctionalWarmer::new(&cfg);
+            w.observe(&[mixed_trace(&ops)]);
+            let blob = w.to_bytes();
+            proptest::prop_assert!(decode_canonical(&cfg, &blob).is_some());
+            let body = &blob[..blob.len() - 8];
+            let mem = mem_section(&w);
+            for &(pos, xor, how, cut) in &trials {
+                let mut m = body.to_vec();
+                // Half the flips land in the cache section, where the
+                // sparse line records live; the rest anywhere.
+                let at = if how & 1 == 1 {
+                    mem.start + (pos % mem.len() as u64) as usize
+                } else {
+                    (pos % body.len() as u64) as usize
+                };
+                m[at] ^= xor;
+                if how & 2 == 2 {
+                    m.truncate((cut % (m.len() as u64 + 1)) as usize);
+                }
+                let _ = decode_canonical(&cfg, &reseal(m));
+                // A plain truncation, trailer not recomputed.
+                let cut = (cut % (blob.len() as u64 + 1)) as usize;
+                let _ = decode_canonical(&cfg, &blob[..cut]);
+            }
+        }
+    }
+
+    /// A cold POWER10 blob whose L1I line section is replaced by a
+    /// hand-written one: record count `live`, then `records` as
+    /// `(index, tag, lru, valid byte, prefetched byte)`.
+    fn blob_with_l1i_records(live: u64, records: &[(u32, u64, u64, u8, u8)]) -> Vec<u8> {
+        let w = FunctionalWarmer::new(&CoreConfig::power10());
+        let blob = w.to_bytes();
+        // The L1I leads the cache section; a cold cache is its 40-byte
+        // header, whose last field is the record count.
+        let l1i = mem_section(&w).start;
+        let mut body = blob[..l1i + 32].to_vec();
+        wire::put_u64(&mut body, live);
+        for &(i, tag, lru, valid, pf) in records {
+            wire::put_u32(&mut body, i);
+            wire::put_u64(&mut body, tag);
+            wire::put_u64(&mut body, lru);
+            wire::put_u8(&mut body, valid);
+            wire::put_u8(&mut body, pf);
+        }
+        body.extend_from_slice(&blob[l1i + 40..blob.len() - 8]);
+        reseal(body)
+    }
+
+    #[test]
+    fn malformed_line_sections_are_rejected() {
+        let cfg = CoreConfig::power10();
+        let lines = cfg.l1i.size_bytes / u64::from(cfg.l1i.line_bytes);
+        let n = u32::try_from(lines).expect("L1I line count fits a u32");
+        let decodes = |live, records: &[_]| {
+            decode_canonical(&cfg, &blob_with_l1i_records(live, records)).is_some()
+        };
+        // Well-formed sections decode (the hand-written layout is right).
+        assert!(decodes(0, &[]));
+        assert!(decodes(2, &[(0, 9, 1, 1, 0), (n - 1, 3, 2, 1, 1)]));
+        assert!(
+            decodes(1, &[(4, 0, 0, 0, 1)]),
+            "a bare prefetched bit is live"
+        );
+        // Unsorted or duplicate indices.
+        assert!(!decodes(2, &[(5, 9, 1, 1, 0), (3, 3, 2, 1, 0)]));
+        assert!(!decodes(2, &[(5, 9, 1, 1, 0), (5, 3, 2, 1, 0)]));
+        // An index at or above the line count.
+        assert!(!decodes(1, &[(n, 9, 1, 1, 0)]));
+        assert!(!decodes(1, &[(u32::MAX, 9, 1, 1, 0)]));
+        // Record counts larger than the line count, checked before use.
+        assert!(!decodes(u64::MAX, &[]));
+        assert!(!decodes(lines + 1, &[(0, 9, 1, 1, 0)]));
+        // A count that promises more records than follow.
+        assert!(!decodes(2, &[(0, 9, 1, 1, 0)]));
+        // An explicit default record is never written, so never accepted.
+        assert!(!decodes(1, &[(3, 0, 0, 0, 0)]));
+        // Bool bytes other than 0/1.
+        assert!(!decodes(1, &[(3, 9, 1, 2, 0)]));
+        assert!(!decodes(1, &[(3, 9, 1, 1, 7)]));
+    }
+
+    #[test]
+    fn dense_format_blobs_are_rejected_by_magic() {
+        let cfg = CoreConfig::power10();
+        let mut w = FunctionalWarmer::new(&cfg);
+        w.observe(&[chase_trace(512)]);
+        let blob = w.to_bytes();
+        let mut body = blob[..blob.len() - 8].to_vec();
+        assert!(FunctionalWarmer::from_bytes(&cfg, &reseal(body.clone())).is_some());
+        body[..8].copy_from_slice(b"P10WARM1");
+        assert!(FunctionalWarmer::from_bytes(&cfg, &reseal(body)).is_none());
+    }
+
+    #[test]
+    fn non_canonical_scratch_json_is_rejected() {
+        let cfg = CoreConfig::power10();
+        let mut w = FunctionalWarmer::new(&cfg);
+        w.observe(&[chase_trace(512)]);
+        let blob = w.to_bytes();
+        let scratch = serde_json::to_string(&w.scratch).expect("json");
+        let pretty = serde_json::to_string_pretty(&w.scratch).expect("json");
+        assert!(serde_json::from_str::<Activity>(&pretty).is_ok());
+        // Header (magic, ops, iline shift, iline memo), then the scratch
+        // JSON with its length prefix.
+        let at = CKPT_MAGIC.len() + 12 + 32;
+        let mut body = blob[..at].to_vec();
+        wire::put_bytes(&mut body, pretty.as_bytes());
+        body.extend_from_slice(&blob[at + 8 + scratch.len()..blob.len() - 8]);
+        assert!(FunctionalWarmer::from_bytes(&cfg, &reseal(body)).is_none());
+    }
+
+    #[test]
+    fn blob_size_tracks_live_lines_not_capacity() {
+        let p10 = CoreConfig::power10();
+        let mut roomy = p10.clone();
+        roomy.l2.size_bytes *= 2;
+        roomy.l3.size_bytes *= 4;
+        let cold = FunctionalWarmer::new(&p10);
+        // Four cache headers and the prefetcher: zero line records.
+        assert_eq!(
+            cold.state.mem.encoded_len(),
+            4 * 40 + 24 + 26 * p10.prefetch_streams as usize
+        );
+        let cold_len = cold.to_bytes().len();
+        assert_eq!(cold_len, FunctionalWarmer::new(&roomy).to_bytes().len());
+        // The same footprint (it fits both L2s) costs the same bytes
+        // under either capacity, and far less than the 18 bytes per L3
+        // line alone that a dense line section would take.
+        let blobs = [&p10, &roomy].map(|cfg| {
+            let mut w = FunctionalWarmer::new(cfg);
+            w.observe(&[chase_trace(1024)]);
+            w.to_bytes()
+        });
+        assert_eq!(blobs[0].len(), blobs[1].len());
+        let l3_lines = (p10.l3.size_bytes / u64::from(p10.l3.line_bytes)) as usize;
+        let grown = blobs[0].len() - cold_len;
+        assert!(grown < 18 * l3_lines / 4, "warming added {grown} bytes");
     }
 
     #[test]
