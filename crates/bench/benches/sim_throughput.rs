@@ -15,7 +15,7 @@
 //! column is pure simulation time over pre-acquired `TraceView`s.
 //!
 //! Sampled execution gets its own section: each of the PR 7 workloads
-//! runs exact, SimPoint-sampled, and learned-fast-forward, reporting
+//! runs exact and SimPoint-sampled, reporting
 //! wall-clock speedup next to the measured CPI error and the bound the
 //! sampled run printed for itself.
 //!
@@ -155,7 +155,7 @@ struct SynthResult {
 #[derive(Debug, Serialize)]
 struct SamplingRow {
     workload: String,
-    /// `exact` | `simpoints:I:K:W` | `learned:I:K:F`.
+    /// `exact` | `simpoints:I:K:W`.
     mode: String,
     /// Ops simulated in detail (total ops for `exact`, representative +
     /// cold-prefix intervals for the sampled modes).
@@ -335,9 +335,9 @@ fn measure(s: &Scenario, traces: &[TraceView], scheduler: Scheduler, mode: Mode)
 /// small enough to keep the bench quick.
 const SAMPLING_OPS: u64 = 200_000;
 
-/// Runs the PR 7 workload slice (leela / exchange / xz analogues) exact,
-/// SimPoint-sampled, and learned, reporting best-of-[`SAMPLES`] walls,
-/// the measured CPI error against exact, and the bound each sampled run
+/// Runs the PR 7 workload slice (leela / exchange / xz analogues) exact
+/// and SimPoint-sampled, reporting best-of-[`SAMPLES`] walls, the
+/// measured CPI error against exact, and the bound the sampled run
 /// printed for itself.
 fn sampling_rows() -> Vec<SamplingRow> {
     use p10_core::sampling::{self, SamplingMode};
@@ -348,18 +348,11 @@ fn sampling_rows() -> Vec<SamplingRow> {
     let interval_ops = usize::try_from(SAMPLING_OPS / 64)
         .unwrap_or(usize::MAX)
         .max(2500);
-    let modes = [
-        SamplingMode::SimPoints {
-            interval_ops,
-            k: 8,
-            warmup_ops: interval_ops / 8,
-        },
-        SamplingMode::Learned {
-            interval_ops,
-            k: 8,
-            max_features: 4,
-        },
-    ];
+    let mode = SamplingMode::SimPoints {
+        interval_ops,
+        k: 8,
+        warmup_ops: interval_ops / 8,
+    };
     let mut rows = Vec::new();
     for bench in &suite[7..10] {
         let exact = scenario::run_benchmark(&cfg, bench, 42, SAMPLING_OPS);
@@ -385,33 +378,30 @@ fn sampling_rows() -> Vec<SamplingRow> {
             cpi_bound_rel: 0.0,
             within_bound: true,
         });
-        for mode in &modes {
-            let s = sampling::run_benchmark_sampled(&cfg, bench, 42, SAMPLING_OPS, mode);
-            let mut wall = f64::INFINITY;
-            for _ in 0..SAMPLES {
-                let t0 = Instant::now();
-                let again = sampling::run_benchmark_sampled(&cfg, bench, 42, SAMPLING_OPS, mode);
-                wall = wall.min(t0.elapsed().as_secs_f64());
-                assert_eq!(
-                    again.stats.cpi_est.to_bits(),
-                    s.stats.cpi_est.to_bits(),
-                    "non-deterministic sampled simulation"
-                );
-            }
-            let cpi_err =
-                (s.stats.cpi_est - exact.sim.cpi()).abs() / exact.sim.cpi().abs().max(1e-12);
-            rows.push(SamplingRow {
-                workload: bench.name.clone(),
-                mode: mode.describe(),
-                sim_ops: s.stats.simulated_ops,
-                wall_s: wall,
-                mops_per_s: s.stats.total_ops as f64 / wall / 1e6,
-                speedup_vs_exact: exact_wall / wall,
-                cpi_rel_err: cpi_err,
-                cpi_bound_rel: s.stats.cpi_bound_rel,
-                within_bound: cpi_err <= s.stats.cpi_bound_rel,
-            });
+        let s = sampling::run_benchmark_sampled(&cfg, bench, 42, SAMPLING_OPS, &mode);
+        let mut wall = f64::INFINITY;
+        for _ in 0..SAMPLES {
+            let t0 = Instant::now();
+            let again = sampling::run_benchmark_sampled(&cfg, bench, 42, SAMPLING_OPS, &mode);
+            wall = wall.min(t0.elapsed().as_secs_f64());
+            assert_eq!(
+                again.stats.cpi_est.to_bits(),
+                s.stats.cpi_est.to_bits(),
+                "non-deterministic sampled simulation"
+            );
         }
+        let cpi_err = (s.stats.cpi_est - exact.sim.cpi()).abs() / exact.sim.cpi().abs().max(1e-12);
+        rows.push(SamplingRow {
+            workload: bench.name.clone(),
+            mode: mode.describe(),
+            sim_ops: s.stats.simulated_ops,
+            wall_s: wall,
+            mops_per_s: s.stats.total_ops as f64 / wall / 1e6,
+            speedup_vs_exact: exact_wall / wall,
+            cpi_rel_err: cpi_err,
+            cpi_bound_rel: s.stats.cpi_bound_rel,
+            within_bound: cpi_err <= s.stats.cpi_bound_rel,
+        });
     }
     rows
 }

@@ -2,50 +2,41 @@
 //!
 //! Usage:
 //! ```text
-//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--no-trace-arena] [--trace-out FILE] [--sampling MODE]
+//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]
+//! figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]
 //! ```
 //! `--out DIR` captures each experiment's stdout into `DIR/<exp>.json`
 //! as well as printing it. `--jobs N` sets the worker-pool width
 //! (default: all CPUs) and `--no-cache` disables the on-disk result
 //! cache (`target/p10sim-cache`, override with `P10SIM_CACHE_DIR`); see
-//! `p10_core::runner`. `--no-trace-arena` (or `P10SIM_TRACE_ARENA=0`)
-//! forces the legacy synthesize-per-call trace path, bypassing the
-//! process-wide content-keyed trace arena — the A/B switch for checking
-//! that arena output is byte-identical (it mirrors `--no-cache`).
-//! `--sampling MODE` (or `P10SIM_SAMPLING`) selects sampled execution
-//! for every simulation point routed through the engine: `exact`
-//! (default, byte-identical reference), `simpoints:INTERVAL:K[:WARMUP]`,
-//! `learned:INTERVAL:K[:FEATURES]`, or `bound:PCT` (grow the cluster
-//! count until the reported error bound is at most PCT percent) — see
-//! `p10_core::sampling`. Sampled runs persist warm-state checkpoints
-//! under the engine's disk cache (override the directory with
-//! `P10SIM_CKPT_DIR`), so sweeps re-warm once per warm-equivalence
-//! class instead of once per config.
-//! `--trace-out FILE` (or the `P10SIM_TRACE` env
-//! var) writes an event trace via `p10_obs` — JSON lines by default, or
-//! a `chrome://tracing`/Perfetto-loadable trace-event file with
-//! `--trace-format chrome` (or `P10SIM_TRACE_FORMAT`); either way an
-//! end-of-run summary table lands on stderr. `--obs-json FILE` (or
-//! `P10SIM_OBS_JSON`) additionally serializes that summary as one JSON
-//! object for scripts.
+//! `p10_core::runner`. `--sampling MODE` selects sampled execution for
+//! every simulation point routed through the engine: `exact` (default,
+//! byte-identical reference), `simpoints:INTERVAL:K[:WARMUP]`, or
+//! `bound:PCT` (grow the cluster count until the reported error bound
+//! is at most PCT percent) — see `p10_core::sampling`. Sampled runs
+//! persist warm-state checkpoints under the engine's disk cache
+//! (override the directory with `P10SIM_CKPT_DIR`), so sweeps re-warm
+//! once per warm-equivalence class instead of once per config.
+//! `--trace-out FILE` writes an event trace via `p10_obs` — JSON lines
+//! by default, or a `chrome://tracing`/Perfetto-loadable trace-event
+//! file with `--trace-format chrome`; either way an end-of-run summary
+//! table lands on stderr. `--obs-json FILE` additionally serializes that
+//! summary as one JSON object for scripts.
 //!
 //! Every run also appends one `RunRecord` JSON line to the persistent
-//! run ledger (`target/p10sim-ledger/`, overridable with `P10SIM_LEDGER`
-//! or `--ledger-dir`, disabled with `--no-ledger`) — see
-//! `p10_obs::ledger`. The `obsreport` pseudo-experiment reads that
-//! history back: it prints wall-time/cache/coverage trends for the
-//! latest run against a baseline (`--baseline` selects one; default is
-//! the previous comparable run) and with `--gate PCT` exits non-zero
-//! when the latest run regressed more than `PCT` percent (deltas under
-//! `--min-s` seconds never gate). `<experiment>` is one of:
-//! `table1 fig2 fig4 fig5 fig6 socket fig10 fig11 fig12 fig13 fig14
-//! fig15a fig15b flushes coverage apex-speedup wof tracepoints
-//! sensitivity smt tracking droop dse profile sampling obsreport all`
-//! — `dse` (the design-space Pareto sweep), `profile` (the
-//! cycle-attribution tables), `sampling` (the exact-vs-sampled
-//! error/speedup study, whose wall-clock numbers vary run to run) and
-//! `obsreport` run on demand only and are not part of `all`, which
-//! keeps `all`'s stdout stable across additions.
+//! run ledger (`target/p10sim-ledger/`, overridable with `--ledger-dir`,
+//! disabled with `--no-ledger`) — see `p10_obs::ledger`. The `obsreport`
+//! pseudo-experiment reads that history back: it prints
+//! wall-time/cache/coverage trends for the latest run against a
+//! baseline (`--baseline` selects one; default is the previous
+//! comparable run) and with `--gate PCT` exits non-zero when the latest
+//! run regressed more than `PCT` percent (deltas under `--min-s` seconds
+//! never gate). `<experiment>` is a name in `EXPERIMENTS`, `obsreport`,
+//! or `all` (the default) — every experiment marked for `all`, in table
+//! order. `dse` (the design-space Pareto sweep), `profile` (the
+//! cycle-attribution tables) and `sampling` (the exact-vs-sampled
+//! error/speedup study, whose wall-clock numbers vary run to run) run on
+//! demand only, which keeps `all`'s stdout stable across additions.
 //!
 //! Stdout discipline: ledger, trace, and obs-json outputs never touch
 //! experiment stdout — `figures all` stdout is byte-identical with all
@@ -66,29 +57,36 @@ use p10_uarch::CoreConfig;
 use p10_workloads::{chopstix, Benchmark};
 use serde_json::json;
 
-const EXPERIMENTS: [&str; 22] = [
-    "table1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "socket",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15a",
-    "fig15b",
-    "flushes",
-    "coverage",
-    "apex-speedup",
-    "wof",
-    "tracepoints",
-    "sensitivity",
-    "smt",
-    "tracking",
-    "droop",
+/// An experiment: its name, its driver, and whether `all` runs it.
+type Experiment = (&'static str, fn(&Opts), bool);
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 25] = [
+    ("table1", do_table1, true),
+    ("fig2", do_fig2, true),
+    ("fig4", do_fig4, true),
+    ("fig5", do_fig5, true),
+    ("fig6", do_fig6, true),
+    ("socket", do_socket, true),
+    ("fig10", do_fig10, true),
+    ("fig11", do_fig11, true),
+    ("fig12", do_fig12, true),
+    ("fig13", do_fig13, true),
+    ("fig14", do_fig14, true),
+    ("fig15a", do_fig15a, true),
+    ("fig15b", do_fig15b, true),
+    ("flushes", do_flushes, true),
+    ("coverage", do_coverage, true),
+    ("apex-speedup", do_apex_speedup, true),
+    ("wof", do_wof, true),
+    ("tracepoints", do_tracepoints, true),
+    ("sensitivity", do_sensitivity, true),
+    ("smt", do_smt, true),
+    ("tracking", do_tracking, true),
+    ("droop", do_droop, true),
+    ("dse", do_dse, false),
+    ("profile", do_profile, false),
+    ("sampling", do_sampling, false),
 ];
 
 struct Opts {
@@ -97,7 +95,6 @@ struct Opts {
     out: Option<std::path::PathBuf>,
     jobs: usize,
     no_cache: bool,
-    no_trace_arena: bool,
     trace_out: Option<std::path::PathBuf>,
     trace_format: Option<p10_obs::TraceFormat>,
     obs_json: Option<std::path::PathBuf>,
@@ -105,29 +102,25 @@ struct Opts {
     no_ledger: bool,
     baseline: Option<String>,
     gate: Option<f64>,
-    min_s: f64,
+    min_s: Option<f64>,
     sampling: Option<SamplingMode>,
 }
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--no-trace-arena] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
+        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
     );
     eprintln!(
         "       figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]"
     );
-    eprintln!(
-        "sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | learned:INTERVAL:K[:FEATURES] | bound:PCT (0 < PCT <= 100)"
-    );
-    eprintln!(
-        "experiments: {} dse profile sampling obsreport all",
-        EXPERIMENTS.join(" ")
-    );
+    eprintln!("sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, ..)| name).collect();
+    eprintln!("experiments: {} obsreport all", names.join(" "));
     std::process::exit(2);
 }
 
-/// Parses a `--trace-format` / `P10SIM_TRACE_FORMAT` value.
+/// Parses a `--trace-format` value.
 fn parse_trace_format(v: &str) -> p10_obs::TraceFormat {
     match v {
         "jsonl" | "json-lines" => p10_obs::TraceFormat::JsonLines,
@@ -149,7 +142,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         out: None,
         jobs: 0,
         no_cache: false,
-        no_trace_arena: false,
         trace_out: None,
         trace_format: None,
         obs_json: None,
@@ -157,7 +149,7 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         no_ledger: false,
         baseline: None,
         gate: None,
-        min_s: 0.05,
+        min_s: None,
         sampling: None,
     };
     let mut i = 0;
@@ -172,7 +164,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         match arg {
             "--json" => opts.json = true,
             "--no-cache" => opts.no_cache = true,
-            "--no-trace-arena" => opts.no_trace_arena = true,
             "--ops" => {
                 let v = flag_value("--ops");
                 opts.ops = v
@@ -217,11 +208,12 @@ fn parse_args(args: &[String]) -> (String, Opts) {
             }
             "--min-s" => {
                 let v = flag_value("--min-s");
-                opts.min_s = v
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                    .unwrap_or_else(|| usage_error(&format!("invalid --min-s value '{v}'")));
+                opts.min_s = Some(
+                    v.parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                        .unwrap_or_else(|| usage_error(&format!("invalid --min-s value '{v}'"))),
+                );
             }
             "--sampling" => {
                 let v = flag_value("--sampling");
@@ -233,11 +225,8 @@ fn parse_args(args: &[String]) -> (String, Opts) {
                     usage_error(&format!("more than one experiment given ('{exp}')"));
                 }
                 if exp != "all"
-                    && exp != "dse"
-                    && exp != "profile"
-                    && exp != "sampling"
                     && exp != "obsreport"
-                    && !EXPERIMENTS.contains(&exp)
+                    && !EXPERIMENTS.iter().any(|&(name, ..)| name == exp)
                 {
                     usage_error(&format!("unknown experiment '{exp}'"));
                 }
@@ -247,8 +236,10 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         i += 1;
     }
     let what = what.unwrap_or_else(|| "all".to_owned());
-    if what != "obsreport" && (opts.gate.is_some() || opts.baseline.is_some()) {
-        usage_error("--gate/--baseline only apply to the obsreport experiment");
+    if what != "obsreport"
+        && (opts.gate.is_some() || opts.baseline.is_some() || opts.min_s.is_some())
+    {
+        usage_error("--gate/--baseline/--min-s only apply to the obsreport experiment");
     }
     (what, opts)
 }
@@ -277,19 +268,14 @@ fn write_artifact(opts: &Opts, name: &str) {
     if opts.no_cache {
         args.push("--no-cache".to_owned());
     }
-    if opts.no_trace_arena {
-        args.push("--no-trace-arena".to_owned());
-    }
     if let Some(mode) = &opts.sampling {
         args.push("--sampling".to_owned());
         args.push(mode.describe());
     }
-    // The child is a throwaway re-run for the JSON payload: never let it
-    // append to (or clobber) the parent's trace, obs-json, or ledger.
+    // The child is a throwaway re-run for the JSON payload: it gets no
+    // trace, obs-json, or ledger of its own.
     let output = std::process::Command::new(exe)
         .args(&args)
-        .env_remove("P10SIM_TRACE")
-        .env_remove("P10SIM_OBS_JSON")
         .output()
         .expect("re-run experiment for artifact");
     assert!(
@@ -328,40 +314,20 @@ fn main() {
     }
 
     // Observability first, so every later span/counter lands in the same
-    // recorder. The trace sink comes from --trace-out, else P10SIM_TRACE;
-    // its format from --trace-format, else P10SIM_TRACE_FORMAT.
-    let trace_path = opts
-        .trace_out
-        .clone()
-        .or_else(|| std::env::var_os("P10SIM_TRACE").map(std::path::PathBuf::from));
-    let trace_format = opts
-        .trace_format
-        .or_else(|| {
-            std::env::var("P10SIM_TRACE_FORMAT")
-                .ok()
-                .map(|v| parse_trace_format(&v))
-        })
-        .unwrap_or_default();
+    // recorder.
     p10_obs::init(&p10_obs::ObsConfig {
-        trace_path,
-        trace_format,
+        trace_path: opts.trace_out.clone(),
+        trace_format: opts.trace_format.unwrap_or_default(),
     });
     p10_obs::set_thread_name("main");
 
-    if opts.no_trace_arena {
-        p10_workloads::arena::set_enabled(false);
-    }
-
-    // Sampling mode: --sampling wins, then P10SIM_SAMPLING, then exact.
-    // Installed once before any experiment runs; the engine's benchmark
-    // dispatch consults it for every simulation point.
-    let sampling_mode = opts.sampling.or_else(|| {
-        std::env::var("P10SIM_SAMPLING")
-            .ok()
-            .map(|v| SamplingMode::parse(&v).unwrap_or_else(|e| usage_error(&e)))
-    });
-    let sampling_key = sampling_mode.map_or_else(|| "exact".to_owned(), |m| m.describe());
-    if let Some(mode) = sampling_mode {
+    // Sampling mode: --sampling, else exact. Installed once before any
+    // experiment runs; the engine's benchmark dispatch consults it for
+    // every simulation point.
+    let sampling_key = opts
+        .sampling
+        .map_or_else(|| "exact".to_owned(), |m| m.describe());
+    if let Some(mode) = opts.sampling {
         sampling::set_mode(mode);
         if !mode.is_exact() {
             eprintln!("[figures] sampled execution: {}", mode.describe());
@@ -385,43 +351,14 @@ fn main() {
         }
     );
 
-    let experiments: Vec<&str> = if what == "all" {
-        EXPERIMENTS.to_vec()
-    } else {
-        vec![what.as_str()]
-    };
+    let experiments: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|&&(name, _, in_all)| if what == "all" { in_all } else { name == what })
+        .collect();
 
-    for &e in &experiments {
+    for &&(e, driver, _) in &experiments {
         let sp = p10_obs::span(e);
-        match e {
-            "table1" => do_table1(&opts),
-            "fig2" => do_fig2(&opts),
-            "fig4" => do_fig4(&opts),
-            "fig5" => do_fig5(&opts),
-            "fig6" => do_fig6(&opts),
-            "socket" => do_socket(&opts),
-            "fig10" => do_fig10(&opts),
-            "fig11" => do_fig11(&opts),
-            "fig12" => do_fig12(&opts),
-            "fig13" => do_fig13(&opts),
-            "fig14" => do_fig14(&opts),
-            "fig15a" => do_fig15a(&opts),
-            "fig15b" => do_fig15b(&opts),
-            "flushes" => do_flushes(&opts),
-            "coverage" => do_coverage(&opts),
-            "apex-speedup" => do_apex_speedup(&opts),
-            "wof" => do_wof(&opts),
-            "tracepoints" => do_tracepoints(&opts),
-            "sensitivity" => do_sensitivity(&opts),
-            "smt" => do_smt(&opts),
-            "tracking" => do_tracking(&opts),
-            "droop" => do_droop(&opts),
-            "dse" => do_dse(&opts),
-            "profile" => do_profile(&opts),
-            "sampling" => do_sampling(&opts),
-            // parse_args validated the experiment name already.
-            other => unreachable!("unvalidated experiment '{other}'"),
-        }
+        driver(&opts);
         let secs = sp.finish();
         eprintln!("[figures] {e}: {secs:.2}s");
         write_artifact(&opts, e);
@@ -511,14 +448,10 @@ fn main() {
 
     // Machine-readable mirrors of that summary: --obs-json (one JSON
     // object) and the persistent run ledger (one RunRecord line).
-    let obs_json = opts
-        .obs_json
-        .clone()
-        .or_else(|| std::env::var_os("P10SIM_OBS_JSON").map(std::path::PathBuf::from));
-    if let Some(path) = obs_json {
+    if let Some(path) = &opts.obs_json {
         match serde_json::to_string(&final_summary) {
             Ok(line) => {
-                if let Err(e) = std::fs::write(&path, format!("{line}\n")) {
+                if let Err(e) = std::fs::write(path, format!("{line}\n")) {
                     eprintln!("[figures] cannot write obs json {}: {e}", path.display());
                 }
             }
@@ -527,15 +460,15 @@ fn main() {
     }
     if !opts.no_ledger {
         let eng_cfg = runner::engine().config();
+        let names: Vec<&str> = experiments.iter().map(|e| e.0).collect();
         let identity = p10_obs::ledger::RunIdentity {
             experiment: what.clone(),
             config_text: format!(
-                "jobs={}|disk_cache={}|arena={}|sampling={sampling_key}",
+                "jobs={}|disk_cache={}|sampling={sampling_key}",
                 eng_cfg.jobs,
-                eng_cfg.disk_cache.is_some(),
-                !opts.no_trace_arena
+                eng_cfg.disk_cache.is_some()
             ),
-            workload_text: format!("{}|ops={}", experiments.join(","), opts.ops),
+            workload_text: format!("{}|ops={}", names.join(","), opts.ops),
             sampling_key: sampling_key.clone(),
             ops: opts.ops,
             jobs: eng_cfg.jobs as u64,
@@ -723,12 +656,10 @@ fn do_obsreport(opts: &Opts) -> i32 {
     }
 
     let Some(pct) = opts.gate else { return 0 };
-    let regressions = ledger::gate(baseline, latest, pct, opts.min_s);
+    let min_s = opts.min_s.unwrap_or(0.05);
+    let regressions = ledger::gate(baseline, latest, pct, min_s);
     if regressions.is_empty() {
-        println!(
-            "gate: PASS (no wall-time regression beyond {pct}% and {:.2}s)",
-            opts.min_s
-        );
+        println!("gate: PASS (no wall-time regression beyond {pct}% and {min_s:.2}s)");
         return 0;
     }
     for r in &regressions {
@@ -1591,9 +1522,6 @@ fn do_sampling(o: &Opts) {
     // cluster budget, or the budget-scaled default's.
     let (xi, xk) = match mode {
         SamplingMode::SimPoints {
-            interval_ops, k, ..
-        }
-        | SamplingMode::Learned {
             interval_ops, k, ..
         } => (interval_ops, k),
         _ => match default_sampling_mode(o.ops) {

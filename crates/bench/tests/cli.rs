@@ -41,6 +41,10 @@ fn unknown_experiment_fails_loudly() {
 #[test]
 fn unknown_flag_fails_loudly() {
     assert_usage_error(&["table1", "--opps", "60000"], "unknown flag '--opps'");
+    assert_usage_error(
+        &["table1", "--no-trace-arena"],
+        "unknown flag '--no-trace-arena'",
+    );
 }
 
 #[test]
@@ -443,6 +447,43 @@ fn stdout_is_byte_identical_with_flight_recorder_enabled() {
     );
 }
 
+#[test]
+fn retired_env_aliases_are_ignored() {
+    // Flags are the only way to set these; the environment variables that
+    // used to alias them must change neither stdout nor the file system.
+    let run = |env: &[(&str, std::ffi::OsString)]| {
+        let mut cmd = figures();
+        for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
+            cmd.env_remove(k);
+        }
+        let out = cmd
+            .args(["table1", "--ops", "800", "--no-cache", "--no-ledger"])
+            .envs(env.iter().map(|(k, v)| (k, v)))
+            .output()
+            .expect("run figures");
+        assert!(out.status.success(), "run failed: {out:?}");
+        out.stdout
+    };
+    let clean = run(&[]);
+    let dir = scratch("aliases", "");
+    let trace = dir.join("trace.jsonl");
+    let obs = dir.join("obs.json");
+    let ledger = dir.join("ledger");
+    let aliased = run(&[
+        ("P10SIM_SAMPLING", "bound:5".into()),
+        ("P10SIM_JOBS", "1".into()),
+        ("P10SIM_TRACE_ARENA", "0".into()),
+        ("P10SIM_TRACE", trace.clone().into_os_string()),
+        ("P10SIM_OBS_JSON", obs.clone().into_os_string()),
+        ("P10SIM_LEDGER", ledger.clone().into_os_string()),
+    ]);
+    assert_eq!(clean, aliased, "a retired env alias changed stdout");
+    for path in [&trace, &obs, &ledger] {
+        assert!(!path.exists(), "{} was created", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The payload without wall-clock fields (`*_s`, `speedup`), which are
 /// the only ones allowed to vary between runs.
 fn strip_walls(v: &serde_json::Value) -> serde_json::Value {
@@ -583,5 +624,6 @@ fn pool_drivers_are_invariant_to_the_job_count() {
 #[test]
 fn gate_flag_outside_obsreport_fails_loudly() {
     assert_usage_error(&["table1", "--gate", "50"], "--gate/--baseline");
+    assert_usage_error(&["table1", "--min-s", "1"], "--min-s only apply");
     assert_usage_error(&["obsreport", "--gate", "many"], "invalid --gate");
 }

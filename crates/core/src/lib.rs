@@ -16,7 +16,8 @@
 //! * [`runner`] — the parallel experiment engine and result cache every
 //!   driver runs on.
 //! * [`sampling`] — SimPoint-weighted sampled execution with error
-//!   bounds and a learned fast-forward (opt-in via `--sampling`).
+//!   bounds (opt-in via `--sampling`) and a cross-workload predicted
+//!   fast-forward.
 //! * [`cycleprof`] — the `figures profile` experiment: per-workload
 //!   cycle-attribution tables from the pipeline's always-on counters.
 //!

@@ -6,7 +6,7 @@ use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_serminer::{derating_curve, derating_row, DeratingCurve, DeratingRow};
 use p10_uarch::CoreConfig;
 use p10_workloads::microbench::{derating_grid, generate, DataInit, MicrobenchSpec};
-use p10_workloads::{arena, chopstix, specint_like, Benchmark};
+use p10_workloads::{chopstix, specint_like, Benchmark};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -69,8 +69,7 @@ impl<V: Clone> OnceMemo<V> {
 /// simulator are both deterministic, the report is fully determined by
 /// `(config, spec, ops)` and can be shared. Concurrent pool jobs on one
 /// key simulate it once (one `detailed_misses`, the rest hits); jobs on
-/// different keys do not wait on each other. Disabled together with the
-/// trace arena so `--no-trace-arena` exercises the legacy path.
+/// different keys do not wait on each other.
 fn grid_detailed(cfg: &CoreConfig, spec: &MicrobenchSpec, ops: u64) -> Arc<RtlReport> {
     let run = || {
         let traces: Vec<p10_isa::TraceView> = (0..spec.smt)
@@ -78,9 +77,6 @@ fn grid_detailed(cfg: &CoreConfig, spec: &MicrobenchSpec, ops: u64) -> Arc<RtlRe
             .collect();
         detailed(cfg, traces, spec.init)
     };
-    if !arena::enabled() {
-        return Arc::new(run());
-    }
     static MEMO: OnceLock<OnceMemo<Arc<RtlReport>>> = OnceLock::new();
     let key = {
         use std::hash::{Hash, Hasher};

@@ -75,24 +75,13 @@ pub struct Engine {
     stats: CacheStats,
 }
 
-/// Parses a `P10SIM_JOBS`-style value: a positive worker count, or `None`
-/// for anything absent or unparseable.
-fn jobs_from_env(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 impl Engine {
-    /// Builds an engine from a configuration. A `jobs` of `0` defers to
-    /// the `P10SIM_JOBS` environment variable, then to one worker per
-    /// available CPU.
+    /// Builds an engine from a configuration. A `jobs` of `0` means one
+    /// worker per available CPU.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         let jobs = if config.jobs == 0 {
-            jobs_from_env(std::env::var("P10SIM_JOBS").ok().as_deref()).unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             config.jobs
         };
@@ -861,14 +850,5 @@ mod tests {
         let mut tlb = base.clone();
         tlb.tlb_entries *= 4;
         assert_ne!(wp(&base), wp(&tlb));
-    }
-
-    #[test]
-    fn jobs_env_parsing() {
-        assert_eq!(jobs_from_env(Some("4")), Some(4));
-        assert_eq!(jobs_from_env(Some(" 2 ")), Some(2));
-        assert_eq!(jobs_from_env(Some("0")), None, "zero means unset");
-        assert_eq!(jobs_from_env(Some("many")), None);
-        assert_eq!(jobs_from_env(None), None);
     }
 }

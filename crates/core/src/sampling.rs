@@ -1,5 +1,6 @@
 //! Sampled simulation: SimPoint-weighted execution with error bounds,
-//! checkpointed warm-state reuse, and learned fast-forwards.
+//! checkpointed warm-state reuse, and a cross-workload predicted
+//! fast-forward.
 //!
 //! Exact simulation replays every dynamic op through the cycle model. For
 //! long traces most of that work is redundant — program phases repeat —
@@ -55,17 +56,13 @@
 //! cluster budget round by round — reusing prior rounds' checkpoints and
 //! cached measurements — until the claimed bound meets a target.
 //!
-//! [`SamplingMode::Learned`] goes one step further (in the spirit of
-//! learned fast-forwarding): the simulated representatives become a
-//! training set for linear counter→CPI and counter→power predictors
-//! (Gram-cached forward selection from `p10-powermodel`), skipped
-//! intervals are *predicted* from cheap functional-trace features instead
-//! of inheriting their representative's numbers verbatim, and the
-//! reported bound incorporates the leave-one-out cross-validated error.
-//! [`train_cross_workload`] lifts the same idea across workloads: one
-//! predictor fitted on several benchmarks' measured intervals lets a
-//! *new* workload fast-forward from its first interval alone
-//! ([`run_benchmark_predicted`]).
+//! [`train_cross_workload`] fits linear counter→CPI and counter→power
+//! predictors (Gram-cached forward selection from `p10-powermodel`) on
+//! several benchmarks' measured intervals, so a *new* workload can
+//! fast-forward from its first interval alone
+//! ([`run_benchmark_predicted`]): its other intervals are *predicted*
+//! from cheap functional-trace features, and the reported bound
+//! incorporates the leave-one-out cross-validated error.
 //!
 //! Exact mode remains the byte-identical reference: the engine only
 //! routes through this module when a non-exact mode is active, so
@@ -102,7 +99,8 @@ const BOUND_FLOOR_MIN_REL: f64 = 0.01;
 /// were not measured. Calibrated against the differential grid in
 /// `tests/sampling_diff.rs`.
 const BOUND_FLOOR_SKIP_REL: f64 = 0.07;
-/// Safety factor on the learned mode's cross-validated error term.
+/// Safety factor on the cross-workload predictor's cross-validated error
+/// term.
 const CV_SAFETY: f64 = 1.5;
 /// Weight on the functional miss-rate features appended to each BBV:
 /// chosen so a cold-vs-warm miss-rate gap (tenths of a miss per op)
@@ -170,17 +168,6 @@ pub enum SamplingMode {
         /// and delta'd out of its counters (0 = cold).
         warmup_ops: usize,
     },
-    /// SimPoints plus a learned fast-forward: linear predictors fitted on
-    /// the simulated representatives estimate each *skipped* interval's
-    /// CPI and power from functional-trace features.
-    Learned {
-        /// Ops per interval (per thread).
-        interval_ops: usize,
-        /// Maximum clusters (training-set size).
-        k: usize,
-        /// Maximum features forward selection may use.
-        max_features: usize,
-    },
     /// Target-bound auto-tuning: grow the cluster budget round by round
     /// (reusing checkpoints and cached interval measurements between
     /// rounds) until the reported error bound meets the target, every
@@ -195,8 +182,8 @@ pub enum SamplingMode {
 
 impl SamplingMode {
     /// Parses a `--sampling` argument: `exact` |
-    /// `simpoints:INTERVAL:K[:WARMUP]` | `learned:INTERVAL:K[:FEATURES]`
-    /// | `bound:PCT`. Warmup defaults to `INTERVAL / 8`, features to 4.
+    /// `simpoints:INTERVAL:K[:WARMUP]` | `bound:PCT`. Warmup defaults to
+    /// `INTERVAL / 8`.
     /// `PCT` is a relative error target in percent (`0 < PCT <= 100`,
     /// fractions and a trailing `%` accepted).
     ///
@@ -208,8 +195,7 @@ impl SamplingMode {
         let err = || {
             format!(
                 "bad sampling mode '{text}': expected exact | \
-                 simpoints:INTERVAL:K[:WARMUP] | learned:INTERVAL:K[:FEATURES] | \
-                 bound:PCT (0 < PCT <= 100)"
+                 simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)"
             )
         };
         let mut parts = text.split(':');
@@ -232,14 +218,6 @@ impl SamplingMode {
                     warmup_ops,
                 })
             }
-            ("learned", 2 | 3) => Ok(SamplingMode::Learned {
-                interval_ops: num(fields[0]).ok_or_else(err)?,
-                k: num(fields[1]).ok_or_else(err)?,
-                max_features: match fields.get(2) {
-                    Some(s) => num(s).ok_or_else(err)?,
-                    None => 4,
-                },
-            }),
             ("bound", 1) => {
                 let raw = fields[0].strip_suffix('%').unwrap_or(fields[0]);
                 let pct: f64 = raw.parse().map_err(|_| err())?;
@@ -268,11 +246,6 @@ impl SamplingMode {
                 k,
                 warmup_ops,
             } => format!("simpoints:{interval_ops}:{k}:{warmup_ops}"),
-            SamplingMode::Learned {
-                interval_ops,
-                k,
-                max_features,
-            } => format!("learned:{interval_ops}:{k}:{max_features}"),
             SamplingMode::Bound { target_mpct } => {
                 let mut pct = format!("{:.3}", f64::from(target_mpct) / 1000.0);
                 while pct.ends_with('0') {
@@ -339,12 +312,14 @@ pub struct SamplingStats {
     pub cpi_bound_rel: f64,
     /// Relative error bound claimed for `power_est` (fraction).
     pub power_bound_rel: f64,
-    /// Learned mode: leave-one-out CV error of the CPI predictor (%).
+    /// Cross-workload prediction: leave-one-out CV error of the CPI
+    /// predictor (%); 0 for the other modes.
     pub cv_cpi_error_pct: f64,
-    /// Learned mode: leave-one-out CV error of the power predictor (%).
+    /// Cross-workload prediction: leave-one-out CV error of the power
+    /// predictor (%); 0 for the other modes.
     pub cv_power_error_pct: f64,
-    /// Learned mode: intervals filled in by prediction rather than by
-    /// their representative's numbers.
+    /// Cross-workload prediction: intervals filled in by prediction
+    /// rather than by a detailed measurement; 0 for the other modes.
     pub predicted_intervals: u64,
 }
 
@@ -940,7 +915,8 @@ fn spread_bound_rel(
     Z_95 * var.sqrt() / estimate.abs().max(1e-12) + floor
 }
 
-/// Names of the functional-trace features the learned mode predicts from.
+/// Names of the functional-trace features the cross-workload predictor
+/// predicts from.
 fn feature_names() -> Vec<String> {
     [
         "load_frac",
@@ -964,7 +940,7 @@ fn feature_names() -> Vec<String> {
 
 /// Fast-forward features of one interval — computable without the cycle
 /// model (static trace mix plus the functional-warming miss rates),
-/// which is the whole point of the learned fast-forward.
+/// which is the whole point of a predicted fast-forward.
 fn interval_features(iv: &Interval) -> Vec<f64> {
     let n = iv.ops.max(1) as f64;
     let mut counts = [0u64; 6]; // load store branch muldiv vsx mma
@@ -1018,8 +994,8 @@ struct Reconstituted {
 /// power assignments plus the representatives' counter shapes.
 ///
 /// `cpi_of(i)` / `power_of(i)` give interval `i`'s assigned values (its
-/// own detailed measurement when it has one, possibly a prediction in
-/// learned mode, otherwise its representative's measurement). Counters
+/// own detailed measurement when it has one, a cross-workload prediction
+/// when one was made, otherwise its representative's measurement). Counters
 /// other than `cycles`/`completed` are scaled per interval from its
 /// measurement source — predictions only move the headline cycles/power,
 /// the counter *mix* always comes from simulation.
@@ -1385,29 +1361,13 @@ fn run_sampled_full(
             interval_ops,
             k,
             warmup_ops,
-        } => run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, None, store),
-        SamplingMode::Learned {
-            interval_ops,
-            k,
-            max_features,
-        } => run_simpoints(
-            cfg,
-            name,
-            views,
-            interval_ops,
-            k,
-            interval_ops / 8,
-            Some(max_features),
-            store,
-        ),
+        } => run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, store),
         SamplingMode::Bound { target_mpct } => run_bound(cfg, name, views, target_mpct, store),
         SamplingMode::Exact => unreachable!("exact handled by the caller"),
     }
 }
 
-/// The shared SimPoints machinery; `learned_features = Some(F)` layers
-/// the learned fast-forward on top.
-#[allow(clippy::too_many_arguments)]
+/// The shared SimPoints machinery behind `simpoints:` and `bound:`.
 fn run_simpoints(
     cfg: &CoreConfig,
     name: &str,
@@ -1415,7 +1375,6 @@ fn run_simpoints(
     interval_ops: usize,
     k: usize,
     warmup_ops: usize,
-    learned_features: Option<usize>,
     store: &CkptStore,
 ) -> (SampledScenario, SynthParts) {
     let SampleCore {
@@ -1429,63 +1388,17 @@ fn run_simpoints(
         warmup_total,
     } = sample_core(cfg, name, views, interval_ops, k, warmup_ops, store);
 
-    // Learned fast-forward: fit counter->CPI and counter->power models on
-    // the simulated representatives, predict the skipped intervals.
-    let mut cv_cpi = 0.0;
-    let mut cv_power = 0.0;
-    let mut predicted: Vec<Option<(f64, f64)>> = vec![None; ivs.len()];
-    if let Some(max_features) = learned_features {
-        // Every detailed measurement — representatives and cold-prefix
-        // intervals alike — is a training row.
-        let mut cpi_data = Dataset::new(feature_names());
-        let mut power_data = Dataset::new(feature_names());
-        for r in measured.iter().flatten() {
-            let row = interval_features(&ivs[r.interval]);
-            cpi_data.push(row.clone(), r.cpi);
-            power_data.push(row, r.power);
-        }
-        let opts = FitOptions::default();
-        let models = forward_select_loo(&cpi_data, max_features, opts).zip(forward_select_loo(
-            &power_data,
-            max_features,
-            opts,
-        ));
-        if let Some((cpi_cv, power_cv)) = models {
-            cv_cpi = cpi_cv.cv_error_pct;
-            cv_power = power_cv.cv_error_pct;
-            for (i, iv) in ivs.iter().enumerate() {
-                if measured[i].is_none() {
-                    let row = interval_features(iv);
-                    // Predictions are clamped to the observed training
-                    // range: extrapolating a linear model past its
-                    // training hull is how learned fast-forwards go wrong.
-                    let clamp = |v: f64, lo: f64, hi: f64| v.max(lo).min(hi);
-                    let (cpi_lo, cpi_hi) = min_max(measured.iter().flatten().map(|r| r.cpi));
-                    let (p_lo, p_hi) = min_max(measured.iter().flatten().map(|r| r.power));
-                    predicted[i] = Some((
-                        clamp(cpi_cv.model.predict(&row), cpi_lo, cpi_hi),
-                        clamp(power_cv.model.predict(&row), p_lo, p_hi),
-                    ));
-                }
-            }
-        }
-    }
-    let predicted_intervals = predicted.iter().filter(|p| p.is_some()).count() as u64;
-
     // Per-interval resolution: an interval's own detailed measurement
-    // wins; otherwise a learned prediction; otherwise its cluster's
-    // representative.
+    // wins; otherwise its cluster's representative.
     let cpi_of = |i: usize| {
-        measured[i].as_ref().map_or_else(
-            || predicted[i].map_or_else(|| reps[cluster_of[i]].cpi, |(cpi, _)| cpi),
-            |m| m.cpi,
-        )
+        measured[i]
+            .as_ref()
+            .map_or_else(|| reps[cluster_of[i]].cpi, |m| m.cpi)
     };
     let power_of = |i: usize| {
-        measured[i].as_ref().map_or_else(
-            || predicted[i].map_or_else(|| reps[cluster_of[i]].power, |(_, p)| p),
-            |m| m.power,
-        )
+        measured[i]
+            .as_ref()
+            .map_or_else(|| reps[cluster_of[i]].power, |m| m.power)
     };
     let rec = reconstitute(
         cfg,
@@ -1517,7 +1430,7 @@ fn run_simpoints(
         (total_ops - simulated_ops) as f64 / total_ops.max(1) as f64,
         measured.iter().flatten().count(),
     );
-    let mut cpi_bound = boundary_rel
+    let cpi_bound = boundary_rel
         + spread_bound_rel(
             |r| r.cpi,
             cpi_est,
@@ -1528,7 +1441,7 @@ fn run_simpoints(
             total_ops,
             floor,
         );
-    let mut power_bound = boundary_rel
+    let power_bound = boundary_rel
         + spread_bound_rel(
             |r| r.power,
             power_est,
@@ -1539,23 +1452,12 @@ fn run_simpoints(
             total_ops,
             floor,
         );
-    if learned_features.is_some() {
-        // The learned estimate inherits whichever is worse: cluster
-        // spread or the predictor's cross-validated error (with safety).
-        cpi_bound = cpi_bound.max(cv_cpi / 100.0 * CV_SAFETY + floor);
-        power_bound = power_bound.max(cv_power / 100.0 * CV_SAFETY + floor);
-    }
 
-    let mode = if let Some(f) = learned_features {
-        format!("learned:{interval_ops}:{k}:{f}")
-    } else {
-        format!("simpoints:{interval_ops}:{k}:{warmup_ops}")
-    };
     (
         SampledScenario {
             result,
             stats: SamplingStats {
-                mode,
+                mode: format!("simpoints:{interval_ops}:{k}:{warmup_ops}"),
                 intervals: ivs.len() as u64,
                 clusters: sp.selection.len() as u64,
                 total_ops,
@@ -1566,9 +1468,9 @@ fn run_simpoints(
                 power_est,
                 cpi_bound_rel: cpi_bound,
                 power_bound_rel: power_bound,
-                cv_cpi_error_pct: cv_cpi,
-                cv_power_error_pct: cv_power,
-                predicted_intervals,
+                cv_cpi_error_pct: 0.0,
+                cv_power_error_pct: 0.0,
+                predicted_intervals: 0,
             },
         },
         SynthParts {
@@ -1600,8 +1502,7 @@ fn run_bound(
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        let (mut s, parts) =
-            run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, None, store);
+        let (mut s, parts) = run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, store);
         let bound = s.stats.cpi_bound_rel.max(s.stats.power_bound_rel);
         if bound <= target {
             p10_obs::counter("sampling.bound_rounds", rounds);
@@ -2103,7 +2004,6 @@ mod tests {
         for text in [
             "exact",
             "simpoints:1000:8:125",
-            "learned:1000:8:4",
             "bound:5",
             "bound:2.5",
             "bound:0.25",
@@ -2128,14 +2028,6 @@ mod tests {
                 warmup_ops: 0
             }
         );
-        assert_eq!(
-            SamplingMode::parse("learned:800:4").expect("parses"),
-            SamplingMode::Learned {
-                interval_ops: 800,
-                k: 4,
-                max_features: 4
-            }
-        );
         // A trailing percent sign is tolerated and normalized away.
         assert_eq!(
             SamplingMode::parse("bound:5%").expect("parses"),
@@ -2155,6 +2047,8 @@ mod tests {
             "simpoints:100:0",
             "simpoints:100:4:5:6",
             "learned:100",
+            "learned:1000:4",
+            "learned:1000:4:4",
             "exact:1",
             "simpoints:x:4",
             "bound",

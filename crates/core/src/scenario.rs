@@ -3,7 +3,7 @@
 use p10_isa::TraceView;
 use p10_power::{PowerModel, PowerReport};
 use p10_uarch::{Core, CoreConfig, SimResult, SmtMode};
-use p10_workloads::{arena, Benchmark, Workload};
+use p10_workloads::{Benchmark, Workload};
 use serde::{Deserialize, Serialize};
 
 /// Result of running one workload on one configuration.
@@ -49,19 +49,11 @@ impl ScenarioResult {
 /// rate-mode runs) instead of identical lock-step copies.
 #[must_use]
 pub fn run_workload(cfg: &CoreConfig, workload: &Workload, max_ops: u64) -> ScenarioResult {
-    if arena::enabled() {
-        run_traces(
-            cfg,
-            &workload.name,
-            staggered_views(workload, cfg.smt.threads(), max_ops),
-        )
-    } else {
-        run_traces(
-            cfg,
-            &workload.name,
-            staggered_traces(workload, cfg.smt.threads(), max_ops),
-        )
-    }
+    run_traces(
+        cfg,
+        &workload.name,
+        staggered_views(workload, cfg.smt.threads(), max_ops),
+    )
 }
 
 /// Builds `threads` staggered thread streams as zero-copy views: **one**
@@ -74,9 +66,9 @@ pub fn run_workload(cfg: &CoreConfig, workload: &Workload, max_ops: u64) -> Scen
 /// reuses a single arena buffer instead of growing it once per mode; by
 /// the prefix property the shallower views are unaffected.
 ///
-/// Element-identical to [`staggered_traces`] (pinned by tests): with the
-/// full trace `F` capped at or beyond the deepest needed cap, thread
-/// `t`'s legacy trace is exactly `F[min(skip, e) .. e]` where
+/// Element-identical to the clone-and-drain `staggered_traces` reference
+/// (pinned by tests): with the full trace `F` capped at or beyond the
+/// deepest needed cap, thread `t`'s legacy trace is exactly `F[min(skip, e) .. e]` where
 /// `e = min(skip + max_ops, |F_legacy|)`, whether the program runs to its
 /// cap or halts early. (`|F_legacy|` is recovered as
 /// `min(|F|, skip + max_ops)` since `F` extends at least that far.)
@@ -105,10 +97,10 @@ pub fn staggered_views(workload: &Workload, threads: usize, max_ops: u64) -> Vec
 /// program from a different point, which is how rate-mode copies actually
 /// interleave on hardware.
 ///
-/// This is the legacy clone-and-drain path, kept as the `--no-trace-arena`
-/// reference; the hot path is [`staggered_views`].
-#[must_use]
-pub fn staggered_traces(workload: &Workload, threads: usize, max_ops: u64) -> Vec<p10_isa::Trace> {
+/// This is the clone-and-drain reference that tests pin
+/// [`staggered_views`] against.
+#[cfg(test)]
+fn staggered_traces(workload: &Workload, threads: usize, max_ops: u64) -> Vec<p10_isa::Trace> {
     (0..threads)
         .map(|t| {
             let skip = t as u64 * 997;
@@ -319,7 +311,7 @@ pub fn power9_smt(smt: SmtMode) -> CoreConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p10_workloads::specint_like;
+    use p10_workloads::{arena, specint_like};
 
     #[test]
     fn geomean_basics() {
@@ -377,7 +369,7 @@ mod tests {
         // Views first: their padded synthesis is the deepest request, so
         // the legacy path's shallower `trace()` calls below are served
         // from the same buffer (the legacy path also reads through the
-        // arena when it is enabled).
+        // arena).
         let views = staggered_views(&w, 4, 2_000);
         let legacy = staggered_traces(&w, 4, 2_000);
         assert_eq!(views.len(), legacy.len());

@@ -31,12 +31,11 @@ pub const SCHEMA: u32 = 2;
 /// File name of the append-only ledger inside the ledger directory.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
 
-/// Where the run ledger lives: `P10SIM_LEDGER` if set, else
-/// `target/p10sim-ledger`.
+/// Where the run ledger lives unless `figures --ledger-dir` says
+/// otherwise: `target/p10sim-ledger`.
 #[must_use]
 pub fn default_dir() -> PathBuf {
-    std::env::var_os("P10SIM_LEDGER")
-        .map_or_else(|| Path::new("target").join("p10sim-ledger"), PathBuf::from)
+    Path::new("target").join("p10sim-ledger")
 }
 
 /// 64-bit FNV-1a over a string, rendered as 16 hex digits — the

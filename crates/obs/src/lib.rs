@@ -12,7 +12,7 @@
 //! * **Counters / gauges / histograms** aggregate named metrics (cache
 //!   hits, jobs per worker, per-job compute seconds, ...).
 //! * **A trace sink** ([`init`] with a trace path, driven by
-//!   `figures --trace-out` or `P10SIM_TRACE`) records every span, counter
+//!   `figures --trace-out`) records every span, counter
 //!   increment, gauge and mark — either as one [`TraceEvent`] JSON line
 //!   ([`TraceFormat::JsonLines`], the default) or as a Chrome
 //!   trace-event file loadable in `chrome://tracing`/Perfetto

@@ -33,13 +33,11 @@
 //!
 //! The process-global arena is published as an `Arc` via [`global`];
 //! `[obs]` counters `trace.arena.hits` / `.misses` / `.bytes` make the
-//! win visible in every run's summary. `P10SIM_TRACE_ARENA=0` (or
-//! [`set_enabled`]`(false)`, wired to `figures --no-trace-arena`) forces
-//! the legacy synthesize-per-call path for A/B debugging.
+//! win visible in every run's summary.
 
 use p10_isa::{DynOp, ExecError, Trace, TraceView};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of lock stripes in the arena map.
@@ -190,16 +188,11 @@ pub fn global() -> Arc<TraceArena> {
 /// amortizes construction, the lazily computed content fingerprint, and
 /// (through it) the trace arena lookup across the whole sweep.
 ///
-/// Disabled together with the arena (`--no-trace-arena` /
-/// `P10SIM_TRACE_ARENA=0`): the legacy path constructs privately.
 /// Construction is deterministic, so sharing is observationally identical.
 pub fn memoized_workload(
     key: u64,
     build: impl FnOnce() -> crate::Workload,
 ) -> Arc<crate::Workload> {
-    if !enabled() {
-        return Arc::new(build());
-    }
     type MemoStripe = Mutex<HashMap<u64, Arc<crate::Workload>>>;
     static MEMO: OnceLock<[MemoStripe; STRIPES]> = OnceLock::new();
     let stripes = MEMO.get_or_init(Default::default);
@@ -214,27 +207,6 @@ pub fn memoized_workload(
     let w = Arc::new(build());
     map.insert(key, Arc::clone(&w));
     w
-}
-
-fn enabled_flag() -> &'static AtomicBool {
-    static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| {
-        let disabled = std::env::var("P10SIM_TRACE_ARENA").is_ok_and(|v| v == "0");
-        AtomicBool::new(!disabled)
-    })
-}
-
-/// Whether trace requests route through the arena (default yes; off when
-/// `P10SIM_TRACE_ARENA=0` or after [`set_enabled`]`(false)`).
-#[must_use]
-pub fn enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
-}
-
-/// Forces the arena on or off for the rest of the process — the hook
-/// behind `figures --no-trace-arena`.
-pub fn set_enabled(on: bool) {
-    enabled_flag().store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -86,8 +86,8 @@ impl Workload {
     /// Functionally executes the workload for up to `max_ops` dynamic
     /// instructions and returns an owned trace.
     ///
-    /// Routed through the process-wide trace arena (when enabled), so
-    /// repeated requests re-use one synthesis; the returned `Trace` is a
+    /// Routed through the process-wide trace arena, so repeated requests
+    /// re-use one synthesis; the returned `Trace` is a
     /// private copy — prefer [`Workload::trace_view`] to stay zero-copy.
     ///
     /// # Errors
@@ -95,15 +95,11 @@ impl Workload {
     /// Propagates functional-execution errors (which indicate a bug in the
     /// workload generator).
     pub fn trace(&self, max_ops: u64) -> Result<Trace, ExecError> {
-        if crate::arena::enabled() {
-            Ok(self.trace_view(max_ops)?.to_trace())
-        } else {
-            self.trace_uncached(max_ops)
-        }
+        Ok(self.trace_view(max_ops)?.to_trace())
     }
 
     /// Functionally executes the workload, bypassing the arena — the
-    /// legacy synthesize-per-call path (`--no-trace-arena`).
+    /// synthesis the arena memoizes.
     ///
     /// # Errors
     ///
@@ -116,20 +112,14 @@ impl Workload {
     /// A zero-copy view of the first `max_ops` executed ops, served from
     /// the process-wide trace arena: the first request for this workload
     /// synthesizes, every later request (equal, shorter, or stagger-offset
-    /// slices of it) is range arithmetic on the shared buffer. When the
-    /// arena is disabled this synthesizes privately, preserving the exact
-    /// legacy op stream.
+    /// slices of it) is range arithmetic on the shared buffer.
     ///
     /// # Errors
     ///
     /// Propagates functional-execution errors.
     pub fn trace_view(&self, max_ops: u64) -> Result<TraceView, ExecError> {
-        if crate::arena::enabled() {
-            crate::arena::global()
-                .view_or_synth(self.content_hash(), max_ops, |cap| self.trace_uncached(cap))
-        } else {
-            Ok(self.trace_uncached(max_ops)?.into())
-        }
+        crate::arena::global()
+            .view_or_synth(self.content_hash(), max_ops, |cap| self.trace_uncached(cap))
     }
 
     /// Like [`Workload::trace_view`] but panics on error.

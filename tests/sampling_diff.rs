@@ -83,21 +83,6 @@ fn simpoints_stays_within_bound_on_preset_grid() {
     }
 }
 
-/// The learned fast-forward honors the same contract (its bound folds in
-/// the cross-validated predictor error).
-#[test]
-fn learned_stays_within_bound_on_power10() {
-    let mode = SamplingMode::Learned {
-        interval_ops: 1000,
-        k: 4,
-        max_features: 4,
-    };
-    let cfg = CoreConfig::power10();
-    for idx in BENCHES {
-        assert_within_bound(&cfg, idx, 6100, &mode);
-    }
-}
-
 /// Target-bound auto-tuning honors the same accuracy contract, and in
 /// addition must either achieve the requested bound or degrade to full
 /// measurement (skipped_ops == 0) — never report a bound above target
