@@ -34,7 +34,7 @@
 //! generation runs.
 
 use crate::runner::{fnv1a64, timing_projection, Engine};
-use crate::scenario::{benchmark_views, geomean, ScenarioResult};
+use crate::scenario::{benchmark_views, geomean, record_detailed_obs, ScenarioResult};
 use p10_power::{DesignStyle, PowerModel, PowerReport};
 use p10_powermgmt::governor::GovernorConfig;
 use p10_powermgmt::replay::replay_power_series;
@@ -302,10 +302,9 @@ pub fn record_benchmark(
     let traces = benchmark_views(cfg, bench, seed, max_ops);
     let total_ops: u64 = traces.iter().map(|t| t.len() as u64).sum();
     let mut rec = ActivityRecorder::new(window_cycles);
-    let sim = Core::new(cfg.clone()).run_spanned(traces, total_ops * 8 + 100_000, &mut rec);
-    p10_obs::counter("sim.runs", 1);
-    p10_obs::counter("sim.cycles", sim.activity.cycles);
-    p10_obs::counter("sim.instructions", sim.activity.completed);
+    let (sim, work) =
+        Core::new(cfg.clone()).run_counted(traces, total_ops * 8 + 100_000, Some(&mut rec));
+    record_detailed_obs(&sim, &work);
     let trace = rec.finish(&sim.activity);
     debug_assert_eq!(trace.total(), sim.activity, "recording contract");
     RecordedRun { sim, trace }

@@ -2,7 +2,7 @@
 
 use p10_isa::TraceView;
 use p10_power::{PowerModel, PowerReport};
-use p10_uarch::{Core, CoreConfig, SimResult, SmtMode};
+use p10_uarch::{Core, CoreConfig, CoreWork, SimResult, SmtMode};
 use p10_workloads::{Benchmark, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -154,16 +154,25 @@ pub fn run_traces<T: Into<TraceView>>(
 ) -> ScenarioResult {
     let traces: Vec<TraceView> = traces.into_iter().map(Into::into).collect();
     let total_ops: u64 = traces.iter().map(|t| t.len() as u64).sum();
-    let sim = Core::new(cfg.clone()).run(traces, total_ops * 8 + 100_000);
-    p10_obs::counter("sim.runs", 1);
-    p10_obs::counter("sim.cycles", sim.activity.cycles);
-    p10_obs::counter("sim.instructions", sim.activity.completed);
+    let (sim, work) = Core::new(cfg.clone()).run_counted(traces, total_ops * 8 + 100_000, None);
+    record_detailed_obs(&sim, &work);
     let power = PowerModel::for_config(cfg).evaluate(&sim.activity);
     ScenarioResult {
         workload: name.to_owned(),
         config: cfg.name.clone(),
         sim,
         power,
+    }
+}
+
+/// Emits one detailed run's `sim.*` counters and the core's `core.*`
+/// work counts.
+pub(crate) fn record_detailed_obs(sim: &SimResult, work: &CoreWork) {
+    p10_obs::counter("sim.runs", 1);
+    p10_obs::counter("sim.cycles", sim.activity.cycles);
+    p10_obs::counter("sim.instructions", sim.activity.completed);
+    for (name, value) in work.as_pairs() {
+        p10_obs::counter(name, value);
     }
 }
 

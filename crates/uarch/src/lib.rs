@@ -62,7 +62,7 @@ pub use config::{
     AblationGroup, BranchConfig, CacheConfig, CoreConfig, FetchPolicy, MmaConfig, Scheduler,
     SmtMode,
 };
-pub use pipeline::{Core, SpanObserver};
+pub use pipeline::{Core, CoreWork, SpanObserver};
 pub use record::{ActivityRecorder, ActivityTrace};
 pub use stats::{Activity, CycleAttribution, SimResult};
 pub use tlb::{Mmu, TranslateSide};

@@ -96,7 +96,52 @@ impl<F: FnMut(u64, &Activity)> SpanObserver for PerCycleObserver<F> {
 /// unobserved).
 type Observer<'a> = Option<&'a mut dyn SpanObserver>;
 
+/// Deterministic work counts of one run: what the simulator did to
+/// produce a [`SimResult`], not what the modeled core did. They repeat
+/// exactly from run to run, so they can gate simulator performance
+/// without wall-clock noise. They stay out of [`Activity`] (which feeds
+/// the power model) and out of the serialized [`SimResult`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Cycles stepped through the whole pipeline.
+    pub live_steps: u64,
+    /// Issue-order and candidate entries the issue stage examined.
+    pub issue_scan: u64,
+    /// Completion-calendar insertions.
+    pub calendar_pushes: u64,
+    /// Completion-calendar removals.
+    pub calendar_pops: u64,
+    /// Wakeup-list entries walked on producer completion.
+    pub wakeup_walks: u64,
+    /// Load-miss-queue expiry sweeps.
+    pub lmq_sweeps: u64,
+    /// Idle stretches fast-forwarded.
+    pub ff_spans: u64,
+    /// Cycles those stretches covered.
+    pub ff_cycles: u64,
+}
+
+impl CoreWork {
+    /// `(counter name, value)` pairs, named `core.*`.
+    #[must_use]
+    pub fn as_pairs(&self) -> [(&'static str, u64); 8] {
+        [
+            ("core.live_steps", self.live_steps),
+            ("core.issue_scan", self.issue_scan),
+            ("core.calendar_pushes", self.calendar_pushes),
+            ("core.calendar_pops", self.calendar_pops),
+            ("core.wakeup_walks", self.wakeup_walks),
+            ("core.lmq_sweeps", self.lmq_sweeps),
+            ("core.ff_spans", self.ff_spans),
+            ("core.ff_cycles", self.ff_cycles),
+        ]
+    }
+}
+
 const NO_SLOT: u32 = u32::MAX;
+
+/// Hardware threads a core runs at most (SMT4).
+const MAX_THREADS: usize = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UopState {
@@ -107,13 +152,17 @@ enum UopState {
 
 #[derive(Debug, Clone)]
 struct InFlight {
-    op: DynOp,
+    class: OpClass,
+    /// Source registers read at issue.
+    srcs: u8,
+    /// The op writes a register at retire.
+    has_dest: bool,
+    /// Index of the op in its thread's trace.
+    idx: usize,
     tid: u8,
     seq: u64,
     fetch_cycle: u64,
     state: UopState,
-    /// (slot, seq) of producers; producer retired or Done = ready.
-    deps: [(u32, u64); MAX_SRCS],
     mispredicted: bool,
     /// Slot of the fused partner (this op is the pair head).
     pair: u32,
@@ -123,16 +172,209 @@ struct InFlight {
     /// of a fused pair that shares its head's entry).
     owns_sq: bool,
     active: bool,
-    /// Producers still outstanding (event-driven scheduler only).
-    waiting_on: u8,
-    /// All producers resolved and the op is still waiting to issue
-    /// (event-driven scheduler only; mirrors `deps_ready`).
-    ready: bool,
 }
 
-#[derive(Debug, Clone)]
+/// The event-driven scheduler's issue-candidate set, kept per event.
+///
+/// The select network sees the oldest `issue_lookahead` waiting ops (the
+/// *reach*); the candidates are the ready ones among them, in program
+/// order. Seqs grow in dispatch order, so the reach is a seq prefix of
+/// the waiting ops. Its end, the frontier, only moves forward: ops enter
+/// the reach at the back when an op inside it issues or when one
+/// dispatches into a reach that is not full, and leave only by issuing.
+/// Per-slot state is dense, indexed by slab slot, so wakeup and issue
+/// touch a few bytes per op rather than an [`InFlight`].
+#[derive(Debug, Default)]
+struct Candidates {
+    /// Per slot: seq of the waiting op it holds, 0 once that op issued
+    /// (seqs start at 1).
+    wait_seq: Vec<u64>,
+    /// Per slot: producers still outstanding.
+    waiting_on: Vec<u8>,
+    /// Per slot: every producer resolved (mirrors `deps_ready`).
+    ready: Vec<bool>,
+    /// Waiting ops past the frontier as (slot, seq), program order. A
+    /// fused partner that issued with its head is dropped when popped.
+    beyond: VecDeque<(u32, u64)>,
+    /// Waiting ops inside the reach: `min(reach, waiting ops)`.
+    in_reach: u32,
+    /// Seq of the last op the frontier passed; every waiting op at or
+    /// below it is inside the reach.
+    frontier: u64,
+    /// Ready ops inside the reach, program order: the issue candidates.
+    ready_in_reach: Vec<u32>,
+}
+
+impl Candidates {
+    /// Sizes the per-slot state for a newly allocated slab slot.
+    fn grow(&mut self) {
+        self.wait_seq.push(0);
+        self.waiting_on.push(0);
+        self.ready.push(false);
+    }
+
+    /// A newly dispatched op waits on `waiting_on` producers. It enters
+    /// the reach at once if there is room, else queues past the frontier;
+    /// returns the entries passed (as [`Candidates::fill`]).
+    fn dispatch(&mut self, slot: u32, seq: u64, waiting_on: u8, reach: u32) -> u64 {
+        let s = slot as usize;
+        self.wait_seq[s] = seq;
+        self.waiting_on[s] = waiting_on;
+        self.ready[s] = waiting_on == 0;
+        if self.in_reach < reach && self.beyond.is_empty() {
+            self.pass(slot, seq);
+            1
+        } else {
+            self.beyond.push_back((slot, seq));
+            0
+        }
+    }
+
+    /// Moves the frontier past `(slot, seq)`, taking the op into the reach
+    /// if it is still waiting.
+    fn pass(&mut self, slot: u32, seq: u64) {
+        self.frontier = seq;
+        if self.wait_seq[slot as usize] == seq {
+            self.in_reach += 1;
+            if self.ready[slot as usize] {
+                self.ready_in_reach.push(slot);
+            }
+        }
+    }
+
+    /// One producer of `(slot, seq)` completed.
+    fn wake(&mut self, slot: u32, seq: u64) {
+        let s = slot as usize;
+        // A consumer may have left Waiting already (fused-pair partner
+        // issued with its head); its remaining registrations are moot.
+        if self.wait_seq[s] != seq {
+            return;
+        }
+        self.waiting_on[s] -= 1;
+        if self.waiting_on[s] == 0 {
+            debug_assert!(!self.ready[s]);
+            self.ready[s] = true;
+            if seq <= self.frontier {
+                let wait_seq = &self.wait_seq;
+                let at = match self.ready_in_reach.last() {
+                    Some(&c) if wait_seq[c as usize] > seq => self
+                        .ready_in_reach
+                        .partition_point(|&c| wait_seq[c as usize] < seq),
+                    _ => self.ready_in_reach.len(),
+                };
+                self.ready_in_reach.insert(at, slot);
+            }
+        }
+    }
+
+    /// The op in `slot` started executing. Its `ready_in_reach` entry, if
+    /// any, is dropped by the issue loop; the freed reach place is
+    /// refilled by the next [`Candidates::fill`].
+    fn issue(&mut self, slot: u32) {
+        let s = slot as usize;
+        if self.wait_seq[s] <= self.frontier {
+            self.in_reach -= 1;
+        }
+        self.wait_seq[s] = 0;
+        self.ready[s] = false;
+    }
+
+    /// Moves the frontier forward until the reach holds `reach` waiting
+    /// ops or none is left past it; returns the entries passed.
+    fn fill(&mut self, reach: u32) -> u64 {
+        let mut passed = 0;
+        while self.in_reach < reach {
+            let Some((slot, seq)) = self.beyond.pop_front() else {
+                break;
+            };
+            passed += 1;
+            self.pass(slot, seq);
+        }
+        passed
+    }
+}
+
+/// Wheel buckets: completions due within this many cycles of their
+/// issue skip the heap.
+const WHEEL: u64 = 64;
+
+/// Completion calendar: executing ops keyed by the cycle they turn Done.
+///
+/// A completion due fewer than [`WHEEL`] cycles after its issue goes to
+/// that cycle's bucket of a timing wheel, whose occupancy is one bit per
+/// bucket; later ones (memory misses) go to a min-heap. Every cycle that
+/// holds a completion is stepped, because fast-forward stops at the
+/// earliest one, so the bucket drained at cycle `c` holds exactly the
+/// completions due at `c`.
+#[derive(Debug)]
+struct Calendar {
+    wheel: Vec<Vec<u32>>,
+    /// Bit `b` set: `wheel[b]` is non-empty.
+    occupied: u64,
+    far: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Default for Calendar {
+    fn default() -> Self {
+        Calendar {
+            wheel: vec![Vec::new(); WHEEL as usize],
+            occupied: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+}
+
+impl Calendar {
+    /// Books `slot` to turn Done at cycle `at`, issued at cycle `now`.
+    fn push(&mut self, now: u64, at: u64, slot: u32) {
+        debug_assert!(at > now);
+        if at - now < WHEEL {
+            let b = (at % WHEEL) as usize;
+            self.wheel[b].push(slot);
+            self.occupied |= 1 << b;
+        } else {
+            self.far.push(Reverse((at, slot)));
+        }
+    }
+
+    /// The earliest booked cycle, once every completion due at or
+    /// before `now` has been drained.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        // Wheel entries are due in `now + 1 ..= now + WHEEL - 1`: the
+        // first occupied bucket from `now + 1` on is the earliest.
+        let near = (self.occupied != 0).then(|| {
+            let start = ((now + 1) % WHEEL) as u32;
+            now + 1 + u64::from(self.occupied.rotate_right(start).trailing_zeros())
+        });
+        let far = self.far.peek().map(|&Reverse((at, _))| at);
+        match (near, far) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Moves the slots due at cycle `now` into `out`.
+    fn drain_due(&mut self, now: u64, out: &mut Vec<u32>) {
+        let b = (now % WHEEL) as usize;
+        if self.occupied & (1 << b) != 0 {
+            out.append(&mut self.wheel[b]);
+            self.occupied &= !(1 << b);
+        }
+        while let Some(&Reverse((at, slot))) = self.far.peek() {
+            if at > now {
+                break;
+            }
+            debug_assert_eq!(at, now, "completion cycles are never skipped");
+            self.far.pop();
+            out.push(slot);
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct FetchedOp {
-    op: DynOp,
+    /// Index of the op in its thread's trace.
+    idx: usize,
     mispredicted: bool,
     fetch_cycle: u64,
 }
@@ -143,8 +385,8 @@ struct ThreadState {
     fetch_idx: usize,
     fetch_buffer: VecDeque<FetchedOp>,
     fetch_stall_until: u64,
-    /// Sequence number of an in-flight mispredicted branch blocking fetch.
-    mispredict_pending: Option<u64>,
+    /// An in-flight mispredicted branch blocks fetch.
+    mispredict_pending: bool,
     completed: u64,
     rob: VecDeque<u32>,
     lq_used: u32,
@@ -162,7 +404,7 @@ impl ThreadState {
             fetch_idx: 0,
             fetch_buffer: VecDeque::new(),
             fetch_stall_until: 0,
-            mispredict_pending: None,
+            mispredict_pending: false,
             completed: 0,
             rob: VecDeque::new(),
             lq_used: 0,
@@ -206,14 +448,14 @@ pub struct Core {
     attr: CycleAttribution,
     threads: Vec<ThreadState>,
     slab: Vec<InFlight>,
+    /// Per slab slot: (slot, seq) of the op's producers; a producer that
+    /// retired or is Done is resolved. Read only by `deps_ready`, so it
+    /// lives apart from the hot `InFlight` fields.
+    deps: Vec<[(u32, u64); MAX_SRCS]>,
     free_slots: Vec<u32>,
-    /// Program-order issue candidates as (slot, seq); an entry is live
-    /// while the slot still holds that seq and the op is waiting. The seq
-    /// tag lets the event-driven scheduler compact the queue lazily
-    /// without confusing a recycled slot with the op that vacated it.
+    /// Waiting ops in program order as (slot, seq), compacted and
+    /// rescanned every cycle. Polled scheduler only.
     issue_order: VecDeque<(u32, u64)>,
-    /// Entries of `issue_order` whose op already issued (lazy compaction).
-    issue_order_dead: usize,
     window_used: u32,
     issue_queue_used: u32,
     cycle: u64,
@@ -226,22 +468,28 @@ pub struct Core {
     mma_last_use: u64,
     /// Outstanding L1D miss completion times (load-miss queue).
     lmq: Vec<u64>,
+    /// Earliest `lmq` completion time (`u64::MAX` when empty): the queue
+    /// is swept only once an entry has expired.
+    lmq_next: u64,
     drain_queue: VecDeque<PendingStore>,
+    /// The thread round-robin stages start at this cycle, in
+    /// `0..threads`; it advances by one every cycle.
     rr_offset: usize,
-    /// Completion calendar: (cycle an executing op transitions to Done,
-    /// slot), min-first. Event-driven scheduler only.
-    calendar: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Completion calendar. Event-driven scheduler only.
+    calendar: Calendar,
+    /// Scratch: slots whose completion falls due this cycle.
+    scratch_due: Vec<u32>,
     /// Per-producer-slot wakeup lists: (consumer slot, consumer seq)
     /// registered at dispatch, fired on the producer's Done transition.
     /// Event-driven scheduler only.
     wakeup: Vec<Vec<(u32, u64)>>,
-    /// Number of waiting ops whose producers are all resolved.
-    /// Event-driven scheduler only.
-    ready_count: u32,
+    /// Incremental issue-candidate set. Event-driven scheduler only.
+    cands: Candidates,
     /// Scratch: threads with a mispredicted branch resolving this cycle.
     scratch_resolved: Vec<(usize, u64)>,
-    /// Scratch: issue candidates for the current cycle.
+    /// Scratch: issue candidates for the current cycle (polled).
     scratch_slots: Vec<u32>,
+    work: CoreWork,
 }
 
 impl Core {
@@ -256,9 +504,9 @@ impl Core {
             attr: CycleAttribution::default(),
             threads: Vec::new(),
             slab: Vec::new(),
+            deps: Vec::new(),
             free_slots: Vec::new(),
             issue_order: VecDeque::new(),
-            issue_order_dead: 0,
             window_used: 0,
             issue_queue_used: 0,
             cycle: 0,
@@ -267,13 +515,16 @@ impl Core {
             mma_ready_at: None,
             mma_last_use: 0,
             lmq: Vec::new(),
+            lmq_next: u64::MAX,
             drain_queue: VecDeque::new(),
             rr_offset: 0,
-            calendar: BinaryHeap::new(),
+            calendar: Calendar::default(),
+            scratch_due: Vec::new(),
             wakeup: Vec::new(),
-            ready_count: 0,
+            cands: Candidates::default(),
             scratch_resolved: Vec::new(),
             scratch_slots: Vec::new(),
+            work: CoreWork::default(),
             cfg,
         }
     }
@@ -312,11 +563,7 @@ impl Core {
     /// Panics if more traces are supplied than the configured SMT mode
     /// supports, or if no traces are supplied.
     pub fn run<T: Into<TraceView>>(self, traces: Vec<T>, max_cycles: u64) -> SimResult {
-        self.run_inner(
-            traces.into_iter().map(Into::into).collect(),
-            max_cycles,
-            None,
-        )
+        self.run_counted(traces, max_cycles, None).0
     }
 
     /// Like [`Core::run`], but invokes `observer(cycle, &activity)` after
@@ -340,11 +587,7 @@ impl Core {
         observer: impl FnMut(u64, &Activity),
     ) -> SimResult {
         let mut adapter = PerCycleObserver(observer);
-        self.run_inner(
-            traces.into_iter().map(Into::into).collect(),
-            max_cycles,
-            Some(&mut adapter),
-        )
+        self.run_counted(traces, max_cycles, Some(&mut adapter)).0
     }
 
     /// Like [`Core::run`], but delivers the simulation to a span-aware
@@ -363,19 +606,23 @@ impl Core {
         max_cycles: u64,
         observer: &mut dyn SpanObserver,
     ) -> SimResult {
-        self.run_inner(
-            traces.into_iter().map(Into::into).collect(),
-            max_cycles,
-            Some(observer),
-        )
+        self.run_counted(traces, max_cycles, Some(observer)).0
     }
 
-    fn run_inner(
+    /// Like [`Core::run_spanned`] (or [`Core::run`] when `observer` is
+    /// `None`), and also returns the run's [`CoreWork`] counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more traces are supplied than the configured SMT mode
+    /// supports, or if no traces are supplied.
+    pub fn run_counted<T: Into<TraceView>>(
         mut self,
-        traces: Vec<TraceView>,
+        traces: Vec<T>,
         max_cycles: u64,
-        mut observer: Observer<'_>,
-    ) -> SimResult {
+        mut observer: Option<&mut dyn SpanObserver>,
+    ) -> (SimResult, CoreWork) {
+        let traces: Vec<TraceView> = traces.into_iter().map(Into::into).collect();
         assert!(!traces.is_empty(), "at least one thread trace required");
         assert!(
             traces.len() <= self.cfg.smt.threads(),
@@ -403,19 +650,25 @@ impl Core {
             "cycle attribution must partition the cycle count"
         );
 
-        SimResult {
+        let sim = SimResult {
             config_name: self.cfg.name.clone(),
             threads: self.threads.len(),
             per_thread_completed: self.threads.iter().map(|t| t.completed).collect(),
             activity: self.act,
             attribution: self.attr,
-        }
+        };
+        (sim, self.work)
     }
 
     fn step(&mut self) {
         self.cycle += 1;
+        self.work.live_steps += 1;
         self.mma_gate_tick();
-        self.lmq.retain(|&t| t > self.cycle);
+        if self.lmq_next <= self.cycle {
+            self.work.lmq_sweeps += 1;
+            self.lmq.retain(|&t| t > self.cycle);
+            self.lmq_next = self.lmq.iter().copied().min().unwrap_or(u64::MAX);
+        }
         self.drain_stores();
         self.complete();
         match self.cfg.scheduler {
@@ -434,7 +687,7 @@ impl Core {
         self.fetch();
         let fetch_progress = self.act.fetched > fetched_pre;
         self.act.window_occupancy_acc += u64::from(self.window_used);
-        self.rr_offset = self.rr_offset.wrapping_add(1);
+        self.advance_rr(1);
 
         // Cycle attribution: exactly one bucket per cycle, first match
         // wins (see `CycleAttribution` for the bucket definitions).
@@ -479,9 +732,8 @@ impl Core {
     /// the skipped cycles are replayed individually instead so it sees
     /// every cycle's cumulative activity.
     fn fast_forward(&mut self, max_cycles: u64, observer: &mut Observer<'_>) {
-        // Anything actionable next cycle means no skip. A finished run
-        // must not skip either: the outer loop stops at the last worked
-        // cycle, exactly like the polled scheduler.
+        // Anything actionable next cycle means no skip. The tests run
+        // cheapest first; `plan_dispatch` comes last.
         if !self.drain_queue.is_empty() {
             return;
         }
@@ -491,10 +743,21 @@ impl Core {
         // readiness test, so idling over it is exact. The candidate
         // window is static across the skipped stretch — nothing
         // dispatches, issues, retires or wakes before the horizon.
-        if self.ready_count != 0 && self.ready_within_reach() {
+        if !self.cands.ready_in_reach.is_empty() {
             return;
         }
-        if self.threads.iter().all(ThreadState::fully_done) {
+        // Idle until the earliest future event: a completion on the
+        // calendar or a fetch stall expiring.
+        let mut horizon = max_cycles.saturating_add(1);
+        if let Some(at) = self.calendar.next_after(self.cycle) {
+            if at <= self.cycle + 1 {
+                return; // a completion next cycle
+            }
+            horizon = horizon.min(at);
+        } else if self.threads.iter().all(ThreadState::fully_done) {
+            // A finished run must not skip: the outer loop stops at the
+            // last worked cycle, exactly like the polled scheduler. (An
+            // executing op keeps its thread unfinished.)
             return;
         }
         for t in &self.threads {
@@ -503,24 +766,8 @@ impl Core {
                     return; // retirement makes progress
                 }
             }
-        }
-        // Idle until the earliest future event: a completion on the
-        // calendar or a fetch stall expiring.
-        let mut horizon = max_cycles.saturating_add(1);
-        if let Some(&Reverse((at, _))) = self.calendar.peek() {
-            horizon = horizon.min(at);
-        }
-        let mut dispatch_blocked_threads = 0u64;
-        for tid in 0..self.threads.len() {
-            if !self.threads[tid].fetch_buffer.is_empty() {
-                if self.plan_dispatch(tid).is_some() {
-                    return; // dispatch makes progress next cycle
-                }
-                dispatch_blocked_threads += 1;
-            }
-            let t = &self.threads[tid];
             if !t.fetch_done()
-                && t.mispredict_pending.is_none()
+                && !t.mispredict_pending
                 && t.fetch_buffer.len() < self.cfg.fetch_buffer as usize
             {
                 if t.fetch_stall_until > self.cycle + 1 {
@@ -534,8 +781,19 @@ impl Core {
         if target <= self.cycle {
             return;
         }
+        let mut dispatch_blocked_threads = 0u64;
+        for tid in 0..self.threads.len() {
+            if !self.threads[tid].fetch_buffer.is_empty() {
+                if self.plan_dispatch(tid).is_some() {
+                    return; // dispatch makes progress next cycle
+                }
+                dispatch_blocked_threads += 1;
+            }
+        }
 
         let skipped = target - self.cycle;
+        self.work.ff_spans += 1;
+        self.work.ff_cycles += skipped;
         // The whole stretch lands in one attribution bucket: nothing
         // issues or is ready (skip precondition), the LMQ is static (its
         // entries are calendar completion times, all >= the horizon), and
@@ -588,7 +846,7 @@ impl Core {
         self.act.dispatch_stall_cycles += dispatch_blocked_threads * skipped;
         self.act.window_occupancy_acc += u64::from(self.window_used) * skipped;
         *self.attr_bucket(stall) += skipped;
-        self.rr_offset = self.rr_offset.wrapping_add(skipped as usize);
+        self.advance_rr(skipped);
         self.cycle = target;
         if observer.is_some() || cfg!(debug_assertions) {
             let window_used = u64::from(self.window_used);
@@ -633,7 +891,7 @@ impl Core {
         self.act.dispatch_stall_cycles += dispatch_blocked_threads;
         self.act.window_occupancy_acc += u64::from(self.window_used);
         *self.attr_bucket(stall) += 1;
-        self.rr_offset = self.rr_offset.wrapping_add(1);
+        self.advance_rr(1);
     }
 
     /// Debug-build cross-check of the span closed form: replays the
@@ -701,16 +959,33 @@ impl Core {
         }
     }
 
+    /// Thread ids in this cycle's round-robin order, starting at
+    /// `rr_offset`.
+    fn rr_order(&self) -> impl Iterator<Item = usize> {
+        (self.rr_offset..self.threads.len()).chain(0..self.rr_offset)
+    }
+
+    /// Moves the round-robin start `cycles` threads on.
+    fn advance_rr(&mut self, cycles: u64) {
+        let n = self.threads.len() as u64;
+        let next = self.rr_offset as u64 + cycles;
+        // A single step wraps at most to 0; only a skip needs a division.
+        let next = match next.cmp(&n) {
+            std::cmp::Ordering::Less => next,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => next % n,
+        };
+        self.rr_offset = next as usize;
+    }
+
     // ---- completion ----
 
     fn complete(&mut self) {
         let mut budget = self.cfg.completion_width;
-        let n = self.threads.len();
         let mut progressed = true;
         while budget > 0 && progressed {
             progressed = false;
-            for k in 0..n {
-                let tid = (k + self.rr_offset) % n;
+            for tid in self.rr_order() {
                 if budget == 0 {
                     break;
                 }
@@ -727,12 +1002,17 @@ impl Core {
         }
     }
 
+    /// The trace op the entry in `slot` holds.
+    fn op(&self, slot: u32) -> &DynOp {
+        let e = &self.slab[slot as usize];
+        &self.threads[usize::from(e.tid)].ops[e.idx]
+    }
+
     fn retire(&mut self, tid: usize, slot: u32) {
         let e = &mut self.slab[slot as usize];
         debug_assert!(e.active);
         e.active = false;
-        let op = e.op;
-        let seq = e.seq;
+        let (class, has_dest, seq) = (e.class, e.has_dest, e.seq);
         let owns_sq = u8::from(e.owns_sq);
         debug_assert!(
             !self.event_driven() || self.wakeup[slot as usize].is_empty(),
@@ -744,16 +1024,16 @@ impl Core {
         self.threads[tid].completed += 1;
         self.act.completed += 1;
         self.act.completion_slots += 1;
-        if op.dest().is_some() {
+        if has_dest {
             self.act.regfile_writes += 1;
         }
 
-        match op.class {
+        match class {
             OpClass::Load => {
                 self.threads[tid].lq_used -= 1;
             }
             OpClass::Store => {
-                let m = op.mem.expect("store has mem");
+                let m = self.op(slot).mem.expect("store has mem");
                 // Store gathering: merge with the tail of the drain queue
                 // when adjacent (POWER10), retiring up to two SQ entries
                 // per cycle worth of work in one drain slot.
@@ -844,11 +1124,12 @@ impl Core {
     fn advance_execution_event(&mut self) {
         let cycle = self.cycle;
         self.scratch_resolved.clear();
-        while let Some(&Reverse((at, slot))) = self.calendar.peek() {
-            if at > cycle {
-                break;
-            }
-            self.calendar.pop();
+        let mut due = std::mem::take(&mut self.scratch_due);
+        self.calendar.drain_due(cycle, &mut due);
+        self.work.calendar_pops += due.len() as u64;
+        // The order within a cycle is immaterial: wakeups land in a
+        // seq-sorted candidate set and mispredict resolution commutes.
+        for &slot in &due {
             // Calendar entries are never stale: an executing op is pushed
             // exactly once, and its slot can only be recycled after retire,
             // which requires the Done transition made here first.
@@ -865,27 +1146,18 @@ impl Core {
             }
             self.fire_wakeups(slot);
         }
+        due.clear();
+        self.scratch_due = due;
         self.resolve_mispredicts();
     }
 
     /// A producer became Done: notify the consumers registered against it.
     fn fire_wakeups(&mut self, producer: u32) {
-        let mut list = std::mem::take(&mut self.wakeup[producer as usize]);
+        let list = &mut self.wakeup[producer as usize];
+        self.work.wakeup_walks += list.len() as u64;
         for (cslot, cseq) in list.drain(..) {
-            let c = &mut self.slab[cslot as usize];
-            // A consumer may have left Waiting already (fused-pair partner
-            // issued with its head); its remaining registrations are moot.
-            if c.active && c.seq == cseq && c.state == UopState::Waiting {
-                c.waiting_on -= 1;
-                if c.waiting_on == 0 {
-                    debug_assert!(!c.ready);
-                    c.ready = true;
-                    self.ready_count += 1;
-                }
-            }
+            self.cands.wake(cslot, cseq);
         }
-        // Hand the drained allocation back to the slot for reuse.
-        self.wakeup[producer as usize] = list;
     }
 
     /// Applies the fetch-redirect effects of mispredicted branches that
@@ -896,7 +1168,7 @@ impl Core {
             let t = &mut self.threads[tid];
             // Fetch stops at the first mispredicted branch, so at most one
             // is in flight per thread; resolving it unblocks fetch.
-            t.mispredict_pending = None;
+            t.mispredict_pending = false;
             let penalty = u64::from(self.predictor.mispredict_penalty());
             t.fetch_stall_until = t.fetch_stall_until.max(self.cycle + penalty);
             self.act.branch_mispredicts += 1;
@@ -925,243 +1197,21 @@ impl Core {
     }
 
     fn deps_ready(&self, slot: u32, ignore: Option<u32>) -> bool {
-        let e = &self.slab[slot as usize];
-        e.deps
+        self.deps[slot as usize]
             .iter()
             .all(|&d| d.0 == NO_SLOT || Some(d.0) == ignore || self.dep_ready(d))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn issue(&mut self) -> IssueSummary {
-        let mut int_left = self.cfg.int_slices;
-        let mut branch_left = self.cfg.branch_slices;
-        let mut vsx_left = self.cfg.vsx_units;
-        let mut load_left = self.cfg.load_ports;
-        let mut store_left = self.cfg.store_ports;
-        let mut mma_lanes_left = self.cfg.mma.map_or(0, |m| m.grid_lanes);
-        let mut mma_move_left = 1u32;
-        let mut issued_any = false;
-        let mut saw_ready = false;
-        let mut mma_active = false;
-
-        let event_driven = self.event_driven();
-        if event_driven {
-            self.compact_issue_order();
-            if self.ready_count == 0 {
-                // No waiting op has its producers resolved, so nothing can
-                // issue and none of the side effects below (MMA demand
-                // wake, wake-stall accounting) can trigger either. The
-                // polled scheduler's candidate scan would find no ready op
-                // either, so `saw_ready: false` is scheduler-identical.
-                return IssueSummary {
-                    issued_any: false,
-                    saw_ready: false,
-                };
-            }
-        } else {
-            // Reference behavior: compact the queue every cycle.
-            let slab = &self.slab;
-            self.issue_order.retain(|&(s, q)| {
-                let e = &slab[s as usize];
-                e.active && e.seq == q && e.state == UopState::Waiting
-            });
-            self.issue_order_dead = 0;
-        }
-
-        // The scheduler considers the oldest `reach` still-waiting ops —
-        // ready or not — mirroring a real select network's span.
-        let reach = self.cfg.issue_lookahead.max(1) as usize;
-        self.scratch_slots.clear();
-        for &(s, q) in &self.issue_order {
-            if self.scratch_slots.len() >= reach {
-                break;
-            }
-            let e = &self.slab[s as usize];
-            if e.active && e.seq == q && e.state == UopState::Waiting {
-                self.scratch_slots.push(s);
-            }
-        }
-        for i in 0..self.scratch_slots.len() {
-            let slot = self.scratch_slots[i];
-            let (class, tid) = {
-                let e = &self.slab[slot as usize];
-                if !e.active || e.state != UopState::Waiting {
-                    continue;
-                }
-                (e.op.class, usize::from(e.tid))
-            };
-            let ready = if event_driven {
-                let r = self.slab[slot as usize].ready;
-                debug_assert_eq!(r, self.deps_ready(slot, None));
-                r
-            } else {
-                self.deps_ready(slot, None)
-            };
-            if !ready {
-                continue;
-            }
-            saw_ready = true;
-
-            let done_at = match class {
-                OpClass::Hint => {
-                    // The architected MMA wake-up hint powers the unit on
-                    // ahead of use, hiding the wake latency (§IV-A).
-                    if self.cfg.mma.is_some() {
-                        self.power_mma_on();
-                    }
-                    Some(self.cycle)
-                }
-                OpClass::Nop => Some(self.cycle), // complete immediately
-                OpClass::IntAlu | OpClass::MoveSpr => {
-                    if int_left > 0 {
-                        int_left -= 1;
-                        Some(self.cycle + 1)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::IntMul => {
-                    if int_left > 0 {
-                        int_left -= 1;
-                        Some(self.cycle + u64::from(self.cfg.mul_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::IntDiv => {
-                    if int_left > 0 && self.div_busy_until <= self.cycle {
-                        int_left -= 1;
-                        self.div_busy_until = self.cycle + u64::from(self.cfg.div_latency);
-                        Some(self.cycle + u64::from(self.cfg.div_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Branch => {
-                    if branch_left > 0 {
-                        branch_left -= 1;
-                        Some(self.cycle + 1)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::VsxSimple => {
-                    if vsx_left > 0 {
-                        vsx_left -= 1;
-                        Some(self.cycle + 2)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::VsxFp => {
-                    if vsx_left > 0 {
-                        vsx_left -= 1;
-                        Some(self.cycle + u64::from(self.cfg.vsx_fp_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Mma(kind) => {
-                    let lanes = match kind {
-                        MmaKind::F64 => 8,
-                        MmaKind::F32 | MmaKind::Bf16 | MmaKind::I8 => 16,
-                    };
-                    let mma = self.cfg.mma.expect("mma op requires mma unit");
-                    if !self.mma_powered_on() {
-                        // Demand wake: the op waits out the power-on.
-                        self.power_mma_on();
-                        self.act.mma_wake_stall_cycles += 1;
-                        None
-                    } else if mma_lanes_left >= lanes {
-                        mma_lanes_left -= lanes;
-                        mma_active = true;
-                        self.mma_last_use = self.cycle;
-                        // Back-to-back accumulator chaining is short; the
-                        // full result latency applies to non-acc consumers
-                        // (xxmfacc), modeled via the MmaMove latency below.
-                        Some(self.cycle + u64::from(mma.acc_chain_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::MmaMove => {
-                    if self.cfg.mma.is_some() && !self.mma_powered_on() {
-                        self.power_mma_on();
-                        self.act.mma_wake_stall_cycles += 1;
-                        None
-                    } else if mma_move_left > 0 {
-                        mma_move_left -= 1;
-                        let lat = self.cfg.mma.map_or(2, |m| u64::from(m.result_latency));
-                        self.mma_last_use = self.cycle;
-                        Some(self.cycle + lat)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Load => {
-                    if load_left > 0 && (self.lmq.len() as u32) < self.cfg.load_miss_queue {
-                        load_left -= 1;
-                        Some(self.issue_load(slot, tid))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Store => {
-                    if store_left > 0 {
-                        store_left -= 1;
-                        Some(self.issue_store(slot, tid))
-                    } else {
-                        None
-                    }
-                }
-            };
-
-            let Some(done_at) = done_at else { continue };
-            issued_any = true;
-            self.start_execution(slot, done_at);
-
-            // Fused pair: if the partner's other deps are ready, execute it
-            // together with the head (zero-latency dependent execution).
-            let pair = self.slab[slot as usize].pair;
-            if pair != NO_SLOT {
-                let p = &self.slab[pair as usize];
-                if p.active && p.state == UopState::Waiting && self.deps_ready(pair, Some(slot)) {
-                    let pair_class = self.slab[pair as usize].op.class;
-                    let pair_done = match pair_class {
-                        // A fused dependent op finishes with its head.
-                        OpClass::Store => {
-                            // Second of a fused store pair: shares the
-                            // head's address-generation; mark executed.
-                            let seq = self.slab[pair as usize].seq;
-                            if let Some(s) = self.threads[tid]
-                                .store_window
-                                .iter_mut()
-                                .find(|s| s.0 == seq)
-                            {
-                                s.3 = true;
-                            }
-                            self.act.stores += 1;
-                            done_at
-                        }
-                        OpClass::Branch => {
-                            self.act.branch_ops += 1;
-                            done_at
-                        }
-                        _ => {
-                            self.act.alu_ops += 1;
-                            done_at
-                        }
-                    };
-                    self.start_execution_quiet(pair, pair_done);
-                    self.act.issued += 1;
-                }
-            }
-        }
-
+        let mut units = IssueUnits::new(&self.cfg);
+        let (issued_any, saw_ready) = match self.cfg.scheduler {
+            Scheduler::Polled => self.issue_polled(&mut units),
+            Scheduler::EventDriven => self.issue_event(&mut units),
+        };
         if issued_any {
             self.act.active_cycles += 1;
         }
-        if mma_active {
+        if units.mma_active {
             self.act.mma_active_cycles += 1;
         }
         IssueSummary {
@@ -1170,49 +1220,251 @@ impl Core {
         }
     }
 
-    /// Lazy issue-order compaction (event-driven scheduler): drop dead
-    /// entries from the front, and rebuild the queue once more than half
-    /// of it is dead so candidate enumeration stays O(lookahead).
-    fn compact_issue_order(&mut self) {
-        let slab = &self.slab;
-        let live = |&(s, q): &(u32, u64)| -> bool {
-            let e = &slab[s as usize];
-            e.active && e.seq == q && e.state == UopState::Waiting
-        };
-        while let Some(front) = self.issue_order.front() {
-            if live(front) {
-                break;
-            }
-            self.issue_order.pop_front();
-            self.issue_order_dead = self.issue_order_dead.saturating_sub(1);
-        }
-        if self.issue_order_dead * 2 > self.issue_order.len() {
-            self.issue_order.retain(live);
-            self.issue_order_dead = 0;
-        }
+    /// How many of the oldest waiting ops the select network sees.
+    fn reach(&self) -> u32 {
+        self.cfg.issue_lookahead.max(1)
     }
 
-    /// Whether any ready op sits inside the issue-lookahead window, i.e.
-    /// among the oldest `reach` still-waiting entries of `issue_order` —
-    /// the same candidate set `issue` enumerates. Ready ops beyond it
-    /// (say, a resolved branch queued behind a long miss chain) cannot
-    /// issue and do not make the cycle actionable.
-    fn ready_within_reach(&self) -> bool {
-        let reach = self.cfg.issue_lookahead.max(1) as usize;
-        let mut seen = 0usize;
-        for &(s, q) in &self.issue_order {
-            if seen >= reach {
-                break;
+    /// Reference (polled) issue: compact the queue and rescan the oldest
+    /// `reach` waiting ops for ready ones every cycle. Returns
+    /// `(issued_any, saw_ready)`.
+    fn issue_polled(&mut self, units: &mut IssueUnits) -> (bool, bool) {
+        let slab = &self.slab;
+        self.work.issue_scan += self.issue_order.len() as u64;
+        self.issue_order.retain(|&(s, q)| {
+            let e = &slab[s as usize];
+            e.active && e.seq == q && e.state == UopState::Waiting
+        });
+        // The scheduler considers the oldest `reach` still-waiting ops —
+        // ready or not — mirroring a real select network's span.
+        let reach = self.reach() as usize;
+        self.scratch_slots.clear();
+        self.scratch_slots
+            .extend(self.issue_order.iter().take(reach).map(|&(s, _)| s));
+        let mut issued_any = false;
+        let mut saw_ready = false;
+        for i in 0..self.scratch_slots.len() {
+            let slot = self.scratch_slots[i];
+            self.work.issue_scan += 1;
+            let e = &self.slab[slot as usize];
+            if !e.active || e.state != UopState::Waiting || !self.deps_ready(slot, None) {
+                continue;
             }
-            let e = &self.slab[s as usize];
-            if e.active && e.seq == q && e.state == UopState::Waiting {
-                if e.ready {
-                    return true;
-                }
-                seen += 1;
+            saw_ready = true;
+            issued_any |= self.try_issue(slot, units);
+        }
+        (issued_any, saw_ready)
+    }
+
+    /// Event-driven issue: walk only the ready ops inside the reach, then
+    /// move the frontier past the places the issued ones freed. Returns
+    /// `(issued_any, saw_ready)`.
+    fn issue_event(&mut self, units: &mut IssueUnits) -> (bool, bool) {
+        #[cfg(debug_assertions)]
+        self.cross_check_candidates();
+        // Nothing joins the candidates during the loop: wakeups ran before
+        // it and the refill runs after it, so this cycle's candidate set
+        // is the one a full scan finds at its start.
+        let n = self.cands.ready_in_reach.len();
+        let mut kept = 0;
+        let mut issued_any = false;
+        for i in 0..n {
+            let slot = self.cands.ready_in_reach[i];
+            self.work.issue_scan += 1;
+            if self.cands.wait_seq[slot as usize] == 0 {
+                continue; // a fused partner that issued with its head
+            }
+            debug_assert!(self.deps_ready(slot, None));
+            if self.try_issue(slot, units) {
+                issued_any = true;
+            } else {
+                self.cands.ready_in_reach[kept] = slot;
+                kept += 1;
             }
         }
-        false
+        debug_assert_eq!(self.cands.ready_in_reach.len(), n);
+        self.cands.ready_in_reach.truncate(kept);
+        if issued_any {
+            let reach = self.reach();
+            self.work.issue_scan += self.cands.fill(reach);
+        }
+        (issued_any, n > 0)
+    }
+
+    /// Debug-build cross-check of the incremental candidate set against a
+    /// full scan, run every live cycle and mirroring `cross_check_spans`:
+    /// the reach holds the oldest `reach` waiting ops, and the candidates
+    /// are the ready ones among them in program order, which is what the
+    /// polled scheduler finds. The scan merges the per-thread ROBs (each
+    /// in seq order) by seq.
+    #[cfg(debug_assertions)]
+    fn cross_check_candidates(&self) {
+        let mut pos = [0usize; MAX_THREADS];
+        let mut cands = self.cands.ready_in_reach.iter();
+        let mut in_reach = 0;
+        while in_reach < self.reach() {
+            // The oldest not yet visited waiting op of any thread.
+            let mut oldest: Option<(u64, usize, u32)> = None;
+            for (tid, t) in self.threads.iter().enumerate() {
+                while let Some(&slot) = t.rob.get(pos[tid]) {
+                    let e = &self.slab[slot as usize];
+                    if e.state == UopState::Waiting {
+                        if oldest.is_none_or(|(seq, ..)| e.seq < seq) {
+                            oldest = Some((e.seq, tid, slot));
+                        }
+                        break;
+                    }
+                    pos[tid] += 1;
+                }
+            }
+            let Some((_, tid, slot)) = oldest else {
+                break;
+            };
+            pos[tid] += 1;
+            in_reach += 1;
+            if self.deps_ready(slot, None) {
+                assert_eq!(
+                    cands.next(),
+                    Some(&slot),
+                    "issue candidates must equal a full scan at cycle {}",
+                    self.cycle
+                );
+            }
+        }
+        assert_eq!(
+            cands.next(),
+            None,
+            "issue candidates must equal a full scan at cycle {}",
+            self.cycle
+        );
+        assert_eq!(
+            self.cands.in_reach, in_reach,
+            "reach must hold the oldest waiting ops at cycle {}",
+            self.cycle
+        );
+    }
+
+    /// Starts the ready op in `slot` if a unit is free this cycle, with its
+    /// fused partner when that is ready too; returns whether it issued. A
+    /// blocked MMA op still opens the power gate.
+    fn try_issue(&mut self, slot: u32, units: &mut IssueUnits) -> bool {
+        let (class, tid) = {
+            let e = &self.slab[slot as usize];
+            (e.class, usize::from(e.tid))
+        };
+        let done_at = match class {
+            OpClass::Hint => {
+                // The architected MMA wake-up hint powers the unit on
+                // ahead of use, hiding the wake latency (§IV-A).
+                if self.cfg.mma.is_some() {
+                    self.power_mma_on();
+                }
+                Some(self.cycle)
+            }
+            OpClass::Nop => Some(self.cycle), // complete immediately
+            OpClass::IntAlu | OpClass::MoveSpr => take(&mut units.int).then_some(self.cycle + 1),
+            OpClass::IntMul => {
+                take(&mut units.int).then_some(self.cycle + u64::from(self.cfg.mul_latency))
+            }
+            OpClass::IntDiv => {
+                if self.div_busy_until <= self.cycle && take(&mut units.int) {
+                    self.div_busy_until = self.cycle + u64::from(self.cfg.div_latency);
+                    Some(self.cycle + u64::from(self.cfg.div_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::Branch => take(&mut units.branch).then_some(self.cycle + 1),
+            OpClass::VsxSimple => take(&mut units.vsx).then_some(self.cycle + 2),
+            OpClass::VsxFp => {
+                take(&mut units.vsx).then_some(self.cycle + u64::from(self.cfg.vsx_fp_latency))
+            }
+            OpClass::Mma(kind) => {
+                let lanes = match kind {
+                    MmaKind::F64 => 8,
+                    MmaKind::F32 | MmaKind::Bf16 | MmaKind::I8 => 16,
+                };
+                let mma = self.cfg.mma.expect("mma op requires mma unit");
+                if !self.mma_powered_on() {
+                    // Demand wake: the op waits out the power-on.
+                    self.power_mma_on();
+                    self.act.mma_wake_stall_cycles += 1;
+                    None
+                } else if units.mma_lanes >= lanes {
+                    units.mma_lanes -= lanes;
+                    units.mma_active = true;
+                    self.mma_last_use = self.cycle;
+                    // Back-to-back accumulator chaining is short; the
+                    // full result latency applies to non-acc consumers
+                    // (xxmfacc), modeled via the MmaMove latency below.
+                    Some(self.cycle + u64::from(mma.acc_chain_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::MmaMove => {
+                if self.cfg.mma.is_some() && !self.mma_powered_on() {
+                    self.power_mma_on();
+                    self.act.mma_wake_stall_cycles += 1;
+                    None
+                } else if take(&mut units.mma_move) {
+                    let lat = self.cfg.mma.map_or(2, |m| u64::from(m.result_latency));
+                    self.mma_last_use = self.cycle;
+                    Some(self.cycle + lat)
+                } else {
+                    None
+                }
+            }
+            OpClass::Load => {
+                if (self.lmq.len() as u32) < self.cfg.load_miss_queue && take(&mut units.load) {
+                    Some(self.issue_load(slot, tid))
+                } else {
+                    None
+                }
+            }
+            OpClass::Store => {
+                if take(&mut units.store) {
+                    Some(self.issue_store(slot, tid))
+                } else {
+                    None
+                }
+            }
+        };
+        let Some(done_at) = done_at else {
+            return false;
+        };
+        self.start_execution(slot, done_at);
+
+        // Fused pair: if the partner's other deps are ready, execute it
+        // together with the head (zero-latency dependent execution). A
+        // fused dependent op finishes with its head.
+        let pair = self.slab[slot as usize].pair;
+        if pair != NO_SLOT {
+            let p = &self.slab[pair as usize];
+            if p.active && p.state == UopState::Waiting && self.deps_ready(pair, Some(slot)) {
+                match p.class {
+                    OpClass::Store => {
+                        // Second of a fused store pair: shares the head's
+                        // address-generation; mark executed.
+                        let seq = p.seq;
+                        if let Some(s) = self.threads[tid]
+                            .store_window
+                            .iter_mut()
+                            .find(|s| s.0 == seq)
+                        {
+                            s.3 = true;
+                        }
+                        self.act.stores += 1;
+                    }
+                    OpClass::Branch => self.act.branch_ops += 1,
+                    _ => self.act.alu_ops += 1,
+                }
+                // No regfile-read or unit-op recount for the partner.
+                self.begin_execution(pair, done_at);
+                self.act.issued += 1;
+            }
+        }
+        true
     }
 
     /// Whether the MMA unit is powered and ready this cycle.
@@ -1228,37 +1480,35 @@ impl Core {
         }
     }
 
-    /// State bookkeeping shared by both execution-start paths: the
-    /// Waiting→Executing transition plus the event-driven scheduler's
-    /// calendar insertion and ready-count maintenance.
+    /// The Waiting→Executing transition, shared by an issued op and its
+    /// fused partner: frees the issue-queue entry and, under the
+    /// event-driven scheduler, leaves the candidate set and books the
+    /// completion on the calendar.
     fn begin_execution(&mut self, slot: u32, done_at: u64) {
         let e = &mut self.slab[slot as usize];
         debug_assert_eq!(e.state, UopState::Waiting);
         e.state = UopState::Executing { done_at };
-        if e.ready {
-            e.ready = false;
-            self.ready_count -= 1;
-        }
         // Issue-queue entry is freed once the op issues (reservation
         // stations and issue queues alike hold ops only until issue).
         if !e.is_pair_second {
             self.issue_queue_used = self.issue_queue_used.saturating_sub(1);
         }
-        self.issue_order_dead += 1;
         if self.event_driven() {
+            self.cands.issue(slot);
             // Ops whose latency already elapsed (Nop/Hint complete "this"
             // cycle) are still observed Done only on the next advance.
             self.calendar
-                .push(Reverse((done_at.max(self.cycle + 1), slot)));
+                .push(self.cycle, done_at.max(self.cycle + 1), slot);
+            self.work.calendar_pushes += 1;
         }
     }
 
     fn start_execution(&mut self, slot: u32, done_at: u64) {
         self.begin_execution(slot, done_at);
-        let e = &self.slab[slot as usize];
-        let srcs = e.op.sources().count() as u64;
-        let class = e.op.class;
-        let flops = u64::from(e.op.flops);
+        let (class, srcs) = {
+            let e = &self.slab[slot as usize];
+            (e.class, u64::from(e.srcs))
+        };
         self.act.issued += 1;
         self.act.regfile_reads += srcs;
         match class {
@@ -1269,11 +1519,11 @@ impl Core {
             OpClass::VsxSimple => self.act.vsx_simple_ops += 1,
             OpClass::VsxFp => {
                 self.act.vsx_fp_ops += 1;
-                self.act.vsx_flops += flops;
+                self.act.vsx_flops += u64::from(self.op(slot).flops);
             }
             OpClass::Mma(_) => {
                 self.act.mma_ops += 1;
-                self.act.mma_flops += flops;
+                self.act.mma_flops += u64::from(self.op(slot).flops);
             }
             OpClass::MmaMove => self.act.mma_moves += 1,
             OpClass::Load => self.act.loads += 1,
@@ -1282,15 +1532,8 @@ impl Core {
         }
     }
 
-    /// Start execution without re-counting regfile reads/unit ops (used for
-    /// the fused partner whose counting is handled at the call site).
-    fn start_execution_quiet(&mut self, slot: u32, done_at: u64) {
-        self.begin_execution(slot, done_at);
-    }
-
     fn issue_load(&mut self, slot: u32, tid: usize) -> u64 {
-        let op = self.slab[slot as usize].op;
-        let m = op.mem.expect("load has mem");
+        let m = self.op(slot).mem.expect("load has mem");
         let seq = self.slab[slot as usize].seq;
 
         // Translation policy: RA-tagged L1 translates on every access.
@@ -1344,6 +1587,7 @@ impl Core {
             }
             let done = self.cycle + u64::from(lat) + extra;
             self.lmq.push(done);
+            self.lmq_next = self.lmq_next.min(done);
             done
         } else {
             self.cycle + u64::from(lat) + extra
@@ -1351,8 +1595,7 @@ impl Core {
     }
 
     fn issue_store(&mut self, slot: u32, tid: usize) -> u64 {
-        let op = self.slab[slot as usize].op;
-        let m = op.mem.expect("store has mem");
+        let m = self.op(slot).mem.expect("store has mem");
         let seq = self.slab[slot as usize].seq;
         let mut extra = 0u64;
         if !self.cfg.ea_tagged_l1 {
@@ -1377,16 +1620,14 @@ impl Core {
 
     fn decode_dispatch(&mut self) {
         let mut budget = self.cfg.decode_width;
-        let n = self.threads.len();
-        let mut blocked = vec![false; n];
+        let mut blocked = [false; MAX_THREADS];
         let mut progressed = true;
         while budget > 0 && progressed {
             progressed = false;
-            for k in 0..n {
+            for tid in self.rr_order() {
                 if budget == 0 {
                     break;
                 }
-                let tid = (k + self.rr_offset) % n;
                 if blocked[tid] || self.threads[tid].fetch_buffer.is_empty() {
                     continue;
                 }
@@ -1413,18 +1654,15 @@ impl Core {
     /// shared by [`Core::try_dispatch_one`] and the fast-forward
     /// dispatch-progress check.
     fn plan_dispatch(&self, tid: usize) -> Option<DispatchPlan> {
-        // Peek head (and successor for fusion).
-        let (head_op, fuse) = {
-            let t = &self.threads[tid];
-            let head = t.fetch_buffer.front().expect("caller checked");
-            let fuse = if self.cfg.fusion && t.fetch_buffer.len() >= 2 {
-                let second = &t.fetch_buffer[1];
-                fusion::classify_pair(&head.op, &second.op)
-            } else {
-                None
-            };
-            (head.op, fuse)
-        };
+        // Peek head (and successor for fusion). The fetch buffer holds
+        // consecutive trace ops.
+        let t = &self.threads[tid];
+        let head_idx = t.fetch_buffer.front().expect("caller checked").idx;
+        let head_op = &t.ops[head_idx];
+        let second_op =
+            (self.cfg.fusion && t.fetch_buffer.len() >= 2).then(|| &t.ops[head_idx + 1]);
+        let fuse = second_op.and_then(|second| fusion::classify_pair(head_op, second));
+        let second_op = second_op.filter(|_| fuse.is_some());
 
         let pair_count: u32 = if fuse.is_some() { 2 } else { 1 };
         // Resource checks.
@@ -1442,30 +1680,23 @@ impl Core {
         // LQ/SQ checks for head (+ partner).
         let needs_lq = |op: &DynOp| u32::from(op.is_load());
         let needs_sq = |op: &DynOp| u32::from(op.is_store());
-        let second_op = if fuse.is_some() {
-            Some(self.threads[tid].fetch_buffer[1].op)
+        let lq_need = needs_lq(head_op) + second_op.map_or(0, needs_lq);
+        // A fused store pair of small stores shares one SQ entry.
+        let shared_sq = fuse == Some(FusionKind::StorePair)
+            && second_op.is_some_and(|second| fusion::store_pair_single_sq_entry(head_op, second));
+        let sq_need = if shared_sq {
+            1
         } else {
-            None
+            needs_sq(head_op) + second_op.map_or(0, needs_sq)
         };
-        let lq_need = needs_lq(&head_op) + second_op.as_ref().map_or(0, needs_lq);
-        let mut sq_need = needs_sq(&head_op) + second_op.as_ref().map_or(0, needs_sq);
-        if fuse == Some(FusionKind::StorePair) {
-            if let Some(second) = &second_op {
-                if fusion::store_pair_single_sq_entry(&head_op, second) {
-                    sq_need = 1;
-                }
-            }
-        }
-        let t = &self.threads[tid];
         if t.lq_used + lq_need > self.cfg.load_queue_per_thread()
             || t.sq_used + sq_need > self.cfg.store_queue_per_thread()
         {
             return None;
         }
         Some(DispatchPlan {
-            head_op,
             fuse,
-            second_op,
+            shared_sq,
             lq_need,
             sq_need,
         })
@@ -1482,13 +1713,8 @@ impl Core {
         self.threads[tid].lq_used += plan.lq_need;
         self.threads[tid].sq_used += plan.sq_need;
         if let Some(kind) = plan.fuse {
-            let second_owns_sq = !(kind == FusionKind::StorePair
-                && plan
-                    .second_op
-                    .as_ref()
-                    .is_some_and(|s| fusion::store_pair_single_sq_entry(&plan.head_op, s)));
             let second = self.threads[tid].fetch_buffer.pop_front().expect("checked");
-            let second_slot = self.install(tid, second, kind.single_issue_entry(), second_owns_sq);
+            let second_slot = self.install(tid, second, kind.single_issue_entry(), !plan.shared_sq);
             self.slab[head_slot as usize].pair = second_slot;
             self.act.decoded += 2;
             self.act.dispatched += 2;
@@ -1503,85 +1729,82 @@ impl Core {
     fn install(&mut self, tid: usize, f: FetchedOp, is_pair_second: bool, owns_sq: bool) -> u32 {
         self.seq += 1;
         let seq = self.seq;
+        let slot = self
+            .free_slots
+            .pop()
+            .unwrap_or(u32::try_from(self.slab.len()).expect("slab fits u32 slots"));
+        let event_driven = self.event_driven();
+        let t = &self.threads[tid];
+        let op = &t.ops[f.idx];
+        let (class, dests, store) = (
+            op.class,
+            [op.dest(), op.dest2()],
+            op.is_store().then(|| op.mem.expect("store has mem")),
+        );
         let mut deps = [(NO_SLOT, 0u64); MAX_SRCS];
-        {
-            let t = &self.threads[tid];
-            for (i, src) in f.op.sources().enumerate() {
-                let (slot, pseq) = t.rename[usize::from(src.packed())];
-                if slot != NO_SLOT {
-                    let e = &self.slab[slot as usize];
-                    if e.active && e.seq == pseq {
-                        deps[i] = (slot, pseq);
+        let mut srcs = 0u8;
+        let mut waiting_on = 0u8;
+        for (i, src) in op.sources().enumerate() {
+            srcs += 1;
+            let (pslot, pseq) = t.rename[usize::from(src.packed())];
+            if pslot != NO_SLOT {
+                let e = &self.slab[pslot as usize];
+                if e.active && e.seq == pseq {
+                    deps[i] = (pslot, pseq);
+                    // A producer not yet Done must wake this op when it
+                    // finishes (event-driven scheduler); resolved ones
+                    // need no tracking.
+                    if event_driven && e.state != UopState::Done {
+                        waiting_on += 1;
+                        self.wakeup[pslot as usize].push((slot, seq));
                     }
                 }
             }
         }
-        // Producers not yet Done must wake this op when they finish
-        // (event-driven scheduler); already-resolved deps need no tracking.
-        let mut waiting_on = 0u8;
-        if self.event_driven() {
-            for &(pslot, _) in &deps {
-                if pslot != NO_SLOT && self.slab[pslot as usize].state != UopState::Done {
-                    waiting_on += 1;
-                }
-            }
-        }
-        let ready = self.event_driven() && waiting_on == 0;
         let entry = InFlight {
-            op: f.op,
+            class,
+            srcs,
+            has_dest: dests[0].is_some(),
+            idx: f.idx,
             tid: tid as u8,
             seq,
             fetch_cycle: f.fetch_cycle,
             state: UopState::Waiting,
-            deps,
             mispredicted: f.mispredicted,
             pair: NO_SLOT,
             is_pair_second,
             owns_sq,
             active: true,
-            waiting_on,
-            ready,
         };
-        if ready {
-            self.ready_count += 1;
-        }
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slab[s as usize] = entry;
-                s
-            }
-            None => {
-                self.slab.push(entry);
-                self.wakeup.push(Vec::new());
-                (self.slab.len() - 1) as u32
-            }
-        };
-        if self.event_driven() && waiting_on > 0 {
+        if slot as usize == self.slab.len() {
+            self.slab.push(entry);
+            self.deps.push(deps);
+            self.wakeup.push(Vec::new());
+            self.cands.grow();
+        } else {
             debug_assert!(self.wakeup[slot as usize].is_empty());
-            for &(pslot, _) in &deps {
-                if pslot != NO_SLOT && self.slab[pslot as usize].state != UopState::Done {
-                    self.wakeup[pslot as usize].push((slot, seq));
-                }
-            }
+            self.slab[slot as usize] = entry;
+            self.deps[slot as usize] = deps;
         }
         // Update rename map for destinations.
         let t = &mut self.threads[tid];
-        if let Some(d) = f.op.dest() {
-            t.rename[usize::from(d.packed())] = (slot, seq);
-        }
-        if let Some(d) = f.op.dest2() {
+        for d in dests.into_iter().flatten() {
             t.rename[usize::from(d.packed())] = (slot, seq);
         }
         t.rob.push_back(slot);
-        if f.op.is_store() {
-            let m = f.op.mem.expect("store has mem");
+        if let Some(m) = store {
             t.store_window.push_back((seq, m.addr, m.size, false));
         }
         self.window_used += 1;
         if !is_pair_second {
             self.issue_queue_used += 1;
         }
-        self.issue_order.push_back((slot, seq));
+        if event_driven {
+            let reach = self.reach();
+            self.work.issue_scan += self.cands.dispatch(slot, seq, waiting_on, reach);
+        } else {
+            self.issue_order.push_back((slot, seq));
+        }
         slot
     }
 
@@ -1591,18 +1814,25 @@ impl Core {
         let n = self.threads.len();
         match self.cfg.fetch_policy {
             crate::config::FetchPolicy::RoundRobin => {
-                for k in 0..n {
-                    let tid = (k + self.rr_offset) % n;
+                for tid in self.rr_order() {
                     self.fetch_thread(tid);
                 }
             }
             crate::config::FetchPolicy::ICount => {
-                // Fewest in-flight (fetch buffer + ROB) first.
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&t| {
-                    self.threads[t].fetch_buffer.len() + self.threads[t].rob.len()
+                // Fewest in-flight (fetch buffer + ROB) first, ties in
+                // thread order.
+                let mut order = [0usize; MAX_THREADS];
+                let order = &mut order[..n];
+                for (tid, o) in order.iter_mut().enumerate() {
+                    *o = tid;
+                }
+                order.sort_unstable_by_key(|&t| {
+                    (
+                        self.threads[t].fetch_buffer.len() + self.threads[t].rob.len(),
+                        t,
+                    )
                 });
-                for tid in order {
+                for &tid in order.iter() {
                     self.fetch_thread(tid);
                 }
             }
@@ -1612,8 +1842,7 @@ impl Core {
     fn fetch_thread(&mut self, tid: usize) {
         {
             let t = &self.threads[tid];
-            if t.fetch_done() || t.mispredict_pending.is_some() || t.fetch_stall_until > self.cycle
-            {
+            if t.fetch_done() || t.mispredict_pending || t.fetch_stall_until > self.cycle {
                 return;
             }
             if t.fetch_buffer.len() >= self.cfg.fetch_buffer as usize {
@@ -1650,8 +1879,10 @@ impl Core {
             if t.fetch_done() || t.fetch_buffer.len() >= self.cfg.fetch_buffer as usize {
                 break;
             }
-            let op = t.ops[t.fetch_idx];
-            let cost = if op.prefixed { 2 } else { 1 };
+            let idx = t.fetch_idx;
+            let op = &t.ops[idx];
+            let (prefixed, pc, branch) = (op.prefixed, op.pc, op.branch);
+            let cost = if prefixed { 2 } else { 1 };
             if cost > slots {
                 break;
             }
@@ -1660,34 +1891,72 @@ impl Core {
             self.act.fetched += 1;
 
             let mut mispredicted = false;
-            if let Some(info) = op.branch {
-                let fallthrough = op.pc + 4;
+            if let Some(info) = branch {
+                let fallthrough = pc + 4;
                 let pred = self
                     .predictor
-                    .predict_and_train(tid, op.pc, &info, fallthrough);
+                    .predict_and_train(tid, pc, &info, fallthrough);
                 if pred.predicted {
                     self.act.branch_predictions += 1;
                 }
                 mispredicted = !pred.correct;
             }
             let fetched = FetchedOp {
-                op,
+                idx,
                 mispredicted,
                 fetch_cycle: self.cycle,
             };
-            let is_taken_branch = op.branch.is_some_and(|b| b.taken);
+            let is_taken_branch = branch.is_some_and(|b| b.taken);
             self.threads[tid].fetch_buffer.push_back(fetched);
             if mispredicted {
                 // Fetch stalls here until the branch resolves; at most one
-                // mispredicted branch is in flight per thread, so the value
-                // is just a flag.
-                self.threads[tid].mispredict_pending = Some(1);
+                // mispredicted branch is in flight per thread.
+                self.threads[tid].mispredict_pending = true;
                 break;
             }
             if is_taken_branch {
                 break; // cannot fetch past a taken branch this cycle
             }
         }
+    }
+}
+
+/// Issue resources still free this cycle.
+#[derive(Debug)]
+struct IssueUnits {
+    int: u32,
+    branch: u32,
+    vsx: u32,
+    load: u32,
+    store: u32,
+    mma_lanes: u32,
+    mma_move: u32,
+    /// An MMA op started on the grid this cycle.
+    mma_active: bool,
+}
+
+impl IssueUnits {
+    fn new(cfg: &CoreConfig) -> Self {
+        IssueUnits {
+            int: cfg.int_slices,
+            branch: cfg.branch_slices,
+            vsx: cfg.vsx_units,
+            load: cfg.load_ports,
+            store: cfg.store_ports,
+            mma_lanes: cfg.mma.map_or(0, |m| m.grid_lanes),
+            mma_move: 1,
+            mma_active: false,
+        }
+    }
+}
+
+/// Takes one unit from a free count; false when none is left.
+fn take(free: &mut u32) -> bool {
+    if *free > 0 {
+        *free -= 1;
+        true
+    } else {
+        false
     }
 }
 
@@ -1720,9 +1989,9 @@ enum DispatchOutcome {
 /// Resource footprint of dispatching one fetch-buffer head (+ partner).
 #[derive(Debug, Clone, Copy)]
 struct DispatchPlan {
-    head_op: DynOp,
     fuse: Option<FusionKind>,
-    second_op: Option<DynOp>,
+    /// The fused pair is a store pair sharing one SQ entry.
+    shared_sq: bool,
     lq_need: u32,
     sq_need: u32,
 }
@@ -2061,6 +2330,35 @@ mod tests {
         let r = run_cfg(CoreConfig::power10(), t);
         let occ = r.activity.mean_window_occupancy();
         assert!(occ > 1.0 && occ <= 512.0, "occupancy {occ} out of range");
+    }
+}
+
+#[cfg(test)]
+mod calendar_tests {
+    use super::*;
+
+    #[test]
+    fn wheel_and_heap_entries_drain_exactly_at_their_cycle() {
+        // Booked at cycle 100: two due next cycle, one at the wheel's far
+        // edge (its bucket index wraps below theirs), one past the wheel.
+        let mut cal = Calendar::default();
+        let edge = 100 + WHEEL - 1;
+        cal.push(100, 101, 1);
+        cal.push(100, edge, 2);
+        cal.push(100, edge + 1, 3);
+        cal.push(100, 101, 4);
+        let mut due = Vec::new();
+        for (now, next, slots) in [
+            (101, Some(101), vec![1, 4]),
+            (edge, Some(edge), vec![2]),
+            (edge + 1, Some(edge + 1), vec![3]),
+        ] {
+            assert_eq!(cal.next_after(now - 1), next);
+            due.clear();
+            cal.drain_due(now, &mut due);
+            assert_eq!(due, slots, "due at cycle {now}");
+        }
+        assert_eq!(cal.next_after(edge + 1), None);
     }
 }
 

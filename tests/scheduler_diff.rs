@@ -7,7 +7,7 @@
 //! divergence here is a scheduler bug, not a modeling change.
 
 use p10sim::isa::{Cond, Inst, ProgramBuilder, Reg};
-use p10sim::uarch::{Core, CoreConfig, Scheduler, SimResult, SmtMode};
+use p10sim::uarch::{Core, CoreConfig, FetchPolicy, Scheduler, SimResult, SmtMode};
 use p10sim::workloads::{
     microbench::{derating_grid, generate},
     specint_like,
@@ -147,6 +147,99 @@ fn schedulers_agree_on_mma_kernels() {
     // variant only.
     let traces = vec![dgemm_vsu(64).trace_or_panic(4_000)];
     assert_schedulers_agree(&CoreConfig::power10_no_mma(), &traces, "dgemm_vsu");
+}
+
+/// A loop that parks `waiting` ops behind a miss chain (its second load,
+/// the address add before it and `waiting - 2` dependents of it), then
+/// (optionally) a fusible dependent-ALU pair, then `ready` independent
+/// ALU ops. With `waiting` near `issue_lookahead` the pair and the
+/// independent ops sit just inside or just beyond the scheduler's reach
+/// while the chain is outstanding, so they are ready but visible to the
+/// select network only once the frontier moves.
+fn reach_boundary_trace(waiting: u16, fused_pair: bool, ready: u16) -> p10sim::isa::Trace {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::gpr(1), 0x100_0000);
+    b.li(Reg::gpr(2), 5);
+    b.mtctr(Reg::gpr(2));
+    let top = b.bind_label();
+    b.ld(Reg::gpr(3), Reg::gpr(1), 0);
+    b.add(Reg::gpr(5), Reg::gpr(3), Reg::gpr(1));
+    b.ld(Reg::gpr(4), Reg::gpr(5), 4096);
+    for _ in 2..waiting {
+        b.add(Reg::gpr(20), Reg::gpr(4), Reg::gpr(4));
+    }
+    if fused_pair {
+        b.addi(Reg::gpr(11), Reg::gpr(11), 1);
+        b.add(Reg::gpr(12), Reg::gpr(11), Reg::gpr(11));
+    }
+    for k in 0..ready {
+        let r = Reg::gpr(13 + k % 6);
+        b.addi(r, r, 1);
+    }
+    b.addi(Reg::gpr(1), Reg::gpr(1), 1 << 16);
+    b.bdnz(top);
+    p10sim::isa::Machine::new()
+        .run(&b.build(), 100_000)
+        .expect("reach-boundary program runs")
+}
+
+/// Waiting-op counts around a reach: two short of filling it, filling it,
+/// and two past it.
+fn around(reach: u32) -> impl Iterator<Item = u16> {
+    let reach = u16::try_from(reach).expect("reach fits");
+    reach - 2..=reach + 2
+}
+
+/// Ready independent ALU ops queued just beyond the issue lookahead (48 on
+/// POWER9, 96 on POWER10) behind a long miss chain: they must become
+/// candidates exactly when the polled scan would see them, and the
+/// fast-forward must idle over them while they are out of reach.
+#[test]
+fn schedulers_agree_on_ready_ops_beyond_the_reach() {
+    for mut cfg in [CoreConfig::power9(), CoreConfig::power10()] {
+        cfg.prefetch_streams = 0;
+        for waiting in around(cfg.issue_lookahead) {
+            let traces = vec![reach_boundary_trace(waiting, false, 12)];
+            assert_schedulers_agree(&cfg, &traces, &format!("{waiting} waiting + 12 ready"));
+        }
+    }
+}
+
+/// A fused dependent-ALU pair whose head is the last op inside the reach
+/// and whose partner is the first beyond it (and every neighboring
+/// split): the partner issues with its head from outside the reach.
+#[test]
+fn schedulers_agree_on_a_fused_pair_straddling_the_reach() {
+    let mut cfg = CoreConfig::power10();
+    cfg.prefetch_streams = 0;
+    for waiting in around(cfg.issue_lookahead) {
+        let traces = vec![reach_boundary_trace(waiting, true, 4)];
+        let label = format!("{waiting} waiting + fused pair");
+        assert_schedulers_agree(&cfg, &traces, &label);
+        let fused = run_with(&cfg, Scheduler::EventDriven, &traces)
+            .activity
+            .fused_pairs;
+        assert!(fused > 0, "the pair must fuse on {label}");
+    }
+}
+
+/// SMT4 under ICount fetch: four threads, each parking a different number
+/// of ops around the reach, share one candidate set.
+#[test]
+fn schedulers_agree_on_reach_boundaries_in_smt4_icount() {
+    for base in [CoreConfig::power9(), CoreConfig::power10()] {
+        let mut cfg = base.clone();
+        cfg.smt = SmtMode::Smt4;
+        cfg.fetch_policy = FetchPolicy::ICount;
+        cfg.prefetch_streams = 0;
+        let reach = u16::try_from(cfg.issue_lookahead).expect("reach fits");
+        let traces: Vec<_> = [reach / 4, reach / 2, reach, reach + 1]
+            .into_iter()
+            .enumerate()
+            .map(|(t, waiting)| reach_boundary_trace(waiting, t % 2 == 0, 8))
+            .collect();
+        assert_schedulers_agree(&cfg, &traces, "smt4 icount reach boundaries");
+    }
 }
 
 /// Span-aware observer that checks the delivery stream tiles the run:
