@@ -5,18 +5,20 @@
 //! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]
 //! figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]
 //! ```
-//! `--out DIR` captures each experiment's stdout into `DIR/<exp>.json`
-//! as well as printing it. `--jobs N` sets the worker-pool width
-//! (default: all CPUs) and `--no-cache` disables the on-disk result
-//! cache (`target/p10sim-cache`, override with `P10SIM_CACHE_DIR`); see
-//! `p10_core::runner`. `--sampling MODE` selects sampled execution for
-//! every simulation point routed through the engine: `exact` (default,
-//! byte-identical reference), `simpoints:INTERVAL:K[:WARMUP]`, or
-//! `bound:PCT` (grow the cluster count until the reported error bound
-//! is at most PCT percent) — see `p10_core::sampling`. Sampled runs
-//! persist warm-state checkpoints under the engine's disk cache
-//! (override the directory with `P10SIM_CKPT_DIR`), so sweeps re-warm
-//! once per warm-equivalence class instead of once per config.
+//! `--out DIR` also writes each experiment's JSON payload (what `--json`
+//! prints after the header) to `DIR/<exp>.json`. `--jobs N` sets the
+//! worker-pool width (default: all CPUs) and `--no-cache` disables the
+//! on-disk result cache (`target/p10sim-cache`, override with
+//! `P10SIM_CACHE_DIR`); see `p10_core::runner`. `--sampling MODE`
+//! selects how the engine runs its benchmark points: `exact` (default,
+//! byte-identical reference) or `bound:PCT` (grow the cluster count until
+//! the reported error bound is at most PCT percent) — see
+//! `p10_core::sampling`. Only the experiments marked `sampled` in
+//! `EXPERIMENTS` run engine benchmark points; a non-exact mode on any
+//! other single experiment is a usage error. Sampled runs persist
+//! warm-state checkpoints under the engine's disk cache (override the
+//! directory with `P10SIM_CKPT_DIR`), so sweeps re-warm once per
+//! warm-equivalence class instead of once per config.
 //! `--trace-out FILE` writes an event trace via `p10_obs` — JSON lines
 //! by default, or a `chrome://tracing`/Perfetto-loadable trace-event
 //! file with `--trace-format chrome`; either way an end-of-run summary
@@ -56,54 +58,92 @@ use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
 use p10_workloads::{chopstix, Benchmark};
 use serde_json::json;
+use std::path::{Path, PathBuf};
 
-/// An experiment: its name, its driver, and whether `all` runs it.
-type Experiment = (&'static str, fn(&Opts), bool);
+/// An experiment: its name, its driver, whether `all` runs it, and
+/// whether it runs engine benchmark points (and so honours `--sampling`).
+type Experiment = (&'static str, fn(&Opts) -> Report, bool, bool);
 
 /// Every experiment, in the order `all` runs them.
 const EXPERIMENTS: [Experiment; 25] = [
-    ("table1", do_table1, true),
-    ("fig2", do_fig2, true),
-    ("fig4", do_fig4, true),
-    ("fig5", do_fig5, true),
-    ("fig6", do_fig6, true),
-    ("socket", do_socket, true),
-    ("fig10", do_fig10, true),
-    ("fig11", do_fig11, true),
-    ("fig12", do_fig12, true),
-    ("fig13", do_fig13, true),
-    ("fig14", do_fig14, true),
-    ("fig15a", do_fig15a, true),
-    ("fig15b", do_fig15b, true),
-    ("flushes", do_flushes, true),
-    ("coverage", do_coverage, true),
-    ("apex-speedup", do_apex_speedup, true),
-    ("wof", do_wof, true),
-    ("tracepoints", do_tracepoints, true),
-    ("sensitivity", do_sensitivity, true),
-    ("smt", do_smt, true),
-    ("tracking", do_tracking, true),
-    ("droop", do_droop, true),
-    ("dse", do_dse, false),
-    ("profile", do_profile, false),
-    ("sampling", do_sampling, false),
+    ("table1", do_table1, true, true),
+    ("fig2", do_fig2, true, false),
+    ("fig4", do_fig4, true, true),
+    ("fig5", do_fig5, true, false),
+    ("fig6", do_fig6, true, false),
+    ("socket", do_socket, true, false),
+    ("fig10", do_fig10, true, false),
+    ("fig11", do_fig11, true, false),
+    ("fig12", do_fig12, true, false),
+    ("fig13", do_fig13, true, false),
+    ("fig14", do_fig14, true, false),
+    ("fig15a", do_fig15a, true, false),
+    ("fig15b", do_fig15b, true, false),
+    ("flushes", do_flushes, true, false),
+    ("coverage", do_coverage, true, false),
+    ("apex-speedup", do_apex_speedup, true, false),
+    ("wof", do_wof, true, true),
+    ("tracepoints", do_tracepoints, true, false),
+    ("sensitivity", do_sensitivity, true, true),
+    ("smt", do_smt, true, true),
+    ("tracking", do_tracking, true, false),
+    ("droop", do_droop, true, false),
+    ("dse", do_dse, false, true),
+    ("profile", do_profile, false, true),
+    ("sampling", do_sampling, false, true),
 ];
+
+/// What one experiment produced: a header both forms share, the
+/// human-readable text, and the `--json` payload (`--out` writes exactly
+/// the payload).
+struct Report {
+    head: String,
+    text: String,
+    json: String,
+}
+
+impl Report {
+    fn new(title: &str, paper: &str) -> Self {
+        Report {
+            head: format!("\n=== {title} ===\n    paper reference: {paper}\n"),
+            text: String::new(),
+            json: String::new(),
+        }
+    }
+
+    /// Appends one line to the text.
+    fn line(&mut self, line: String) {
+        self.text += &line;
+        self.text.push('\n');
+    }
+
+    /// Finishes the report with `value` as a pretty-printed payload.
+    fn json(mut self, value: &impl serde::Serialize) -> Self {
+        self.json = pretty(value);
+        self
+    }
+}
+
+/// `value` as one pretty-printed JSON document plus a newline.
+fn pretty(value: &impl serde::Serialize) -> String {
+    format!("{}\n", serde_json::to_string_pretty(value).expect("json"))
+}
 
 struct Opts {
     json: bool,
     ops: u64,
-    out: Option<std::path::PathBuf>,
+    out: Option<PathBuf>,
     jobs: usize,
     no_cache: bool,
-    trace_out: Option<std::path::PathBuf>,
+    trace_out: Option<PathBuf>,
     trace_format: Option<p10_obs::TraceFormat>,
-    obs_json: Option<std::path::PathBuf>,
-    ledger_dir: Option<std::path::PathBuf>,
+    obs_json: Option<PathBuf>,
+    ledger_dir: Option<PathBuf>,
     no_ledger: bool,
     baseline: Option<String>,
     gate: Option<f64>,
     min_s: Option<f64>,
-    sampling: Option<SamplingMode>,
+    sampling: SamplingMode,
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -114,7 +154,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "       figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]"
     );
-    eprintln!("sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)");
+    eprintln!("sampling modes: exact | bound:PCT (0 < PCT <= 100)");
     let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, ..)| name).collect();
     eprintln!("experiments: {} obsreport all", names.join(" "));
     std::process::exit(2);
@@ -150,7 +190,7 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         baseline: None,
         gate: None,
         min_s: None,
-        sampling: None,
+        sampling: SamplingMode::Exact,
     };
     let mut i = 0;
     while i < args.len() {
@@ -182,19 +222,13 @@ fn parse_args(args: &[String]) -> (String, Opts) {
                     usage_error("--jobs must be positive");
                 }
             }
-            "--out" => opts.out = Some(std::path::PathBuf::from(flag_value("--out"))),
-            "--trace-out" => {
-                opts.trace_out = Some(std::path::PathBuf::from(flag_value("--trace-out")));
-            }
+            "--out" => opts.out = Some(PathBuf::from(flag_value("--out"))),
+            "--trace-out" => opts.trace_out = Some(PathBuf::from(flag_value("--trace-out"))),
             "--trace-format" => {
                 opts.trace_format = Some(parse_trace_format(&flag_value("--trace-format")));
             }
-            "--obs-json" => {
-                opts.obs_json = Some(std::path::PathBuf::from(flag_value("--obs-json")));
-            }
-            "--ledger-dir" => {
-                opts.ledger_dir = Some(std::path::PathBuf::from(flag_value("--ledger-dir")));
-            }
+            "--obs-json" => opts.obs_json = Some(PathBuf::from(flag_value("--obs-json"))),
+            "--ledger-dir" => opts.ledger_dir = Some(PathBuf::from(flag_value("--ledger-dir"))),
             "--no-ledger" => opts.no_ledger = true,
             "--baseline" => opts.baseline = Some(flag_value("--baseline")),
             "--gate" => {
@@ -217,7 +251,7 @@ fn parse_args(args: &[String]) -> (String, Opts) {
             }
             "--sampling" => {
                 let v = flag_value("--sampling");
-                opts.sampling = Some(SamplingMode::parse(&v).unwrap_or_else(|e| usage_error(&e)));
+                opts.sampling = SamplingMode::parse(&v).unwrap_or_else(|e| usage_error(&e));
             }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag '{flag}'")),
             exp => {
@@ -241,63 +275,46 @@ fn parse_args(args: &[String]) -> (String, Opts) {
     {
         usage_error("--gate/--baseline/--min-s only apply to the obsreport experiment");
     }
+    let ignores_sampling = EXPERIMENTS
+        .iter()
+        .any(|&(name, _, _, sampled)| name == what && !sampled);
+    if !opts.sampling.is_exact() && ignores_sampling {
+        let sampled: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|&&(.., sampled)| sampled)
+            .map(|&(name, ..)| name)
+            .collect();
+        usage_error(&format!(
+            "--sampling only applies to all and to {}",
+            sampled.join(" ")
+        ));
+    }
     (what, opts)
 }
 
-/// With `--out DIR`, re-runs the experiment as a child process in
-/// `--json` mode and stores its stdout as `DIR/<name>.json` (the run
-/// itself still prints human-readable output first). Experiments are
-/// deterministic, so the artifact matches what was just shown — and the
-/// child shares the parent's warm on-disk cache, so it skips the
-/// simulations the parent just ran.
-fn write_artifact(opts: &Opts, name: &str) {
-    let Some(dir) = &opts.out else { return };
-    std::fs::create_dir_all(dir).expect("create --out dir");
-    let exe = std::env::current_exe().expect("own path");
-    let mut args = vec![
-        name.to_owned(),
-        "--json".to_owned(),
-        "--no-ledger".to_owned(),
-        "--ops".to_owned(),
-        opts.ops.to_string(),
-    ];
-    if opts.jobs != 0 {
-        args.push("--jobs".to_owned());
-        args.push(opts.jobs.to_string());
-    }
-    if opts.no_cache {
-        args.push("--no-cache".to_owned());
-    }
-    if let Some(mode) = &opts.sampling {
-        args.push("--sampling".to_owned());
-        args.push(mode.describe());
-    }
-    // The child is a throwaway re-run for the JSON payload: it gets no
-    // trace, obs-json, or ledger of its own.
-    let output = std::process::Command::new(exe)
-        .args(&args)
-        .output()
-        .expect("re-run experiment for artifact");
-    assert!(
-        output.status.success(),
-        "artifact run for {name} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    // The experiment prints its header before the JSON payload; keep
-    // only the payload (first line starting with '{' or '[').
-    let text = String::from_utf8_lossy(&output.stdout);
-    let payload_start = text
-        .lines()
-        .scan(0usize, |off, line| {
-            let this = *off;
-            *off += line.len() + 1;
-            Some((this, line))
-        })
-        .find(|(_, line)| line.starts_with('{') || line.starts_with('['))
-        .map_or(0, |(off, _)| off);
-    std::fs::write(dir.join(format!("{name}.json")), &text[payload_start..])
-        .expect("write artifact");
-    println!("    [artifact: {}/{name}.json]", dir.display());
+/// The engine every experiment runs on, built from the flags and the two
+/// environment variables `figures` reads. The result cache lives in
+/// `P10SIM_CACHE_DIR` (default `target/p10sim-cache`; none with
+/// `--no-cache`). Warm-state checkpoints go to a non-empty
+/// `P10SIM_CKPT_DIR` — with or without `--no-cache` — else to
+/// `<result cache>/warm`, else to memory only.
+fn build_engine(opts: &Opts) -> runner::Engine {
+    let disk_cache = (!opts.no_cache).then(|| {
+        std::env::var_os("P10SIM_CACHE_DIR")
+            .map_or_else(|| Path::new("target").join("p10sim-cache"), PathBuf::from)
+    });
+    let ckpt_dir = std::env::var("P10SIM_CKPT_DIR")
+        .ok()
+        .filter(|s| !s.is_empty())
+        .map(PathBuf::from)
+        .or_else(|| disk_cache.as_ref().map(|d| d.join("warm")));
+    runner::Engine::new(runner::EngineConfig {
+        jobs: opts.jobs,
+        disk_cache,
+        progress: true,
+    })
+    .with_sampling(opts.sampling)
+    .with_ckpt_store(sampling::CkptStore::new(ckpt_dir))
 }
 
 fn main() {
@@ -321,47 +338,46 @@ fn main() {
     });
     p10_obs::set_thread_name("main");
 
-    // Sampling mode: --sampling, else exact. Installed once before any
-    // experiment runs; the engine's benchmark dispatch consults it for
-    // every simulation point.
-    let sampling_key = opts
-        .sampling
-        .map_or_else(|| "exact".to_owned(), |m| m.describe());
-    if let Some(mode) = opts.sampling {
-        sampling::set_mode(mode);
-        if !mode.is_exact() {
-            eprintln!("[figures] sampled execution: {}", mode.describe());
-        }
+    let sampling_key = opts.sampling.describe();
+    if !opts.sampling.is_exact() {
+        eprintln!("[figures] sampled execution: {sampling_key}");
     }
 
     // All experiment drivers run on the shared engine: a worker pool plus
-    // in-process memo and (unless --no-cache) the on-disk result cache.
-    runner::configure(runner::EngineConfig {
-        jobs: opts.jobs,
-        disk_cache: (!opts.no_cache).then(runner::default_cache_dir),
-        progress: true,
-    });
+    // in-process memo and (unless --no-cache) the on-disk result cache,
+    // in the --sampling mode.
+    runner::install(build_engine(&opts));
+    let eng_cfg = runner::engine().config();
     eprintln!(
         "[figures] {} worker(s), disk cache {}",
-        runner::engine().jobs(),
-        if opts.no_cache {
-            "off".to_owned()
-        } else {
-            runner::default_cache_dir().display().to_string()
-        }
+        eng_cfg.jobs,
+        eng_cfg
+            .disk_cache
+            .as_ref()
+            .map_or_else(|| "off".to_owned(), |d| d.display().to_string())
     );
 
     let experiments: Vec<&Experiment> = EXPERIMENTS
         .iter()
-        .filter(|&&(name, _, in_all)| if what == "all" { in_all } else { name == what })
+        .filter(|&&(name, _, in_all, _)| if what == "all" { in_all } else { name == what })
         .collect();
 
-    for &&(e, driver, _) in &experiments {
+    for &&(e, driver, ..) in &experiments {
         let sp = p10_obs::span(e);
-        driver(&opts);
+        let report = driver(&opts);
         let secs = sp.finish();
+        let body = if opts.json {
+            &report.json
+        } else {
+            &report.text
+        };
+        print!("{}{body}", report.head);
         eprintln!("[figures] {e}: {secs:.2}s");
-        write_artifact(&opts, e);
+        if let Some(dir) = &opts.out {
+            std::fs::create_dir_all(dir).expect("create --out dir");
+            std::fs::write(dir.join(format!("{e}.json")), &report.json).expect("write artifact");
+            println!("    [artifact: {}/{e}.json]", dir.display());
+        }
     }
 
     // Observation effectiveness: the share of observed simulation cycles
@@ -459,7 +475,6 @@ fn main() {
         }
     }
     if !opts.no_ledger {
-        let eng_cfg = runner::engine().config();
         let names: Vec<&str> = experiments.iter().map(|e| e.0).collect();
         let identity = p10_obs::ledger::RunIdentity {
             experiment: what.clone(),
@@ -662,137 +677,126 @@ fn do_obsreport(opts: &Opts) -> i32 {
         println!("gate: PASS (no wall-time regression beyond {pct}% and {min_s:.2}s)");
         return 0;
     }
-    for r in &regressions {
+    for row in &regressions {
         println!(
             "gate: REGRESSION {} {:.2}s -> {:.2}s ({:+.1}% > {pct}%)",
-            r.phase, r.baseline_s, r.latest_s, r.delta_pct
+            row.phase, row.baseline_s, row.latest_s, row.delta_pct
         );
     }
     println!("gate: FAIL ({} regression(s))", regressions.len());
     1
 }
 
-fn header(title: &str, paper: &str) {
-    println!("\n=== {title} ===");
-    println!("    paper reference: {paper}");
-}
-
-fn do_table1(o: &Opts) {
-    header(
+fn do_table1(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Table I — chip features & efficiency projections",
         "2.6x core perf/W, up to 3x socket",
     );
     let t = table1::run_table1(&suite(), 42, o.ops);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&t).expect("json"));
-        return;
-    }
-    println!("SMT per core                  : {}", t.smt_per_core);
-    println!(
+    r.line(format!(
+        "SMT per core                  : {}",
+        t.smt_per_core
+    ));
+    r.line(format!(
         "L2 per SMT8 core              : {:.1} MiB (paper: 2 MiB)",
         t.l2_per_core_mib
-    );
-    println!(
+    ));
+    r.line(format!(
         "MMU (TLB) ratio vs POWER9     : {:.1}x (paper: 4x)",
         t.mmu_ratio
-    );
-    println!(
+    ));
+    r.line(format!(
         "Core perf ratio               : {:.2}x (paper: ~1.3x)",
         t.perf_ratio
-    );
-    println!(
+    ));
+    r.line(format!(
         "Core power ratio              : {:.2}x (paper: ~0.5x)",
         t.power_ratio
-    );
-    println!(
+    ));
+    r.line(format!(
         "Core performance/watt         : {:.2}x (paper: 2.6x)",
         t.perf_per_watt_core
-    );
-    println!(
+    ));
+    r.line(format!(
         "Socket-view efficiency (SMT2) : {:.2}x (paper: up to 3x)",
         t.socket_efficiency
-    );
+    ));
+    r.json(&t)
 }
 
-fn do_fig2(o: &Opts) {
-    header(
+fn do_fig2(_: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 2 — optimal pipeline depth",
         "optimum stable at 27 FO4 for 0.5x-1.0x power targets",
     );
     let f = p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25]);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
     for &t in &f.power_targets {
-        println!("power target {t:.2}x: optimal FO4 = {}", f.optimal_fo4(t));
+        r.line(format!(
+            "power target {t:.2}x: optimal FO4 = {}",
+            f.optimal_fo4(t)
+        ));
     }
-    println!("curve (target=1.0): fo4 -> BIPS");
+    r.line("curve (target=1.0): fo4 -> BIPS".to_owned());
     for p in f
         .points
         .iter()
         .filter(|p| (p.power_target - 1.0).abs() < 1e-9)
         .step_by(4)
     {
-        println!("  {:>4.0}  {:.3}", p.fo4, p.bips);
+        r.line(format!("  {:>4.0}  {:.3}", p.fo4, p.bips));
     }
+    r.json(&f)
 }
 
-fn do_fig4(o: &Opts) {
-    header(
+fn do_fig4(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 4 — per-design-change performance gains",
         "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
     );
     let f = ablation::run_fig4(&suite(), 42, o.ops / 2);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<20} {:>8} {:>8} {:>8}  max workload",
         "group", "ST", "SMT", "max"
-    );
-    for r in &f.rows {
-        println!(
+    ));
+    for row in &f.rows {
+        r.line(format!(
             "{:<20} {:>7.1}% {:>7.1}% {:>7.1}%  {}",
-            r.group,
-            r.st_gain * 100.0,
-            r.smt_gain * 100.0,
-            r.max_gain * 100.0,
-            r.max_workload
-        );
+            row.group,
+            row.st_gain * 100.0,
+            row.smt_gain * 100.0,
+            row.max_gain * 100.0,
+            row.max_workload
+        ));
     }
+    r.json(&f)
 }
 
-fn do_fig5(o: &Opts) {
-    header(
+fn do_fig5(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 5 — DGEMM flops/cycle & core power",
         "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
     );
     let f = gemm::run_fig5(o.ops);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
     for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
-        println!(
+        r.line(format!(
             "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}",
             p.label,
             p.flops_per_cycle,
             p.peak_utilization * 100.0,
             p.core_power
-        );
+        ));
     }
-    println!(
+    r.line(format!(
         "VSU speedup {:.2}x (paper 1.95x)   power {:+.1}% (paper -32.2%)",
         f.vsu_speedup(),
         f.vsu_power_delta() * 100.0
-    );
-    println!(
+    ));
+    r.line(format!(
         "MMA speedup {:.2}x (paper 5.47x)   power {:+.1}% (paper -24.1%)",
         f.mma_speedup(),
         f.mma_power_delta() * 100.0
-    );
+    ));
+    r.json(&f)
 }
 
 /// Fig. 6 for one model, through the engine cache (the socket experiment
@@ -808,43 +812,42 @@ fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> infe
     )
 }
 
-fn do_fig6(o: &Opts) {
-    header(
+fn do_fig6(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 6 — end-to-end inference",
         "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)",
     );
     let models = [resnet50(100), bert_large(8, 384)];
     let figs = runner::run_jobs_par(&models, |_, m| fig6_cached(m, o.ops / 2));
-    for f in figs {
-        if o.json {
-            println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-            continue;
-        }
-        println!("-- {} --", f.model);
-        println!(
+    for f in &figs {
+        r.line(format!("-- {} --", f.model));
+        r.line(format!(
             "{:<16} {:>12} {:>12} {:>7} {:>10}",
             "config", "instructions", "cycles", "CPI", "GEMM-ratio"
-        );
-        for r in [&f.p9, &f.p10_no_mma, &f.p10_mma] {
-            println!(
+        ));
+        for run in [&f.p9, &f.p10_no_mma, &f.p10_mma] {
+            r.line(format!(
                 "{:<16} {:>12.3e} {:>12.3e} {:>7.3} {:>10.2}",
-                r.config,
-                r.instructions,
-                r.cycles,
-                r.cpi(),
-                r.gemm_inst_ratio
-            );
+                run.config,
+                run.instructions,
+                run.cycles,
+                run.cpi(),
+                run.gemm_inst_ratio
+            ));
         }
-        println!(
+        r.line(format!(
             "speedups: no-MMA {:.2}x, MMA {:.2}x",
             f.speedup_no_mma(),
             f.speedup_mma()
-        );
+        ));
     }
+    // One document per model.
+    r.json = figs.iter().map(pretty).collect();
+    r
 }
 
-fn do_socket(o: &Opts) {
-    header(
+fn do_socket(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Socket-level AI projections",
         "up to 10x FP32 and 21x INT8 over POWER9",
     );
@@ -864,34 +867,29 @@ fn do_socket(o: &Opts) {
         );
         socket::project_socket_measured(&f, &int8, &socket::SocketScaling::default())
     });
-    for p in projections {
-        if o.json {
-            println!("{}", serde_json::to_string_pretty(&p).expect("json"));
-            continue;
-        }
-        println!(
+    for p in &projections {
+        r.line(format!(
             "{:<12} core {:.2}x  socket FP32 {:.1}x (paper up to 10x)  INT8 {:.1}x (paper up to 21x)",
             p.model, p.core_speedup, p.fp32_socket_speedup, p.int8_socket_speedup
-        );
+        ));
     }
+    // One document per model.
+    r.json = projections.iter().map(pretty).collect();
+    r
 }
 
-fn do_fig10(o: &Opts) {
-    header(
+fn do_fig10(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
     let pts = run_fig10(&suite(), 4, o.ops / 10);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<14} {:>4} {:>6} {:>8} {:>10}",
         "bench", "snip", "model", "IPC", "core power"
-    );
+    ));
     for p in &pts {
-        println!(
+        r.line(format!(
             "{:<14} {:>4} {:>6} {:>8.3} {:>10.1}",
             p.bench,
             p.snippet,
@@ -901,8 +899,9 @@ fn do_fig10(o: &Opts) {
             },
             p.ipc,
             p.core_power
-        );
+        ));
     }
+    r.json(&pts)
 }
 
 fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
@@ -916,30 +915,27 @@ fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
     )
 }
 
-fn do_fig11(o: &Opts) {
-    header(
+fn do_fig11(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 11 — M1-linked power model error vs #inputs",
         "error falls with inputs; <2.5% active at max inputs",
     );
     let data = runner::timed("fig11 dataset", || fig11_dataset(o));
     let curves = runner::timed("fig11 regression", || run_fig11(&data, 12));
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&curves).expect("json"));
-        return;
-    }
     for c in &curves {
-        println!("-- {} --", c.label);
+        r.line(format!("-- {} --", c.label));
         for p in &c.points {
-            println!(
+            r.line(format!(
                 "  inputs {:>2}: test err {:>6.2}%  train err {:>6.2}%",
                 p.inputs, p.test_error_pct, p.train_error_pct
-            );
+            ));
         }
     }
+    r.json(&curves)
 }
 
-fn do_fig12(o: &Opts) {
-    header(
+fn do_fig12(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 12 — top-down vs bottom-up power models",
         "models differ by 3.42% on average; 72 events total bottom-up",
     );
@@ -953,97 +949,85 @@ fn do_fig12(o: &Opts) {
     let total = datasets.remove(0);
     let components = datasets;
     let f = run_fig12(&total, &components, 12, 3);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "model difference   : {:.2}% (paper 3.42%)",
         f.mean_model_difference_pct
-    );
-    println!(
+    ));
+    r.line(format!(
         "bottom-up events   : {} across 39 components (paper 72)",
         f.bottom_up_events
-    );
-    println!("top-down events    : {}", f.top_down_events);
-    println!(
+    ));
+    r.line(format!("top-down events    : {}", f.top_down_events));
+    r.line(format!(
         "held-out error     : top-down {:.2}%, bottom-up {:.2}%",
         f.top_down_error_pct, f.bottom_up_error_pct
-    );
+    ));
+    r.json(&f)
 }
 
-fn do_fig13(o: &Opts) {
-    header(
+fn do_fig13(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 13 — derating per testcase",
         "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
     );
     let f = rasstudy::run_fig13(&CoreConfig::power10(), o.ops / 6, 3);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<20} {:>8} {:>8} {:>8} {:>8}",
         "testcase", "static", "VT=10%", "VT=50%", "VT=90%"
-    );
-    for r in &f.rows {
-        println!(
+    ));
+    for row in &f.rows {
+        r.line(format!(
             "{:<20} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%",
-            r.testcase, r.static_pct, r.runtime_vt10, r.runtime_vt50, r.runtime_vt90
-        );
+            row.testcase, row.static_pct, row.runtime_vt10, row.runtime_vt50, row.runtime_vt90
+        ));
     }
+    r.json(&f)
 }
 
-fn do_fig14(o: &Opts) {
-    header(
+fn do_fig14(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 14 — POWER9 vs POWER10 derating vs VT",
         "P10 runtime derating higher (6%→21% gap); static ~10% lower",
     );
     let f = rasstudy::run_fig14(o.ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "static derating: P9 {:.1}%  P10 {:.1}%",
         f.p9.static_pct, f.p10.static_pct
-    );
-    println!(
+    ));
+    r.line(format!(
         "{:>6} {:>10} {:>10} {:>8}",
         "VT", "P9 runtime", "P10 runtime", "gap"
-    );
+    ));
     for ((vt, r9), (_, r10)) in f.p9.runtime_by_vt.iter().zip(f.p10.runtime_by_vt.iter()) {
-        println!(
+        r.line(format!(
             "{:>5.0}% {:>9.1}% {:>9.1}% {:>+7.1}%",
             vt * 100.0,
             r9,
             r10,
             r10 - r9
-        );
+        ));
     }
+    r.json(&f)
 }
 
-fn do_fig15a(o: &Opts) {
-    header(
+fn do_fig15a(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 15(a) — power-proxy error vs #counters",
         "16 counters → 9.8% active-power error (<5% incl. static)",
     );
     let data = fig11_dataset(o);
     let sweep = run_fig15a(&data, 16);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&sweep).expect("json"));
-        return;
-    }
     for p in &sweep {
-        println!(
+        r.line(format!(
             "  counters {:>2}: active-power err {:>6.2}%",
             p.inputs, p.test_error_pct
-        );
+        ));
     }
+    r.json(&sweep)
 }
 
-fn do_fig15b(o: &Opts) {
-    header(
+fn do_fig15b(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Fig. 15(b) — proxy error vs time granularity",
         "predicting every >=50 cycles is near-best; finer degrades fast",
     );
@@ -1055,76 +1039,67 @@ fn do_fig15b(o: &Opts) {
         8,
         0.35,
     );
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
-        return;
-    }
     for p in &pts {
-        println!(
+        r.line(format!(
             "  window {:>4} cycles: err {:>6.2}%",
             p.window_cycles, p.error_pct
-        );
+        ));
     }
+    r.json(&pts)
 }
 
-fn do_flushes(o: &Opts) {
-    header(
+fn do_flushes(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Flush study — wasted instructions",
         "-25% SPECint, -38% interpreted/analytics",
     );
     let s = flush::run_flush_study(42, o.ops / 2);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    for r in &s.rows {
-        println!(
+    for row in &s.rows {
+        r.line(format!(
             "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%",
-            r.workload,
-            r.p9_waste_per_inst,
-            r.p10_waste_per_inst,
-            r.reduction() * 100.0
-        );
+            row.workload,
+            row.p9_waste_per_inst,
+            row.p10_waste_per_inst,
+            row.reduction() * 100.0
+        ));
     }
-    println!(
+    r.line(format!(
         "SPECint mean reduction      : {:.1}% (paper 25%)",
         s.specint_reduction() * 100.0
-    );
-    println!(
+    ));
+    r.line(format!(
         "interpreted/analytics mean  : {:.1}% (paper 38%)",
         s.interpreted_reduction() * 100.0
-    );
+    ));
+    r.json(&s)
 }
 
-fn do_coverage(o: &Opts) {
-    header(
+fn do_coverage(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Proxy coverage — Chopstix top-10 hot functions",
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
     let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
     let rows = runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, o.ops, 10));
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
     let mut sum = 0.0;
-    for r in &rows {
-        println!(
+    for row in &rows {
+        r.line(format!(
             "{:<16} proxies {:>2}  coverage {:>5.1}%",
-            r.workload,
-            r.proxies,
-            r.coverage * 100.0
-        );
-        sum += r.coverage;
+            row.workload,
+            row.proxies,
+            row.coverage * 100.0
+        ));
+        sum += row.coverage;
     }
-    println!(
+    r.line(format!(
         "average coverage: {:.1}% (paper ~70%)",
         sum / rows.len() as f64 * 100.0
-    );
+    ));
+    r.json(&rows)
 }
 
-fn do_apex_speedup(o: &Opts) {
-    header(
+fn do_apex_speedup(o: &Opts) -> Report {
+    let mut r = Report::new(
         "APEX speedup — detailed vs counter-based extraction",
         "~5000x on AWAN hardware; software analog shows the asymmetry",
     );
@@ -1140,35 +1115,24 @@ fn do_apex_speedup(o: &Opts) {
         "[figures] apex-speedup wall clock: detailed {:.3}s vs APEX {:.3}s -> {:.1}x",
         s.detailed_secs, s.apex_secs, s.speedup
     );
-    if o.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&json!({
-                "cycles": s.cycles,
-                "windows": s.windows,
-            }))
-            .expect("json")
-        );
-        return;
-    }
-    println!(
+    r.line(format!(
         "APEX extracted {} counter windows over {} cycles (detailed run reads every cycle)",
         s.windows, s.cycles
-    );
+    ));
+    r.json(&json!({
+        "cycles": s.cycles,
+        "windows": s.windows,
+    }))
 }
 
-fn do_profile(o: &Opts) {
-    header(
+fn do_profile(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Cycle-attribution profile",
         "SS III methodology turned on the simulator itself: where cycles go",
     );
     let configs = [CoreConfig::power9(), CoreConfig::power10()];
     let rows = p10_core::cycleprof::run_profile(&configs, &suite(), 42, o.ops);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<16} {:<10} {:>12} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "workload",
         "config",
@@ -1181,28 +1145,29 @@ fn do_profile(o: &Opts) {
         "disp",
         "fetch",
         "idle"
-    );
-    for r in &rows {
-        let a = r.attribution;
-        println!(
+    ));
+    for row in &rows {
+        let a = row.attribution;
+        r.line(format!(
             "{:<16} {:<10} {:>12} {:>6.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
-            r.workload,
-            r.config,
-            r.cycles,
-            r.ipc,
-            r.share(a.active),
-            r.share(a.mma_gated),
-            r.share(a.memory_bound),
-            r.share(a.issue_limited),
-            r.share(a.dispatch_stalled),
-            r.share(a.fetch_stalled),
-            r.share(a.idle)
-        );
+            row.workload,
+            row.config,
+            row.cycles,
+            row.ipc,
+            row.share(a.active),
+            row.share(a.mma_gated),
+            row.share(a.memory_bound),
+            row.share(a.issue_limited),
+            row.share(a.dispatch_stalled),
+            row.share(a.fetch_stalled),
+            row.share(a.idle)
+        ));
     }
+    r.json(&rows)
 }
 
-fn do_wof(o: &Opts) {
-    header(
+fn do_wof(o: &Opts) -> Report {
+    let mut r = Report::new(
         "WOF — workload-optimized frequency",
         "light workloads boost under the envelope; MMA gating reclaims leakage",
     );
@@ -1212,60 +1177,53 @@ fn do_wof(o: &Opts) {
     let ref_power = results
         .results
         .iter()
-        .map(|r| r.power.active())
+        .map(|res| res.power.active())
         .fold(0.0f64, f64::max);
     let wcfg = wof::WofConfig::typical();
     let mut rows = Vec::new();
-    for r in &results.results {
-        let ceff = wof::ceff_ratio(r.power.active(), ref_power);
+    for res in &results.results {
+        let ceff = wof::ceff_ratio(res.power.active(), ref_power);
         let d = wof::solve(&wcfg, ceff, 0.0);
         let d_gated = wof::solve(&wcfg, ceff, 2.0);
         rows.push(json!({
-            "workload": r.workload,
+            "workload": res.workload,
             "ceff": ceff,
             "freq_ghz": d.point.freq,
             "boost": d.boost,
             "freq_with_mma_gated": d_gated.point.freq,
         }));
-        if !o.json {
-            println!(
-                "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated",
-                r.workload, ceff, d.point.freq, d.boost, d_gated.point.freq
-            );
-        }
+        r.line(format!(
+            "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated",
+            res.workload, ceff, d.point.freq, d.boost, d_gated.point.freq
+        ));
     }
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-    }
+    r.json(&rows)
 }
 
-fn do_sensitivity(o: &Opts) {
-    header(
+fn do_sensitivity(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Design-choice sensitivity",
         "SS II-B mechanisms toggled off one at a time on POWER10",
     );
     let rows = p10_core::sensitivity::run_sensitivity(&suite(), 42, o.ops / 2);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<26} {:>10} {:>10} {:>12}",
         "mechanism", "perf", "power", "energy/inst"
-    );
-    for r in &rows {
-        println!(
+    ));
+    for row in &rows {
+        r.line(format!(
             "{:<26} {:>+9.1}% {:>+9.1}% {:>+11.1}%",
-            r.label,
-            r.perf_benefit * 100.0,
-            r.power_benefit * 100.0,
-            r.efficiency_benefit * 100.0
-        );
+            row.label,
+            row.perf_benefit * 100.0,
+            row.power_benefit * 100.0,
+            row.efficiency_benefit * 100.0
+        ));
     }
+    r.json(&rows)
 }
 
-fn do_smt(o: &Opts) {
-    header(
+fn do_smt(o: &Opts) -> Report {
+    let mut r = Report::new(
         "SMT throughput scaling",
         "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
     );
@@ -1275,24 +1233,21 @@ fn do_smt(o: &Opts) {
         .map(|&i| suite[i].clone())
         .collect();
     let s = p10_core::smtscale::run_smt_scaling(&sel, 42, o.ops / 4);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<10} {:>8} {:>14} {:>9}",
         "machine", "threads", "aggregate IPC", "scaling"
-    );
+    ));
     for p in &s.points {
-        println!(
+        r.line(format!(
             "{:<10} {:>8} {:>14.3} {:>8.2}x",
             p.config, p.threads, p.aggregate_ipc, p.scaling
-        );
+        ));
     }
+    r.json(&s)
 }
 
-fn do_tracking(o: &Opts) {
-    header(
+fn do_tracking(o: &Opts) -> Report {
+    let mut r = Report::new(
         "SS III-B tracked metrics",
         "IPC, core power, efficiency, latches, % clock enabled, switching",
     );
@@ -1304,31 +1259,28 @@ fn do_tracking(o: &Opts) {
         42,
         o.ops / 6,
     );
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "{:<10} {:>6} {:>10} {:>11} {:>10} {:>9} {:>10} {:>9}",
         "machine", "IPC", "core pwr", "efficiency", "latches", "clk-en%", "potential", "obs/pot"
-    );
-    for r in &rows {
-        println!(
+    ));
+    for row in &rows {
+        r.line(format!(
             "{:<10} {:>6.2} {:>10.1} {:>11.5} {:>10.0} {:>8.1}% {:>10.3} {:>9.2}",
-            r.config,
-            r.ipc,
-            r.core_power,
-            r.core_efficiency,
-            r.latches,
-            r.clock_enabled_pct,
-            r.potential_switching,
-            r.observed_ratio
-        );
+            row.config,
+            row.ipc,
+            row.core_power,
+            row.core_efficiency,
+            row.latches,
+            row.clock_enabled_pct,
+            row.potential_switching,
+            row.observed_ratio
+        ));
     }
+    r.json(&rows)
 }
 
-fn do_droop(o: &Opts) {
-    header(
+fn do_droop(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Workload-transition droop",
         "SS IV-B: sudden workload change droops the rail; the DDS clips it",
     );
@@ -1357,32 +1309,31 @@ fn do_droop(o: &Opts) {
     let pdn = PdnModel::default();
     let free = simulate_droop(&pdn, None, &demand);
     let protected = simulate_droop(&pdn, Some(&DroopSensor::default()), &demand);
-    if o.json {
-        println!(
-            "{}",
-            serde_json::json!({
-                "max_droop_unprotected": free.max_droop,
-                "max_droop_with_dds": protected.max_droop,
-                "engagements": protected.engagements,
-                "windows": demand.len(),
-            })
-        );
-        return;
-    }
-    println!(
+    r.line(format!(
         "scalar -> MMA-kernel transition over {} power windows:",
         demand.len()
-    );
-    println!(
+    ));
+    r.line(format!(
         "worst droop without DDS {:.1}%  |  with DDS {:.1}% ({} engagements)",
         free.max_droop * 100.0,
         protected.max_droop * 100.0,
         protected.engagements
+    ));
+    // The one compact payload.
+    r.json = format!(
+        "{}\n",
+        json!({
+            "max_droop_unprotected": free.max_droop,
+            "max_droop_with_dds": protected.max_droop,
+            "engagements": protected.engagements,
+            "windows": demand.len(),
+        })
     );
+    r
 }
 
-fn do_dse(o: &Opts) {
-    header(
+fn do_dse(o: &Opts) -> Report {
+    let mut r = Report::new(
         "DSE — perf/watt Pareto frontier over the design space",
         "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier",
     );
@@ -1393,14 +1344,16 @@ fn do_dse(o: &Opts) {
     // content-keyed (grid + suite + budget), so one file serves every
     // sweep and a killed run resumes from it. --no-cache disables it
     // along with the result cache.
-    if !o.no_cache {
-        cfg.journal = Some(runner::default_cache_dir().join("dse-journal.jsonl"));
-    }
+    let engine = runner::engine();
+    cfg.journal = engine
+        .config()
+        .disk_cache
+        .map(|d| d.join("dse-journal.jsonl"));
     let sp = p10_obs::span("dse.sweep");
-    let outcome = dse::run_dse(runner::engine(), &grid, &suite, &cfg);
+    let outcome = dse::run_dse(engine, &grid, &suite, &cfg);
     let wall = sp.finish();
-    let r = &outcome.result;
-    let s = r.stats;
+    let res = &outcome.result;
+    let s = res.stats;
     // Wall-clock accounting stays on stderr so stdout is deterministic.
     eprintln!(
         "[figures] dse: {} points in {wall:.2}s — {} recordings simulated, {} shards computed, {} resumed",
@@ -1415,60 +1368,65 @@ fn do_dse(o: &Opts) {
         // per-config re-simulation would cost ~points/classes as much.
         p10_obs::gauge("dse.est_naive_speedup", s.points as f64 / s.classes as f64);
     }
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(r).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "grid: {} points | {} timing classes | {} benchmarks | {} shards",
         s.points, s.classes, s.benches, s.shards
-    );
+    ));
     #[allow(clippy::cast_precision_loss)]
     let replay_pct = s.replay_hits as f64 * 100.0 / s.points.max(1) as f64;
-    println!(
+    r.line(format!(
         "reuse: {} points pure replay ({replay_pct:.1}%), {} detailed simulations ({} classes x {} benchmarks)",
         s.replay_hits,
         s.classes * s.benches,
         s.classes,
         s.benches
-    );
-    println!(
+    ));
+    r.line(format!(
         "\nPareto frontier ({} of {} points):",
-        r.frontier.len(),
+        res.frontier.len(),
         s.points
-    );
-    print!("{}", dse::frontier_markdown(r));
-    let paper: Vec<&dse::DsePointResult> = r.points.iter().filter(|p| p.paper).collect();
-    println!();
+    ));
+    r.text.push_str(&dse::frontier_markdown(res));
+    let paper: Vec<&dse::DsePointResult> = res.points.iter().filter(|p| p.paper).collect();
+    r.text.push('\n');
     for p in &paper {
-        let on = r.frontier.iter().any(|&i| r.points[i].name == p.name);
-        println!(
+        let on = res.frontier.iter().any(|&i| res.points[i].name == p.name);
+        r.line(format!(
             "paper endpoint {:<18} perf {:>7.3}  power {:>6.1} W  perf/W {:.4}  [{}]",
             p.name,
             p.perf,
             p.power,
             p.perf_per_watt,
             if on { "on frontier" } else { "dominated" }
-        );
+        ));
     }
     if let [p9, p10] = paper.as_slice() {
-        println!(
+        r.line(format!(
             "POWER10 vs POWER9 perf/W: {:.2}x (paper: 2.6x core)",
             p10.perf_per_watt / p9.perf_per_watt.max(1e-12)
-        );
+        ));
     }
+    r.json(res)
 }
 
-/// The default study mode when the CLI didn't ask for a specific one:
-/// ~64 intervals across the op budget with a 1/8-interval warmup. The
-/// interval floor keeps per-interval measurement above the granularity
-/// where boundary residue dominates; small budgets therefore degrade
-/// gracefully toward exact (fewer intervals, most of them simulated).
+/// The study's default interval: ~64 intervals across the op budget. The
+/// floor keeps per-interval measurement above the granularity where
+/// boundary residue dominates; small budgets therefore degrade gracefully
+/// toward exact (fewer intervals, most of them simulated).
+fn study_interval_ops(ops: u64) -> usize {
+    usize::try_from(ops / 64).unwrap_or(usize::MAX).max(2500)
+}
+
+/// The study's default cluster budget.
+const STUDY_K: usize = 8;
+
+/// The study mode when `--sampling` is exact: the default interval and
+/// cluster budget with a 1/8-interval warmup.
 fn default_sampling_mode(ops: u64) -> SamplingMode {
-    let interval_ops = usize::try_from(ops / 64).unwrap_or(usize::MAX).max(2500);
+    let interval_ops = study_interval_ops(ops);
     SamplingMode::SimPoints {
         interval_ops,
-        k: 8,
+        k: STUDY_K,
         warmup_ops: interval_ops / 8,
     }
 }
@@ -1502,35 +1460,25 @@ enum StudyOut {
     Train(Vec<sampling::TrainingRow>),
 }
 
-fn do_sampling(o: &Opts) {
-    header(
+fn do_sampling(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Sampled simulation — exact vs SimPoint-weighted execution",
         "representative-interval sampling with statistical error bounds",
     );
     // The study always runs both sides itself (uncached, so wall times
-    // are honest): exact as ground truth, sampled in the CLI's mode (or
-    // a budget-scaled default when the CLI mode is exact/absent).
-    let mode = o
-        .sampling
+    // are honest): exact as ground truth, sampled in the engine's mode
+    // (or a budget-scaled default when the engine is exact).
+    let engine = runner::engine();
+    let mode = Some(engine.sampling())
         .filter(|m| !m.is_exact())
         .unwrap_or_else(|| default_sampling_mode(o.ops));
     let cfg = CoreConfig::power10();
     let suite = suite();
     let benches = &suite[7..10];
-    println!("mode: {}  ops/workload: {}", mode.describe(), o.ops);
-    // Cross-workload fast-forward geometry: the study mode's interval and
-    // cluster budget, or the budget-scaled default's.
-    let (xi, xk) = match mode {
-        SamplingMode::SimPoints {
-            interval_ops, k, ..
-        } => (interval_ops, k),
-        _ => match default_sampling_mode(o.ops) {
-            SamplingMode::SimPoints {
-                interval_ops, k, ..
-            } => (interval_ops, k),
-            _ => unreachable!("default mode is simpoints"),
-        },
-    };
+    r.head += &format!("mode: {}  ops/workload: {}\n", mode.describe(), o.ops);
+    // Cross-workload fast-forward geometry: the default interval and
+    // cluster budget (bound mode, the only other study mode, has none).
+    let (xi, xk) = (study_interval_ops(o.ops), STUDY_K);
     // Target-bound auto-tuning demo: instead of fixing K, grow it until
     // the reported error bound meets a target. Later rounds reuse the
     // warm checkpoints and cached interval measurements earlier rounds
@@ -1538,8 +1486,8 @@ fn do_sampling(o: &Opts) {
     // only pays for its newly measured intervals. Skipped when the CLI
     // already asked for bound mode — the main table covered it then.
     let bound_target = (!matches!(mode, SamplingMode::Bound { .. }))
-        .then(|| SamplingMode::parse("bound:5").expect("static mode"));
-    let store = sampling::CkptStore::process_default();
+        .then_some(SamplingMode::Bound { target_mpct: 5_000 });
+    let store = engine.ckpt_store();
 
     // One flat job graph on the worker pool: a study job per workload
     // (the first, longest one chaining the bound demo), then a
@@ -1556,7 +1504,7 @@ fn do_sampling(o: &Opts) {
         })
         .chain(suite[..7].iter().map(StudyJob::Train))
         .collect();
-    let outs = runner::run_jobs_par(&jobs, |_, job| match *job {
+    let outs = engine.run_jobs_par(&jobs, |_, job| match *job {
         StudyJob::Study { bench, bound } => {
             let t0 = std::time::Instant::now();
             let exact = scenario::run_benchmark(&cfg, bench, 42, o.ops);
@@ -1627,44 +1575,40 @@ fn do_sampling(o: &Opts) {
             "speedup": speedup,
             "within_bound": within,
         }));
-        if !o.json {
-            println!(
-                "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
-                 power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
-                b.name,
-                run.exact_cpi,
-                s.stats.cpi_est,
-                cpi_err * 100.0,
-                s.stats.cpi_bound_rel * 100.0,
-                run.exact_power,
-                s.stats.power_est,
-                power_err * 100.0,
-                s.stats.power_bound_rel * 100.0,
-                if within { "OK" } else { "VIOLATED" }
-            );
-            println!(
-                "{:<16} simulated {}/{} ops over {} intervals ({} clusters)  \
-                 wall {:.2}s -> {:.2}s  speedup {:.1}x",
-                "",
-                s.stats.simulated_ops,
-                s.stats.total_ops,
-                s.stats.intervals,
-                s.stats.clusters,
-                exact_s,
-                sampled_s,
-                speedup
-            );
-        }
+        r.line(format!(
+            "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
+             power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
+            b.name,
+            run.exact_cpi,
+            s.stats.cpi_est,
+            cpi_err * 100.0,
+            s.stats.cpi_bound_rel * 100.0,
+            run.exact_power,
+            s.stats.power_est,
+            power_err * 100.0,
+            s.stats.power_bound_rel * 100.0,
+            if within { "OK" } else { "VIOLATED" }
+        ));
+        r.line(format!(
+            "{:<16} simulated {}/{} ops over {} intervals ({} clusters)  \
+             wall {:.2}s -> {:.2}s  speedup {:.1}x",
+            "",
+            s.stats.simulated_ops,
+            s.stats.total_ops,
+            s.stats.intervals,
+            s.stats.clusters,
+            exact_s,
+            sampled_s,
+            speedup
+        ));
     }
     #[allow(clippy::cast_precision_loss)]
     let mean_speedup = speedup_sum / rows.len() as f64;
-    if !o.json {
-        println!(
-            "error bound check: {}  mean speedup {:.1}x",
-            if all_ok { "OK" } else { "VIOLATED" },
-            mean_speedup
-        );
-    }
+    r.line(format!(
+        "error bound check: {}  mean speedup {:.1}x",
+        if all_ok { "OK" } else { "VIOLATED" },
+        mean_speedup
+    ));
 
     let bound = runs[0].bound.as_ref().map(|(s, wall)| {
         let b = &benches[0];
@@ -1674,22 +1618,20 @@ fn do_sampling(o: &Opts) {
             (runs[0].exact_cpi, runs[0].exact_power, runs[0].exact_s);
         let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
         let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-        if !o.json {
-            println!(
-                "bound:5 on {:<12} -> {}  CPI err {:>4.1}% <= bound {:>4.1}%  \
-                 power err {:>4.1}% <= bound {:>4.1}%  simulated {}/{}  wall {:.2}s ({:.1}x)",
-                b.name,
-                s.stats.mode,
-                cpi_err * 100.0,
-                s.stats.cpi_bound_rel * 100.0,
-                power_err * 100.0,
-                s.stats.power_bound_rel * 100.0,
-                s.stats.simulated_ops,
-                s.stats.total_ops,
-                wall,
-                exact_s / wall.max(1e-9)
-            );
-        }
+        r.line(format!(
+            "bound:5 on {:<12} -> {}  CPI err {:>4.1}% <= bound {:>4.1}%  \
+             power err {:>4.1}% <= bound {:>4.1}%  simulated {}/{}  wall {:.2}s ({:.1}x)",
+            b.name,
+            s.stats.mode,
+            cpi_err * 100.0,
+            s.stats.cpi_bound_rel * 100.0,
+            power_err * 100.0,
+            s.stats.power_bound_rel * 100.0,
+            s.stats.simulated_ops,
+            s.stats.total_ops,
+            wall,
+            exact_s / wall.max(1e-9)
+        ));
         json!({
             "workload": b.name,
             "mode": s.stats.mode,
@@ -1715,21 +1657,19 @@ fn do_sampling(o: &Opts) {
         let (exact_cpi, exact_power) = (runs[2].exact_cpi, runs[2].exact_power);
         let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
         let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-        if !o.json {
-            println!(
-                "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
-                 CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
-                model.training_rows,
-                model.cv_cpi_error_pct(),
-                model.cv_power_error_pct(),
-                b.name,
-                s.stats.cpi_est,
-                cpi_err * 100.0,
-                s.stats.power_est,
-                power_err * 100.0,
-                s.stats.mode
-            );
-        }
+        r.line(format!(
+            "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
+             CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
+            model.training_rows,
+            model.cv_cpi_error_pct(),
+            model.cv_power_error_pct(),
+            b.name,
+            s.stats.cpi_est,
+            cpi_err * 100.0,
+            s.stats.power_est,
+            power_err * 100.0,
+            s.stats.mode
+        ));
         json!({
             "workload": b.name,
             "mode": s.stats.mode,
@@ -1744,48 +1684,40 @@ fn do_sampling(o: &Opts) {
     // Warm-state checkpoint traffic across all of the above. A cold run
     // reports misses and warm passes; a repeat run (same budget, shared
     // P10SIM_CKPT_DIR or disk cache) reports hits and zero warm passes.
-    let ckpt = json!({
-        "hits": store.ckpt_hits(),
-        "misses": store.ckpt_misses(),
-        "bytes": store.ckpt_bytes(),
-        "warm_passes": store.warm_passes(),
-    });
-    if o.json {
-        let payload = json!({
-            "rows": rows,
-            "bound": bound,
-            "cross_workload": xw,
-            "checkpoints": ckpt,
-        });
-        println!("{}", serde_json::to_string_pretty(&payload).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "checkpoints: {} hit(s), {} miss(es), {} bytes, {} warm pass(es)",
         store.ckpt_hits(),
         store.ckpt_misses(),
         store.ckpt_bytes(),
         store.warm_passes()
-    );
+    ));
+    r.json(&json!({
+        "rows": rows,
+        "bound": bound,
+        "cross_workload": xw,
+        "checkpoints": {
+            "hits": store.ckpt_hits(),
+            "misses": store.ckpt_misses(),
+            "bytes": store.ckpt_bytes(),
+            "warm_passes": store.warm_passes(),
+        },
+    }))
 }
 
-fn do_tracepoints(o: &Opts) {
-    header(
+fn do_tracepoints(o: &Opts) -> Report {
+    let mut r = Report::new(
         "Tracepoints vs Simpoints",
         "counter-histogram epochs beat BBVs on phased/interpreted code",
     );
     let w = p10_workloads::suite::phased_pointer_chase(2_000);
     let s = tracestudy::run_trace_study(&CoreConfig::power10(), &w, o.ops, 1_500, 3);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    println!(
+    r.line(format!(
         "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)",
         s.full_cpi,
         s.simpoint_cpi,
         s.simpoint_error * 100.0,
         s.tracepoint_cpi,
         s.tracepoint_error * 100.0
-    );
+    ));
+    r.json(&s)
 }

@@ -66,6 +66,7 @@ fn malformed_sampling_bound_fails_loudly() {
         "bound:101",
         "bound:nan",
         "bound:5:6",
+        "simpoints:800:4",
     ] {
         assert_usage_error(
             &["table1", "--sampling", bad],
@@ -626,4 +627,173 @@ fn gate_flag_outside_obsreport_fails_loudly() {
     assert_usage_error(&["table1", "--gate", "50"], "--gate/--baseline");
     assert_usage_error(&["table1", "--min-s", "1"], "--min-s only apply");
     assert_usage_error(&["obsreport", "--gate", "many"], "invalid --gate");
+}
+
+#[test]
+fn sampling_outside_sampled_experiments_fails_loudly() {
+    // These experiments run no engine benchmark points, so a sampled mode
+    // would change nothing; it is refused instead of silently ignored.
+    for exp in ["fig2", "droop", "coverage"] {
+        assert_usage_error(&[exp, "--sampling", "bound:5"], "--sampling only applies");
+    }
+    let out = figures()
+        .args(["fig2", "--sampling", "exact", "--no-cache", "--no-ledger"])
+        .output()
+        .expect("run figures");
+    assert!(
+        out.status.success(),
+        "exact mode is always accepted: {out:?}"
+    );
+}
+
+#[test]
+fn sampling_reaches_every_sampled_experiment() {
+    for exp in [
+        "table1",
+        "fig4",
+        "wof",
+        "sensitivity",
+        "smt",
+        "dse",
+        "profile",
+        "sampling",
+    ] {
+        let args = [exp, "--ops", "2000", "--no-cache", "--sampling", "bound:50"];
+        let (_, counters) = run_counted(&args, "2", None);
+        let intervals = counters
+            .iter()
+            .find(|(name, _)| name == "sim.sample.intervals")
+            .map_or(0, |&(_, v)| v);
+        assert!(intervals > 0, "{exp} ran no sampled interval: {counters:?}");
+    }
+}
+
+/// Number of `ckpt-*.bin` checkpoint blobs directly under `dir`.
+fn ckpt_blobs(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with("ckpt-") && name.ends_with(".bin")
+            })
+            .count()
+    })
+}
+
+#[test]
+fn checkpoint_store_follows_the_documented_precedence() {
+    // A non-empty P10SIM_CKPT_DIR wins, with or without --no-cache; else
+    // checkpoints go to `<result cache>/warm`; else they stay in memory.
+    use std::path::Path;
+    let case = |env: &[(&str, &str)], no_cache: bool, check: &dyn Fn(&Path)| {
+        let root = scratch("ckpt-precedence", "");
+        let mut cmd = figures();
+        for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
+            cmd.env_remove(k);
+        }
+        cmd.current_dir(&root).envs(env.iter().copied()).args([
+            "sampling",
+            "--ops",
+            "8000",
+            "--no-ledger",
+            "--jobs",
+            "1",
+        ]);
+        if no_cache {
+            cmd.arg("--no-cache");
+        }
+        let out = cmd.output().expect("run figures");
+        assert!(out.status.success(), "{env:?} failed: {out:?}");
+        check(&root);
+        let _ = std::fs::remove_dir_all(&root);
+    };
+    case(&[], false, &|root| {
+        assert!(ckpt_blobs(&root.join("target/p10sim-cache/warm")) > 0);
+    });
+    case(&[("P10SIM_CACHE_DIR", "cache")], false, &|root| {
+        assert!(ckpt_blobs(&root.join("cache/warm")) > 0);
+        assert!(!root.join("target").exists());
+    });
+    let empty_ckpt = [("P10SIM_CACHE_DIR", "cache"), ("P10SIM_CKPT_DIR", "")];
+    case(&empty_ckpt, false, &|root| {
+        assert!(
+            ckpt_blobs(&root.join("cache/warm")) > 0,
+            "empty means unset"
+        );
+    });
+    let both = [("P10SIM_CACHE_DIR", "cache"), ("P10SIM_CKPT_DIR", "ck")];
+    case(&both, false, &|root| {
+        assert!(ckpt_blobs(&root.join("ck")) > 0);
+        assert_eq!(ckpt_blobs(&root.join("cache/warm")), 0);
+    });
+    case(&both, true, &|root| {
+        assert!(ckpt_blobs(&root.join("ck")) > 0);
+        assert!(
+            !root.join("cache").exists(),
+            "--no-cache writes no result cache"
+        );
+    });
+    case(&[("P10SIM_CACHE_DIR", "cache")], true, &|root| {
+        let left: Vec<_> = std::fs::read_dir(root).expect("scratch dir").collect();
+        assert!(
+            left.is_empty(),
+            "a memory-only store writes nothing: {left:?}"
+        );
+    });
+}
+
+/// Splits `--json --out` stdout into `(artifact path, payload)` pairs:
+/// each experiment prints its header, its payload, then the artifact
+/// line.
+fn payloads_and_artifacts(stdout: &str) -> Vec<(std::path::PathBuf, String)> {
+    stdout
+        .split("\n=== ")
+        .skip(1)
+        .map(|section| {
+            let (body, artifact) = section
+                .trim_end_matches('\n')
+                .rsplit_once("\n    [artifact: ")
+                .expect("artifact line");
+            let start = body
+                .find("\n{")
+                .or_else(|| body.find("\n["))
+                .expect("payload after the header");
+            (
+                std::path::PathBuf::from(artifact.trim_end_matches(']')),
+                format!("{}\n", &body[start + 1..]),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn out_artifacts_equal_the_json_payload() {
+    let dir = scratch("out", "");
+    let run = |args: &[&str]| {
+        let out = figures()
+            .args(args)
+            .args(["--ops", "2000", "--no-cache", "--no-ledger", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("run figures");
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let mut checked = Vec::new();
+    for exp in ["all", "dse", "profile", "sampling"] {
+        for (path, payload) in payloads_and_artifacts(&run(&[exp, "--json"])) {
+            let artifact = std::fs::read_to_string(&path).expect("artifact written");
+            assert_eq!(artifact, payload, "{} differs", path.display());
+            checked.push(path);
+        }
+    }
+    assert_eq!(checked.len(), 25, "one artifact per experiment");
+    // Without --json the artifact is still the JSON payload.
+    let json_fig4 = std::fs::read_to_string(dir.join("fig4.json")).expect("fig4 artifact");
+    let text = run(&["fig4"]);
+    assert!(text.contains("[artifact: "), "{text}");
+    let again = std::fs::read_to_string(dir.join("fig4.json")).expect("fig4 artifact");
+    assert_eq!(again, json_fig4);
+    let _ = std::fs::remove_dir_all(&dir);
 }

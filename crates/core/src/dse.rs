@@ -312,7 +312,7 @@ pub fn record_benchmark(
 
 /// The sampled twin of [`record_benchmark`]: runs the benchmark through
 /// [`crate::sampling::run_traces_sampled_traced`] (SimPoint measurement
-/// with checkpointed warming) and synthesizes the windowed activity
+/// with warming checkpointed in `store`) and synthesizes the windowed activity
 /// trace from the reconstituted per-interval cycle placement. The trace
 /// upholds the same recording contract (`trace.total() == sim.activity`)
 /// downstream replay relies on, so every replay tier works unchanged on
@@ -330,10 +330,17 @@ pub fn record_benchmark_sampled(
     max_ops: u64,
     window_cycles: u64,
     mode: &crate::sampling::SamplingMode,
+    store: &crate::sampling::CkptStore,
 ) -> RecordedRun {
     let views = benchmark_views(cfg, bench, seed, max_ops);
-    let (s, trace) =
-        crate::sampling::run_traces_sampled_traced(cfg, &bench.name, views, mode, window_cycles);
+    let (s, trace) = crate::sampling::run_traces_sampled_traced(
+        cfg,
+        &bench.name,
+        views,
+        mode,
+        window_cycles,
+        store,
+    );
     crate::sampling::record_obs(&s.stats);
     p10_obs::counter("sim.runs", 1);
     p10_obs::counter("sim.cycles", s.result.sim.activity.cycles);
@@ -372,11 +379,11 @@ fn recorded_run(
     cfg: &DseConfig,
     simulated: &AtomicU64,
 ) -> RecordedRun {
-    // A process-wide non-exact sampling mode routes class recordings
+    // An engine with a non-exact sampling mode records each class
     // through sampled measurement; the mode text joins the cache key so
     // sampled and exact recordings never alias (exact keys unchanged —
     // existing caches stay valid).
-    let sampling = crate::sampling::active();
+    let sampling = Some(engine.sampling()).filter(|m| !m.is_exact());
     let key = format!(
         "dse_trace|{}|{}|{}|{}|{}{}",
         serde_json::to_string(&timing_projection(core)).expect("config serializes"),
@@ -399,9 +406,15 @@ fn recorded_run(
     engine.cached(&label, &key, || {
         simulated.fetch_add(1, Ordering::Relaxed);
         match &sampling {
-            Some(m) => {
-                record_benchmark_sampled(core, bench, cfg.seed, cfg.max_ops, cfg.window_cycles, m)
-            }
+            Some(m) => record_benchmark_sampled(
+                core,
+                bench,
+                cfg.seed,
+                cfg.max_ops,
+                cfg.window_cycles,
+                m,
+                engine.ckpt_store(),
+            ),
             None => record_benchmark(core, bench, cfg.seed, cfg.max_ops, cfg.window_cycles),
         }
     })
@@ -869,7 +882,8 @@ mod tests {
             k: 3,
             warmup_ops: 125,
         };
-        let run = record_benchmark_sampled(&cfg, bench, 7, 5_000, 400, &mode);
+        let store = crate::sampling::CkptStore::new(None);
+        let run = record_benchmark_sampled(&cfg, bench, 7, 5_000, 400, &mode, &store);
         assert_eq!(run.trace.total(), run.sim.activity, "recording contract");
         assert_eq!(run.trace.window_cycles, 400);
         let cycle_sum: u64 = run.trace.windows.iter().map(|w| w.cycles).sum();

@@ -12,15 +12,20 @@
 //! * an **in-process memo** so one `figures all` run never simulates the
 //!   same point twice (e.g. the Fig. 12 bottom-up study re-reads the same
 //!   windowed runs for all 39 component targets), and
-//! * an optional **on-disk JSON cache** so a warm re-run (including the
-//!   `--out` artifact child process) skips already-simulated points.
+//! * an optional **on-disk JSON cache** so a warm re-run skips
+//!   already-simulated points.
 //!
 //! Keys are content hashes of the full serialized configuration plus the
 //! workload identity, seed, and op budget — a config tweak, new seed, or
 //! different budget is a different point. Per-job wall-clock timing and a
 //! progress line (on stderr, so `--json` stdout stays parseable) make
 //! long runs observable.
+//!
+//! An engine also carries the run's [`SamplingMode`] and its warm-state
+//! [`CkptStore`], so an exact and a sampled engine can coexist in one
+//! process.
 
+use crate::sampling::{CkptStore, SamplingMode};
 use crate::scenario::{run_benchmark, ScenarioResult, SuiteResult};
 use p10_uarch::{CoreConfig, Scheduler};
 use p10_workloads::Benchmark;
@@ -66,18 +71,22 @@ struct CacheStats {
     disk_decode_errors: AtomicU64,
 }
 
-/// The execution engine: a worker-pool runner plus the two cache layers.
+/// The execution engine: a worker-pool runner plus the two cache layers,
+/// the sampling mode its benchmark points run in, and the checkpoint
+/// store sampled runs warm through.
 pub struct Engine {
     jobs: usize,
     disk_cache: Option<PathBuf>,
     progress: bool,
     memo: Mutex<HashMap<String, Box<dyn Any + Send + Sync>>>,
     stats: CacheStats,
+    sampling: SamplingMode,
+    ckpt: CkptStore,
 }
 
 impl Engine {
-    /// Builds an engine from a configuration. A `jobs` of `0` means one
-    /// worker per available CPU.
+    /// Builds an exact engine with a memory-only checkpoint store from a
+    /// configuration. A `jobs` of `0` means one worker per available CPU.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         let jobs = if config.jobs == 0 {
@@ -91,7 +100,35 @@ impl Engine {
             progress: config.progress,
             memo: Mutex::new(HashMap::new()),
             stats: CacheStats::default(),
+            sampling: SamplingMode::Exact,
+            ckpt: CkptStore::new(None),
         }
+    }
+
+    /// This engine, running its benchmark points in `mode`.
+    #[must_use]
+    pub fn with_sampling(mut self, mode: SamplingMode) -> Self {
+        self.sampling = mode;
+        self
+    }
+
+    /// This engine, warming sampled runs through `store`.
+    #[must_use]
+    pub fn with_ckpt_store(mut self, store: CkptStore) -> Self {
+        self.ckpt = store;
+        self
+    }
+
+    /// The mode [`Engine::run_benchmark`] and the DSE recordings run in.
+    #[must_use]
+    pub fn sampling(&self) -> SamplingMode {
+        self.sampling
+    }
+
+    /// The checkpoint store sampled runs on this engine warm through.
+    #[must_use]
+    pub fn ckpt_store(&self) -> &CkptStore {
+        &self.ckpt
     }
 
     /// The worker-pool width this engine runs with.
@@ -259,12 +296,12 @@ impl Engine {
     /// One (config, benchmark, seed, ops) simulation point through the
     /// cache.
     ///
-    /// This is the single dispatch point for sampled execution: when a
-    /// non-exact [`crate::sampling`] mode is active (installed once by
-    /// the `figures` CLI), the point is simulated sampled and cached as a
-    /// [`crate::sampling::SampledScenario`] under a key extended with the
-    /// mode text — sampled and exact results never collide, and the
-    /// sampling `[obs]` counters are recorded even on cache hits.
+    /// This is the single dispatch point for sampled execution: on an
+    /// engine with a non-exact [`Engine::sampling`] mode, the point is
+    /// simulated sampled through the engine's checkpoint store and cached
+    /// as a [`crate::sampling::SampledScenario`] under a key extended
+    /// with the mode text — sampled and exact results never collide, and
+    /// the sampling `[obs]` counters are recorded even on cache hits.
     #[must_use]
     pub fn run_benchmark(
         &self,
@@ -279,7 +316,8 @@ impl Engine {
             cfg.name,
             cfg.smt.threads()
         );
-        if let Some(mode) = crate::sampling::active() {
+        let mode = self.sampling;
+        if !mode.is_exact() {
             let key = format!(
                 "{}|{}",
                 point_key(cfg, bench, seed, max_ops),
@@ -287,7 +325,13 @@ impl Engine {
             );
             let sampled: crate::sampling::SampledScenario =
                 self.cached(&format!("{label} [{}]", mode.describe()), &key, || {
-                    crate::sampling::run_benchmark_sampled(cfg, bench, seed, max_ops, &mode)
+                    crate::sampling::run_traces_sampled_with(
+                        cfg,
+                        &bench.name,
+                        crate::scenario::benchmark_views(cfg, bench, seed, max_ops),
+                        &mode,
+                        &self.ckpt,
+                    )
                 });
             crate::sampling::record_obs(&sampled.stats);
             return relabel(sampled.result, cfg);
@@ -513,30 +557,16 @@ static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
 /// Installs the process-wide engine. Returns `false` if one was already
 /// installed (first caller wins); call before any experiment runs.
-pub fn configure(config: EngineConfig) -> bool {
-    GLOBAL.set(Engine::new(config)).is_ok()
+pub fn install(engine: Engine) -> bool {
+    GLOBAL.set(engine).is_ok()
 }
 
-/// The process-wide engine, defaulting to all CPUs, memo-only caching,
-/// and no progress output if [`configure`] was never called.
+/// The process-wide engine: the one [`install`]ed, or else an exact one
+/// with all CPUs, memo-only caching and no progress output. Besides the
+/// free functions below, the sampled runs' interval measurements cache in
+/// it (`sampling::run_traces_sampled_with`).
 pub fn engine() -> &'static Engine {
     GLOBAL.get_or_init(|| Engine::new(EngineConfig::default()))
-}
-
-/// The process-wide engine if one has been installed (via [`configure`]
-/// or first use), without creating one as a side effect. Use
-/// [`Engine::config`] and [`Engine::cache_counts`] on the result to read
-/// back the active settings and cache activity.
-#[must_use]
-pub fn current() -> Option<&'static Engine> {
-    GLOBAL.get()
-}
-
-/// The default on-disk cache location honoring `P10SIM_CACHE_DIR`.
-#[must_use]
-pub fn default_cache_dir() -> PathBuf {
-    std::env::var_os("P10SIM_CACHE_DIR")
-        .map_or_else(|| Path::new("target").join("p10sim-cache"), PathBuf::from)
 }
 
 /// [`Engine::run_jobs_par`] on the process-wide engine.
@@ -801,6 +831,68 @@ mod tests {
             serde_json::to_string(&rb.power).expect("report serializes"),
             serde_json::to_string(&ra.power).expect("report serializes"),
         );
+    }
+
+    /// The process-wide total of one `[obs]` counter so far.
+    fn obs_counter(name: &str) -> u64 {
+        p10_obs::summary()
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    }
+
+    #[test]
+    fn exact_and_sampled_engines_coexist_in_one_process() {
+        let bench = p10_workloads::specint_like().remove(2);
+        let cfg = CoreConfig::power10();
+        let (seed, ops) = (3, 20_000);
+        let mode = SamplingMode::Bound {
+            target_mpct: 50_000,
+        };
+        let exact = Engine::new(EngineConfig::default());
+        let sampled = Engine::new(EngineConfig::default()).with_sampling(mode);
+        assert!(exact.sampling().is_exact());
+        assert_eq!(sampled.sampling(), mode);
+
+        // The exact engine is the reference path.
+        let json = |r: &ScenarioResult| serde_json::to_string(r).expect("result serializes");
+        let reference = run_benchmark(&cfg, &bench, seed, ops);
+        assert_eq!(
+            json(&exact.run_benchmark(&cfg, &bench, seed, ops)),
+            json(&reference)
+        );
+
+        // The sampled engine caches a `SampledScenario` under the key
+        // extended with the mode text.
+        let first = sampled.run_benchmark(&cfg, &bench, seed, ops);
+        let key = format!("{}|{}", point_key(&cfg, &bench, seed, ops), mode.describe());
+        let stored: crate::sampling::SampledScenario = sampled.cached("probe", &key, || {
+            panic!("the sampled point must be cached under the mode-extended key")
+        });
+        assert_eq!(json(&stored.result), json(&first));
+        assert_eq!(stored.stats.mode, "bound:50");
+        assert!(stored.stats.skipped_ops > 0, "{:?}", stored.stats);
+        assert_ne!(json(&first), json(&reference), "sampled must not be exact");
+
+        // A memo hit still records the sampling counters, and is relabeled
+        // for the requesting config.
+        let before = obs_counter("sim.sample.intervals");
+        let mut renamed = cfg.clone();
+        renamed.name = "POWER10-sampled".into();
+        let hit = sampled.run_benchmark(&renamed, &bench, seed, ops);
+        assert!(obs_counter("sim.sample.intervals") >= before + stored.stats.intervals);
+        assert_eq!(hit.config, "POWER10-sampled");
+        assert_eq!(hit.sim.config_name, "POWER10-sampled");
+        assert_eq!(hit.sim.activity, first.sim.activity);
+        assert_eq!(sampled.cache_counts().computes, 1);
+        assert_eq!(sampled.cache_counts().memo_hits, 2);
+        // The exact engine never saw the sampled point.
+        assert_eq!(exact.cache_counts().computes, 1);
+        assert_eq!(exact.cache_counts().memo_hits, 0);
+        // Warming went through the sampled engine's own store.
+        assert!(sampled.ckpt_store().warm_passes() > 0);
+        assert_eq!(exact.ckpt_store().warm_passes(), 0);
     }
 
     #[test]

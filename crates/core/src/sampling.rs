@@ -64,9 +64,10 @@
 //! from cheap functional-trace features, and the reported bound
 //! incorporates the leave-one-out cross-validated error.
 //!
-//! Exact mode remains the byte-identical reference: the engine only
-//! routes through this module when a non-exact mode is active, so
-//! `figures all` output without `--sampling` is unchanged.
+//! Exact mode remains the byte-identical reference: an engine only
+//! routes through this module when its [`runner::Engine::sampling`] mode
+//! is non-exact, so `figures all` output without `--sampling` is
+//! unchanged.
 
 use crate::runner;
 use crate::scenario::{self, ScenarioResult};
@@ -83,7 +84,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// BBV code-region buckets (matches the tracestudy granularity).
 const BBV_BUCKETS: usize = 64;
@@ -181,43 +182,23 @@ pub enum SamplingMode {
 }
 
 impl SamplingMode {
-    /// Parses a `--sampling` argument: `exact` |
-    /// `simpoints:INTERVAL:K[:WARMUP]` | `bound:PCT`. Warmup defaults to
-    /// `INTERVAL / 8`.
-    /// `PCT` is a relative error target in percent (`0 < PCT <= 100`,
-    /// fractions and a trailing `%` accepted).
+    /// Parses a `--sampling` argument: `exact` | `bound:PCT`, where `PCT`
+    /// is a relative error target in percent (`0 < PCT <= 100`, fractions
+    /// and a trailing `%` accepted). [`SamplingMode::SimPoints`] has no
+    /// text form to parse; callers build it in code.
     ///
     /// # Errors
     ///
     /// Returns a usage message naming the accepted grammar when the text
     /// does not parse or a field is out of range.
     pub fn parse(text: &str) -> Result<SamplingMode, String> {
-        let err = || {
-            format!(
-                "bad sampling mode '{text}': expected exact | \
-                 simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)"
-            )
-        };
+        let err =
+            || format!("bad sampling mode '{text}': expected exact | bound:PCT (0 < PCT <= 100)");
         let mut parts = text.split(':');
         let head = parts.next().ok_or_else(err)?;
         let fields: Vec<&str> = parts.collect();
-        let num = |s: &str| s.parse::<usize>().ok().filter(|&v| v > 0);
         match (head, fields.len()) {
             ("exact", 0) => Ok(SamplingMode::Exact),
-            ("simpoints", 2 | 3) => {
-                let interval_ops = num(fields[0]).ok_or_else(err)?;
-                let k = num(fields[1]).ok_or_else(err)?;
-                let warmup_ops = match fields.get(2) {
-                    // Warmup 0 is a legitimate request (cold intervals).
-                    Some(s) => s.parse::<usize>().map_err(|_| err())?,
-                    None => interval_ops / 8,
-                };
-                Ok(SamplingMode::SimPoints {
-                    interval_ops,
-                    k,
-                    warmup_ops,
-                })
-            }
             ("bound", 1) => {
                 let raw = fields[0].strip_suffix('%').unwrap_or(fields[0]);
                 let pct: f64 = raw.parse().map_err(|_| err())?;
@@ -235,8 +216,9 @@ impl SamplingMode {
         }
     }
 
-    /// Canonical text form; round-trips through [`SamplingMode::parse`]
-    /// and keys the result cache (a different mode is a different point).
+    /// Canonical text form; keys the result cache (a different mode is a
+    /// different point) and round-trips through [`SamplingMode::parse`]
+    /// for the modes the CLI accepts.
     #[must_use]
     pub fn describe(&self) -> String {
         match *self {
@@ -264,24 +246,6 @@ impl SamplingMode {
     pub fn is_exact(&self) -> bool {
         *self == SamplingMode::Exact
     }
-}
-
-static MODE: OnceLock<SamplingMode> = OnceLock::new();
-
-/// Installs the process-wide sampling mode (first caller wins; the
-/// `figures` CLI calls this once before any experiment runs). Returns
-/// `false` if a mode was already installed.
-pub fn set_mode(mode: SamplingMode) -> bool {
-    MODE.set(mode).is_ok()
-}
-
-/// The process-wide mode if a *non-exact* one is installed. The engine
-/// consults this at its single dispatch point; tests and the `sampling`
-/// experiment pass modes explicitly instead, so the global stays a pure
-/// CLI concern.
-#[must_use]
-pub fn active() -> Option<SamplingMode> {
-    MODE.get().copied().filter(|m| !m.is_exact())
 }
 
 /// What sampled execution measured and how much it claims to be worth.
@@ -386,8 +350,6 @@ pub struct CkptStore {
     warm_passes: AtomicU64,
 }
 
-static PROCESS_STORE: OnceLock<CkptStore> = OnceLock::new();
-
 impl CkptStore {
     /// A store with an optional disk tier (`None` = in-memory only).
     #[must_use]
@@ -402,22 +364,6 @@ impl CkptStore {
             bytes: AtomicU64::new(0),
             warm_passes: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide store every implicit sampling entry point uses.
-    ///
-    /// Its disk tier is `$P10SIM_CKPT_DIR` when set and non-empty,
-    /// otherwise `<engine disk cache>/warm` when the engine has a disk
-    /// cache, otherwise memory only.
-    pub fn process_default() -> &'static CkptStore {
-        PROCESS_STORE.get_or_init(|| {
-            let dir = std::env::var("P10SIM_CKPT_DIR")
-                .ok()
-                .filter(|s| !s.is_empty())
-                .map(PathBuf::from)
-                .or_else(|| runner::engine().config().disk_cache.map(|d| d.join("warm")));
-            CkptStore::new(dir)
-        })
     }
 
     /// Checkpoints served from this store (memo or disk).
@@ -1278,8 +1224,9 @@ fn sample_core(
     }
 }
 
-/// Runs pre-built per-thread views in the given sampling mode using the
-/// process-default checkpoint store.
+/// Runs pre-built per-thread views in the given sampling mode, warming
+/// through the process-wide engine's checkpoint store
+/// ([`runner::Engine::ckpt_store`]).
 ///
 /// Exact mode delegates to [`scenario::run_traces`] (bit-identical to the
 /// reference path) with trivial stats; sampled modes partition, cluster,
@@ -1295,7 +1242,7 @@ pub fn run_traces_sampled(
     views: Vec<TraceView>,
     mode: &SamplingMode,
 ) -> SampledScenario {
-    run_traces_sampled_with(cfg, name, views, mode, CkptStore::process_default())
+    run_traces_sampled_with(cfg, name, views, mode, runner::engine().ckpt_store())
 }
 
 /// [`run_traces_sampled`] against an explicit [`CkptStore`] — the sweep
@@ -1656,11 +1603,12 @@ pub fn run_traces_sampled_traced(
     views: Vec<TraceView>,
     mode: &SamplingMode,
     window_cycles: u64,
+    store: &CkptStore,
 ) -> (SampledScenario, ActivityTrace) {
     assert!(!mode.is_exact(), "traced sampling needs a non-exact mode");
     let total_ops: u64 = views.iter().map(|v| v.len() as u64).sum();
     assert!(total_ops > 0, "sampled run of an empty trace");
-    let (s, parts) = run_sampled_full(cfg, name, &views, mode, CkptStore::process_default());
+    let (s, parts) = run_sampled_full(cfg, name, &views, mode, store);
     let trace = synthesize_trace(&s.result.sim.activity, &parts, window_cycles);
     (s, trace)
 }
@@ -2001,33 +1949,13 @@ mod tests {
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
-        for text in [
-            "exact",
-            "simpoints:1000:8:125",
-            "bound:5",
-            "bound:2.5",
-            "bound:0.25",
-        ] {
+        for text in ["exact", "bound:5", "bound:2.5", "bound:0.25"] {
             let m = SamplingMode::parse(text).expect("parses");
             assert_eq!(m.describe(), text);
         }
-        // Defaults are filled in.
-        assert_eq!(
-            SamplingMode::parse("simpoints:800:4").expect("parses"),
-            SamplingMode::SimPoints {
-                interval_ops: 800,
-                k: 4,
-                warmup_ops: 100
-            }
-        );
-        assert_eq!(
-            SamplingMode::parse("simpoints:800:4:0").expect("parses"),
-            SamplingMode::SimPoints {
-                interval_ops: 800,
-                k: 4,
-                warmup_ops: 0
-            }
-        );
+        // SimPoints has no CLI text, but still describes itself for cache
+        // keys and the study's stdout.
+        assert_eq!(simpoints_mode().describe(), "simpoints:1000:4:125");
         // A trailing percent sign is tolerated and normalized away.
         assert_eq!(
             SamplingMode::parse("bound:5%").expect("parses"),
@@ -2043,6 +1971,9 @@ mod tests {
             "",
             "simpoint",
             "simpoints",
+            "simpoints:1000:8:125",
+            "simpoints:800:4",
+            "simpoints:800:4:0",
             "simpoints:0:4",
             "simpoints:100:0",
             "simpoints:100:4:5:6",
@@ -2157,17 +2088,6 @@ mod tests {
         // Degenerate: fewer cycles than any bucket can absorb.
         let r = rebalance(a, 0);
         assert_eq!(r.total(), 0);
-    }
-
-    #[test]
-    fn global_mode_is_set_once_and_exact_is_not_active() {
-        // `active()` must never report an exact mode; before any set_mode
-        // call it is None (figures is the only setter in production).
-        if MODE.get().is_none() {
-            assert!(active().is_none());
-        }
-        set_mode(SamplingMode::Exact);
-        assert!(active().is_none(), "exact must not activate sampling");
     }
 
     #[test]
@@ -2514,7 +2434,9 @@ mod tests {
         let b = &specint_like()[8];
         let cfg = CoreConfig::power10();
         let views = scenario::benchmark_views(&cfg, b, 1, 6_100);
-        let (s, trace) = run_traces_sampled_traced(&cfg, &b.name, views, &simpoints_mode(), 500);
+        let store = CkptStore::new(None);
+        let (s, trace) =
+            run_traces_sampled_traced(&cfg, &b.name, views, &simpoints_mode(), 500, &store);
         assert_eq!(trace.window_cycles, 500);
         assert_eq!(
             trace.total(),
@@ -2538,7 +2460,8 @@ mod tests {
         let views = scenario::benchmark_views(&cfg, b, 1, 6_100);
         let mode = SamplingMode::Bound { target_mpct: 100 };
         let exact = scenario::run_traces(&cfg, &b.name, views.clone());
-        let (s, trace) = run_traces_sampled_traced(&cfg, &b.name, views, &mode, 500);
+        let store = CkptStore::new(None);
+        let (s, trace) = run_traces_sampled_traced(&cfg, &b.name, views, &mode, 500, &store);
         assert_eq!(s.stats.mode, "bound:0.1");
         assert_eq!(s.stats.skipped_ops, 0);
         assert_eq!(s.stats.cpi_bound_rel, 0.0);

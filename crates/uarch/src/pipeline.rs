@@ -67,28 +67,10 @@ pub trait SpanObserver {
 
     /// Whether this observer accepts spans. Returning `false` makes the
     /// scheduler replay fast-forwarded stretches one cycle at a time
-    /// through [`on_cycle`](Self::on_cycle) — the per-cycle compatibility
-    /// mode used by [`Core::run_observed`].
+    /// through [`on_cycle`](Self::on_cycle), so the observer sees every
+    /// cycle's cumulative activity.
     fn wants_spans(&self) -> bool {
         true
-    }
-}
-
-/// Adapter presenting a plain per-cycle closure as a [`SpanObserver`]
-/// that opts out of spans (fast-forwarded stretches are replayed).
-struct PerCycleObserver<F>(F);
-
-impl<F: FnMut(u64, &Activity)> SpanObserver for PerCycleObserver<F> {
-    fn on_cycle(&mut self, cycle: u64, act: &Activity) {
-        (self.0)(cycle, act);
-    }
-
-    fn on_span(&mut self, _start: u64, _len: u64, _delta: &Activity) {
-        unreachable!("per-cycle observers never receive spans");
-    }
-
-    fn wants_spans(&self) -> bool {
-        false
     }
 }
 
@@ -566,30 +548,6 @@ impl Core {
         self.run_counted(traces, max_cycles, None).0
     }
 
-    /// Like [`Core::run`], but invokes `observer(cycle, &activity)` after
-    /// every simulated cycle — the per-cycle compatibility adapter over
-    /// [`Core::run_spanned`].
-    ///
-    /// With a per-cycle observer attached, fast-forwarded idle stretches
-    /// are replayed one cycle at a time (with the same per-cycle
-    /// accounting) so the observer sees every cycle's cumulative activity.
-    /// Span-aware consumers should implement [`SpanObserver`] and use
-    /// [`Core::run_spanned`] instead, which keeps the fast path fast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces are supplied than the configured SMT mode
-    /// supports, or if no traces are supplied.
-    pub fn run_observed<T: Into<TraceView>>(
-        self,
-        traces: Vec<T>,
-        max_cycles: u64,
-        observer: impl FnMut(u64, &Activity),
-    ) -> SimResult {
-        let mut adapter = PerCycleObserver(observer);
-        self.run_counted(traces, max_cycles, Some(&mut adapter)).0
-    }
-
     /// Like [`Core::run`], but delivers the simulation to a span-aware
     /// observer: live cycles via [`SpanObserver::on_cycle`] and
     /// fast-forwarded idle stretches via [`SpanObserver::on_span`] with
@@ -812,8 +770,8 @@ impl Core {
         };
         if let Some(obs) = observer.as_deref_mut() {
             if !obs.wants_spans() {
-                // Per-cycle compatibility mode: replay the stretch one
-                // cycle at a time so the observer misses nothing.
+                // Per-cycle mode: replay the stretch one cycle at a time
+                // so the observer misses nothing.
                 for _ in 0..skipped {
                     self.idle_tick(dispatch_blocked_threads, stall);
                     self.act.cycles = self.cycle;
@@ -2783,6 +2741,24 @@ mod attribution_tests {
         );
     }
 
+    /// Counts `on_cycle` calls and opts out of spans, so the scheduler
+    /// replays every fast-forwarded stretch one cycle at a time.
+    struct PerCycle(u64);
+
+    impl SpanObserver for PerCycle {
+        fn on_cycle(&mut self, _cycle: u64, _act: &Activity) {
+            self.0 += 1;
+        }
+
+        fn on_span(&mut self, _start: u64, _len: u64, _delta: &Activity) {
+            unreachable!("a per-cycle observer never receives spans");
+        }
+
+        fn wants_spans(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn attribution_identical_with_observer_replay() {
         // The observer path replays fast-forwarded stretches one cycle at
@@ -2790,7 +2766,9 @@ mod attribution_tests {
         let mut cfg = CoreConfig::power10();
         cfg.scheduler = Scheduler::EventDriven;
         let plain = Core::new(cfg.clone()).run(vec![chase_trace()], 10_000_000);
-        let observed = Core::new(cfg).run_observed(vec![chase_trace()], 10_000_000, |_, _| {});
+        let mut per_cycle = PerCycle(0);
+        let observed = Core::new(cfg).run_spanned(vec![chase_trace()], 10_000_000, &mut per_cycle);
+        assert_eq!(per_cycle.0, observed.activity.cycles, "one call per cycle");
         assert_eq!(plain.attribution, observed.attribution);
         assert_partitions(&observed);
     }

@@ -114,16 +114,17 @@ fn main() {
 
     // --- Incremental DSE: the perf/watt frontier in two generations ---
     println!("== Incremental perf/watt exploration (dse engine) ==");
-    runner::configure(runner::EngineConfig {
+    let cache = std::path::Path::new("target").join("p10sim-cache");
+    let engine = runner::Engine::new(runner::EngineConfig {
         jobs: 0,
-        disk_cache: Some(runner::default_cache_dir()),
+        disk_cache: Some(cache.clone()),
         progress: false,
     });
     let mut cfg = DseConfig::new(42, 20_000);
-    cfg.journal = Some(runner::default_cache_dir().join("design-space-journal.jsonl"));
+    cfg.journal = Some(cache.join("design-space-journal.jsonl"));
     let generations = [generation0(), generation1()];
     let suite = dse::default_suite();
-    let outcome = dse::run_dse_generations(runner::engine(), &generations, &suite, &cfg);
+    let outcome = dse::run_dse_generations(&engine, &generations, &suite, &cfg);
     let r = &outcome.result;
     println!(
         "evaluated {} points ({} timing classes, {} pure replay, {} pruned by the",

@@ -9,6 +9,7 @@
 
 use p10sim::core::dse::{self, DseConfig, DsePoint, PowerKnobs};
 use p10sim::core::runner::{Engine, EngineConfig};
+use p10sim::core::sampling::SamplingMode;
 use p10sim::core::scenario;
 use p10sim::uarch::{CoreConfig, SmtMode};
 use p10sim::workloads::specint_like;
@@ -141,5 +142,56 @@ fn killed_sweep_resumes_from_journal_byte_identically() {
         serde_json::to_string(&warm.result).expect("json"),
         full_json
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sampling mode is the engine's: an exact and a sampled engine sweep
+/// the same grid in one process over one disk cache. The sampled engine
+/// records every class itself (`dse::record_benchmark_sampled`, warming
+/// in its own checkpoint store) under keys the exact recordings never
+/// answer, and fresh engines of either mode disk-hit only their own.
+#[test]
+fn sampled_engine_records_under_keys_of_its_own() {
+    let dir = scratch_dir("sampled");
+    let engine = |mode: SamplingMode| {
+        Engine::new(EngineConfig {
+            jobs: 2,
+            disk_cache: Some(dir.clone()),
+            progress: false,
+        })
+        .with_sampling(mode)
+    };
+    let bound = SamplingMode::Bound {
+        target_mpct: 50_000,
+    };
+    let grid: Vec<DsePoint> = small_grid()
+        .into_iter()
+        .filter(|p| p.core.smt == SmtMode::St)
+        .collect();
+    let suite = &specint_like()[2..3];
+    let cfg = DseConfig::new(SEED, 20_000);
+    let json = |o: &dse::DseOutcome| serde_json::to_string(&o.result).expect("json");
+
+    let (exact, sampled) = (engine(SamplingMode::Exact), engine(bound));
+    let e = dse::run_dse(&exact, &grid, suite, &cfg);
+    let s = dse::run_dse(&sampled, &grid, suite, &cfg);
+    let recordings = e.run.recordings_simulated;
+    assert!(recordings > 0);
+    assert_eq!(
+        s.run.recordings_simulated, recordings,
+        "the sampled sweep must not reuse exact recordings"
+    );
+    assert_eq!(sampled.cache_counts().disk_hits, 0);
+    assert!(sampled.ckpt_store().warm_passes() > 0);
+    assert_eq!(exact.ckpt_store().warm_passes(), 0);
+    assert_ne!(json(&s), json(&e), "sampled recordings must be estimates");
+
+    for (mode, outcome) in [(SamplingMode::Exact, &e), (bound, &s)] {
+        let fresh = engine(mode);
+        let again = dse::run_dse(&fresh, &grid, suite, &cfg);
+        assert_eq!(again.run.recordings_simulated, 0, "{}", mode.describe());
+        assert_eq!(fresh.cache_counts().disk_hits, recordings);
+        assert_eq!(json(&again), json(outcome), "{}", mode.describe());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

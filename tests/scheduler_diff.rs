@@ -280,9 +280,27 @@ impl p10sim::uarch::SpanObserver for TilingObserver {
     }
 }
 
+/// A per-cycle observer: it opts out of spans, so the scheduler replays
+/// every fast-forwarded stretch one cycle at a time through `on_cycle`.
+struct PerCycle<F>(F);
+
+impl<F: FnMut(u64, &p10sim::uarch::Activity)> p10sim::uarch::SpanObserver for PerCycle<F> {
+    fn on_cycle(&mut self, cycle: u64, act: &p10sim::uarch::Activity) {
+        (self.0)(cycle, act);
+    }
+
+    fn on_span(&mut self, _start: u64, _len: u64, _delta: &p10sim::uarch::Activity) {
+        unreachable!("a per-cycle observer never receives spans");
+    }
+
+    fn wants_spans(&self) -> bool {
+        false
+    }
+}
+
 /// Observation must not perturb the simulation. Runs the same traces
 /// three ways on the event-driven scheduler — unobserved, under a
-/// span-aware observer, and under the per-cycle compatibility adapter —
+/// span-aware observer, and under a per-cycle observer —
 /// and demands byte-identical `SimResult`s (activity + attribution)
 /// plus a delivery stream that tiles the run.
 ///
@@ -297,9 +315,11 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
     let mut tiling = TilingObserver::new();
     let spanned = Core::new(cfg.clone()).run_spanned(traces.to_vec(), 50_000_000, &mut tiling);
     let mut per_cycle_calls = 0u64;
-    let per_cycle = Core::new(cfg.clone()).run_observed(traces.to_vec(), 50_000_000, |_, _| {
-        per_cycle_calls += 1;
-    });
+    let per_cycle = Core::new(cfg.clone()).run_spanned(
+        traces.to_vec(),
+        50_000_000,
+        &mut PerCycle(|_, _: &_| per_cycle_calls += 1),
+    );
 
     let pj = serde_json::to_string(&plain).expect("serialize plain");
     let sj = serde_json::to_string(&spanned).expect("serialize spanned");
@@ -311,7 +331,7 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
     );
     assert_eq!(
         pj, cj,
-        "per-cycle adapter must not perturb the run on {label} @ {}",
+        "per-cycle observer must not perturb the run on {label} @ {}",
         cfg.name
     );
     assert_eq!(
@@ -327,7 +347,7 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
     );
     assert_eq!(
         per_cycle_calls, plain.activity.cycles,
-        "per-cycle adapter must see every cycle on {label} @ {}",
+        "per-cycle observer must see every cycle on {label} @ {}",
         cfg.name
     );
 }
@@ -391,9 +411,8 @@ fn rtlsim_observed_sim_matches_plain_run() {
     }
 }
 
-/// The observed (per-cycle callback) entry point must also agree: the
-/// fast-forward path replays skipped cycles one at a time for the
-/// observer, and the observer must see every cycle exactly once with
+/// A per-cycle observer must also agree: the fast-forward path replays
+/// skipped cycles one at a time for the observer, and the observer must see every cycle exactly once with
 /// monotonically consistent counters.
 #[test]
 fn observed_run_sees_every_cycle_under_both_schedulers() {
@@ -404,9 +423,13 @@ fn observed_run_sees_every_cycle_under_both_schedulers() {
         let mut cfg = CoreConfig::power10();
         cfg.scheduler = scheduler;
         let mut log = Vec::new();
-        let r = Core::new(cfg).run_observed(vec![trace.clone()], 50_000_000, |cycle, act| {
-            log.push((cycle, act.completed));
-        });
+        let r = Core::new(cfg).run_spanned(
+            vec![trace.clone()],
+            50_000_000,
+            &mut PerCycle(|cycle, act: &p10sim::uarch::Activity| {
+                log.push((cycle, act.completed));
+            }),
+        );
         assert_eq!(
             log.len() as u64,
             r.activity.cycles,
