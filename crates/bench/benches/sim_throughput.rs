@@ -484,7 +484,7 @@ const DSE_OPS: u64 = 3_000;
 const DSE_NAIVE_SAMPLE: usize = 3;
 
 /// Sweeps the acceptance-criteria grid through the `dse` engine with
-/// cold in-process caches (no disk, no journal), asserts the sweep is
+/// cold in-process caches (no disk cache), asserts the sweep is
 /// deterministic, and anchors the naive-cost estimate by timing full
 /// exact simulation of a few sampled points.
 fn dse_bench() -> DseBench {

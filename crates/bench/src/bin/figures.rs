@@ -21,24 +21,31 @@
 //! warm-equivalence class instead of once per config.
 //! `--trace-out FILE` writes an event trace via `p10_obs` — JSON lines
 //! by default, or a `chrome://tracing`/Perfetto-loadable trace-event
-//! file with `--trace-format chrome`; either way an end-of-run summary
-//! table lands on stderr. `--obs-json FILE` additionally serializes that
-//! summary as one JSON object for scripts.
+//! file with `--trace-format chrome` (which needs `--trace-out`); either
+//! way an end-of-run summary table lands on stderr. `--obs-json FILE`
+//! additionally serializes that summary as one JSON object for scripts.
+//! `dse` keeps its class recordings and shard results in the result
+//! cache, so a killed or concurrent sweep reuses what is on disk.
 //!
-//! Every run also appends one `RunRecord` JSON line to the persistent
-//! run ledger (`target/p10sim-ledger/`, overridable with `--ledger-dir`,
-//! disabled with `--no-ledger`) — see `p10_obs::ledger`. The `obsreport`
+//! Every run also appends one `RunRecord` JSON line (identity, provenance
+//! and the `[obs]` summary) to the persistent run ledger
+//! (`target/p10sim-ledger/`, overridable with `--ledger-dir`, disabled
+//! with `--no-ledger`) — see `p10_obs::ledger`. The `obsreport`
 //! pseudo-experiment reads that history back: it prints
 //! wall-time/cache/coverage trends for the latest run against a
 //! baseline (`--baseline` selects one; default is the previous
-//! comparable run) and with `--gate PCT` exits non-zero when the latest
-//! run regressed more than `PCT` percent (deltas under `--min-s` seconds
-//! never gate). `<experiment>` is a name in `EXPERIMENTS`, `obsreport`,
-//! or `all` (the default) — every experiment marked for `all`, in table
-//! order. `dse` (the design-space Pareto sweep), `profile` (the
-//! cycle-attribution tables) and `sampling` (the exact-vs-sampled
-//! error/speedup study, whose wall-clock numbers vary run to run) run on
-//! demand only, which keeps `all`'s stdout stable across additions.
+//! comparable run), derived from each record's summary counters, and
+//! with `--gate PCT` exits non-zero when the latest run regressed more
+//! than `PCT` percent (deltas under `--min-s` seconds never gate). It
+//! takes only the four flags in its usage line; any other flag is a
+//! usage error, as are its own flags on any other experiment.
+//! `<experiment>` is a name in `EXPERIMENTS`, `obsreport`, or `all` (the
+//! default) — every experiment marked for `all`, in table order. Each
+//! driver receives only the op budget. `dse` (the design-space Pareto
+//! sweep), `profile` (the cycle-attribution tables) and `sampling` (the
+//! exact-vs-sampled error/speedup study, whose wall-clock numbers vary
+//! run to run) run on demand only, which keeps `all`'s stdout stable
+//! across additions.
 //!
 //! Stdout discipline: ledger, trace, and obs-json outputs never touch
 //! experiment stdout — `figures all` stdout is byte-identical with all
@@ -62,7 +69,7 @@ use std::path::{Path, PathBuf};
 
 /// An experiment: its name, its driver, whether `all` runs it, and
 /// whether it runs engine benchmark points (and so honours `--sampling`).
-type Experiment = (&'static str, fn(&Opts) -> Report, bool, bool);
+type Experiment = (&'static str, fn(u64) -> Report, bool, bool);
 
 /// Every experiment, in the order `all` runs them.
 const EXPERIMENTS: [Experiment; 25] = [
@@ -160,6 +167,10 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The flags `obsreport` reads, any other flag being an error there:
+/// `--ledger-dir`, then the three no other experiment reads.
+const OBSREPORT_FLAGS: [&str; 4] = ["--ledger-dir", "--baseline", "--gate", "--min-s"];
+
 /// Parses a `--trace-format` value.
 fn parse_trace_format(v: &str) -> p10_obs::TraceFormat {
     match v {
@@ -176,6 +187,7 @@ fn parse_trace_format(v: &str) -> p10_obs::TraceFormat {
 /// running something else.
 fn parse_args(args: &[String]) -> (String, Opts) {
     let mut what: Option<String> = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut opts = Opts {
         json: false,
         ops: FULL_OPS,
@@ -195,6 +207,9 @@ fn parse_args(args: &[String]) -> (String, Opts) {
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
+        if arg.starts_with('-') {
+            given.push(arg);
+        }
         let mut flag_value = |name: &str| -> String {
             i += 1;
             args.get(i)
@@ -270,10 +285,17 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         i += 1;
     }
     let what = what.unwrap_or_else(|| "all".to_owned());
-    if what != "obsreport"
-        && (opts.gate.is_some() || opts.baseline.is_some() || opts.min_s.is_some())
-    {
+    if what == "obsreport" {
+        if let Some(flag) = given.iter().find(|f| !OBSREPORT_FLAGS.contains(f)) {
+            usage_error(&format!(
+                "{flag} does not apply to the obsreport experiment"
+            ));
+        }
+    } else if given.iter().any(|f| OBSREPORT_FLAGS[1..].contains(f)) {
         usage_error("--gate/--baseline/--min-s only apply to the obsreport experiment");
+    }
+    if opts.trace_format.is_some() && opts.trace_out.is_none() {
+        usage_error("--trace-format only applies with --trace-out");
     }
     let ignores_sampling = EXPERIMENTS
         .iter()
@@ -364,7 +386,7 @@ fn main() {
 
     for &&(e, driver, ..) in &experiments {
         let sp = p10_obs::span(e);
-        let report = driver(&opts);
+        let report = driver(opts.ops);
         let secs = sp.finish();
         let body = if opts.json {
             &report.json
@@ -380,79 +402,47 @@ fn main() {
         }
     }
 
-    // Observation effectiveness: the share of observed simulation cycles
-    // delivered as closed-form spans instead of live steps (1.0 = every
-    // observed cycle rode the fast path). Derived from the counters the
-    // rtlsim/apex observers record, then shown as a gauge in the summary.
+    // Derived gauges, each the share of hits in hits + misses:
+    // - observation effectiveness: observed simulation cycles delivered as
+    //   closed-form spans instead of live steps (rtlsim/apex observers);
+    // - trace-arena effectiveness: trace requests served zero-copy from a
+    //   cached buffer;
+    // - sampled-execution coverage: trace ops whose timing was simulated
+    //   rather than reconstituted from a cluster representative;
+    // - warm-checkpoint effectiveness: boundary states restored from a
+    //   saved checkpoint instead of replayed from scratch.
     let s = p10_obs::summary();
-    let total = |name: &str| {
-        s.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
-    let live = total("sim.observed_live_cycles");
-    let span = total("sim.observed_span_cycles");
-    if live + span > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge("sim.span_hit_rate", span as f64 / (live + span) as f64);
-    }
-
-    // Trace-arena effectiveness: the share of trace requests served
-    // zero-copy from a cached buffer (1.0 = every request after the first
-    // synthesis of each distinct trace).
-    let arena_hits = total("trace.arena.hits");
-    let arena_misses = total("trace.arena.misses");
-    if arena_hits + arena_misses > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+    for (gauge, hits, misses) in [
+        (
+            "sim.span_hit_rate",
+            "sim.observed_span_cycles",
+            "sim.observed_live_cycles",
+        ),
+        (
             "trace.arena.hit_rate",
-            arena_hits as f64 / (arena_hits + arena_misses) as f64,
-        );
-    }
-
-    // Sampled-execution coverage: the fraction of trace ops whose timing
-    // was simulated directly rather than reconstituted from a cluster
-    // representative (1.0 = exact execution).
-    let sampled = total("sim.sample.simulated_ops");
-    let skipped = total("sim.sample.skipped_ops");
-    if sampled + skipped > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+            "trace.arena.hits",
+            "trace.arena.misses",
+        ),
+        (
             "sim.sample.coverage",
-            sampled as f64 / (sampled + skipped) as f64,
-        );
-    }
-
-    // Warm-checkpoint effectiveness: the share of boundary-state requests
-    // served from a saved checkpoint instead of replayed from scratch
-    // (1.0 = every warm prefix after the first run of each class).
-    let ck_hits = total("sampling.ckpt_hits");
-    let ck_misses = total("sampling.ckpt_misses");
-    if ck_hits + ck_misses > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+            "sim.sample.simulated_ops",
+            "sim.sample.skipped_ops",
+        ),
+        (
             "sampling.ckpt.hit_rate",
-            ck_hits as f64 / (ck_hits + ck_misses) as f64,
-        );
+            "sampling.ckpt_hits",
+            "sampling.ckpt_misses",
+        ),
+    ] {
+        if let Some(rate) = s.share(&[hits], &[misses]) {
+            p10_obs::gauge(gauge, rate);
+        }
     }
-
     // Worker utilization: each worker slot's busy seconds as a fraction
-    // of total run wall time (derived from the busy_us counters the
-    // runner records per pool).
+    // of total run wall time.
     if s.total_wall_s > 0.0 {
-        for c in &s.counters {
-            if let Some(slot) = c
-                .name
-                .strip_prefix("engine.")
-                .and_then(|r| r.strip_suffix(".busy_us"))
-            {
-                #[allow(clippy::cast_precision_loss)]
-                p10_obs::gauge(
-                    &format!("runner.{slot}.busy_frac"),
-                    c.value as f64 / 1e6 / s.total_wall_s,
-                );
-            }
+        for (slot, _, busy_s) in s.workers() {
+            p10_obs::gauge(&format!("runner.{slot}.busy_frac"), busy_s / s.total_wall_s);
         }
     }
 
@@ -537,6 +527,20 @@ fn pick_baseline<'a>(
         .ok_or_else(|| format!("no comparable run with id prefix '{sel}'"))
 }
 
+/// The rates `obsreport` shows for one run, from its summary's counters:
+/// the result-cache hit rate, the trace-arena hit rate and the sampling
+/// coverage (1.0 when nothing was sampled).
+fn run_rates(s: &p10_obs::Summary) -> (f64, f64, f64) {
+    let cache = s.share(&["cache.memo_hits", "cache.disk_hits"], &["cache.computes"]);
+    let arena = s.share(&["trace.arena.hits"], &["trace.arena.misses"]);
+    let coverage = s.share(&["sim.sample.simulated_ops"], &["sim.sample.skipped_ops"]);
+    (
+        cache.unwrap_or(0.0),
+        arena.unwrap_or(0.0),
+        coverage.unwrap_or(1.0),
+    )
+}
+
 /// The `obsreport` driver: reads ledger history, prints the latest run's
 /// wall-time/cache/coverage trends against a baseline, and applies the
 /// `--gate` regression check. Returns the process exit code.
@@ -579,17 +583,18 @@ fn do_obsreport(opts: &Opts) -> i32 {
         "#", "run", "wall", "cache%", "arena%", "coverage", "ckpt h/m", "warms"
     );
     for (i, r) in pool.iter().chain(std::iter::once(&latest)).enumerate() {
+        let (cache, arena, coverage) = run_rates(&r.summary);
         println!(
             "  {:>3} {:<16} {:>8.2}s {:>6.1}% {:>6.1}% {:>9.3} {:>5}/{:<5} {:>5}",
             i + 1,
             r.run_id,
             r.wall_s,
-            r.cache.hit_rate() * 100.0,
-            r.arena.hit_rate * 100.0,
-            r.sampling.coverage,
-            r.sampling.ckpt_hits,
-            r.sampling.ckpt_misses,
-            r.sampling.warm_passes
+            cache * 100.0,
+            arena * 100.0,
+            coverage,
+            r.summary.counter("sampling.ckpt_hits"),
+            r.summary.counter("sampling.ckpt_misses"),
+            r.summary.counter("sampling.warm_passes")
         );
     }
 
@@ -640,33 +645,35 @@ fn do_obsreport(opts: &Opts) -> i32 {
         latest.wall_s,
         delta_pct(baseline.wall_s, latest.wall_s)
     );
+    let (base, last) = (&baseline.summary, &latest.summary);
+    let ((base_cache, base_arena, base_cov), (cache, arena, cov)) =
+        (run_rates(base), run_rates(last));
     println!(
         "cache hit rate {:.1}% -> {:.1}%   arena hit rate {:.1}% -> {:.1}%   coverage {:.3} -> {:.3}",
-        baseline.cache.hit_rate() * 100.0,
-        latest.cache.hit_rate() * 100.0,
-        baseline.arena.hit_rate * 100.0,
-        latest.arena.hit_rate * 100.0,
-        baseline.sampling.coverage,
-        latest.sampling.coverage
+        base_cache * 100.0,
+        cache * 100.0,
+        base_arena * 100.0,
+        arena * 100.0,
+        base_cov,
+        cov
     );
+    let trend = |name: &str| format!("{} -> {}", base.counter(name), last.counter(name));
     println!(
-        "ckpt hits {} -> {}   misses {} -> {}   bytes {} -> {}   warm passes {} -> {}",
-        baseline.sampling.ckpt_hits,
-        latest.sampling.ckpt_hits,
-        baseline.sampling.ckpt_misses,
-        latest.sampling.ckpt_misses,
-        baseline.sampling.ckpt_bytes,
-        latest.sampling.ckpt_bytes,
-        baseline.sampling.warm_passes,
-        latest.sampling.warm_passes
+        "ckpt hits {}   misses {}   bytes {}   warm passes {}",
+        trend("sampling.ckpt_hits"),
+        trend("sampling.ckpt_misses"),
+        trend("sampling.ckpt_bytes"),
+        trend("sampling.warm_passes")
     );
-    for w in &latest.workers {
+    for (slot, jobs, busy_s) in last.workers() {
+        let busy_frac = if latest.wall_s > 0.0 {
+            busy_s / latest.wall_s
+        } else {
+            0.0
+        };
         println!(
-            "worker {:<10} jobs={:<4} busy={:.2}s ({:.0}% of wall)",
-            w.worker,
-            w.jobs,
-            w.busy_s,
-            w.busy_frac * 100.0
+            "worker {slot:<10} jobs={jobs:<4} busy={busy_s:.2}s ({:.0}% of wall)",
+            busy_frac * 100.0
         );
     }
 
@@ -687,12 +694,12 @@ fn do_obsreport(opts: &Opts) -> i32 {
     1
 }
 
-fn do_table1(o: &Opts) -> Report {
+fn do_table1(ops: u64) -> Report {
     let mut r = Report::new(
         "Table I — chip features & efficiency projections",
         "2.6x core perf/W, up to 3x socket",
     );
-    let t = table1::run_table1(&suite(), 42, o.ops);
+    let t = table1::run_table1(&suite(), 42, ops);
     r.line(format!(
         "SMT per core                  : {}",
         t.smt_per_core
@@ -724,7 +731,7 @@ fn do_table1(o: &Opts) -> Report {
     r.json(&t)
 }
 
-fn do_fig2(_: &Opts) -> Report {
+fn do_fig2(_: u64) -> Report {
     let mut r = Report::new(
         "Fig. 2 — optimal pipeline depth",
         "optimum stable at 27 FO4 for 0.5x-1.0x power targets",
@@ -748,12 +755,12 @@ fn do_fig2(_: &Opts) -> Report {
     r.json(&f)
 }
 
-fn do_fig4(o: &Opts) -> Report {
+fn do_fig4(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 4 — per-design-change performance gains",
         "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
     );
-    let f = ablation::run_fig4(&suite(), 42, o.ops / 2);
+    let f = ablation::run_fig4(&suite(), 42, ops / 2);
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8}  max workload",
         "group", "ST", "SMT", "max"
@@ -771,12 +778,12 @@ fn do_fig4(o: &Opts) -> Report {
     r.json(&f)
 }
 
-fn do_fig5(o: &Opts) -> Report {
+fn do_fig5(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 5 — DGEMM flops/cycle & core power",
         "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
     );
-    let f = gemm::run_fig5(o.ops);
+    let f = gemm::run_fig5(ops);
     for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
         r.line(format!(
             "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}",
@@ -812,13 +819,13 @@ fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> infe
     )
 }
 
-fn do_fig6(o: &Opts) -> Report {
+fn do_fig6(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 6 — end-to-end inference",
         "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)",
     );
     let models = [resnet50(100), bert_large(8, 384)];
-    let figs = runner::run_jobs_par(&models, |_, m| fig6_cached(m, o.ops / 2));
+    let figs = runner::run_jobs_par(&models, |_, m| fig6_cached(m, ops / 2));
     for f in &figs {
         r.line(format!("-- {} --", f.model));
         r.line(format!(
@@ -846,7 +853,7 @@ fn do_fig6(o: &Opts) -> Report {
     r
 }
 
-fn do_socket(o: &Opts) -> Report {
+fn do_socket(ops: u64) -> Report {
     let mut r = Report::new(
         "Socket-level AI projections",
         "up to 10x FP32 and 21x INT8 over POWER9",
@@ -854,16 +861,16 @@ fn do_socket(o: &Opts) -> Report {
     let p10 = CoreConfig::power10();
     let models = [resnet50(100), bert_large(8, 384)];
     let projections = runner::run_jobs_par(&models, |_, model| {
-        let f = fig6_cached(model, o.ops / 2);
+        let f = fig6_cached(model, ops / 2);
         let int8: inference::InferenceRun = runner::cached(
-            &format!("int8 {} ops={}", model.name, o.ops / 2),
+            &format!("int8 {} ops={}", model.name, ops / 2),
             &format!(
                 "int8|{}|{}|{}",
                 serde_json::to_string(model).expect("model serializes"),
                 serde_json::to_string(&p10).expect("config serializes"),
-                o.ops / 2
+                ops / 2
             ),
-            || inference::compose_int8(model, &p10, o.ops / 2),
+            || inference::compose_int8(model, &p10, ops / 2),
         );
         socket::project_socket_measured(&f, &int8, &socket::SocketScaling::default())
     });
@@ -878,12 +885,12 @@ fn do_socket(o: &Opts) -> Report {
     r
 }
 
-fn do_fig10(o: &Opts) -> Report {
+fn do_fig10(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
-    let pts = run_fig10(&suite(), 4, o.ops / 10);
+    let pts = run_fig10(&suite(), 4, ops / 10);
     r.line(format!(
         "{:<14} {:>4} {:>6} {:>8} {:>10}",
         "bench", "snip", "model", "IPC", "core power"
@@ -904,23 +911,23 @@ fn do_fig10(o: &Opts) -> Report {
     r.json(&pts)
 }
 
-fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
+fn fig11_dataset(ops: u64) -> p10_powermodel::Dataset {
     build_dataset(
         &CoreConfig::power10(),
         &suite(),
         &[1, 2],
-        o.ops / 2,
+        ops / 2,
         512,
         Target::ActivePower,
     )
 }
 
-fn do_fig11(o: &Opts) -> Report {
+fn do_fig11(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 11 — M1-linked power model error vs #inputs",
         "error falls with inputs; <2.5% active at max inputs",
     );
-    let data = runner::timed("fig11 dataset", || fig11_dataset(o));
+    let data = runner::timed("fig11 dataset", || fig11_dataset(ops));
     let curves = runner::timed("fig11 regression", || run_fig11(&data, 12));
     for c in &curves {
         r.line(format!("-- {} --", c.label));
@@ -934,7 +941,7 @@ fn do_fig11(o: &Opts) -> Report {
     r.json(&curves)
 }
 
-fn do_fig12(o: &Opts) -> Report {
+fn do_fig12(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 12 — top-down vs bottom-up power models",
         "models differ by 3.42% on average; 72 events total bottom-up",
@@ -945,7 +952,7 @@ fn do_fig12(o: &Opts) -> Report {
     let targets: Vec<Target> = std::iter::once(Target::TotalPower)
         .chain((0..39).map(Target::Component))
         .collect();
-    let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], o.ops / 3, 512, &targets);
+    let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], ops / 3, 512, &targets);
     let total = datasets.remove(0);
     let components = datasets;
     let f = run_fig12(&total, &components, 12, 3);
@@ -965,12 +972,12 @@ fn do_fig12(o: &Opts) -> Report {
     r.json(&f)
 }
 
-fn do_fig13(o: &Opts) -> Report {
+fn do_fig13(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 13 — derating per testcase",
         "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
     );
-    let f = rasstudy::run_fig13(&CoreConfig::power10(), o.ops / 6, 3);
+    let f = rasstudy::run_fig13(&CoreConfig::power10(), ops / 6, 3);
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8} {:>8}",
         "testcase", "static", "VT=10%", "VT=50%", "VT=90%"
@@ -984,12 +991,12 @@ fn do_fig13(o: &Opts) -> Report {
     r.json(&f)
 }
 
-fn do_fig14(o: &Opts) -> Report {
+fn do_fig14(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 14 — POWER9 vs POWER10 derating vs VT",
         "P10 runtime derating higher (6%→21% gap); static ~10% lower",
     );
-    let f = rasstudy::run_fig14(o.ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]);
+    let f = rasstudy::run_fig14(ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]);
     r.line(format!(
         "static derating: P9 {:.1}%  P10 {:.1}%",
         f.p9.static_pct, f.p10.static_pct
@@ -1010,12 +1017,12 @@ fn do_fig14(o: &Opts) -> Report {
     r.json(&f)
 }
 
-fn do_fig15a(o: &Opts) -> Report {
+fn do_fig15a(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 15(a) — power-proxy error vs #counters",
         "16 counters → 9.8% active-power error (<5% incl. static)",
     );
-    let data = fig11_dataset(o);
+    let data = fig11_dataset(ops);
     let sweep = run_fig15a(&data, 16);
     for p in &sweep {
         r.line(format!(
@@ -1026,7 +1033,7 @@ fn do_fig15a(o: &Opts) -> Report {
     r.json(&sweep)
 }
 
-fn do_fig15b(o: &Opts) -> Report {
+fn do_fig15b(ops: u64) -> Report {
     let mut r = Report::new(
         "Fig. 15(b) — proxy error vs time granularity",
         "predicting every >=50 cycles is near-best; finer degrades fast",
@@ -1034,7 +1041,7 @@ fn do_fig15b(o: &Opts) -> Report {
     let pts = run_fig15b(
         &CoreConfig::power10(),
         &suite()[8],
-        o.ops / 2,
+        ops / 2,
         &[8, 16, 32, 64, 128, 256, 512],
         8,
         0.35,
@@ -1048,12 +1055,12 @@ fn do_fig15b(o: &Opts) -> Report {
     r.json(&pts)
 }
 
-fn do_flushes(o: &Opts) -> Report {
+fn do_flushes(ops: u64) -> Report {
     let mut r = Report::new(
         "Flush study — wasted instructions",
         "-25% SPECint, -38% interpreted/analytics",
     );
-    let s = flush::run_flush_study(42, o.ops / 2);
+    let s = flush::run_flush_study(42, ops / 2);
     for row in &s.rows {
         r.line(format!(
             "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%",
@@ -1074,13 +1081,13 @@ fn do_flushes(o: &Opts) -> Report {
     r.json(&s)
 }
 
-fn do_coverage(o: &Opts) -> Report {
+fn do_coverage(ops: u64) -> Report {
     let mut r = Report::new(
         "Proxy coverage — Chopstix top-10 hot functions",
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
     let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
-    let rows = runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, o.ops, 10));
+    let rows = runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10));
     let mut sum = 0.0;
     for row in &rows {
         r.line(format!(
@@ -1098,13 +1105,13 @@ fn do_coverage(o: &Opts) -> Report {
     r.json(&rows)
 }
 
-fn do_apex_speedup(o: &Opts) -> Report {
+fn do_apex_speedup(ops: u64) -> Report {
     let mut r = Report::new(
         "APEX speedup — detailed vs counter-based extraction",
         "~5000x on AWAN hardware; software analog shows the asymmetry",
     );
     let b = &suite()[8];
-    let t = b.workload(5).trace_or_panic(o.ops / 2);
+    let t = b.workload(5).trace_or_panic(ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
     // Wall-clock numbers vary run to run; they go to the obs summary on
     // stderr so stdout stays byte-identical across runs.
@@ -1125,13 +1132,13 @@ fn do_apex_speedup(o: &Opts) -> Report {
     }))
 }
 
-fn do_profile(o: &Opts) -> Report {
+fn do_profile(ops: u64) -> Report {
     let mut r = Report::new(
         "Cycle-attribution profile",
         "SS III methodology turned on the simulator itself: where cycles go",
     );
     let configs = [CoreConfig::power9(), CoreConfig::power10()];
-    let rows = p10_core::cycleprof::run_profile(&configs, &suite(), 42, o.ops);
+    let rows = p10_core::cycleprof::run_profile(&configs, &suite(), 42, ops);
     r.line(format!(
         "{:<16} {:<10} {:>12} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "workload",
@@ -1166,14 +1173,14 @@ fn do_profile(o: &Opts) -> Report {
     r.json(&rows)
 }
 
-fn do_wof(o: &Opts) -> Report {
+fn do_wof(ops: u64) -> Report {
     let mut r = Report::new(
         "WOF — workload-optimized frequency",
         "light workloads boost under the envelope; MMA gating reclaims leakage",
     );
     // Effective capacitance ratios from measured suite dynamic power.
     let cfg = CoreConfig::power10();
-    let results = scenario::run_suite(&cfg, &suite(), 42, o.ops / 3);
+    let results = scenario::run_suite(&cfg, &suite(), 42, ops / 3);
     let ref_power = results
         .results
         .iter()
@@ -1200,12 +1207,12 @@ fn do_wof(o: &Opts) -> Report {
     r.json(&rows)
 }
 
-fn do_sensitivity(o: &Opts) -> Report {
+fn do_sensitivity(ops: u64) -> Report {
     let mut r = Report::new(
         "Design-choice sensitivity",
         "SS II-B mechanisms toggled off one at a time on POWER10",
     );
-    let rows = p10_core::sensitivity::run_sensitivity(&suite(), 42, o.ops / 2);
+    let rows = p10_core::sensitivity::run_sensitivity(&suite(), 42, ops / 2);
     r.line(format!(
         "{:<26} {:>10} {:>10} {:>12}",
         "mechanism", "perf", "power", "energy/inst"
@@ -1222,7 +1229,7 @@ fn do_sensitivity(o: &Opts) -> Report {
     r.json(&rows)
 }
 
-fn do_smt(o: &Opts) -> Report {
+fn do_smt(ops: u64) -> Report {
     let mut r = Report::new(
         "SMT throughput scaling",
         "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
@@ -1232,7 +1239,7 @@ fn do_smt(o: &Opts) -> Report {
         .iter()
         .map(|&i| suite[i].clone())
         .collect();
-    let s = p10_core::smtscale::run_smt_scaling(&sel, 42, o.ops / 4);
+    let s = p10_core::smtscale::run_smt_scaling(&sel, 42, ops / 4);
     r.line(format!(
         "{:<10} {:>8} {:>14} {:>9}",
         "machine", "threads", "aggregate IPC", "scaling"
@@ -1246,7 +1253,7 @@ fn do_smt(o: &Opts) -> Report {
     r.json(&s)
 }
 
-fn do_tracking(o: &Opts) -> Report {
+fn do_tracking(ops: u64) -> Report {
     let mut r = Report::new(
         "SS III-B tracked metrics",
         "IPC, core power, efficiency, latches, % clock enabled, switching",
@@ -1257,7 +1264,7 @@ fn do_tracking(o: &Opts) -> Report {
         &[CoreConfig::power9(), CoreConfig::power10()],
         sel,
         42,
-        o.ops / 6,
+        ops / 6,
     );
     r.line(format!(
         "{:<10} {:>6} {:>10} {:>11} {:>10} {:>9} {:>10} {:>9}",
@@ -1279,16 +1286,16 @@ fn do_tracking(o: &Opts) -> Report {
     r.json(&rows)
 }
 
-fn do_droop(o: &Opts) -> Report {
+fn do_droop(ops: u64) -> Report {
     let mut r = Report::new(
         "Workload-transition droop",
         "SS IV-B: sudden workload change droops the rail; the DDS clips it",
     );
     use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
     // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-    let scalar = suite()[8].workload(3).trace_or_panic(o.ops / 8);
+    let scalar = suite()[8].workload(3).trace_or_panic(ops / 8);
     let mut ops_list = scalar.ops;
-    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(o.ops / 4);
+    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
     // The kernel workload uses its own memory image; for the droop demand
     // we only need the power series, so run the two phases separately.
     let cfg = CoreConfig::power10();
@@ -1301,7 +1308,7 @@ fn do_droop(o: &Opts) -> Report {
             .map(|w| model.evaluate(&w.activity).core_total())
             .collect()
     };
-    ops_list.truncate(o.ops as usize / 8);
+    ops_list.truncate(ops as usize / 8);
     let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
     let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
     powers.extend(phase_power(kernel));
@@ -1332,25 +1339,18 @@ fn do_droop(o: &Opts) -> Report {
     r
 }
 
-fn do_dse(o: &Opts) -> Report {
+fn do_dse(ops: u64) -> Report {
     let mut r = Report::new(
         "DSE — perf/watt Pareto frontier over the design space",
         "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier",
     );
     let grid = dse::default_grid();
     let suite = dse::default_suite();
-    let mut cfg = dse::DseConfig::new(42, o.ops);
-    // The shard journal rides in the disk-cache dir; entries are
-    // content-keyed (grid + suite + budget), so one file serves every
-    // sweep and a killed run resumes from it. --no-cache disables it
-    // along with the result cache.
-    let engine = runner::engine();
-    cfg.journal = engine
-        .config()
-        .disk_cache
-        .map(|d| d.join("dse-journal.jsonl"));
+    // Recordings and shard results are engine result-cache entries, so a
+    // killed sweep resumes from the disk cache.
+    let cfg = dse::DseConfig::new(42, ops);
     let sp = p10_obs::span("dse.sweep");
-    let outcome = dse::run_dse(engine, &grid, &suite, &cfg);
+    let outcome = dse::run_dse(runner::engine(), &grid, &suite, &cfg);
     let wall = sp.finish();
     let res = &outcome.result;
     let s = res.stats;
@@ -1460,7 +1460,7 @@ enum StudyOut {
     Train(Vec<sampling::TrainingRow>),
 }
 
-fn do_sampling(o: &Opts) -> Report {
+fn do_sampling(ops: u64) -> Report {
     let mut r = Report::new(
         "Sampled simulation — exact vs SimPoint-weighted execution",
         "representative-interval sampling with statistical error bounds",
@@ -1471,14 +1471,14 @@ fn do_sampling(o: &Opts) -> Report {
     let engine = runner::engine();
     let mode = Some(engine.sampling())
         .filter(|m| !m.is_exact())
-        .unwrap_or_else(|| default_sampling_mode(o.ops));
+        .unwrap_or_else(|| default_sampling_mode(ops));
     let cfg = CoreConfig::power10();
     let suite = suite();
     let benches = &suite[7..10];
-    r.head += &format!("mode: {}  ops/workload: {}\n", mode.describe(), o.ops);
+    r.head += &format!("mode: {}  ops/workload: {}\n", mode.describe(), ops);
     // Cross-workload fast-forward geometry: the default interval and
     // cluster budget (bound mode, the only other study mode, has none).
-    let (xi, xk) = (study_interval_ops(o.ops), STUDY_K);
+    let (xi, xk) = (study_interval_ops(ops), STUDY_K);
     // Target-bound auto-tuning demo: instead of fixing K, grow it until
     // the reported error bound meets a target. Later rounds reuse the
     // warm checkpoints and cached interval measurements earlier rounds
@@ -1507,14 +1507,14 @@ fn do_sampling(o: &Opts) -> Report {
     let outs = engine.run_jobs_par(&jobs, |_, job| match *job {
         StudyJob::Study { bench, bound } => {
             let t0 = std::time::Instant::now();
-            let exact = scenario::run_benchmark(&cfg, bench, 42, o.ops);
+            let exact = scenario::run_benchmark(&cfg, bench, 42, ops);
             let exact_s = t0.elapsed().as_secs_f64();
             let t1 = std::time::Instant::now();
-            let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, o.ops, &mode);
+            let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &mode);
             let sampled_s = t1.elapsed().as_secs_f64();
             let bound = bound.map(|target| {
                 let t2 = std::time::Instant::now();
-                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, o.ops, &target);
+                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &target);
                 (s, t2.elapsed().as_secs_f64())
             });
             StudyOut::Study(Box::new(StudyRun {
@@ -1527,7 +1527,7 @@ fn do_sampling(o: &Opts) -> Report {
             }))
         }
         StudyJob::Train(bench) => StudyOut::Train(sampling::cross_workload_rows(
-            &cfg, bench, 42, o.ops, xi, xk, store,
+            &cfg, bench, 42, ops, xi, xk, store,
         )),
     });
     let mut runs = Vec::new();
@@ -1652,7 +1652,7 @@ fn do_sampling(o: &Opts) -> Report {
     // predicted. Only the fit and this estimate run after the join.
     let xw = sampling::fit_cross_workload(&training_rows, 4).map(|model| {
         let b = &benches[2];
-        let s = sampling::run_benchmark_predicted(&cfg, b, 42, o.ops, xi, &model, store);
+        let s = sampling::run_benchmark_predicted(&cfg, b, 42, ops, xi, &model, store);
         sampling::record_obs(&s.stats);
         let (exact_cpi, exact_power) = (runs[2].exact_cpi, runs[2].exact_power);
         let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
@@ -1704,13 +1704,13 @@ fn do_sampling(o: &Opts) -> Report {
     }))
 }
 
-fn do_tracepoints(o: &Opts) -> Report {
+fn do_tracepoints(ops: u64) -> Report {
     let mut r = Report::new(
         "Tracepoints vs Simpoints",
         "counter-histogram epochs beat BBVs on phased/interpreted code",
     );
     let w = p10_workloads::suite::phased_pointer_chase(2_000);
-    let s = tracestudy::run_trace_study(&CoreConfig::power10(), &w, o.ops, 1_500, 3);
+    let s = tracestudy::run_trace_study(&CoreConfig::power10(), &w, ops, 1_500, 3);
     r.line(format!(
         "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)",
         s.full_cpi,

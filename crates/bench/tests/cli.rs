@@ -627,6 +627,28 @@ fn gate_flag_outside_obsreport_fails_loudly() {
     assert_usage_error(&["table1", "--gate", "50"], "--gate/--baseline");
     assert_usage_error(&["table1", "--min-s", "1"], "--min-s only apply");
     assert_usage_error(&["obsreport", "--gate", "many"], "invalid --gate");
+    // obsreport reads only the ledger; a run flag would be silently ignored.
+    for args in [
+        &["--json"][..],
+        &["--ops", "5"],
+        &["--out", "arts"],
+        &["--jobs", "2"],
+        &["--no-cache"],
+        &["--sampling", "bound:5"],
+        &["--trace-out", "t.jsonl"],
+        &["--trace-format", "chrome"],
+        &["--obs-json", "obs.json"],
+        &["--no-ledger"],
+    ] {
+        let mut argv = vec!["obsreport"];
+        argv.extend_from_slice(args);
+        let needle = format!("{} does not apply to the obsreport experiment", args[0]);
+        assert_usage_error(&argv, &needle);
+    }
+    assert_usage_error(
+        &["fig2", "--trace-format", "chrome"],
+        "--trace-format only applies with --trace-out",
+    );
 }
 
 #[test]

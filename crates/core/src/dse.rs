@@ -20,11 +20,12 @@
 //!    the recorded windows through `p10_power` and replay the resulting
 //!    power series through the `p10_powermgmt` governor — microseconds
 //!    per point, no simulation (the EnergAIzer move).
-//! 3. **Shard journal with checkpoint/resume** — grid points are
-//!    sharded across the worker pool; each finished shard appends one
-//!    content-keyed JSON line to a journal in the disk-cache dir, so a
-//!    killed sweep resumes exactly where it left off and the final
-//!    frontier is byte-identical to an uninterrupted run.
+//! 3. **Shards in the result cache** — grid points are sharded across
+//!    the worker pool; each finished shard's results are one
+//!    content-keyed [`Engine::cached`] entry, so a killed sweep resumes
+//!    exactly where it left off (a torn entry is a counted decode error
+//!    that recomputes) and the final frontier is byte-identical to an
+//!    uninterrupted run.
 //!
 //! The output is a perf/watt Pareto frontier with the paper's
 //! POWER9→POWER10 endpoints located on it (`figures dse` renders the
@@ -42,11 +43,8 @@ use p10_uarch::record::{ActivityRecorder, ActivityTrace};
 use p10_uarch::{Core, CoreConfig, SimResult, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Power-model / DVFS / WOF knobs of one grid point — the axes that
 /// never require re-simulation, only trace replay.
@@ -147,15 +145,12 @@ pub struct DseConfig {
     /// Recording window width in cycles (also the governor's control
     /// interval during replay).
     pub window_cycles: u64,
-    /// Grid points per journal shard.
+    /// Grid points per result-cache shard.
     pub shard_points: usize,
-    /// JSON-lines shard journal for checkpoint/resume; `None` disables
-    /// journaling.
-    pub journal: Option<PathBuf>,
 }
 
 impl DseConfig {
-    /// Defaults: 512-cycle windows, 32-point shards, no journal.
+    /// Defaults: 512-cycle windows, 32-point shards.
     #[must_use]
     pub fn new(seed: u64, max_ops: u64) -> Self {
         DseConfig {
@@ -163,7 +158,6 @@ impl DseConfig {
             max_ops,
             window_cycles: 512,
             shard_points: 32,
-            journal: None,
         }
     }
 }
@@ -227,7 +221,7 @@ pub struct DseStats {
     pub replay_hits: u64,
     /// Benchmarks in the suite.
     pub benches: u64,
-    /// Journal shards the grid was split into.
+    /// Result-cache shards the grid was split into.
     pub shards: u64,
     /// Candidate points pruned by the streaming Pareto filter between
     /// refinement generations (always 0 for a single-generation sweep).
@@ -240,7 +234,7 @@ pub struct DseStats {
 pub struct DseRunStats {
     /// Shards evaluated in this process.
     pub shards_computed: u64,
-    /// Shards served from the journal.
+    /// Shards served from the result cache.
     pub shards_resumed: u64,
     /// Class recordings actually simulated here (engine cache misses).
     pub recordings_simulated: u64,
@@ -372,6 +366,18 @@ pub fn scenario_from_recording(
     }
 }
 
+/// The cache-key suffix of an engine's sampling mode: empty when exact
+/// (exact keys unchanged — existing caches stay valid), else the mode
+/// text, so sampled and exact entries never alias.
+fn mode_suffix(engine: &Engine) -> String {
+    let mode = engine.sampling();
+    if mode.is_exact() {
+        String::new()
+    } else {
+        format!("|{}", mode.describe())
+    }
+}
+
 fn recorded_run(
     engine: &Engine,
     core: &CoreConfig,
@@ -380,9 +386,7 @@ fn recorded_run(
     simulated: &AtomicU64,
 ) -> RecordedRun {
     // An engine with a non-exact sampling mode records each class
-    // through sampled measurement; the mode text joins the cache key so
-    // sampled and exact recordings never alias (exact keys unchanged —
-    // existing caches stay valid).
+    // through sampled measurement.
     let sampling = Some(engine.sampling()).filter(|m| !m.is_exact());
     let key = format!(
         "dse_trace|{}|{}|{}|{}|{}{}",
@@ -391,10 +395,7 @@ fn recorded_run(
         cfg.seed,
         cfg.max_ops,
         cfg.window_cycles,
-        match &sampling {
-            Some(m) => format!("|{}", m.describe()),
-            None => String::new(),
-        },
+        mode_suffix(engine),
     );
     let label = format!(
         "dse record {} @ class {} x{} ops={}",
@@ -531,44 +532,29 @@ impl ParetoSet {
     }
 }
 
-#[derive(Serialize, Deserialize)]
-struct JournalEntry {
-    key: String,
-    results: Vec<DsePointResult>,
-}
-
-/// Parses a shard journal, skipping torn or foreign lines (a killed
-/// writer may leave a partial last line — that shard simply recomputes).
-fn read_journal(path: &Path) -> HashMap<String, Vec<DsePointResult>> {
-    let mut map = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return map;
-    };
-    for line in text.lines() {
-        if let Ok(entry) = serde_json::from_str::<JournalEntry>(line) {
-            map.insert(entry.key, entry.results);
-        }
-    }
-    map
-}
-
-fn shard_key(shard: &[DsePoint], suite: &[Benchmark], cfg: &DseConfig, ref_active: f64) -> String {
-    let body = format!(
-        "dse_shard|{}|{}|{}|{}|{}|{:016x}",
+fn shard_key(
+    engine: &Engine,
+    shard: &[DsePoint],
+    suite: &[Benchmark],
+    cfg: &DseConfig,
+    ref_active: f64,
+) -> String {
+    format!(
+        "dse_shard|{}|{}|{}|{}|{}|{:016x}{}",
         serde_json::to_string(shard).expect("points serialize"),
         serde_json::to_string(suite).expect("suite serializes"),
         cfg.seed,
         cfg.max_ops,
         cfg.window_cycles,
         ref_active.to_bits(),
-    );
-    format!("{:016x}", fnv1a64(body.as_bytes()))
+        mode_suffix(engine),
+    )
 }
 
 /// Runs one sweep generation: record one trace per (timing class,
-/// benchmark), replay every grid point, journal per shard, and return
-/// the Pareto frontier. Deterministic: the result is byte-identical
-/// whether the caches and journal were cold, warm, or mid-sweep.
+/// benchmark), replay every grid point, cache each shard's results, and
+/// return the Pareto frontier. Deterministic: the result is
+/// byte-identical whether the caches were cold, warm, or mid-sweep.
 #[must_use]
 pub fn run_dse(
     engine: &Engine,
@@ -609,54 +595,22 @@ pub fn run_dse(
     }
     let ref_active = ref_active.max(1e-9);
 
-    // Tier 3: shard replay with the checkpoint/resume journal.
+    // Tier 3: shard replay, each shard one result-cache entry.
     let shards: Vec<&[DsePoint]> = grid.chunks(cfg.shard_points.max(1)).collect();
-    let existing = cfg
-        .journal
-        .as_ref()
-        .map(|p| read_journal(p))
-        .unwrap_or_default();
-    let writer: Option<Mutex<std::fs::File>> = cfg.journal.as_ref().and_then(|p| {
-        if let Some(parent) = p.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        // A killed writer may have left a torn last line with no
-        // newline; terminate it so the first entry appended here starts
-        // on a fresh line instead of merging into the garbage.
-        let torn_tail = std::fs::read(p).is_ok_and(|b| !b.is_empty() && b.last() != Some(&b'\n'));
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(p)
-            .ok()?;
-        if torn_tail {
-            let _ = writeln!(file);
-        }
-        Some(Mutex::new(file))
-    });
     let computed = AtomicU64::new(0);
-    let resumed = AtomicU64::new(0);
-    let outputs: Vec<Vec<DsePointResult>> = engine.run_jobs_par(&shards, |_, shard| {
-        let key = shard_key(shard, suite, cfg, ref_active);
-        if let Some(results) = existing.get(&key) {
-            resumed.fetch_add(1, Ordering::Relaxed);
-            return results.clone();
-        }
-        let results: Vec<DsePointResult> = shard
-            .iter()
-            .map(|p| eval_point(p, &recordings, suite, ref_active))
-            .collect();
-        if let Some(w) = &writer {
-            let line = serde_json::to_string(&JournalEntry {
-                key,
-                results: results.clone(),
-            })
-            .expect("journal entry serializes");
-            let mut f = w.lock().expect("journal writer poisoned");
-            let _ = writeln!(f, "{line}");
-        }
-        computed.fetch_add(1, Ordering::Relaxed);
-        results
+    let outputs: Vec<Vec<DsePointResult>> = engine.run_jobs_par(&shards, |i, shard| {
+        let label = format!("dse shard {i} ({} points)", shard.len());
+        engine.cached(
+            &label,
+            &shard_key(engine, shard, suite, cfg, ref_active),
+            || {
+                computed.fetch_add(1, Ordering::Relaxed);
+                shard
+                    .iter()
+                    .map(|p| eval_point(p, &recordings, suite, ref_active))
+                    .collect()
+            },
+        )
     });
 
     let points: Vec<DsePointResult> = outputs.concat();
@@ -670,9 +624,10 @@ pub fn run_dse(
         shards: shards.len() as u64,
         pruned_points: 0,
     };
+    let shards_computed = computed.into_inner();
     let run = DseRunStats {
-        shards_computed: computed.into_inner(),
-        shards_resumed: resumed.into_inner(),
+        shards_computed,
+        shards_resumed: shards.len() as u64 - shards_computed,
         recordings_simulated: simulated.into_inner(),
     };
     record_obs(&stats, &run);
@@ -931,7 +886,7 @@ mod tests {
             "{replay} replays of {} points",
             grid.len()
         );
-        // Point names are unique (journal/frontier rows are unambiguous).
+        // Point names are unique (frontier rows are unambiguous).
         let names: std::collections::HashSet<&str> = grid.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names.len(), grid.len());
         assert_eq!(grid.iter().filter(|p| p.paper).count(), 2);

@@ -835,11 +835,7 @@ mod tests {
 
     /// The process-wide total of one `[obs]` counter so far.
     fn obs_counter(name: &str) -> u64 {
-        p10_obs::summary()
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
+        p10_obs::summary().counter(name)
     }
 
     #[test]

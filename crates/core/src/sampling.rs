@@ -56,11 +56,11 @@
 //! cluster budget round by round — reusing prior rounds' checkpoints and
 //! cached measurements — until the claimed bound meets a target.
 //!
-//! [`train_cross_workload`] fits linear counter→CPI and counter→power
+//! [`fit_cross_workload`] fits linear counter→CPI and counter→power
 //! predictors (Gram-cached forward selection from `p10-powermodel`) on
-//! several benchmarks' measured intervals, so a *new* workload can
-//! fast-forward from its first interval alone
-//! ([`run_benchmark_predicted`]): its other intervals are *predicted*
+//! the measured intervals [`cross_workload_rows`] collects from several
+//! benchmarks, so a *new* workload can fast-forward from its first
+//! interval alone ([`run_benchmark_predicted`]): its other intervals are *predicted*
 //! from cheap functional-trace features, and the reported bound
 //! incorporates the leave-one-out cross-validated error.
 //!
@@ -79,7 +79,7 @@ use p10_uarch::{
     Activity, ActivityTrace, Core, CoreConfig, CycleAttribution, FunctionalWarmer, SimResult,
     WarmState,
 };
-use p10_workloads::{Benchmark, Workload};
+use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -1719,28 +1719,6 @@ pub fn fit_cross_workload(rows: &[TrainingRow], max_features: usize) -> Option<C
     })
 }
 
-/// Trains one cross-workload fast-forward model on `benches`, one after
-/// another: [`cross_workload_rows`] per benchmark, then
-/// [`fit_cross_workload`] on all rows in benchmark order.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn train_cross_workload(
-    cfg: &CoreConfig,
-    benches: &[Benchmark],
-    seed: u64,
-    max_ops: u64,
-    interval_ops: usize,
-    k: usize,
-    max_features: usize,
-    store: &CkptStore,
-) -> Option<CrossWorkloadModel> {
-    let rows: Vec<TrainingRow> = benches
-        .iter()
-        .flat_map(|b| cross_workload_rows(cfg, b, seed, max_ops, interval_ops, k, store))
-        .collect();
-    fit_cross_workload(&rows, max_features)
-}
-
 /// Fast-forwards a benchmark through a [`CrossWorkloadModel`]: only the
 /// anchor interval — the medoid, whose feature row sits closest to the
 /// trace's mean feature vector, so it represents steady state rather
@@ -1912,23 +1890,6 @@ pub fn run_benchmark_sampled(
         cfg,
         &bench.name,
         scenario::benchmark_views(cfg, bench, seed, max_ops),
-        mode,
-    )
-}
-
-/// [`run_traces_sampled`] over a single workload's staggered SMT views —
-/// the sampled twin of [`scenario::run_workload`].
-#[must_use]
-pub fn run_workload_sampled(
-    cfg: &CoreConfig,
-    workload: &Workload,
-    max_ops: u64,
-    mode: &SamplingMode,
-) -> SampledScenario {
-    run_traces_sampled(
-        cfg,
-        &workload.name,
-        scenario::staggered_views(workload, cfg.smt.threads(), max_ops),
         mode,
     )
 }
@@ -2388,9 +2349,12 @@ mod tests {
             .flatten()
             .collect();
         let par = fit_cross_workload(&rows, 4).expect("enough training rows");
-        let serial =
-            train_cross_workload(&cfg, benches, 13, 5_000, 1_000, 3, 4, &CkptStore::new(None))
-                .expect("enough training rows");
+        let serial_store = CkptStore::new(None);
+        let serial_rows: Vec<TrainingRow> = benches
+            .iter()
+            .flat_map(|b| cross_workload_rows(&cfg, b, 13, 5_000, 1_000, 3, &serial_store))
+            .collect();
+        let serial = fit_cross_workload(&serial_rows, 4).expect("enough training rows");
         assert_eq!(par.training_rows, serial.training_rows);
         assert_eq!(
             par.cv_cpi_error_pct().to_bits(),
@@ -2480,8 +2444,11 @@ mod tests {
         let store = CkptStore::new(None);
         let cfg = CoreConfig::power10();
         let suite = specint_like();
-        let model = train_cross_workload(&cfg, &suite[0..3], 11, 5_000, 1_000, 3, 4, &store)
-            .expect("enough training rows");
+        let rows: Vec<TrainingRow> = suite[0..3]
+            .iter()
+            .flat_map(|b| cross_workload_rows(&cfg, b, 11, 5_000, 1_000, 3, &store))
+            .collect();
+        let model = fit_cross_workload(&rows, 4).expect("enough training rows");
         assert!(model.training_rows >= 4);
         let s = run_benchmark_predicted(&cfg, &suite[3], 11, 5_000, 1_000, &model, &store);
         assert_eq!(s.stats.mode, "xlearned:1000");

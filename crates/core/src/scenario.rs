@@ -186,12 +186,6 @@ pub struct SuiteResult {
 }
 
 impl SuiteResult {
-    /// Geometric-mean IPC across the suite.
-    #[must_use]
-    pub fn geomean_ipc(&self) -> f64 {
-        geomean(self.results.iter().map(ScenarioResult::ipc))
-    }
-
     /// Arithmetic-mean core power across the suite.
     #[must_use]
     pub fn mean_core_power(&self) -> f64 {
@@ -305,14 +299,6 @@ pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
 #[must_use]
 pub fn power10_smt(smt: SmtMode) -> CoreConfig {
     let mut c = CoreConfig::power10();
-    c.smt = smt;
-    c
-}
-
-/// Convenience: a POWER9 config in a given SMT mode.
-#[must_use]
-pub fn power9_smt(smt: SmtMode) -> CoreConfig {
-    let mut c = CoreConfig::power9();
     c.smt = smt;
     c
 }

@@ -1,13 +1,15 @@
 //! The persistent run ledger: durable, queryable flight records.
 //!
 //! Every `figures` run appends one [`RunRecord`] — a single JSON line —
-//! to `<ledger dir>/ledger.jsonl`. The record makes everything the
-//! `[obs]` stderr summary prints durable: experiment identity
-//! (content-addressed config/workload/sampling keys), machine and build
-//! metadata, per-phase wall times, cache and trace-arena traffic,
-//! sampling coverage, and per-worker job/busy-time breakdowns. Wall-clock
-//! data lives *only* here and on stderr — experiment stdout stays
-//! byte-identical whether the ledger is on or off.
+//! to `<ledger dir>/ledger.jsonl`. The record makes the `[obs]` stderr
+//! summary durable, as is, next to the run's identity
+//! (content-addressed config/workload/sampling keys) and its machine and
+//! build metadata. Rates — cache and trace-arena hit rates, sampling
+//! coverage, worker busy fractions — are not stored: readers derive
+//! them from the summary's counters ([`Summary::share`],
+//! [`Summary::workers`]). Wall-clock data lives *only* here and on
+//! stderr — experiment stdout stays byte-identical whether the ledger is
+//! on or off.
 //!
 //! On top of the history sit [`comparable`] (which prior runs are
 //! apples-to-apples with the latest) and [`gate`] (the perf-regression
@@ -23,10 +25,11 @@ use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Schema version stamped into every record. v2 added the checkpoint
-/// traffic fields to [`SamplingActivity`]; v1 lines no longer parse and
-/// are skipped by [`read`].
-pub const SCHEMA: u32 = 2;
+/// Schema version stamped into every record. v3 dropped v2's derived
+/// `cache`/`arena`/`sampling`/`workers` sections, which repeated the
+/// summary's counters; v2 lines still parse (the extra fields are
+/// ignored), v1 lines do not and are skipped by [`read`].
+pub const SCHEMA: u32 = 3;
 
 /// File name of the append-only ledger inside the ledger directory.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
@@ -103,90 +106,8 @@ impl BuildInfo {
     }
 }
 
-/// Result-cache traffic for one run (from the `cache.*` counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheTraffic {
-    /// In-process memo hits.
-    pub memo_hits: u64,
-    /// On-disk cache hits.
-    pub disk_hits: u64,
-    /// Points actually simulated.
-    pub computes: u64,
-    /// Corrupt disk entries healed by recompute.
-    pub disk_decode_errors: u64,
-}
-
-impl CacheTraffic {
-    /// Fraction of cacheable lookups served by either cache layer.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.disk_hits + self.computes;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                (self.memo_hits + self.disk_hits) as f64 / total as f64
-            }
-        }
-    }
-}
-
-/// Trace-arena traffic for one run (from the `trace.arena.*` counters).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ArenaTraffic {
-    /// Requests served zero-copy from a cached buffer.
-    pub hits: u64,
-    /// Requests that synthesized.
-    pub misses: u64,
-    /// Bytes of op storage synthesized.
-    pub bytes: u64,
-    /// `hits / (hits + misses)` (0 when the arena saw no traffic).
-    pub hit_rate: f64,
-}
-
-/// Sampled-execution activity for one run (from the `sim.sample.*` and
-/// `sampling.ckpt_*` counters); all zero in exact mode.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SamplingActivity {
-    /// Trace intervals partitioned.
-    pub intervals: u64,
-    /// Clusters selected.
-    pub clusters: u64,
-    /// Ops simulated in detail.
-    pub simulated_ops: u64,
-    /// Ops reconstituted from representatives.
-    pub skipped_ops: u64,
-    /// `simulated / (simulated + skipped)` (1.0 when nothing sampled).
-    pub coverage: f64,
-    /// Warm-state checkpoint hits (boundary states restored instead of
-    /// re-warmed).
-    pub ckpt_hits: u64,
-    /// Warm-state checkpoint misses (boundary states that had to warm).
-    pub ckpt_misses: u64,
-    /// Checkpoint bytes written (memo + disk tiers).
-    pub ckpt_bytes: u64,
-    /// Whole-trace functional warming passes actually executed; a sweep
-    /// that reuses warm classes runs fewer passes than configs.
-    pub warm_passes: u64,
-}
-
-/// One runner worker slot's activity for one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerStat {
-    /// Slot name (`worker00`, `worker01`, ...).
-    pub worker: String,
-    /// Jobs completed by the slot.
-    pub jobs: u64,
-    /// Seconds spent inside jobs.
-    pub busy_s: f64,
-    /// `busy_s` over the run's total wall time.
-    pub busy_frac: f64,
-}
-
-/// One durable flight record: everything the `[obs]` summary prints,
-/// plus run identity and provenance. Appended as one JSON line per
-/// `figures` run.
+/// One durable flight record: the `[obs]` summary plus run identity and
+/// provenance. Appended as one JSON line per `figures` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Record schema version ([`SCHEMA`]).
@@ -213,16 +134,8 @@ pub struct RunRecord {
     pub machine: MachineInfo,
     /// Build metadata.
     pub build: BuildInfo,
-    /// Result-cache traffic.
-    pub cache: CacheTraffic,
-    /// Trace-arena traffic.
-    pub arena: ArenaTraffic,
-    /// Sampled-execution activity.
-    pub sampling: SamplingActivity,
-    /// Per-worker job/busy-time breakdown.
-    pub workers: Vec<WorkerStat>,
     /// The full end-of-run aggregate (phases, counters, gauges,
-    /// histograms) — the queryable superset of the fields above.
+    /// histograms).
     pub summary: Summary,
 }
 
@@ -247,47 +160,9 @@ pub struct RunIdentity {
 }
 
 impl RunRecord {
-    /// Builds a record from run identity plus the end-of-run [`Summary`],
-    /// deriving the cache/arena/sampling/worker sections from the
-    /// summary's counters.
+    /// Builds a record from run identity plus the end-of-run [`Summary`].
     #[must_use]
     pub fn from_summary(id: &RunIdentity, summary: Summary) -> Self {
-        let counter = |name: &str| -> u64 {
-            summary
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map_or(0, |c| c.value)
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let rate = |num: u64, den: u64, empty: f64| -> f64 {
-            if den == 0 {
-                empty
-            } else {
-                num as f64 / den as f64
-            }
-        };
-        let arena_hits = counter("trace.arena.hits");
-        let arena_misses = counter("trace.arena.misses");
-        let simulated = counter("sim.sample.simulated_ops");
-        let skipped = counter("sim.sample.skipped_ops");
-        let wall_s = summary.total_wall_s;
-        let mut workers = Vec::new();
-        for c in &summary.counters {
-            let Some(rest) = c.name.strip_prefix("engine.") else {
-                continue;
-            };
-            let Some(slot) = rest.strip_suffix(".jobs") else {
-                continue;
-            };
-            let busy_s = counter(&format!("engine.{slot}.busy_us")) as f64 / 1e6;
-            workers.push(WorkerStat {
-                worker: slot.to_owned(),
-                jobs: c.value,
-                busy_s,
-                busy_frac: if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
-            });
-        }
         let config_key = content_key(&id.config_text);
         let workload_key = content_key(&id.workload_text);
         let run_id = content_key(&format!(
@@ -309,33 +184,9 @@ impl RunRecord {
             ops: id.ops,
             jobs: id.jobs,
             started_unix_ms: id.started_unix_ms,
-            wall_s,
+            wall_s: summary.total_wall_s,
             machine: MachineInfo::detect(),
             build: BuildInfo::detect(),
-            cache: CacheTraffic {
-                memo_hits: counter("cache.memo_hits"),
-                disk_hits: counter("cache.disk_hits"),
-                computes: counter("cache.computes"),
-                disk_decode_errors: counter("cache.disk_decode_errors"),
-            },
-            arena: ArenaTraffic {
-                hits: arena_hits,
-                misses: arena_misses,
-                bytes: counter("trace.arena.bytes"),
-                hit_rate: rate(arena_hits, arena_hits + arena_misses, 0.0),
-            },
-            sampling: SamplingActivity {
-                intervals: counter("sim.sample.intervals"),
-                clusters: counter("sim.sample.clusters"),
-                simulated_ops: simulated,
-                skipped_ops: skipped,
-                coverage: rate(simulated, simulated + skipped, 1.0),
-                ckpt_hits: counter("sampling.ckpt_hits"),
-                ckpt_misses: counter("sampling.ckpt_misses"),
-                ckpt_bytes: counter("sampling.ckpt_bytes"),
-                warm_passes: counter("sampling.warm_passes"),
-            },
-            workers,
             summary,
         }
     }
@@ -539,29 +390,86 @@ mod tests {
     fn from_summary_derives_traffic_and_workers() {
         let r = record("all", &[("fig2", 0.5), ("fig4", 1.5)]);
         assert_eq!(r.schema, SCHEMA);
-        assert_eq!(r.cache.memo_hits, 3);
-        assert_eq!(r.cache.computes, 4);
-        assert!((r.cache.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(r.arena.hits, 6);
-        assert!((r.arena.hit_rate - 0.75).abs() < 1e-12);
-        assert!((r.sampling.coverage - 1.0).abs() < 1e-12, "exact => 1.0");
+        assert!((r.wall_s - 2.0).abs() < 1e-12);
+        let s = &r.summary;
+        assert_eq!(s.counter("cache.memo_hits"), 3);
+        assert_eq!(s.counter("cache.never_counted"), 0);
+        let cache = s.share(&["cache.memo_hits", "cache.disk_hits"], &["cache.computes"]);
+        assert_eq!(cache, Some(0.5));
         assert_eq!(
-            (
-                r.sampling.ckpt_hits,
-                r.sampling.ckpt_misses,
-                r.sampling.ckpt_bytes,
-                r.sampling.warm_passes
-            ),
-            (7, 2, 9000, 2)
+            s.share(&["trace.arena.hits"], &["trace.arena.misses"]),
+            Some(0.75)
         );
-        assert_eq!(r.workers.len(), 2);
-        let w0 = &r.workers[0];
-        assert_eq!((w0.worker.as_str(), w0.jobs), ("worker00", 5));
-        assert!((w0.busy_s - 0.5).abs() < 1e-12);
-        assert!((w0.busy_frac - 0.25).abs() < 1e-12, "0.5s of 2.0s wall");
+        assert_eq!(
+            s.share(&["sim.sample.simulated_ops"], &["sim.sample.skipped_ops"]),
+            None,
+            "exact runs sample nothing"
+        );
+        let workers = s.workers();
+        assert_eq!(workers.len(), 2);
+        let (slot, jobs, busy_s) = workers[0];
+        assert_eq!((slot, jobs), ("worker00", 5));
+        assert!((busy_s - 0.5).abs() < 1e-12);
+        assert!(
+            (busy_s / r.wall_s - 0.25).abs() < 1e-12,
+            "0.5s of 2.0s wall"
+        );
         assert_eq!(r.phase_wall_s("fig4"), Some(1.5));
         assert_eq!(r.phase_wall_s("fig9"), None);
         assert_eq!(r.config_key, content_key("jobs=2|cache=on"));
+    }
+
+    #[test]
+    fn schema_2_lines_parse_and_give_the_same_rates() {
+        // A v2 record repeated the summary's counters in four derived
+        // sections; a v3 reader ignores them and derives the same rates.
+        let mut v2 = serde_json::to_string(&record("all", &[("fig2", 0.5), ("fig4", 1.5)]))
+            .expect("serialize")
+            .replacen("\"schema\":3", "\"schema\":2", 1);
+        let sections = concat!(
+            "\"cache\":{\"memo_hits\":3,\"disk_hits\":1,\"computes\":4,\"disk_decode_errors\":0},",
+            "\"arena\":{\"hits\":6,\"misses\":2,\"bytes\":0,\"hit_rate\":0.75},",
+            "\"sampling\":{\"intervals\":0,\"clusters\":0,\"simulated_ops\":0,\"skipped_ops\":0,",
+            "\"coverage\":1.0,\"ckpt_hits\":7,\"ckpt_misses\":2,\"ckpt_bytes\":9000,\"warm_passes\":2},",
+            "\"workers\":[{\"worker\":\"worker00\",\"jobs\":5,\"busy_s\":0.5,\"busy_frac\":0.25},",
+            "{\"worker\":\"worker01\",\"jobs\":3,\"busy_s\":0.25,\"busy_frac\":0.125}],",
+        );
+        let at = v2.find("\"summary\":").expect("summary field");
+        v2.insert_str(at, sections);
+        let old = serde_json::parse(&v2).expect("a v2 line is JSON");
+        let num = |section: &str, i: Option<usize>, key: &str| -> f64 {
+            let mut v = old.get(section).expect("v2 section");
+            if let Some(i) = i {
+                v = &v.as_array().expect("v2 workers")[i];
+            }
+            serde_json::from_value(v.get(key).expect("v2 field")).expect("number")
+        };
+        let r: RunRecord = serde_json::from_str(&v2).expect("a v2 line still parses");
+        assert_eq!(r.schema, 2);
+        let s = &r.summary;
+        for (name, section, key) in [
+            ("cache.memo_hits", "cache", "memo_hits"),
+            ("cache.disk_hits", "cache", "disk_hits"),
+            ("cache.computes", "cache", "computes"),
+            ("sampling.ckpt_hits", "sampling", "ckpt_hits"),
+            ("sampling.warm_passes", "sampling", "warm_passes"),
+        ] {
+            #[allow(clippy::cast_precision_loss)]
+            let counted = s.counter(name) as f64;
+            assert_eq!(counted, num(section, None, key), "{name}");
+        }
+        let arena = s.share(&["trace.arena.hits"], &["trace.arena.misses"]);
+        assert_eq!(arena, Some(num("arena", None, "hit_rate")));
+        let coverage = s.share(&["sim.sample.simulated_ops"], &["sim.sample.skipped_ops"]);
+        assert_eq!(coverage.unwrap_or(1.0), num("sampling", None, "coverage"));
+        assert_eq!(s.workers().len(), 2);
+        for (i, (_, jobs, busy_s)) in s.workers().into_iter().enumerate() {
+            #[allow(clippy::cast_precision_loss)]
+            let jobs = jobs as f64;
+            assert_eq!(jobs, num("workers", Some(i), "jobs"));
+            assert_eq!(busy_s, num("workers", Some(i), "busy_s"));
+            assert_eq!(busy_s / r.wall_s, num("workers", Some(i), "busy_frac"));
+        }
     }
 
     #[test]

@@ -248,6 +248,49 @@ pub struct Summary {
     pub histograms: Vec<HistEntry>,
 }
 
+impl Summary {
+    /// Total of the named counter; 0 when the run never counted it.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    }
+
+    /// Last value of the named gauge, if the run set it.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
+    }
+
+    /// The share of `hits` in `hits + misses`, each side the sum of its
+    /// named counters; `None` when both sides are zero.
+    #[must_use]
+    pub fn share(&self, hits: &[&str], misses: &[&str]) -> Option<f64> {
+        let sum = |names: &[&str]| names.iter().map(|n| self.counter(n)).sum::<u64>();
+        let (h, m) = (sum(hits), sum(misses));
+        #[allow(clippy::cast_precision_loss)]
+        (h + m > 0).then(|| h as f64 / (h + m) as f64)
+    }
+
+    /// Each runner worker slot's `(slot, jobs, busy seconds)`, from its
+    /// `engine.<slot>.jobs` and `engine.<slot>.busy_us` counters, in slot
+    /// order.
+    #[must_use]
+    pub fn workers(&self) -> Vec<(&str, u64, f64)> {
+        self.counters
+            .iter()
+            .filter_map(|c| {
+                let slot = c.name.strip_prefix("engine.")?.strip_suffix(".jobs")?;
+                #[allow(clippy::cast_precision_loss)]
+                let busy_s = self.counter(&format!("engine.{slot}.busy_us")) as f64 / 1e6;
+                Some((slot, c.value, busy_s))
+            })
+            .collect()
+    }
+}
+
 // ---- the recorder ----
 
 #[derive(Default)]
@@ -809,13 +852,7 @@ mod tests {
                 });
             }
         });
-        let sum = summary();
-        let c = sum
-            .counters
-            .iter()
-            .find(|c| c.name == "test.counters_aggregate")
-            .expect("counter present");
-        assert_eq!(c.value, 4 * 10 * 2);
+        assert_eq!(summary().counter("test.counters_aggregate"), 4 * 10 * 2);
     }
 
     #[test]
@@ -857,13 +894,8 @@ mod tests {
     fn gauge_last_write_wins() {
         gauge("test.gauge", 1.0);
         gauge("test.gauge", 42.5);
-        let sum = summary();
-        let g = sum
-            .gauges
-            .iter()
-            .find(|g| g.name == "test.gauge")
-            .expect("gauge present");
-        assert!((g.value - 42.5).abs() < 1e-12);
+        assert_eq!(summary().gauge("test.gauge"), Some(42.5));
+        assert_eq!(summary().gauge("test.gauge_never_set"), None);
     }
 
     #[test]

@@ -114,14 +114,12 @@ fn main() {
 
     // --- Incremental DSE: the perf/watt frontier in two generations ---
     println!("== Incremental perf/watt exploration (dse engine) ==");
-    let cache = std::path::Path::new("target").join("p10sim-cache");
     let engine = runner::Engine::new(runner::EngineConfig {
         jobs: 0,
-        disk_cache: Some(cache.clone()),
+        disk_cache: Some(std::path::Path::new("target").join("p10sim-cache")),
         progress: false,
     });
-    let mut cfg = DseConfig::new(42, 20_000);
-    cfg.journal = Some(cache.join("design-space-journal.jsonl"));
+    let cfg = DseConfig::new(42, 20_000);
     let generations = [generation0(), generation1()];
     let suite = dse::default_suite();
     let outcome = dse::run_dse_generations(&engine, &generations, &suite, &cfg);
@@ -135,7 +133,7 @@ fn main() {
         outcome.run.recordings_simulated
     );
     println!(
-        "{} journal shards ({} resumed)\n",
+        "{} result-cache shards ({} resumed)\n",
         outcome.run.shards_computed, outcome.run.shards_resumed
     );
     print!("{}", dse::frontier_markdown(r));

@@ -4,10 +4,11 @@
 //! is *bit-identical* to re-running the detailed simulation — otherwise
 //! the thousand-config grid quietly reports different numbers than the
 //! naive per-config path it replaces. These tests pin that contract,
-//! and pin that a killed sweep resumes from its shard journal without
-//! recomputing finished work or perturbing a single byte of the result.
+//! and pin that a killed sweep resumes from the shard results in the
+//! engine's result cache without recomputing finished work or perturbing
+//! a single byte of the result.
 
-use p10sim::core::dse::{self, DseConfig, DsePoint, PowerKnobs};
+use p10sim::core::dse::{self, DseConfig, DsePoint, DsePointResult, PowerKnobs};
 use p10sim::core::runner::{Engine, EngineConfig};
 use p10sim::core::sampling::SamplingMode;
 use p10sim::core::scenario;
@@ -79,77 +80,86 @@ fn small_grid() -> Vec<DsePoint> {
     grid
 }
 
-fn fresh_engine() -> Engine {
-    Engine::new(EngineConfig {
-        jobs: 2,
-        ..EngineConfig::default()
-    })
-}
-
-/// Tier-3 contract: truncate the journal as a mid-sweep kill would
-/// (intact prefix plus a torn final line), rerun with a cold engine, and
-/// the sweep must serve the intact shards from the journal, recompute
-/// only the missing ones, and produce a byte-identical artifact.
+/// Tier-3 contract: a mid-sweep kill leaves some shard entries of the
+/// result cache missing and one torn. A fresh engine on the same cache
+/// must serve the intact shards, recompute only the missing and torn ones
+/// (counting the torn entry as a decode error), and produce a
+/// byte-identical artifact.
 #[test]
-fn killed_sweep_resumes_from_journal_byte_identically() {
+fn killed_sweep_resumes_from_the_result_cache_byte_identically() {
     let dir = scratch_dir("resume");
-    let journal = dir.join("journal.jsonl");
+    let engine = || {
+        Engine::new(EngineConfig {
+            jobs: 2,
+            disk_cache: Some(dir.clone()),
+            progress: false,
+        })
+    };
     let grid = small_grid();
     let suite = dse::default_suite();
     let mut cfg = DseConfig::new(SEED, 2_000);
     cfg.shard_points = 4;
-    cfg.journal = Some(journal.clone());
     let shards = grid.len().div_ceil(cfg.shard_points) as u64;
     assert!(shards >= 4, "grid must span several shards");
+    let json = |o: &dse::DseOutcome| serde_json::to_string(&o.result).expect("json");
 
-    let full = dse::run_dse(&fresh_engine(), &grid, &suite, &cfg);
+    let full = dse::run_dse(&engine(), &grid, &suite, &cfg);
     assert_eq!(full.run.shards_computed, shards);
     assert_eq!(full.run.shards_resumed, 0);
-    let full_json = serde_json::to_string(&full.result).expect("json");
 
-    // Simulate the kill: keep an intact prefix of the journal plus a
-    // torn (half-written, unterminated) line.
-    let text = std::fs::read_to_string(&journal).expect("journal exists");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len() as u64, shards);
-    let keep = 3;
-    let mut truncated = lines[..keep].join("\n");
-    truncated.push('\n');
-    truncated.push_str(&lines[keep][..lines[keep].len() / 2]);
-    std::fs::write(&journal, &truncated).expect("truncate journal");
+    // Simulate the kill: the shard entries are the cache files that hold
+    // a list of point results (the others hold class recordings). Lose
+    // two and tear a third in half.
+    let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            let text = std::fs::read_to_string(p).expect("cache entry");
+            serde_json::from_str::<Vec<DsePointResult>>(&text).is_ok()
+        })
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len() as u64, shards);
+    let lost = 2;
+    for p in &entries[..lost] {
+        std::fs::remove_file(p).expect("drop shard entry");
+    }
+    let text = std::fs::read(&entries[lost]).expect("shard entry");
+    std::fs::write(&entries[lost], &text[..text.len() / 2]).expect("tear shard entry");
 
-    let resumed = dse::run_dse(&fresh_engine(), &grid, &suite, &cfg);
-    assert_eq!(
-        resumed.run.shards_resumed, keep as u64,
-        "every intact journal line must be served without recomputation"
-    );
+    let fresh = engine();
+    let resumed = dse::run_dse(&fresh, &grid, &suite, &cfg);
+    assert_eq!(resumed.run.recordings_simulated, 0);
     assert_eq!(
         resumed.run.shards_computed,
-        shards - keep as u64,
-        "only the missing shards (including the torn one) may recompute"
+        lost as u64 + 1,
+        "only the missing shards and the torn one may recompute"
     );
+    assert_eq!(resumed.run.shards_resumed, shards - lost as u64 - 1);
+    assert_eq!(fresh.cache_counts().disk_decode_errors, 1, "the torn entry");
     assert_eq!(
-        serde_json::to_string(&resumed.result).expect("json"),
-        full_json,
+        json(&resumed),
+        json(&full),
         "the resumed artifact must be byte-identical to the uninterrupted run"
     );
 
-    // The resumed run healed the journal: a third run is pure resume.
-    let warm = dse::run_dse(&fresh_engine(), &grid, &suite, &cfg);
+    // The resumed run healed the cache: a third run computes nothing.
+    let healed = engine();
+    let warm = dse::run_dse(&healed, &grid, &suite, &cfg);
     assert_eq!(warm.run.shards_computed, 0);
     assert_eq!(warm.run.shards_resumed, shards);
-    assert_eq!(
-        serde_json::to_string(&warm.result).expect("json"),
-        full_json
-    );
+    assert_eq!(warm.run.recordings_simulated, 0);
+    assert_eq!(healed.cache_counts().disk_decode_errors, 0);
+    assert_eq!(json(&warm), json(&full));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The sampling mode is the engine's: an exact and a sampled engine sweep
 /// the same grid in one process over one disk cache. The sampled engine
 /// records every class itself (`dse::record_benchmark_sampled`, warming
-/// in its own checkpoint store) under keys the exact recordings never
-/// answer, and fresh engines of either mode disk-hit only their own.
+/// in its own checkpoint store) and caches its shards under keys the
+/// exact entries never answer, and fresh engines of either mode disk-hit
+/// only their own.
 #[test]
 fn sampled_engine_records_under_keys_of_its_own() {
     let dir = scratch_dir("sampled");
@@ -190,7 +200,11 @@ fn sampled_engine_records_under_keys_of_its_own() {
         let fresh = engine(mode);
         let again = dse::run_dse(&fresh, &grid, suite, &cfg);
         assert_eq!(again.run.recordings_simulated, 0, "{}", mode.describe());
-        assert_eq!(fresh.cache_counts().disk_hits, recordings);
+        assert_eq!(again.run.shards_computed, 0, "{}", mode.describe());
+        assert_eq!(
+            fresh.cache_counts().disk_hits,
+            recordings + again.result.stats.shards
+        );
         assert_eq!(json(&again), json(outcome), "{}", mode.describe());
     }
     let _ = std::fs::remove_dir_all(&dir);
