@@ -1,12 +1,14 @@
 //! Zero-copy trace views over shared op storage.
 //!
-//! A [`TraceView`] is an `(Arc<[DynOp]>, offset, len)` triple: many views
-//! share one immutable op buffer, so slicing a trace — SMT stagger
+//! A [`TraceView`] is an `(Arc<Vec<DynOp>>, offset, len)` triple: many
+//! views share one immutable op buffer, so slicing a trace — SMT stagger
 //! offsets, chopstix/simpoint windows, shorter-`max_ops` reuse — is range
 //! arithmetic instead of a clone plus an O(n) `drain`. The timing model
 //! ([`Core::run`](../p10_uarch) and friends) consumes views; a plain
-//! [`Trace`] converts losslessly via `From`, so existing call sites keep
-//! working and pay one buffer move, never a copy.
+//! [`Trace`] or `Vec<DynOp>` converts via `From` by moving its `Vec` into
+//! the `Arc`: one buffer move, never a copy. (An `Arc<[DynOp]>` would
+//! copy the ops into a fresh exact-size allocation on every conversion,
+//! so every trace-arena miss would briefly hold its trace twice.)
 //!
 //! Views compare equal iff they denote the same op sequence, regardless
 //! of which buffer backs them; [`TraceView::shares_storage`] is the
@@ -19,7 +21,7 @@ use std::sync::Arc;
 /// A borrowed-by-refcount window into an immutable dynamic-op buffer.
 #[derive(Debug, Clone)]
 pub struct TraceView {
-    storage: Arc<[DynOp]>,
+    storage: Arc<Vec<DynOp>>,
     offset: usize,
     len: usize,
 }
@@ -27,7 +29,7 @@ pub struct TraceView {
 impl TraceView {
     /// A view of an entire shared buffer.
     #[must_use]
-    pub fn new(storage: Arc<[DynOp]>) -> Self {
+    pub fn new(storage: Arc<Vec<DynOp>>) -> Self {
         let len = storage.len();
         TraceView {
             storage,
@@ -144,19 +146,19 @@ impl PartialEq for TraceView {
 
 impl From<Trace> for TraceView {
     fn from(t: Trace) -> Self {
-        TraceView::new(t.ops.into())
+        TraceView::from(t.ops)
     }
 }
 
 impl From<Vec<DynOp>> for TraceView {
     fn from(ops: Vec<DynOp>) -> Self {
-        TraceView::new(ops.into())
+        TraceView::new(Arc::new(ops))
     }
 }
 
 impl From<&Trace> for TraceView {
     fn from(t: &Trace) -> Self {
-        TraceView::new(t.ops.clone().into())
+        TraceView::from(t.ops.clone())
     }
 }
 
@@ -179,6 +181,17 @@ mod tests {
         assert!(!v.is_empty());
         assert_eq!(v.ops(), &t.ops[..]);
         assert_eq!(v.to_trace().ops, t.ops);
+    }
+
+    #[test]
+    fn conversion_moves_the_buffer_without_copying() {
+        let t = Trace { ops: ops(1000) };
+        let before = t.ops.as_ptr();
+        let v = TraceView::from(t);
+        assert_eq!(v.ops().as_ptr(), before, "From<Trace> must move, not copy");
+        let raw = ops(1000);
+        let before = raw.as_ptr();
+        assert_eq!(TraceView::from(raw).ops().as_ptr(), before);
     }
 
     #[test]

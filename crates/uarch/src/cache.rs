@@ -10,15 +10,20 @@ use crate::stats::Activity;
 use crate::wire::{self, Reader};
 use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// LRU stamp: larger = more recently used.
-    lru: u64,
-    /// Set when the line was brought in by the prefetcher and not yet used.
-    prefetched: bool,
-}
+/// Tag-word flag: the line holds data.
+const VALID: u64 = 1 << 63;
+/// Tag-word flag: the line was brought in by the prefetcher and not yet
+/// used by a demand access.
+const PREFETCHED: u64 = 1 << 62;
+/// Tags stay below the two flag bits (`Cache::new` checks the geometry).
+const TAG_MASK: u64 = PREFETCHED - 1;
+
+/// One cache line as two words: `[tag | VALID | PREFETCHED, lru]`, where
+/// the LRU stamp is larger for more recently used lines. A cold line is
+/// all zeros, so a cache's lines come from one zeroed allocation (which
+/// the allocator can serve from fresh, lazily mapped pages) instead of a
+/// loop that writes every line.
+type Line = [u64; 2];
 
 /// A set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
@@ -42,14 +47,24 @@ pub struct CacheOutcome {
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag of this geometry could reach the line flag bits
+    /// (lines under 4 bytes in a cache of under 4 sets).
     #[must_use]
     pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        assert!(
+            (u64::MAX >> line_shift) / sets <= TAG_MASK,
+            "cache geometry leaves no room for the line flags"
+        );
         Cache {
-            lines: vec![Line::default(); (sets as usize) * cfg.ways as usize],
+            lines: vec![[0; 2]; (sets as usize) * cfg.ways as usize],
             sets,
             ways: cfg.ways as usize,
-            line_shift: cfg.line_bytes.trailing_zeros(),
+            line_shift,
             stamp: 0,
         }
     }
@@ -77,11 +92,11 @@ impl Cache {
         let ways = &mut self.lines[base..base + self.ways];
         // Hit?
         for l in ways.iter_mut() {
-            if l.valid && l.tag == tag {
-                l.lru = self.stamp;
-                let was_prefetched = l.prefetched;
+            if l[0] & !PREFETCHED == tag | VALID {
+                l[1] = self.stamp;
+                let was_prefetched = l[0] & PREFETCHED != 0;
                 if !is_prefetch {
-                    l.prefetched = false;
+                    l[0] &= !PREFETCHED;
                 }
                 return CacheOutcome {
                     hit: true,
@@ -92,14 +107,12 @@ impl Cache {
         // Miss: evict LRU.
         let victim = ways
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
+            .min_by_key(|l| if l[0] & VALID != 0 { l[1] } else { 0 })
             .expect("ways >= 1");
-        *victim = Line {
-            tag,
-            valid: true,
-            lru: self.stamp,
-            prefetched: is_prefetch,
-        };
+        *victim = [
+            tag | VALID | if is_prefetch { PREFETCHED } else { 0 },
+            self.stamp,
+        ];
         CacheOutcome {
             hit: false,
             prefetch_hit: false,
@@ -112,16 +125,13 @@ impl Cache {
         let (base, tag) = self.set_range(addr);
         self.lines[base..base + self.ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l[0] & !PREFETCHED == tag | VALID)
     }
 
-    /// Lines that differ from [`Line::default`] — the only ones a
-    /// checkpoint carries.
+    /// Lines that are not cold (all zeros) — the only ones a checkpoint
+    /// carries.
     fn live_lines(&self) -> impl Iterator<Item = (usize, &Line)> {
-        self.lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l != Line::default())
+        self.lines.iter().enumerate().filter(|(_, l)| **l != [0; 2])
     }
 
     /// Bytes [`Cache::encode`] appends: a 40-byte header plus one
@@ -145,13 +155,13 @@ impl Cache {
         let count_at = buf.len();
         wire::put_u64(buf, 0);
         let mut live = 0u64;
-        for (i, l) in self.live_lines() {
+        for (i, &[word, lru]) in self.live_lines() {
             live += 1;
             wire::put_u32(buf, u32::try_from(i).expect("line index fits a u32"));
-            wire::put_u64(buf, l.tag);
-            wire::put_u64(buf, l.lru);
-            wire::put_bool(buf, l.valid);
-            wire::put_bool(buf, l.prefetched);
+            wire::put_u64(buf, word & TAG_MASK);
+            wire::put_u64(buf, lru);
+            wire::put_bool(buf, word & VALID != 0);
+            wire::put_bool(buf, word & PREFETCHED != 0);
         }
         buf[count_at..count_at + 8].copy_from_slice(&live.to_le_bytes());
     }
@@ -161,8 +171,9 @@ impl Cache {
     /// geometries — the warm projection keys on them); any mismatch or
     /// truncation yields `None`. So does a non-canonical line section: a
     /// record count above the line count, indices that are not strictly
-    /// increasing or not below the line count, or a record equal to the
-    /// default line — every accepted blob re-encodes to itself.
+    /// increasing or not below the line count, a record equal to the
+    /// cold line, or a tag that reaches the flag bits (no cache writes
+    /// one) — every accepted blob re-encodes to itself.
     pub(crate) fn decode(r: &mut Reader<'_>, cfg: &CacheConfig) -> Option<Cache> {
         let mut c = Cache::new(cfg);
         if r.take_u64()? != c.sets
@@ -187,16 +198,17 @@ impl Cache {
                 return None;
             }
             next = i + 1;
-            let l = Line {
-                tag: r.take_u64()?,
-                lru: r.take_u64()?,
-                valid: r.take_bool()?,
-                prefetched: r.take_bool()?,
-            };
-            if l == Line::default() {
+            let (tag, lru) = (r.take_u64()?, r.take_u64()?);
+            let (valid, prefetched) = (r.take_bool()?, r.take_bool()?);
+            if tag > TAG_MASK {
                 return None;
             }
-            c.lines[i as usize] = l;
+            let word =
+                tag | if valid { VALID } else { 0 } | if prefetched { PREFETCHED } else { 0 };
+            if [word, lru] == [0; 2] {
+                return None;
+            }
+            c.lines[i as usize] = [word, lru];
         }
         Some(c)
     }
@@ -343,12 +355,23 @@ impl MemHierarchy {
     /// Builds the hierarchy from a core configuration.
     #[must_use]
     pub fn new(cfg: &CoreConfig) -> Self {
+        MemHierarchy::with_contents(
+            cfg,
+            [&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3].map(Cache::new),
+            StreamPrefetcher::new(cfg.prefetch_streams),
+        )
+    }
+
+    /// A hierarchy holding the given caches (L1I, L1D, L2, L3) and
+    /// prefetcher, with `cfg`'s timing.
+    fn with_contents(cfg: &CoreConfig, caches: [Cache; 4], prefetcher: StreamPrefetcher) -> Self {
+        let [l1i, l1d, l2, l3] = caches;
         MemHierarchy {
-            l1i: Cache::new(&cfg.l1i),
-            l1d: Cache::new(&cfg.l1d),
-            l2: Cache::new(&cfg.l2),
-            l3: Cache::new(&cfg.l3),
-            prefetcher: StreamPrefetcher::new(cfg.prefetch_streams),
+            l1i,
+            l1d,
+            l2,
+            l3,
+            prefetcher,
             l1i_latency: cfg.l1i.latency,
             l1d_latency: cfg.l1d.latency,
             l2_latency: cfg.l2.latency,
@@ -435,13 +458,14 @@ impl MemHierarchy {
     /// Restores a hierarchy encoded by [`MemHierarchy::encode`] under
     /// `cfg`; `None` on any geometry mismatch or truncation.
     pub(crate) fn decode(r: &mut Reader<'_>, cfg: &CoreConfig) -> Option<MemHierarchy> {
-        let mut h = MemHierarchy::new(cfg);
-        h.l1i = Cache::decode(r, &cfg.l1i)?;
-        h.l1d = Cache::decode(r, &cfg.l1d)?;
-        h.l2 = Cache::decode(r, &cfg.l2)?;
-        h.l3 = Cache::decode(r, &cfg.l3)?;
-        h.prefetcher = StreamPrefetcher::decode(r, cfg.prefetch_streams)?;
-        Some(h)
+        let caches = [
+            Cache::decode(r, &cfg.l1i)?,
+            Cache::decode(r, &cfg.l1d)?,
+            Cache::decode(r, &cfg.l2)?,
+            Cache::decode(r, &cfg.l3)?,
+        ];
+        let prefetcher = StreamPrefetcher::decode(r, cfg.prefetch_streams)?;
+        Some(MemHierarchy::with_contents(cfg, caches, prefetcher))
     }
 }
 

@@ -17,6 +17,7 @@ use crate::cache::MemHierarchy;
 use crate::config::{CoreConfig, Scheduler};
 use crate::stats::{Activity, CycleAttribution, SimResult};
 use crate::tlb::{Mmu, TranslateSide};
+use crate::warm::WarmState;
 use p10_isa::fusion::{self, FusionKind};
 use p10_isa::{DynOp, MmaKind, OpClass, TraceView, ARCH_REG_COUNT, MAX_SRCS};
 use std::cmp::Reverse;
@@ -478,10 +479,25 @@ impl Core {
     /// Creates a core in the given configuration.
     #[must_use]
     pub fn new(cfg: CoreConfig) -> Self {
+        let state = WarmState::new(&cfg);
+        Core::with_state(cfg, state)
+    }
+
+    /// Creates a core whose caches, TLBs, and branch predictor start
+    /// from `state` (see [`crate::warm::FunctionalWarmer`]) instead of
+    /// cold. The pipeline itself (window, queues, calendar) starts empty
+    /// either way.
+    #[must_use]
+    pub fn with_state(cfg: CoreConfig, state: WarmState) -> Self {
+        let WarmState {
+            predictor,
+            mem,
+            mmu,
+        } = state;
         Core {
-            predictor: BranchPredictor::new(&cfg.branch),
-            mem: MemHierarchy::new(&cfg),
-            mmu: Mmu::new(&cfg),
+            predictor,
+            mem,
+            mmu,
             act: Activity::default(),
             attr: CycleAttribution::default(),
             threads: Vec::new(),
@@ -509,19 +525,6 @@ impl Core {
             work: CoreWork::default(),
             cfg,
         }
-    }
-
-    /// Creates a core whose caches, TLBs, and branch predictor start
-    /// from `state` (see [`crate::warm::FunctionalWarmer`]) instead of
-    /// cold. The pipeline itself (window, queues, calendar) starts empty
-    /// either way.
-    #[must_use]
-    pub fn with_state(cfg: CoreConfig, state: crate::warm::WarmState) -> Self {
-        let mut core = Core::new(cfg);
-        core.predictor = state.predictor;
-        core.mem = state.mem;
-        core.mmu = state.mmu;
-        core
     }
 
     fn event_driven(&self) -> bool {

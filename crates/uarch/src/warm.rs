@@ -488,9 +488,83 @@ mod tests {
         assert!(!decodes(2, &[(0, 9, 1, 1, 0)]));
         // An explicit default record is never written, so never accepted.
         assert!(!decodes(1, &[(3, 0, 0, 0, 0)]));
+        // Tags reaching the bits a live line keeps its flags in: no
+        // geometry produces one.
+        assert!(!decodes(1, &[(3, 1 << 62, 1, 1, 0)]));
+        assert!(!decodes(1, &[(3, u64::MAX, 1, 0, 0)]));
+        assert!(decodes(1, &[(3, (1 << 62) - 1, 1, 1, 0)]));
         // Bool bytes other than 0/1.
         assert!(!decodes(1, &[(3, 9, 1, 2, 0)]));
         assert!(!decodes(1, &[(3, 9, 1, 1, 7)]));
+    }
+
+    /// A fixed warm-up: a pointer chase that spills the L1D, then two
+    /// threads of loads, stores and branches.
+    fn pinned_warmer(cfg: &CoreConfig) -> FunctionalWarmer {
+        let mixed = |salt: u64| {
+            let ops: Vec<(u8, u64)> = (0..3000u64)
+                .map(|i| {
+                    (
+                        (i * 7 + salt) as u8 % 4,
+                        (i * 2_654_435_761 + salt) % (1 << 14),
+                    )
+                })
+                .collect();
+            mixed_trace(&ops)
+        };
+        let mut w = FunctionalWarmer::new(cfg);
+        w.observe(&[chase_trace(4096)]);
+        w.observe(&[mixed(1), mixed(2)]);
+        w
+    }
+
+    /// A POWER10 core shrunk until its checkpoint fits a small test file.
+    fn small_config() -> CoreConfig {
+        let cache = |size_bytes, ways| crate::config::CacheConfig {
+            size_bytes,
+            ways,
+            line_bytes: 128,
+            latency: 1,
+        };
+        let mut cfg = CoreConfig::power10();
+        cfg.l1i = cache(4 * 1024, 4);
+        cfg.l1d = cache(4 * 1024, 4);
+        cfg.l2 = cache(16 * 1024, 8);
+        cfg.l3 = cache(64 * 1024, 8);
+        cfg.branch.direction_entries = 256;
+        cfg.branch.long_history_entries = 64;
+        cfg.branch.indirect_entries = 32;
+        cfg.erat_entries = 16;
+        cfg.tlb_entries = 64;
+        cfg
+    }
+
+    #[test]
+    fn p10warm2_bytes_are_pinned() {
+        // `P10WARM2` blobs persist across builds: any change to what a
+        // warmed state encodes to needs a new magic.
+        for (cfg, len, digest) in [
+            (CoreConfig::power9(), 205_197, 0x082d_f808_a6c0_5a56),
+            (CoreConfig::power10(), 375_607, 0xa0a1_1edd_38fd_5c2b),
+        ] {
+            let blob = pinned_warmer(&cfg).to_bytes();
+            assert_eq!(
+                (blob.len(), wire::fnv1a64(&blob)),
+                (len, digest),
+                "{}",
+                cfg.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_committed_blob_decodes_and_reencodes_byte_for_byte() {
+        // Written by an earlier build; the decoder must still take it, and
+        // today's encoder must still produce it.
+        let blob = include_bytes!("../testdata/p10warm2-small.bin");
+        let cfg = small_config();
+        assert!(decode_canonical(&cfg, blob).is_some());
+        assert!(pinned_warmer(&cfg).to_bytes() == blob);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! and function spans), so each distinct trace is synthesized **once per
 //! process** and every later request — including shorter-`max_ops`
 //! requests and SMT stagger offsets — is served as a zero-copy
-//! [`TraceView`] into the shared `Arc<[DynOp]>` buffer.
+//! [`TraceView`] into the shared `Arc<Vec<DynOp>>` buffer. A miss moves
+//! the synthesized `Vec` into that `Arc` without copying it, so the arena
+//! holds exactly one buffer per trace, even while it is being published.
 //!
 //! ## Longest-prefix reuse
 //!
@@ -47,7 +49,7 @@ pub const STRIPES: usize = 16;
 #[derive(Debug, Clone)]
 struct Entry {
     /// The synthesized ops (shared with every view handed out).
-    ops: Arc<[DynOp]>,
+    ops: Arc<Vec<DynOp>>,
     /// The `max_ops` cap the buffer was synthesized under.
     cap: u64,
     /// How many times this key has been synthesized (1 + grows).
@@ -131,7 +133,7 @@ impl TraceArena {
         self.bytes.fetch_add(synthesized_bytes, Ordering::Relaxed);
         p10_obs::counter("trace.arena.bytes", synthesized_bytes);
         let entry = Entry {
-            ops: trace.ops.into(),
+            ops: Arc::new(trace.ops),
             cap: max_ops,
             synths: prior + 1,
         };
@@ -242,6 +244,23 @@ mod tests {
             assert_eq!(v, &views[0]);
             assert!(v.shares_storage(&views[0]), "hits must share storage");
         }
+    }
+
+    #[test]
+    fn a_miss_moves_the_synthesized_buffer_into_the_arena() {
+        let arena = TraceArena::new();
+        let w = short_workload();
+        let mut synthesized = std::ptr::null();
+        let view = arena
+            .view_or_synth(2, 900, |cap| {
+                let trace = w.trace_uncached(cap)?;
+                synthesized = trace.ops.as_ptr();
+                Ok(trace)
+            })
+            .unwrap();
+        assert_eq!(view.ops().as_ptr(), synthesized, "a miss must not copy");
+        let hit = arena.view_or_synth(2, 900, |_| panic!("hit")).unwrap();
+        assert_eq!(hit.ops().as_ptr(), synthesized);
     }
 
     #[test]

@@ -209,6 +209,15 @@ mod tests {
     }
 
     #[test]
+    fn suite_content_hash_is_pinned() {
+        // The content hash keys the trace arena and every cache entry
+        // derived from a workload: memory-image or program encoding
+        // changes must not move it.
+        let w = crate::specint_like()[2].workload(42);
+        assert_eq!(w.content_hash(), 0x6981_819c_ea05_8d94);
+    }
+
+    #[test]
     fn trace_view_matches_trace_with_and_without_arena() {
         let w = crate::specint_like()[8].workload(31_337);
         let direct = w.trace_uncached(1_500).unwrap();
