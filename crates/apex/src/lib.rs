@@ -12,12 +12,13 @@
 //! The analog here:
 //!
 //! * [`run_apex`] drives the same cycle model as `p10-rtlsim`, but instead
-//!   of per-cycle latch bookkeeping it snapshots the hardware-style
-//!   counters once per extraction window ([`WindowSample`]) and computes
-//!   the simplified power estimate per window. Identical accuracy on
-//!   tracked counters is by construction — the same counters are read,
-//!   just less often — and the `window_sums_equal_final_counters` test
-//!   verifies it.
+//!   of per-cycle latch bookkeeping it reads the hardware-style counters
+//!   once per extraction window ([`WindowSample`]) and computes the
+//!   simplified power estimate per window. The windows are recorded by
+//!   [`ActivityRecorder`], the one windowed-activity observer, which the
+//!   design-space sweep also replays from. Identical accuracy on tracked
+//!   counters is by construction — the same counters are read, just less
+//!   often — and the `window_sums_equal_final_counters` test verifies it.
 //! * [`measure_speedup`] times detailed vs accelerated extraction on the
 //!   same workload (the paper's 5000× came from hardware acceleration;
 //!   the software-vs-software analog shows the same asymmetry, smaller).
@@ -35,7 +36,7 @@ pub mod lfsr;
 
 use p10_power::{PowerModel, PowerReport};
 use p10_rtlsim::{run_detailed, Roi, ToggleDensity};
-use p10_uarch::{Activity, Core, CoreConfig, SimResult, SmtMode, SpanObserver};
+use p10_uarch::{Activity, ActivityRecorder, Core, CoreConfig, SimResult, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -76,74 +77,19 @@ impl ApexReport {
     }
 }
 
-/// The span-aware window extractor behind [`run_apex`].
-///
-/// Extraction windows close on exact cycle boundaries
-/// (`last_cycle + window_cycles`). A fast-forwarded span that straddles
-/// one or more boundaries is split *exactly* with
-/// [`Activity::span_prefix`] (span deltas are homogeneous, so the split
-/// is lossless integer arithmetic), making every [`WindowSample`]
-/// bit-identical to per-cycle extraction.
-struct WindowExtractor<'m> {
-    model: &'m PowerModel,
-    window_cycles: u64,
-    windows: Vec<WindowSample>,
-    /// Cumulative activity at the last window close.
-    last: Activity,
-    last_cycle: u64,
-    /// Cumulative activity through the last delivered cycle.
-    cum: Activity,
-    /// Observation-effectiveness counters: cycles delivered live vs via
-    /// closed-form spans.
-    live_cycles: u64,
-    span_cycles: u64,
-}
-
-impl WindowExtractor<'_> {
-    fn close_window(&mut self, cycle: u64, cum: Activity) {
-        let delta = cum.delta(&self.last);
-        let power_estimate = self.model.evaluate(&delta).core_total();
-        self.windows.push(WindowSample {
-            start_cycle: self.last_cycle + 1,
-            end_cycle: cycle,
-            activity: delta,
-            power_estimate,
-        });
-        self.last = cum;
-        self.last_cycle = cycle;
-    }
-}
-
-impl SpanObserver for WindowExtractor<'_> {
-    fn on_cycle(&mut self, cycle: u64, act: &Activity) {
-        self.live_cycles += 1;
-        self.cum = *act;
-        if cycle - self.last_cycle >= self.window_cycles {
-            self.close_window(cycle, *act);
-        }
-    }
-
-    fn on_span(&mut self, start: u64, len: u64, delta: &Activity) {
-        self.span_cycles += len;
-        let end = start + len - 1;
-        // Cumulative activity through `start - 1`.
-        let base = self.cum;
-        let mut boundary = self.last_cycle + self.window_cycles;
-        while boundary <= end {
-            let cum_at = base.sum(&delta.span_prefix(len, boundary - start + 1));
-            self.close_window(boundary, cum_at);
-            boundary = self.last_cycle + self.window_cycles;
-        }
-        self.cum = base.sum(delta);
-    }
-}
-
 /// Runs the accelerated extraction: counters are read out every
 /// `window_cycles` (the paper's configurable batch interval).
 ///
-/// Rides the event-driven scheduler's fast path: fast-forwarded idle
-/// stretches arrive as closed-form spans and are split exactly at window
+/// The windows come from [`ActivityRecorder`], the same recorder the
+/// design-space sweep replays from: it rides the event-driven scheduler's
+/// fast path and splits fast-forwarded idle stretches exactly at window
 /// boundaries, so the samples match per-cycle extraction bit for bit.
+/// Each window then gets its cycle stamps and one power evaluation.
+///
+/// # Panics
+///
+/// Panics if `window_cycles` is zero, or on the conditions of
+/// [`Core::run_counted`].
 #[must_use]
 pub fn run_apex<T: Into<p10_isa::TraceView>>(
     cfg: &CoreConfig,
@@ -152,33 +98,28 @@ pub fn run_apex<T: Into<p10_isa::TraceView>>(
     max_cycles: u64,
 ) -> ApexReport {
     let model = PowerModel::for_config(cfg);
-    let mut extractor = WindowExtractor {
-        model: &model,
-        window_cycles,
-        windows: Vec::new(),
-        last: Activity::default(),
-        last_cycle: 0,
-        cum: Activity::default(),
-        live_cycles: 0,
-        span_cycles: 0,
-    };
-
-    let sim = Core::new(cfg.clone()).run_spanned(traces, max_cycles, &mut extractor);
-    p10_obs::counter("sim.observed_live_cycles", extractor.live_cycles);
-    p10_obs::counter("sim.observed_span_cycles", extractor.span_cycles);
-    let mut windows = extractor.windows;
-    let last = extractor.last;
-    let last_cycle = extractor.last_cycle;
-    // Final partial window.
-    let delta = sim.activity.delta(&last);
-    if delta.cycles > 0 {
-        windows.push(WindowSample {
-            start_cycle: last_cycle + 1,
-            end_cycle: sim.activity.cycles,
-            activity: delta,
-            power_estimate: model.evaluate(&delta).core_total(),
-        });
-    }
+    let mut recorder = ActivityRecorder::new(window_cycles);
+    let (sim, work) = Core::new(cfg.clone()).run_counted(traces, max_cycles, Some(&mut recorder));
+    // The recorder takes spans, so every live step reached it as one
+    // `on_cycle` call and every fast-forwarded cycle inside a span.
+    p10_obs::counter("sim.observed_live_cycles", work.live_steps);
+    p10_obs::counter("sim.observed_span_cycles", work.ff_cycles);
+    let mut end_cycle = 0;
+    let windows = recorder
+        .finish(&sim.activity)
+        .windows
+        .into_iter()
+        .map(|activity| {
+            let start_cycle = end_cycle + 1;
+            end_cycle += activity.cycles;
+            WindowSample {
+                start_cycle,
+                end_cycle,
+                activity,
+                power_estimate: model.evaluate(&activity).core_total(),
+            }
+        })
+        .collect();
     let power = model.evaluate(&sim.activity);
     ApexReport {
         sim,
@@ -365,137 +306,6 @@ mod tests {
             for p in [&core, &chip] {
                 assert_eq!((p.bench.as_str(), p.snippet), (b.name.as_str(), snippet));
                 assert!(p.ipc > 0.0 && p.core_power > 0.0);
-            }
-        }
-    }
-
-    /// Property tests driving random live/span delivery patterns through
-    /// the window extractor — the `window_sums_equal_final_counters`
-    /// invariant under arbitrary span tilings, not just the one tiling
-    /// the simulator happens to produce for a given workload.
-    mod span_window_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// One random observer delivery: either a live cycle with
-        /// arbitrary counter bumps, or a homogeneous fast-forward span
-        /// (only the four counters the span contract allows, each at a
-        /// constant per-cycle rate).
-        #[derive(Debug, Clone, Copy)]
-        enum Delivery {
-            Live {
-                completed: u64,
-                l1d: u64,
-                flops: u64,
-            },
-            Span {
-                len: u64,
-                mma: bool,
-                stall: bool,
-                occ: u64,
-            },
-        }
-
-        fn arb_delivery() -> impl Strategy<Value = Delivery> {
-            prop_oneof![
-                (0u64..6, 0u64..4, 0u64..9).prop_map(|(completed, l1d, flops)| {
-                    Delivery::Live {
-                        completed,
-                        l1d,
-                        flops,
-                    }
-                }),
-                (1u64..300, 0u64..2, 0u64..2, 0u64..400).prop_map(|(len, mma, stall, occ)| {
-                    Delivery::Span {
-                        len,
-                        mma: mma == 1,
-                        stall: stall == 1,
-                        occ,
-                    }
-                }),
-            ]
-        }
-
-        fn fresh<'m>(model: &'m PowerModel, window_cycles: u64) -> WindowExtractor<'m> {
-            WindowExtractor {
-                model,
-                window_cycles,
-                windows: Vec::new(),
-                last: Activity::default(),
-                last_cycle: 0,
-                cum: Activity::default(),
-                live_cycles: 0,
-                span_cycles: 0,
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// A span-fed extractor must produce bit-identical windows to
-            /// a per-cycle-fed one (spans replayed via `span_prefix`),
-            /// and closed windows plus the trailing partial must sum to
-            /// the final counters.
-            #[test]
-            fn random_span_patterns_window_exactly(
-                deliveries in proptest::collection::vec(arb_delivery(), 1..60),
-                window_cycles in 1u64..64,
-            ) {
-                let model = PowerModel::for_config(&CoreConfig::power10());
-                let mut spanned = fresh(&model, window_cycles);
-                let mut per_cycle = fresh(&model, window_cycles);
-                let mut cum = Activity::default();
-                let mut cycle = 0u64;
-                for d in &deliveries {
-                    match *d {
-                        Delivery::Live { completed, l1d, flops } => {
-                            cycle += 1;
-                            cum.cycles += 1;
-                            cum.completed += completed;
-                            cum.l1d_accesses += l1d;
-                            cum.vsx_flops += flops;
-                            spanned.on_cycle(cycle, &cum);
-                            per_cycle.on_cycle(cycle, &cum);
-                        }
-                        Delivery::Span { len, mma, stall, occ } => {
-                            let delta = Activity {
-                                cycles: len,
-                                mma_powered_cycles: if mma { len } else { 0 },
-                                dispatch_stall_cycles: if stall { len } else { 0 },
-                                window_occupancy_acc: occ * len,
-                                ..Activity::default()
-                            };
-                            let base = cum;
-                            spanned.on_span(cycle + 1, len, &delta);
-                            for k in 1..=len {
-                                per_cycle.on_cycle(cycle + k, &base.sum(&delta.span_prefix(len, k)));
-                            }
-                            cycle += len;
-                            cum = base.sum(&delta);
-                        }
-                    }
-                }
-                prop_assert_eq!(spanned.windows.len(), per_cycle.windows.len());
-                for (s, c) in spanned.windows.iter().zip(per_cycle.windows.iter()) {
-                    prop_assert_eq!(s.start_cycle, c.start_cycle);
-                    prop_assert_eq!(s.end_cycle, c.end_cycle);
-                    prop_assert_eq!(s.activity, c.activity);
-                    prop_assert_eq!(
-                        s.power_estimate.to_bits(),
-                        c.power_estimate.to_bits(),
-                        "window power must be bit-identical"
-                    );
-                    prop_assert_eq!(s.end_cycle - s.start_cycle + 1, window_cycles);
-                    prop_assert_eq!(s.activity.cycles, window_cycles);
-                }
-                // Closed windows + trailing partial tile the run exactly.
-                let mut total = spanned
-                    .windows
-                    .iter()
-                    .fold(Activity::default(), |acc, w| acc.sum(&w.activity));
-                total = total.sum(&cum.delta(&spanned.last));
-                prop_assert_eq!(total, cum);
-                prop_assert_eq!(spanned.last_cycle + cum.delta(&spanned.last).cycles, cycle);
             }
         }
     }

@@ -396,8 +396,13 @@ fn main() {
         print!("{}{body}", report.head);
         eprintln!("[figures] {e}: {secs:.2}s");
         if let Some(dir) = &opts.out {
-            std::fs::create_dir_all(dir).expect("create --out dir");
-            std::fs::write(dir.join(format!("{e}.json")), &report.json).expect("write artifact");
+            let path = dir.join(format!("{e}.json"));
+            if let Err(err) =
+                std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &report.json))
+            {
+                eprintln!("error: cannot write artifact {}: {err}", path.display());
+                std::process::exit(1);
+            }
             println!("    [artifact: {}/{e}.json]", dir.display());
         }
     }

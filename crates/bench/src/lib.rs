@@ -9,9 +9,11 @@
 //!   the paper reports (and `--json` for machine-readable output). See
 //!   `EXPERIMENTS.md` at the repository root for paper-vs-measured values.
 //! * The Criterion benches (`cargo bench`) time the simulation substrate
-//!   itself (core model throughput, detailed-vs-APEX extraction, kernel
-//!   replay) and run scaled-down versions of each experiment so
-//!   regressions in either speed or experimental shape are caught.
+//!   itself (detailed-vs-APEX extraction, kernel replay) and run
+//!   scaled-down versions of each experiment. They are run by hand; CI
+//!   only compiles them, through clippy. The plain `sim_throughput`
+//!   bench (core-model throughput per scheduler and observer) is the one
+//!   CI runs, for its scheduler cross-check and its report.
 //!
 //! This library crate hosts shared helpers for both.
 

@@ -819,3 +819,28 @@ fn out_artifacts_equal_the_json_payload() {
     assert_eq!(again, json_fig4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unwritable_out_dir_fails_cleanly() {
+    // A regular file where `--out` needs a directory: the experiment
+    // runs, then writing its artifact fails with an error, not a panic.
+    let file = scratch("out-unwritable", "file");
+    std::fs::write(&file, "").expect("create regular file");
+    let out = figures()
+        .args(["fig2", "--no-cache", "--no-ledger", "--out"])
+        .arg(file.join("sub"))
+        .output()
+        .expect("run figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "must exit 1, got: {stderr}");
+    let artifact = file.join("sub").join("fig2.json");
+    assert!(
+        stderr.contains(&format!(
+            "error: cannot write artifact {}: ",
+            artifact.display()
+        )),
+        "stderr must name the artifact, got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+    let _ = std::fs::remove_dir_all(file.parent().expect("scratch dir"));
+}

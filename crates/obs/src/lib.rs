@@ -381,7 +381,7 @@ pub fn init(config: &ObsConfig) -> bool {
     created
 }
 
-/// Whether a JSON-lines trace sink is attached (events are recorded).
+/// Whether a trace sink of any format is attached (events are recorded).
 #[must_use]
 pub fn trace_enabled() -> bool {
     recorder().sink.is_some()

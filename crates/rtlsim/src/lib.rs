@@ -204,10 +204,6 @@ struct LatchBookkeeper {
     /// Per-slice accumulators: [enable, switching].
     slice_acc: Vec<[f64; 2]>,
     bookkeeping_ops: u64,
-    /// Observation-effectiveness counters: cycles delivered live vs via
-    /// closed-form spans.
-    live_cycles: u64,
-    span_cycles: u64,
 }
 
 impl LatchBookkeeper {
@@ -252,8 +248,6 @@ impl LatchBookkeeper {
             acc: vec![[0.0f64; 3]; n_groups],
             slice_acc: vec![[0.0f64; 2]; n_slices],
             bookkeeping_ops: 0,
-            live_cycles: 0,
-            span_cycles: 0,
         }
     }
 
@@ -301,7 +295,6 @@ impl LatchBookkeeper {
 
 impl SpanObserver for LatchBookkeeper {
     fn on_cycle(&mut self, cycle: u64, act: &Activity) {
-        self.live_cycles += 1;
         if cycle == self.warmup {
             self.warmup_snapshot = Some(*act);
         }
@@ -315,7 +308,6 @@ impl SpanObserver for LatchBookkeeper {
     }
 
     fn on_span(&mut self, start: u64, len: u64, delta: &Activity) {
-        self.span_cycles += len;
         let end = start + len - 1;
         let mut measured = *delta;
         let mut measured_len = len;
@@ -358,11 +350,12 @@ pub fn run_detailed<T: Into<p10_isa::TraceView>>(
 ) -> RtlReport {
     let mut keeper = LatchBookkeeper::new(PowerModel::for_config(cfg), roi.warmup_cycles);
 
-    let core = Core::new(cfg.clone());
-    let sim = core.run_spanned(traces, roi.max_cycles, &mut keeper);
+    let (sim, work) = Core::new(cfg.clone()).run_counted(traces, roi.max_cycles, Some(&mut keeper));
     keeper.flush_run();
-    p10_obs::counter("sim.observed_live_cycles", keeper.live_cycles);
-    p10_obs::counter("sim.observed_span_cycles", keeper.span_cycles);
+    // The bookkeeper takes spans, so every live step reached it as one
+    // `on_cycle` call and every fast-forwarded cycle inside a span.
+    p10_obs::counter("sim.observed_live_cycles", work.live_steps);
+    p10_obs::counter("sim.observed_span_cycles", work.ff_cycles);
 
     let LatchBookkeeper {
         model,

@@ -196,4 +196,115 @@ mod tests {
         }
         assert_eq!(trace.total(), delta);
     }
+
+    /// Property tests driving random live/span delivery patterns through
+    /// the recorder — the window-sums-equal-final-counters invariant
+    /// under arbitrary span tilings, not just the one tiling the
+    /// simulator happens to produce for a given workload.
+    mod span_window_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One random observer delivery: either a live cycle with
+        /// arbitrary counter bumps, or a homogeneous fast-forward span
+        /// (only the four counters the span contract allows, each at a
+        /// constant per-cycle rate).
+        #[derive(Debug, Clone, Copy)]
+        enum Delivery {
+            Live {
+                completed: u64,
+                l1d: u64,
+                flops: u64,
+            },
+            Span {
+                len: u64,
+                mma: bool,
+                stall: bool,
+                occ: u64,
+            },
+        }
+
+        fn arb_delivery() -> impl Strategy<Value = Delivery> {
+            prop_oneof![
+                (0u64..6, 0u64..4, 0u64..9).prop_map(|(completed, l1d, flops)| {
+                    Delivery::Live {
+                        completed,
+                        l1d,
+                        flops,
+                    }
+                }),
+                (1u64..300, 0u64..2, 0u64..2, 0u64..400).prop_map(|(len, mma, stall, occ)| {
+                    Delivery::Span {
+                        len,
+                        mma: mma == 1,
+                        stall: stall == 1,
+                        occ,
+                    }
+                }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A span-fed recorder must produce identical windows to a
+            /// per-cycle-fed one (spans replayed via `span_prefix`), and
+            /// closed windows plus the trailing partial must sum to the
+            /// final counters.
+            #[test]
+            fn random_span_patterns_window_exactly(
+                deliveries in proptest::collection::vec(arb_delivery(), 1..60),
+                window_cycles in 1u64..64,
+            ) {
+                let mut spanned = ActivityRecorder::new(window_cycles);
+                let mut per_cycle = ActivityRecorder::new(window_cycles);
+                let mut cum = Activity::default();
+                let mut cycle = 0u64;
+                for d in &deliveries {
+                    match *d {
+                        Delivery::Live { completed, l1d, flops } => {
+                            cycle += 1;
+                            cum.cycles += 1;
+                            cum.completed += completed;
+                            cum.l1d_accesses += l1d;
+                            cum.vsx_flops += flops;
+                            spanned.on_cycle(cycle, &cum);
+                            per_cycle.on_cycle(cycle, &cum);
+                        }
+                        Delivery::Span { len, mma, stall, occ } => {
+                            let delta = Activity {
+                                cycles: len,
+                                mma_powered_cycles: if mma { len } else { 0 },
+                                dispatch_stall_cycles: if stall { len } else { 0 },
+                                window_occupancy_acc: occ * len,
+                                ..Activity::default()
+                            };
+                            let base = cum;
+                            spanned.on_span(cycle + 1, len, &delta);
+                            for k in 1..=len {
+                                per_cycle.on_cycle(cycle + k, &base.sum(&delta.span_prefix(len, k)));
+                            }
+                            cycle += len;
+                            cum = base.sum(&delta);
+                        }
+                    }
+                }
+                prop_assert_eq!(&spanned.windows, &per_cycle.windows);
+                prop_assert_eq!(spanned.last_cycle, per_cycle.last_cycle);
+                // Every closed window spans exactly `window_cycles`.
+                for w in &spanned.windows {
+                    prop_assert_eq!(w.cycles, window_cycles);
+                }
+                prop_assert_eq!(
+                    spanned.last_cycle,
+                    spanned.windows.len() as u64 * window_cycles
+                );
+                // Closed windows + trailing partial tile the run exactly.
+                let tail = cum.delta(&spanned.last);
+                prop_assert_eq!(spanned.last_cycle + tail.cycles, cycle);
+                let trace = spanned.finish(&cum);
+                prop_assert_eq!(trace.total(), cum);
+            }
+        }
+    }
 }
