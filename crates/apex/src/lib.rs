@@ -102,6 +102,7 @@ pub fn run_apex<T: Into<p10_isa::TraceView>>(
     let (sim, work) = Core::new(cfg.clone()).run_counted(traces, max_cycles, Some(&mut recorder));
     // The recorder takes spans, so every live step reached it as one
     // `on_cycle` call and every fast-forwarded cycle inside a span.
+    p10_obs::counter("sim.observed_runs", 1);
     p10_obs::counter("sim.observed_live_cycles", work.live_steps);
     p10_obs::counter("sim.observed_span_cycles", work.ff_cycles);
     let mut end_cycle = 0;
@@ -270,13 +271,28 @@ mod tests {
 
     #[test]
     fn apex_is_much_faster_than_detailed() {
+        // The paper's claim (§III-C) on deterministic work: the detailed
+        // methodology pays latch bookkeeping for every cycle, APEX one
+        // power evaluation per extraction window plus one for the run.
+        // The wall-clock ratio is a release-build measurement (the
+        // `apex.speedup` gauge of `figures apex-speedup`).
         let cfg = CoreConfig::power10();
         let t = trace(8, 20_000);
-        let s = measure_speedup(&cfg, &t, 1_000_000);
+        let detailed = run_detailed(
+            &cfg,
+            vec![t.clone()],
+            Roi::new(0, 1_000_000),
+            ToggleDensity::default(),
+        );
+        let apex = run_apex(&cfg, vec![t], 4096, 1_000_000);
+        let groups = PowerModel::for_config(&cfg).components().len() as u64;
+        let evaluations = (apex.windows.len() as u64 + 1) * groups;
+        let ratio = detailed.bookkeeping_ops as f64 / evaluations as f64;
         assert!(
-            s.speedup > 3.0,
-            "accelerated extraction must win clearly, got {:.1}x",
-            s.speedup
+            ratio > 3.0,
+            "accelerated extraction must win clearly: {} bookkeeping ops vs {evaluations} \
+             power evaluations ({ratio:.1}x)",
+            detailed.bookkeeping_ops
         );
     }
 

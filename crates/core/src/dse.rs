@@ -299,6 +299,7 @@ pub fn record_benchmark(
     let (sim, work) =
         Core::new(cfg.clone()).run_counted(traces, total_ops * 8 + 100_000, Some(&mut rec));
     record_detailed_obs(&sim, &work);
+    p10_obs::counter("sim.observed_runs", 1);
     let trace = rec.finish(&sim.activity);
     debug_assert_eq!(trace.total(), sim.activity, "recording contract");
     RecordedRun { sim, trace }

@@ -40,12 +40,14 @@ impl TraceView {
 
     /// The ops in this view, in program (retirement) order.
     #[must_use]
+    #[inline]
     pub fn ops(&self) -> &[DynOp] {
         &self.storage[self.offset..self.offset + self.len]
     }
 
     /// Number of dynamic operations in the view.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -133,6 +135,7 @@ impl TraceView {
 impl Index<usize> for TraceView {
     type Output = DynOp;
 
+    #[inline]
     fn index(&self, idx: usize) -> &DynOp {
         &self.ops()[idx]
     }

@@ -83,28 +83,26 @@ impl PowerModel {
     ///
     /// This is the interface the RTLSim/Powerminer analog uses to produce
     /// latch-level switching reports without re-deriving the activity
-    /// mapping.
-    #[must_use]
-    pub fn group_stats(&self, act: &Activity) -> Vec<GroupActivity> {
-        self.specs
-            .iter()
-            .map(|s| {
-                let ua = self.unit_activity(s.kind, act);
-                let gated_off = s.kind.is_power_gated() && act.mma_ops == 0;
-                let enable = if gated_off {
-                    0.0
-                } else {
-                    (self.tech.idle_clock_enable + self.tech.active_clock_enable * ua.duty).min(1.0)
-                };
-                GroupActivity {
-                    kind: s.kind,
-                    latches: s.latches,
-                    duty: ua.duty,
-                    events_per_cycle: ua.events,
-                    clock_enable: enable,
-                }
-            })
-            .collect()
+    /// mapping. The groups replace `out`'s contents, in component order,
+    /// so a caller folding many windows reuses one buffer.
+    pub fn group_stats(&self, act: &Activity, out: &mut Vec<GroupActivity>) {
+        out.clear();
+        out.extend(self.specs.iter().map(|s| {
+            let ua = self.unit_activity(s.kind, act);
+            let gated_off = s.kind.is_power_gated() && act.mma_ops == 0;
+            let enable = if gated_off {
+                0.0
+            } else {
+                (self.tech.idle_clock_enable + self.tech.active_clock_enable * ua.duty).min(1.0)
+            };
+            GroupActivity {
+                kind: s.kind,
+                latches: s.latches,
+                duty: ua.duty,
+                events_per_cycle: ua.events,
+                clock_enable: enable,
+            }
+        }));
     }
 
     /// Evaluates the power for one activity window.

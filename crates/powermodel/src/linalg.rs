@@ -53,8 +53,9 @@ pub struct Gram {
     /// Feature count; the ones column lives at index `width`.
     width: usize,
     n_rows: usize,
-    /// Full mirrored `(width+1)²` matrix of column-pair dot products.
-    g: Vec<Vec<f64>>,
+    /// Full mirrored `(width+1)²` matrix of column-pair dot products,
+    /// row-major: entry `(i, j)` lives at `i * (width + 1) + j`.
+    g: Vec<f64>,
     /// Per-column dot product with the target.
     c: Vec<f64>,
 }
@@ -63,28 +64,30 @@ impl Gram {
     /// Accumulates the cache over `rows` (each of `width` features) and
     /// targets `y`.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // matrix index symmetry
     pub fn new(width: usize, rows: &[Vec<f64>], y: &[f64]) -> Gram {
         debug_assert_eq!(rows.len(), y.len(), "row/target count mismatch");
         let n = width + 1;
-        let mut g = vec![vec![0.0; n]; n];
+        let mut g = vec![0.0; n * n];
         let mut c = vec![0.0; n];
         for (row, &yi) in rows.iter().zip(y.iter()) {
             debug_assert_eq!(row.len(), width);
-            for i in 0..width {
-                c[i] += row[i] * yi;
-                for j in i..width {
-                    g[i][j] += row[i] * row[j];
+            for (i, (&ri, ci)) in row.iter().zip(&mut c).enumerate() {
+                *ci += ri * yi;
+                // Entries (i, i..width), then the pair with the ones
+                // column, whose product is exactly row[i].
+                let g_row = &mut g[i * n + i..(i + 1) * n];
+                let (g_features, g_ones) = g_row.split_at_mut(width - i);
+                for (gij, &rj) in g_features.iter_mut().zip(&row[i..]) {
+                    *gij += ri * rj;
                 }
-                // Pair with the ones column: the product is exactly row[i].
-                g[i][width] += row[i];
+                g_ones[0] += ri;
             }
             c[width] += yi;
-            g[width][width] += 1.0;
+            g[n * n - 1] += 1.0;
         }
         for i in 0..n {
             for j in 0..i {
-                g[i][j] = g[j][i];
+                g[i * n + j] = g[j * n + i];
             }
         }
         Gram {
@@ -114,9 +117,10 @@ impl Gram {
         if n == 0 || self.n_rows == 0 {
             return None;
         }
+        let n_all = self.width + 1;
         let mut a: Vec<Vec<f64>> = cols
             .iter()
-            .map(|&p| cols.iter().map(|&q| self.g[p][q]).collect())
+            .map(|&p| cols.iter().map(|&q| self.g[p * n_all + q]).collect())
             .collect();
         let mut b: Vec<f64> = cols.iter().map(|&p| self.c[p]).collect();
         for i in 0..n {

@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use p10_power::{ComponentKind, PowerModel, PowerReport};
+use p10_power::{ComponentKind, GroupActivity, PowerModel, PowerReport};
 use p10_uarch::{Activity, Core, CoreConfig, SimResult, SpanObserver};
 use serde::{Deserialize, Serialize};
 
@@ -181,8 +181,13 @@ pub struct RtlReport {
 /// length — linear in components per run instead of per cycle.
 struct LatchBookkeeper {
     model: PowerModel,
-    /// (group index, slice latches, utilization weight) per 64-latch slice.
-    slice_layout: Vec<(usize, f64, f64)>,
+    /// Slice layout, group-major: group `g` owns slices
+    /// `group_start[g]..group_start[g + 1]` (one entry past the last group).
+    group_start: Vec<usize>,
+    /// Latches per 64-latch slice.
+    slice_latches: Vec<f64>,
+    /// Hot-to-cold utilization weight per slice (averaging 1 per group).
+    slice_weight: Vec<f64>,
     idle_floor: f64,
     idle_floor_is_flat: bool,
     warmup: u64,
@@ -199,10 +204,14 @@ struct LatchBookkeeper {
     /// which also makes the polled and event-driven schedulers agree by
     /// construction, however differently they fragment the run stream.
     runs: std::collections::BTreeMap<Activity, u64>,
+    /// Group statistics of the delta being folded (one buffer, reused).
+    stats: Vec<GroupActivity>,
     /// Per-group accumulators: [enabled_latch_cycles, events, latch_cycles].
     acc: Vec<[f64; 3]>,
-    /// Per-slice accumulators: [enable, switching].
-    slice_acc: Vec<[f64; 2]>,
+    /// Per-slice enabled latch-cycles.
+    slice_enable: Vec<f64>,
+    /// Per-slice written latch-cycles.
+    slice_switching: Vec<f64>,
     bookkeeping_ops: u64,
 }
 
@@ -216,8 +225,10 @@ impl LatchBookkeeper {
             p10_power::DesignStyle::ClockGatedByDefault => 6.0,
             p10_power::DesignStyle::Legacy => 3.0,
         };
-        let mut slice_layout: Vec<(usize, f64, f64)> = Vec::new();
-        for (gi, spec) in model.components().iter().enumerate() {
+        let mut group_start = vec![0];
+        let mut slice_latches = Vec::new();
+        let mut slice_weight = Vec::new();
+        for spec in model.components() {
             let n_slices = ((spec.latches / 64.0).ceil() as usize).max(1);
             // Normalize the profile so the weights average to 1 per group.
             let lambda = hot_cold_lambda / n_slices as f64;
@@ -229,24 +240,30 @@ impl LatchBookkeeper {
                 } else {
                     64.0
                 };
-                slice_layout.push((gi, latches.max(1.0), w / mean));
+                slice_latches.push(latches.max(1.0));
+                slice_weight.push(w / mean);
             }
+            group_start.push(slice_latches.len());
         }
         let tech = p10_power::TechParams::for_style(model.style());
         let idle_floor_is_flat = matches!(model.style(), p10_power::DesignStyle::Legacy);
         let n_groups = model.components().len();
-        let n_slices = slice_layout.len();
+        let n_slices = slice_latches.len();
         LatchBookkeeper {
             model,
-            slice_layout,
+            group_start,
+            slice_latches,
+            slice_weight,
             idle_floor: tech.idle_clock_enable,
             idle_floor_is_flat,
             warmup,
             warmup_snapshot: None,
             prev: Activity::default(),
             runs: std::collections::BTreeMap::new(),
+            stats: Vec::with_capacity(n_groups),
             acc: vec![[0.0f64; 3]; n_groups],
-            slice_acc: vec![[0.0f64; 2]; n_slices],
+            slice_enable: vec![0.0; n_slices],
+            slice_switching: vec![0.0; n_slices],
             bookkeeping_ops: 0,
         }
     }
@@ -260,35 +277,53 @@ impl LatchBookkeeper {
     /// accumulators: group stats are evaluated once per distinct
     /// per-cycle delta and scaled by its total cycle count
     /// (toggle/clock-enable/ghost accounting in closed form).
+    ///
+    /// A slice's terms depend on its group only through the group's write
+    /// rate and clock enable, so those are computed once per (delta,
+    /// group) and the group's contiguous slices are swept in one tight
+    /// loop. Every accumulator still receives its additions in delta
+    /// order, so the sums are the same floats as a per-slice evaluation.
     fn flush_run(&mut self) {
         let runs = std::mem::take(&mut self.runs);
+        let n_slices = self.slice_latches.len() as u64;
+        let (flat, floor) = (self.idle_floor_is_flat, self.idle_floor);
         for (d, n) in runs {
             let nf = n as f64;
-            let stats = self.model.group_stats(&d);
-            for (i, g) in stats.iter().enumerate() {
-                self.acc[i][0] += g.clock_enable * g.latches * nf;
-                self.acc[i][1] += g.events_per_cycle * nf;
-                self.acc[i][2] += g.latches * nf;
-            }
-            for (si, (gi, latches, weight)) in self.slice_layout.iter().enumerate() {
-                let g = &stats[*gi];
+            self.model.group_stats(&d, &mut self.stats);
+            for (gi, g) in self.stats.iter().enumerate() {
+                let acc = &mut self.acc[gi];
+                acc[0] += g.clock_enable * g.latches * nf;
+                acc[1] += g.events_per_cycle * nf;
+                acc[2] += g.latches * nf;
+
                 let write_rate = (g.events_per_cycle * 64.0 / g.latches.max(1.0)).min(1.0);
-                // Clock-enable distribution across slices differs by design
-                // style: the legacy design's global clock spine keeps every
-                // slice at least at the idle floor (clock gating added after
-                // the fact), while the clocks-off-by-default design gates
-                // each slice individually — cold slices sit near zero.
-                let enable = if self.idle_floor_is_flat {
-                    (self.idle_floor + (g.clock_enable - self.idle_floor).max(0.0) * weight)
-                        .min(1.0)
-                } else {
-                    (g.clock_enable * weight).min(1.0)
-                };
-                self.slice_acc[si][0] += enable * latches * nf;
-                self.slice_acc[si][1] +=
-                    (write_rate * weight).min(enable.max(1e-12)) * latches * nf;
+                let above_floor = (g.clock_enable - floor).max(0.0);
+                let slices = self.group_start[gi]..self.group_start[gi + 1];
+                let columns = self.slice_latches[slices.clone()]
+                    .iter()
+                    .zip(&self.slice_weight[slices.clone()])
+                    .zip(
+                        self.slice_enable[slices.clone()]
+                            .iter_mut()
+                            .zip(&mut self.slice_switching[slices]),
+                    );
+                for ((&latches, &weight), (enable_acc, switching_acc)) in columns {
+                    // Clock-enable distribution across slices differs by
+                    // design style: the legacy design's global clock spine
+                    // keeps every slice at least at the idle floor (clock
+                    // gating added after the fact), while the
+                    // clocks-off-by-default design gates each slice
+                    // individually — cold slices sit near zero.
+                    let enable = if flat {
+                        (floor + above_floor * weight).min(1.0)
+                    } else {
+                        (g.clock_enable * weight).min(1.0)
+                    };
+                    *enable_acc += enable * latches * nf;
+                    *switching_acc += (write_rate * weight).min(enable.max(1e-12)) * latches * nf;
+                }
             }
-            self.bookkeeping_ops += (stats.len() as u64 + self.slice_layout.len() as u64) * n;
+            self.bookkeeping_ops += (self.stats.len() as u64 + n_slices) * n;
         }
     }
 }
@@ -354,15 +389,18 @@ pub fn run_detailed<T: Into<p10_isa::TraceView>>(
     keeper.flush_run();
     // The bookkeeper takes spans, so every live step reached it as one
     // `on_cycle` call and every fast-forwarded cycle inside a span.
+    p10_obs::counter("sim.observed_runs", 1);
     p10_obs::counter("sim.observed_live_cycles", work.live_steps);
     p10_obs::counter("sim.observed_span_cycles", work.ff_cycles);
 
     let LatchBookkeeper {
         model,
-        slice_layout,
+        group_start,
+        slice_latches,
         warmup_snapshot,
         acc,
-        slice_acc,
+        slice_enable,
+        slice_switching,
         bookkeeping_ops,
         ..
     } = keeper;
@@ -394,14 +432,19 @@ pub fn run_detailed<T: Into<p10_isa::TraceView>>(
         .collect();
 
     let roi_cycles = roi_activity.cycles.max(1) as f64;
-    let slices: Vec<SliceStats> = slice_layout
+    let slices: Vec<SliceStats> = model
+        .components()
         .iter()
-        .enumerate()
-        .map(|(si, (gi, latches, _))| SliceStats {
-            kind: model.components()[*gi].kind,
-            latches: *latches,
-            clock_enable: slice_acc[si][0] / (latches * roi_cycles),
-            switching: slice_acc[si][1] / (latches * roi_cycles) * toggle.0,
+        .zip(group_start.windows(2))
+        .flat_map(|(spec, range)| (range[0]..range[1]).map(move |si| (spec.kind, si)))
+        .map(|(kind, si)| {
+            let latches = slice_latches[si];
+            SliceStats {
+                kind,
+                latches,
+                clock_enable: slice_enable[si] / (latches * roi_cycles),
+                switching: slice_switching[si] / (latches * roi_cycles) * toggle.0,
+            }
         })
         .collect();
 

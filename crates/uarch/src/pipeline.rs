@@ -102,12 +102,15 @@ pub struct CoreWork {
     pub ff_spans: u64,
     /// Cycles those stretches covered.
     pub ff_cycles: u64,
+    /// Dispatch needs computed (fusion pairing and queue needs of a
+    /// fetch-buffer head); a head retried while blocked reuses its needs.
+    pub dispatch_plans: u64,
 }
 
 impl CoreWork {
     /// `(counter name, value)` pairs, named `core.*`.
     #[must_use]
-    pub fn as_pairs(&self) -> [(&'static str, u64); 8] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 9] {
         [
             ("core.live_steps", self.live_steps),
             ("core.issue_scan", self.issue_scan),
@@ -117,6 +120,7 @@ impl CoreWork {
             ("core.lmq_sweeps", self.lmq_sweeps),
             ("core.ff_spans", self.ff_spans),
             ("core.ff_cycles", self.ff_cycles),
+            ("core.dispatch_plans", self.dispatch_plans),
         ]
     }
 }
@@ -378,6 +382,9 @@ struct ThreadState {
     store_window: VecDeque<(u64, u64, u8, bool)>,
     /// Per-arch-reg rename: packed reg -> (slot, seq).
     rename: Vec<(u32, u64)>,
+    /// The last computed dispatch needs, keyed by (head trace index,
+    /// partner buffered); see [`Core::dispatch_needs`].
+    dispatch_needs: Option<(usize, bool, DispatchPlan)>,
 }
 
 impl ThreadState {
@@ -394,6 +401,7 @@ impl ThreadState {
             sq_used: 0,
             store_window: VecDeque::new(),
             rename: vec![(NO_SLOT, 0); usize::from(ARCH_REG_COUNT) + 1],
+            dispatch_needs: None,
         }
     }
 
@@ -1611,26 +1619,17 @@ impl Core {
 
     /// Checks whether the head of `tid`'s fetch buffer (plus fused
     /// partner) fits the window/issue-queue/LQ/SQ this cycle, returning
-    /// the dispatch footprint, or `None` when a resource blocks. Pure —
-    /// shared by [`Core::try_dispatch_one`] and the fast-forward
-    /// dispatch-progress check.
-    fn plan_dispatch(&self, tid: usize) -> Option<DispatchPlan> {
-        // Peek head (and successor for fusion). The fetch buffer holds
-        // consecutive trace ops.
-        let t = &self.threads[tid];
-        let head_idx = t.fetch_buffer.front().expect("caller checked").idx;
-        let head_op = &t.ops[head_idx];
-        let second_op =
-            (self.cfg.fusion && t.fetch_buffer.len() >= 2).then(|| &t.ops[head_idx + 1]);
-        let fuse = second_op.and_then(|second| fusion::classify_pair(head_op, second));
-        let second_op = second_op.filter(|_| fuse.is_some());
-
-        let pair_count: u32 = if fuse.is_some() { 2 } else { 1 };
+    /// the dispatch footprint, or `None` when a resource blocks. Shared by
+    /// [`Core::try_dispatch_one`] and the fast-forward dispatch-progress
+    /// check; it changes no simulated state.
+    fn plan_dispatch(&mut self, tid: usize) -> Option<DispatchPlan> {
+        let plan = self.dispatch_needs(tid);
+        let pair_count: u32 = if plan.fuse.is_some() { 2 } else { 1 };
         // Resource checks.
         if self.window_used + pair_count > self.cfg.itable_entries {
             return None;
         }
-        let iq_needed = match fuse {
+        let iq_needed = match plan.fuse {
             Some(k) if k.single_issue_entry() => 1,
             Some(_) => 2,
             None => 1,
@@ -1638,7 +1637,35 @@ impl Core {
         if self.issue_queue_used + iq_needed > self.cfg.issue_queue_entries {
             return None;
         }
-        // LQ/SQ checks for head (+ partner).
+        let t = &self.threads[tid];
+        if t.lq_used + plan.lq_need > self.cfg.load_queue_per_thread()
+            || t.sq_used + plan.sq_need > self.cfg.store_queue_per_thread()
+        {
+            return None;
+        }
+        Some(plan)
+    }
+
+    /// What dispatching the head of `tid`'s fetch buffer (plus fused
+    /// partner) needs. The needs depend only on the head's trace index
+    /// and on whether a partner is buffered behind it, so they are kept
+    /// per thread under that key: a head that stays blocked re-checks only
+    /// the resource counts.
+    fn dispatch_needs(&mut self, tid: usize) -> DispatchPlan {
+        // Peek head (and successor for fusion). The fetch buffer holds
+        // consecutive trace ops.
+        let t = &self.threads[tid];
+        let head_idx = t.fetch_buffer.front().expect("caller checked").idx;
+        let has_second = self.cfg.fusion && t.fetch_buffer.len() >= 2;
+        if let Some((idx, second, plan)) = t.dispatch_needs {
+            if (idx, second) == (head_idx, has_second) {
+                return plan;
+            }
+        }
+        let head_op = &t.ops[head_idx];
+        let second_op = has_second.then(|| &t.ops[head_idx + 1]);
+        let fuse = second_op.and_then(|second| fusion::classify_pair(head_op, second));
+        let second_op = second_op.filter(|_| fuse.is_some());
         let needs_lq = |op: &DynOp| u32::from(op.is_load());
         let needs_sq = |op: &DynOp| u32::from(op.is_store());
         let lq_need = needs_lq(head_op) + second_op.map_or(0, needs_lq);
@@ -1650,17 +1677,15 @@ impl Core {
         } else {
             needs_sq(head_op) + second_op.map_or(0, needs_sq)
         };
-        if t.lq_used + lq_need > self.cfg.load_queue_per_thread()
-            || t.sq_used + sq_need > self.cfg.store_queue_per_thread()
-        {
-            return None;
-        }
-        Some(DispatchPlan {
+        let plan = DispatchPlan {
             fuse,
             shared_sq,
             lq_need,
             sq_need,
-        })
+        };
+        self.work.dispatch_plans += 1;
+        self.threads[tid].dispatch_needs = Some((head_idx, has_second, plan));
+        plan
     }
 
     fn try_dispatch_one(&mut self, tid: usize) -> DispatchOutcome {

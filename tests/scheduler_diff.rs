@@ -471,6 +471,47 @@ fn rtlsim_report_is_scheduler_invariant() {
     );
 }
 
+/// The latch-accurate report against fixed values: FNV-1a-64 digests of
+/// the full-precision serialized `RtlReport`. Unlike the scheduler
+/// comparison above, a change to the bookkeeper's fold that shifts every
+/// run equally still fails here. The three runs cover the legacy design's
+/// flat idle-floor slice branch (POWER9) and the clock-gated branch
+/// (POWER10) in ST and SMT2.
+#[test]
+fn rtlsim_report_matches_golden_digests() {
+    use p10sim::core::runner::fnv1a64;
+    use p10sim::rtlsim::{run_detailed, Roi, ToggleDensity};
+    let bench = &specint_like()[8];
+    let trace = |seed| bench.workload(seed).trace_or_panic(4_000);
+    let mut smt2 = CoreConfig::power10();
+    smt2.smt = SmtMode::Smt2;
+    let cases = [
+        ("power9 st", CoreConfig::power9(), vec![trace(42)]),
+        ("power10 st", CoreConfig::power10(), vec![trace(42)]),
+        ("power10 smt2", smt2, vec![trace(42), trace(43)]),
+    ];
+    let digests: Vec<(&str, String)> = cases
+        .into_iter()
+        .map(|(label, cfg, traces)| {
+            let report = run_detailed(
+                &cfg,
+                traces,
+                Roi::new(200, 50_000_000),
+                ToggleDensity::random_init(),
+            );
+            let json = serde_json::to_string(&report).expect("serialize report");
+            (label, format!("{:016x}", fnv1a64(json.as_bytes())))
+        })
+        .collect();
+    let golden = [
+        ("power9 st", "34a30b5ca649b625"),
+        ("power10 st", "62d450fbac957644"),
+        ("power10 smt2", "cf53c98aa64bb219"),
+    ];
+    let got: Vec<(&str, &str)> = digests.iter().map(|(l, d)| (*l, d.as_str())).collect();
+    assert_eq!(got, golden, "RTL-sim report digests moved");
+}
+
 /// Random-program property: for arbitrary short loopy programs the two
 /// schedulers serialize to identical bytes. Complements the fixed-seed
 /// regressions above with shrinking on failure.
