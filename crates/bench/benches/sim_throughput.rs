@@ -17,6 +17,9 @@
 //! Besides the human-readable table on stdout, the bench writes
 //! `crates/bench/BENCH_pipeline.json` — schema
 //! `p10sim-bench-pipeline/v7` (`schema`, `samples_per_point`, `results`).
+//! Its rows are best-of-5 over runs of 20–60 ms and vary by up to ~2×
+//! from run to run on a shared host, so the file is a cross-check and
+//! an order-of-magnitude record, not a regression gate.
 //! Trace synthesis, sampled execution, the design-space sweep and
 //! checkpoint reuse are measured by the repository benchmark's traced
 //! pass on its real workloads, not here.

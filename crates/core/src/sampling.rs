@@ -379,8 +379,9 @@ impl CkptStore {
     }
 
     /// Stored checkpoints that were found but failed to decode (corrupt,
-    /// truncated, or written in an older format); each is re-warmed and
-    /// overwritten under the same name.
+    /// truncated, or written in an older format), and warm-feature files
+    /// that were found but did not parse or held the wrong number of
+    /// intervals; each is recomputed and overwritten under the same name.
     #[must_use]
     pub fn ckpt_rejects(&self) -> u64 {
         self.rejects.load(Ordering::Relaxed)
@@ -402,6 +403,10 @@ impl CkptStore {
 
     fn blob_name(class: u64, idx: usize) -> String {
         format!("ckpt-{class:016x}-{idx}.bin")
+    }
+
+    fn feat_name(class: u64) -> String {
+        format!("feat-{class:016x}.json")
     }
 
     /// Loads the warmer checkpointed at interval boundary `idx` for the
@@ -426,8 +431,7 @@ impl CkptStore {
             }
         };
         let Some(w) = w else {
-            self.rejects.fetch_add(1, Ordering::Relaxed);
-            p10_obs::counter("sampling.ckpt_rejects", 1);
+            self.note_reject();
             return None;
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -473,9 +477,16 @@ impl CkptStore {
         p10_obs::counter("sampling.ckpt_misses", 1);
     }
 
+    fn note_reject(&self) {
+        self.rejects.fetch_add(1, Ordering::Relaxed);
+        p10_obs::counter("sampling.ckpt_rejects", 1);
+    }
+
     /// The per-interval warm miss-rate features for one warm class,
     /// computing (and persisting) them on first use. `expected_len`
-    /// guards against a stale vector from a different interval count.
+    /// guards against a stale vector from a different interval count; a
+    /// feature file that exists but does not parse or has the wrong
+    /// length counts as a reject and is recomputed.
     fn warm_features_cached(
         &self,
         class: u64,
@@ -487,15 +498,16 @@ impl CkptStore {
                 return Arc::clone(f);
             }
         }
-        let fname = format!("feat-{class:016x}.json");
+        let fname = Self::feat_name(class);
         if let Some(dir) = &self.dir {
-            if let Ok(text) = std::fs::read_to_string(dir.join(&fname)) {
-                if let Ok(v) = serde_json::from_str::<Vec<f64>>(&text) {
-                    if v.len() == expected_len {
+            if let Ok(bytes) = std::fs::read(dir.join(&fname)) {
+                match serde_json::from_str::<Vec<f64>>(&String::from_utf8_lossy(&bytes)) {
+                    Ok(v) if v.len() == expected_len => {
                         let a = Arc::new(v);
                         self.feat_put(class, Arc::clone(&a));
                         return a;
                     }
+                    _ => self.note_reject(),
                 }
             }
         }
@@ -2178,6 +2190,28 @@ mod tests {
         fresh2.save(7, 3, &w);
         assert!(fresh2.load(&cfg, 7, 3).is_some());
         assert_eq!((fresh2.ckpt_hits(), fresh2.ckpt_rejects()), (1, 1));
+        // A warm-feature file that is truncated, or holds the wrong
+        // number of intervals, is recomputed once, counted as a reject
+        // and overwritten; a fresh store then serves the healed file.
+        let feats = vec![0.25, 0.5, 0.75];
+        let feat_path = dir.join(CkptStore::feat_name(9));
+        for bad in ["[0.25, 0.5", "[0.25, 0.5]"] {
+            std::fs::write(&feat_path, bad).expect("write bad feature file");
+            let store = CkptStore::new(Some(dir.clone()));
+            let got = store.warm_features_cached(9, feats.len(), || feats.clone());
+            assert_eq!(*got, feats, "{bad}");
+            assert_eq!(
+                (store.warm_passes(), store.ckpt_rejects()),
+                (1, 1),
+                "{bad}: one recompute, one reject"
+            );
+            let healed = CkptStore::new(Some(dir.clone()));
+            let got = healed.warm_features_cached(9, feats.len(), || {
+                panic!("{bad}: the healed file must be served from disk")
+            });
+            assert_eq!(*got, feats, "{bad}");
+            assert_eq!((healed.warm_passes(), healed.ckpt_rejects()), (0, 0));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -44,18 +44,6 @@ impl ScenarioResult {
     }
 }
 
-/// Runs one workload: `threads(smt)` copies with staggered start points,
-/// so SMT threads execute divergent instruction streams (like real
-/// rate-mode runs) instead of identical lock-step copies.
-#[must_use]
-pub fn run_workload(cfg: &CoreConfig, workload: &Workload, max_ops: u64) -> ScenarioResult {
-    run_traces(
-        cfg,
-        &workload.name,
-        staggered_views(workload, cfg.smt.threads(), max_ops),
-    )
-}
-
 /// Builds `threads` staggered thread streams as zero-copy views: **one**
 /// trace synthesis, then per-thread `[skip, skip + max_ops)` windows by
 /// range arithmetic on the shared buffer — no per-thread clone, no

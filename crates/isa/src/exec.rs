@@ -141,11 +141,6 @@ impl Machine {
         self.acc[n as usize]
     }
 
-    /// Writes accumulator `n`.
-    pub fn set_acc(&mut self, n: u16, v: Acc) {
-        self.acc[n as usize] = v;
-    }
-
     /// Reads CR field `n` (low 3 bits: LT=4, GT=2, EQ=1).
     #[must_use]
     pub fn cr(&self, n: u16) -> u8 {
@@ -156,11 +151,6 @@ impl Machine {
     #[must_use]
     pub fn ctr(&self) -> u64 {
         self.ctr
-    }
-
-    /// Sets the count register.
-    pub fn set_ctr(&mut self, v: u64) {
-        self.ctr = v;
     }
 
     /// The link register.

@@ -252,16 +252,6 @@ impl Activity {
             self.window_occupancy_acc as f64 / self.cycles as f64
         }
     }
-
-    /// L1D miss rate per access.
-    #[must_use]
-    pub fn l1d_miss_rate(&self) -> f64 {
-        if self.l1d_accesses == 0 {
-            0.0
-        } else {
-            self.l1d_misses as f64 / self.l1d_accesses as f64
-        }
-    }
 }
 
 /// Where every simulated cycle went — a mutually-exclusive partition of
