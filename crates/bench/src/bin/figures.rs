@@ -63,7 +63,10 @@ use p10_core::{ablation, flush, gemm, inference, rasstudy, scenario, socket, tab
 use p10_kernels::models::{bert_large, resnet50};
 use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
+use p10_workloads::microbench::derating_grid;
+use p10_workloads::suite::extended_groups;
 use p10_workloads::{chopstix, Benchmark};
+use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::path::{Path, PathBuf};
 
@@ -134,6 +137,23 @@ impl Report {
 /// `value` as one pretty-printed JSON document plus a newline.
 fn pretty(value: &impl serde::Serialize) -> String {
     format!("{}\n", serde_json::to_string_pretty(value).expect("json"))
+}
+
+/// A driver's typed result through the engine's result cache, so a rerun
+/// on a warm cache simulates nothing. The content key is the experiment
+/// name plus `inputs`: every argument the driver passes and every preset
+/// the library call builds inside itself.
+fn driver_cached<T>(name: &str, inputs: &serde_json::Value, compute: impl FnOnce() -> T) -> T
+where
+    T: Clone + Serialize + Deserialize + Send + Sync + 'static,
+{
+    runner::cached(name, &format!("{name}|{inputs}"), compute)
+}
+
+/// A configuration as a key input: its timing projection, as in
+/// `runner::point_key`, and the display name the results print.
+fn config_input(cfg: &CoreConfig) -> serde_json::Value {
+    json!([cfg.name, runner::timing_projection(cfg)])
 }
 
 struct Opts {
@@ -788,7 +808,10 @@ fn do_fig5(ops: u64) -> Report {
         "Fig. 5 — DGEMM flops/cycle & core power",
         "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
     );
-    let f = gemm::run_fig5(ops);
+    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
+    let f = driver_cached("fig5", &json!({"presets": presets, "ops": ops}), || {
+        gemm::run_fig5(ops)
+    });
     for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
         r.line(format!(
             "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}",
@@ -895,7 +918,20 @@ fn do_fig10(ops: u64) -> Report {
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
-    let pts = run_fig10(&suite(), 4, ops / 10);
+    let (benches, snippets, snippet_ops) = (suite(), 4, ops / 10);
+    // `fig10_snippet` runs SMT2 POWER10 as the core and the chip model.
+    let mut smt2 = CoreConfig::power10();
+    smt2.smt = p10_uarch::SmtMode::Smt2;
+    let models = [
+        p10_apex::core_model(smt2.clone()),
+        p10_apex::chip_model(smt2),
+    ]
+    .map(|c| config_input(&c));
+    let inputs =
+        json!({"suite": benches, "snippets": snippets, "ops": snippet_ops, "presets": models});
+    let pts = driver_cached("fig10", &inputs, || {
+        run_fig10(&benches, snippets, snippet_ops)
+    });
     r.line(format!(
         "{:<14} {:>4} {:>6} {:>8} {:>10}",
         "bench", "snip", "model", "IPC", "core power"
@@ -916,15 +952,28 @@ fn do_fig10(ops: u64) -> Report {
     r.json(&pts)
 }
 
-fn fig11_dataset(ops: u64) -> p10_powermodel::Dataset {
-    build_dataset(
-        &CoreConfig::power10(),
-        &suite(),
-        &[1, 2],
+/// The Fig. 11 and 15(a) dataset — windowed POWER10 runs of the suite at
+/// seeds 1 and 2, half the op budget each, in 512-cycle windows, fitted to
+/// active power — as its key inputs and its build.
+fn fig11_dataset(ops: u64) -> (serde_json::Value, impl FnOnce() -> p10_powermodel::Dataset) {
+    let (cfg, benches, seeds, run_ops, window, target) = (
+        CoreConfig::power10(),
+        suite(),
+        [1, 2],
         ops / 2,
         512,
         Target::ActivePower,
-    )
+    );
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "suite": benches,
+        "seeds": seeds,
+        "ops": run_ops,
+        "window": window,
+        "target": target,
+    });
+    let build = move || build_dataset(&cfg, &benches, &seeds, run_ops, window, target);
+    (inputs, build)
 }
 
 fn do_fig11(ops: u64) -> Report {
@@ -932,8 +981,13 @@ fn do_fig11(ops: u64) -> Report {
         "Fig. 11 — M1-linked power model error vs #inputs",
         "error falls with inputs; <2.5% active at max inputs",
     );
-    let data = runner::timed("fig11 dataset", || fig11_dataset(ops));
-    let curves = runner::timed("fig11 regression", || run_fig11(&data, 12));
+    let (dataset, build) = fig11_dataset(ops);
+    let max_inputs = 12;
+    let inputs = json!({"dataset": dataset, "max_inputs": max_inputs});
+    let curves = driver_cached("fig11", &inputs, || {
+        let data = runner::timed("fig11 dataset", build);
+        runner::timed("fig11 regression", || run_fig11(&data, max_inputs))
+    });
     for c in &curves {
         r.line(format!("-- {} --", c.label));
         for p in &c.points {
@@ -952,15 +1006,27 @@ fn do_fig12(ops: u64) -> Report {
         "models differ by 3.42% on average; 72 events total bottom-up",
     );
     let cfg = CoreConfig::power10();
-    let sweep_suite = suite();
+    let benches = &suite()[..6];
+    let (seeds, run_ops, window, top_down, per_component) = ([1], ops / 3, 512, 12, 3);
     // One windowed-run pass feeds all 40 targets (total + 39 components).
     let targets: Vec<Target> = std::iter::once(Target::TotalPower)
         .chain((0..39).map(Target::Component))
         .collect();
-    let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], ops / 3, 512, &targets);
-    let total = datasets.remove(0);
-    let components = datasets;
-    let f = run_fig12(&total, &components, 12, 3);
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "suite": benches,
+        "seeds": seeds,
+        "ops": run_ops,
+        "window": window,
+        "targets": targets,
+        "top_down_inputs": top_down,
+        "per_component_inputs": per_component,
+    });
+    let f = driver_cached("fig12", &inputs, || {
+        let mut datasets = build_datasets(&cfg, benches, &seeds, run_ops, window, &targets);
+        let total = datasets.remove(0);
+        run_fig12(&total, &datasets, top_down, per_component)
+    });
     r.line(format!(
         "model difference   : {:.2}% (paper 3.42%)",
         f.mean_model_difference_pct
@@ -982,7 +1048,17 @@ fn do_fig13(ops: u64) -> Report {
         "Fig. 13 — derating per testcase",
         "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
     );
-    let f = rasstudy::run_fig13(&CoreConfig::power10(), ops / 6, 3);
+    let (cfg, run_ops, spec_benches) = (CoreConfig::power10(), ops / 6, 3);
+    // `run_fig13` runs the derating grid and the first suite members.
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "ops": run_ops,
+        "grid": derating_grid(),
+        "spec": &suite()[..spec_benches],
+    });
+    let f = driver_cached("fig13", &inputs, || {
+        rasstudy::run_fig13(&cfg, run_ops, spec_benches)
+    });
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8} {:>8}",
         "testcase", "static", "VT=10%", "VT=50%", "VT=90%"
@@ -1001,7 +1077,11 @@ fn do_fig14(ops: u64) -> Report {
         "Fig. 14 — POWER9 vs POWER10 derating vs VT",
         "P10 runtime derating higher (6%→21% gap); static ~10% lower",
     );
-    let f = rasstudy::run_fig14(ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]);
+    let (run_ops, vts) = (ops / 6, [0.1, 0.3, 0.5, 0.7, 0.9]);
+    // `run_fig14` runs POWER9 and POWER10 on the derating grid.
+    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
+    let inputs = json!({"ops": run_ops, "vts": vts, "presets": presets, "grid": derating_grid()});
+    let f = driver_cached("fig14", &inputs, || rasstudy::run_fig14(run_ops, &vts));
     r.line(format!(
         "static derating: P9 {:.1}%  P10 {:.1}%",
         f.p9.static_pct, f.p10.static_pct
@@ -1027,8 +1107,10 @@ fn do_fig15a(ops: u64) -> Report {
         "Fig. 15(a) — power-proxy error vs #counters",
         "16 counters → 9.8% active-power error (<5% incl. static)",
     );
-    let data = fig11_dataset(ops);
-    let sweep = run_fig15a(&data, 16);
+    let (dataset, build) = fig11_dataset(ops);
+    let max_counters = 16;
+    let inputs = json!({"dataset": dataset, "max_counters": max_counters});
+    let sweep = driver_cached("fig15a", &inputs, || run_fig15a(&build(), max_counters));
     for p in &sweep {
         r.line(format!(
             "  counters {:>2}: active-power err {:>6.2}%",
@@ -1043,14 +1125,19 @@ fn do_fig15b(ops: u64) -> Report {
         "Fig. 15(b) — proxy error vs time granularity",
         "predicting every >=50 cycles is near-best; finer degrades fast",
     );
-    let pts = run_fig15b(
-        &CoreConfig::power10(),
-        &suite()[8],
-        ops / 2,
-        &[8, 16, 32, 64, 128, 256, 512],
-        8,
-        0.35,
-    );
+    let (cfg, bench, run_ops) = (CoreConfig::power10(), &suite()[8], ops / 2);
+    let (windows, proxy_inputs, carryover) = ([8, 16, 32, 64, 128, 256, 512], 8, 0.35);
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "bench": bench,
+        "ops": run_ops,
+        "windows": windows,
+        "proxy_inputs": proxy_inputs,
+        "carryover": carryover,
+    });
+    let pts = driver_cached("fig15b", &inputs, || {
+        run_fig15b(&cfg, bench, run_ops, &windows, proxy_inputs, carryover)
+    });
     for p in &pts {
         r.line(format!(
             "  window {:>4} cycles: err {:>6.2}%",
@@ -1065,7 +1152,12 @@ fn do_flushes(ops: u64) -> Report {
         "Flush study — wasted instructions",
         "-25% SPECint, -38% interpreted/analytics",
     );
-    let s = flush::run_flush_study(42, ops / 2);
+    let (seed, run_ops) = (42, ops / 2);
+    // The study runs POWER9 and POWER10 on the suite and the extended groups.
+    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
+    let workloads: Vec<Benchmark> = suite().into_iter().chain(extended_groups()).collect();
+    let inputs = json!({"seed": seed, "ops": run_ops, "presets": presets, "workloads": workloads});
+    let s = driver_cached("flushes", &inputs, || flush::run_flush_study(seed, run_ops));
     for row in &s.rows {
         r.line(format!(
             "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%",
@@ -1091,8 +1183,12 @@ fn do_coverage(ops: u64) -> Report {
         "Proxy coverage — Chopstix top-10 hot functions",
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
-    let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
-    let rows = runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10));
+    let (benches, seed, top_n) = (suite(), 23, 10);
+    let inputs = json!({"suite": benches, "seed": seed, "ops": ops, "top_n": top_n});
+    let rows = driver_cached("coverage", &inputs, || {
+        let workloads: Vec<_> = benches.iter().map(|b| b.workload(seed)).collect();
+        runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, top_n))
+    });
     let mut sum = 0.0;
     for row in &rows {
         r.line(format!(
@@ -1263,14 +1359,17 @@ fn do_tracking(ops: u64) -> Report {
         "SS III-B tracked metrics",
         "IPC, core power, efficiency, latches, % clock enabled, switching",
     );
-    let suite = suite();
-    let sel = &suite[..4];
-    let rows = p10_core::tracking::track(
-        &[CoreConfig::power9(), CoreConfig::power10()],
-        sel,
-        42,
-        ops / 6,
-    );
+    let cfgs = [CoreConfig::power9(), CoreConfig::power10()];
+    let (benches, seed, run_ops) = (&suite()[..4], 42, ops / 6);
+    let inputs = json!({
+        "configs": cfgs.iter().map(config_input).collect::<Vec<_>>(),
+        "suite": benches,
+        "seed": seed,
+        "ops": run_ops,
+    });
+    let rows = driver_cached("tracking", &inputs, || {
+        p10_core::tracking::track(&cfgs, benches, seed, run_ops)
+    });
     r.line(format!(
         "{:<10} {:>6} {:>10} {:>11} {:>10} {:>9} {:>10} {:>9}",
         "machine", "IPC", "core pwr", "efficiency", "latches", "clk-en%", "potential", "obs/pot"
@@ -1291,56 +1390,79 @@ fn do_tracking(ops: u64) -> Report {
     r.json(&rows)
 }
 
+/// The workload-transition droop result; its fields are the `--json`
+/// payload.
+#[derive(Clone, Serialize, Deserialize)]
+struct Droop {
+    max_droop_unprotected: f64,
+    max_droop_with_dds: f64,
+    engagements: u32,
+    windows: usize,
+}
+
 fn do_droop(ops: u64) -> Report {
     let mut r = Report::new(
         "Workload-transition droop",
         "SS IV-B: sudden workload change droops the rail; the DDS clips it",
     );
     use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
-    // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-    let scalar = suite()[8].workload(3).trace_or_panic(ops / 8);
-    let mut ops_list = scalar.ops;
-    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
-    // The kernel workload uses its own memory image; for the droop demand
-    // we only need the power series, so run the two phases separately.
-    let cfg = CoreConfig::power10();
-    let model = p10_power::PowerModel::for_config(&cfg);
-    let phase_power = |trace: p10_isa::Trace| -> Vec<f64> {
-        let report = p10_apex::run_apex(&cfg, vec![trace], 256, 10_000_000);
-        report
-            .windows
-            .iter()
-            .map(|w| model.evaluate(&w.activity).core_total())
-            .collect()
-    };
-    ops_list.truncate(ops as usize / 8);
-    let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
-    let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
-    powers.extend(phase_power(kernel));
-    let demand = demand_from_power(&powers, p_ref);
-    let pdn = PdnModel::default();
-    let free = simulate_droop(&pdn, None, &demand);
-    let protected = simulate_droop(&pdn, Some(&DroopSensor::default()), &demand);
+    let (cfg, bench, scalar_seed) = (CoreConfig::power10(), &suite()[8], 3);
+    let (window, max_cycles) = (256, 10_000_000);
+    let (pdn, sensor) = (PdnModel::default(), DroopSensor::default());
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "scalar": bench,
+        "scalar_seed": scalar_seed,
+        "scalar_ops": ops / 8,
+        "dgemm_mma_ops": ops / 4,
+        "window": window,
+        "max_cycles": max_cycles,
+        "pdn": pdn,
+        "sensor": sensor,
+    });
+    let d = driver_cached("droop", &inputs, || {
+        // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
+        let scalar = bench.workload(scalar_seed).trace_or_panic(ops / 8);
+        let mut ops_list = scalar.ops;
+        let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
+        // The kernel workload uses its own memory image; for the droop
+        // demand we only need the power series, so run the two phases
+        // separately.
+        let model = p10_power::PowerModel::for_config(&cfg);
+        let phase_power = |trace: p10_isa::Trace| -> Vec<f64> {
+            let report = p10_apex::run_apex(&cfg, vec![trace], window, max_cycles);
+            report
+                .windows
+                .iter()
+                .map(|w| model.evaluate(&w.activity).core_total())
+                .collect()
+        };
+        ops_list.truncate(ops as usize / 8);
+        let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
+        let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
+        powers.extend(phase_power(kernel));
+        let demand = demand_from_power(&powers, p_ref);
+        let free = simulate_droop(&pdn, None, &demand);
+        let protected = simulate_droop(&pdn, Some(&sensor), &demand);
+        Droop {
+            max_droop_unprotected: free.max_droop,
+            max_droop_with_dds: protected.max_droop,
+            engagements: protected.engagements,
+            windows: demand.len(),
+        }
+    });
     r.line(format!(
         "scalar -> MMA-kernel transition over {} power windows:",
-        demand.len()
+        d.windows
     ));
     r.line(format!(
         "worst droop without DDS {:.1}%  |  with DDS {:.1}% ({} engagements)",
-        free.max_droop * 100.0,
-        protected.max_droop * 100.0,
-        protected.engagements
+        d.max_droop_unprotected * 100.0,
+        d.max_droop_with_dds * 100.0,
+        d.engagements
     ));
     // The one compact payload.
-    r.json = format!(
-        "{}\n",
-        json!({
-            "max_droop_unprotected": free.max_droop,
-            "max_droop_with_dds": protected.max_droop,
-            "engagements": protected.engagements,
-            "windows": demand.len(),
-        })
-    );
+    r.json = format!("{}\n", serde_json::to_string(&d).expect("json"));
     r
 }
 
@@ -1714,8 +1836,18 @@ fn do_tracepoints(ops: u64) -> Report {
         "Tracepoints vs Simpoints",
         "counter-histogram epochs beat BBVs on phased/interpreted code",
     );
-    let w = p10_workloads::suite::phased_pointer_chase(2_000);
-    let s = tracestudy::run_trace_study(&CoreConfig::power10(), &w, ops, 1_500, 3);
+    let (cfg, phase_nodes, epoch_ops, clusters) = (CoreConfig::power10(), 2_000, 1_500, 3);
+    let inputs = json!({
+        "config": config_input(&cfg),
+        "phased_pointer_chase": phase_nodes,
+        "ops": ops,
+        "epoch_ops": epoch_ops,
+        "clusters": clusters,
+    });
+    let s = driver_cached("tracepoints", &inputs, || {
+        let w = p10_workloads::suite::phased_pointer_chase(phase_nodes);
+        tracestudy::run_trace_study(&cfg, &w, ops, epoch_ops, clusters)
+    });
     r.line(format!(
         "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)",
         s.full_cpi,

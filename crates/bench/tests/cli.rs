@@ -503,22 +503,20 @@ fn strip_walls(v: &serde_json::Value) -> serde_json::Value {
 }
 
 /// Runs `figures` with `args` plus `--no-ledger --jobs N --obs-json`,
-/// with no inherited `P10SIM_*` variable but the given checkpoint dir.
-/// Returns stdout and every `[obs]` counter except the per-worker
-/// `engine.*` ones.
+/// with no inherited `P10SIM_*` variable but those in `env`. Returns
+/// stdout and every `[obs]` counter except the per-worker `engine.*`
+/// ones.
 fn run_counted(
     args: &[&str],
     jobs: &str,
-    ckpt: Option<&std::path::Path>,
+    env: &[(&str, &std::path::Path)],
 ) -> (String, Vec<(String, u64)>) {
     let obs = scratch(&format!("jobs{jobs}-obs"), "obs.json");
     let mut cmd = figures();
     for (k, _) in std::env::vars().filter(|(k, _)| k.starts_with("P10SIM_")) {
         cmd.env_remove(k);
     }
-    if let Some(dir) = ckpt {
-        cmd.env("P10SIM_CKPT_DIR", dir);
-    }
+    cmd.envs(env.iter().copied());
     let out = cmd
         .args(args)
         .args(["--no-ledger", "--jobs", jobs, "--obs-json"])
@@ -557,7 +555,11 @@ fn assert_sampling_study_invariant(ops: &str, disk_tier: bool) {
     let args = ["sampling", "--ops", ops, "--no-cache", "--json"];
     let run = |jobs: &str| {
         let ckpt = disk_tier.then(|| scratch(&format!("jobs{jobs}-ckpt"), ""));
-        let (stdout, counters) = run_counted(&args, jobs, ckpt.as_deref());
+        let env: Vec<_> = ckpt
+            .iter()
+            .map(|d| ("P10SIM_CKPT_DIR", d.as_path()))
+            .collect();
+        let (stdout, counters) = run_counted(&args, jobs, &env);
         if let Some(dir) = ckpt {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -606,13 +608,13 @@ fn sampling_study_is_invariant_to_the_job_count_in_memory() {
 #[test]
 fn pool_drivers_are_invariant_to_the_job_count() {
     // Each of these drivers runs its independent points on the worker
-    // pool and folds the results in input order.
+    // pool and folds the results in input order (`fig4` as one batch).
     for driver in [
-        "fig5", "fig10", "fig13", "fig14", "flushes", "coverage", "tracking",
+        "fig4", "fig5", "fig10", "fig13", "fig14", "flushes", "coverage", "tracking",
     ] {
         let args = [driver, "--ops", "3000", "--no-cache"];
-        let (serial_out, serial_counters) = run_counted(&args, "1", None);
-        let (pool_out, pool_counters) = run_counted(&args, "2", None);
+        let (serial_out, serial_counters) = run_counted(&args, "1", &[]);
+        let (pool_out, pool_counters) = run_counted(&args, "2", &[]);
         assert!(!serial_out.is_empty(), "{driver} printed nothing");
         assert_eq!(serial_out, pool_out, "{driver} stdout differs at --jobs 2");
         assert_eq!(
@@ -620,6 +622,99 @@ fn pool_drivers_are_invariant_to_the_job_count() {
             "{driver} counters differ at --jobs 2"
         );
     }
+}
+
+/// A counter's value, 0 when the run never touched it.
+fn counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// The result-cache entries in `dir`.
+fn cache_entries(dir: &std::path::Path) -> std::collections::BTreeSet<std::path::PathBuf> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .map(|e| e.expect("dir entry").path())
+                .filter(|p| p.extension().is_some_and(|x| x == "json"))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+#[test]
+fn cached_drivers_rerun_from_the_cache_and_heal() {
+    // Each driver's result is a result-cache entry: a rerun on a warm
+    // cache prints the cold bytes, text and --json, without simulating.
+    let cache = scratch("driver-cache", "");
+    let env = [("P10SIM_CACHE_DIR", cache.as_path())];
+    let mut written = std::collections::HashMap::new();
+    for driver in [
+        "fig5",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15a",
+        "fig15b",
+        "flushes",
+        "coverage",
+        "tracepoints",
+        "tracking",
+        "droop",
+    ] {
+        let text = [driver, "--ops", "3000"];
+        let json = [driver, "--ops", "3000", "--json"];
+        let before = cache_entries(&cache);
+        let (cold_text, _) = run_counted(&text, "2", &env);
+        let new: Vec<_> = cache_entries(&cache).difference(&before).cloned().collect();
+        written.insert(driver, new);
+        let (cold_json, _) =
+            run_counted(&[driver, "--ops", "3000", "--json", "--no-cache"], "2", &[]);
+        for (args, cold) in [(&text[..], &cold_text), (&json[..], &cold_json)] {
+            let (warm, counters) = run_counted(args, "2", &env);
+            assert_eq!(&warm, cold, "{args:?} warm stdout differs from cold");
+            for name in ["sim.runs", "sim.observed_runs", "trace.arena.misses"] {
+                assert_eq!(
+                    counter(&counters, name),
+                    0,
+                    "{args:?} warm run counted {name}"
+                );
+            }
+        }
+    }
+
+    // Damage two entries one fig15a run reads: its own result (truncated)
+    // and one of the APEX reports behind its dataset, which fig11's cold
+    // run wrote (the high bit of its first byte flipped). Both count as
+    // decode errors, recompute to the same bytes and heal.
+    let result = &written["fig15a"];
+    assert_eq!(
+        result.len(),
+        1,
+        "fig15a's cold run wrote its result only: {result:?}"
+    );
+    let bytes = std::fs::read(&result[0]).expect("fig15a entry");
+    std::fs::write(&result[0], &bytes[..bytes.len() / 2]).expect("truncate");
+    // An APEX report is an object; fig11's own result is an array.
+    let report = written["fig11"]
+        .iter()
+        .find(|p| std::fs::read(p).expect("fig11 entry").first() == Some(&b'{'))
+        .expect("an APEX report entry");
+    let mut bytes = std::fs::read(report).expect("report entry");
+    bytes[0] ^= 0x80;
+    std::fs::write(report, &bytes).expect("flip");
+    let args = ["fig15a", "--ops", "3000"];
+    let (cold, _) = run_counted(&args, "2", &[]);
+    for errors in [2, 0] {
+        let (out, counters) = run_counted(&args, "2", &env);
+        assert_eq!(out, cold, "fig15a stdout changed on a damaged cache");
+        assert_eq!(counter(&counters, "cache.disk_decode_errors"), errors);
+    }
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -681,7 +776,7 @@ fn sampling_reaches_every_sampled_experiment() {
         "sampling",
     ] {
         let args = [exp, "--ops", "2000", "--no-cache", "--sampling", "bound:50"];
-        let (_, counters) = run_counted(&args, "2", None);
+        let (_, counters) = run_counted(&args, "2", &[]);
         let intervals = counters
             .iter()
             .find(|(name, _)| name == "sim.sample.intervals")

@@ -13,6 +13,7 @@ use p10_uarch::{AblationGroup, CoreConfig, SmtMode};
 use p10_workloads::suite::extended_groups;
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Per-group result row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,84 +37,117 @@ pub struct Fig4 {
     pub rows: Vec<AblationRow>,
 }
 
-fn suite_perf(cfg: &CoreConfig, suite: &[Benchmark], seed: u64, ops: u64) -> Vec<(String, f64)> {
-    runner::run_jobs_par(suite, |_, b| {
-        (
-            b.name.clone(),
-            runner::run_benchmark_cached(cfg, b, seed, ops).ipc(),
-        )
-    })
+/// The configs Fig. 4 measures in one SMT mode: the POWER9 base, then
+/// each group applied cumulatively in Fig. 4 order.
+fn cumulative_configs(mode: SmtMode) -> Vec<CoreConfig> {
+    let mut base = CoreConfig::power9();
+    base.smt = mode;
+    let mut steps = vec![base];
+    for group in AblationGroup::ALL {
+        let prev = steps.last().expect("the base config");
+        let mut cfg = prev.clone();
+        cfg.apply(group);
+        cfg.name = format!("{}+{:?}", prev.name, group);
+        steps.push(cfg);
+    }
+    steps
 }
 
 /// Runs the Fig. 4 ablation: groups applied cumulatively in Fig. 4 order,
 /// measuring each group's incremental gain.
+///
+/// Every config is built first, so all points run as one pool batch: the
+/// suite in ST and SMT4, plus the extended groups in SMT4 (the stars),
+/// deduplicated by [`runner::point_key`]. A job is one warm-equivalence
+/// class (warm projection × benchmark) with its points in group order —
+/// `Queues` changes no warm-relevant field — so a sampled run warms each
+/// class once. The gains are folded in group order after the join.
 #[must_use]
 pub fn run_fig4(suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
     let extended = extended_groups();
-    let modes = [SmtMode::St, SmtMode::Smt4];
+    let modes = [
+        (cumulative_configs(SmtMode::St), suite.iter().collect()),
+        (
+            cumulative_configs(SmtMode::Smt4),
+            suite.iter().chain(&extended).collect::<Vec<&Benchmark>>(),
+        ),
+    ];
 
-    // perf[mode][step][bench] for suite, ext_perf likewise for extended.
-    let mut rows = Vec::new();
-    let mut prev_cfgs: Vec<CoreConfig> = modes
+    // slots[mode][step][benchmark]: the point's job and its position there.
+    let mut jobs: Vec<Vec<(&CoreConfig, &Benchmark)>> = Vec::new();
+    let mut by_key: HashMap<String, (usize, usize)> = HashMap::new();
+    let mut by_class: HashMap<String, usize> = HashMap::new();
+    let mut slots: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
+    for (cfgs, benches) in &modes {
+        let mut mode_slots = Vec::new();
+        for cfg in cfgs {
+            let mut step_slots = Vec::new();
+            for &b in benches {
+                let key = runner::point_key(cfg, b, seed, ops);
+                let slot = *by_key.entry(key).or_insert_with(|| {
+                    let class = format!(
+                        "{}|{}",
+                        serde_json::to_string(&runner::warm_projection(cfg))
+                            .expect("config serializes"),
+                        b.name
+                    );
+                    let job = *by_class.entry(class).or_insert_with(|| {
+                        jobs.push(Vec::new());
+                        jobs.len() - 1
+                    });
+                    jobs[job].push((cfg, b));
+                    (job, jobs[job].len() - 1)
+                });
+                step_slots.push(slot);
+            }
+            mode_slots.push(step_slots);
+        }
+        slots.push(mode_slots);
+    }
+    let ipcs = runner::run_jobs_par(&jobs, |_, job| {
+        job.iter()
+            .map(|&(cfg, b)| runner::run_benchmark_cached(cfg, b, seed, ops).ipc())
+            .collect::<Vec<f64>>()
+    });
+    let ipc: Vec<Vec<Vec<f64>>> = slots
         .iter()
-        .map(|&m| {
-            let mut c = CoreConfig::power9();
-            c.smt = m;
-            c
+        .map(|by_step| {
+            by_step
+                .iter()
+                .map(|row| row.iter().map(|&(job, pos)| ipcs[job][pos]).collect())
+                .collect()
         })
         .collect();
-    let mut prev_suite: Vec<Vec<(String, f64)>> = prev_cfgs
-        .iter()
-        .map(|c| suite_perf(c, suite, seed, ops))
-        .collect();
-    let mut prev_ext: Vec<(String, f64)> = suite_perf(&prev_cfgs[1], &extended, seed, ops);
+    // Each benchmark's IPC ratio from `step - 1` to `step` in mode `m`.
+    let ratios = |m: usize, step: usize| {
+        ipc[m][step]
+            .iter()
+            .zip(&ipc[m][step - 1])
+            .map(|(new, old)| new / old.max(1e-12))
+    };
 
-    for group in AblationGroup::ALL {
-        let mut st_gain = 0.0;
-        let mut smt_gain = 0.0;
-        let mut max_gain = f64::MIN;
-        let mut max_workload = String::new();
-        for (mi, _) in modes.iter().enumerate() {
-            let mut cfg = prev_cfgs[mi].clone();
-            cfg.apply(group);
-            cfg.name = format!("{}+{:?}", prev_cfgs[mi].name, group);
-            let cur = suite_perf(&cfg, suite, seed, ops);
-            let gain = geomean(
-                cur.iter()
-                    .zip(prev_suite[mi].iter())
-                    .map(|((_, new), (_, old))| new / old.max(1e-12)),
-            ) - 1.0;
-            if mi == 0 {
-                st_gain = gain;
-            } else {
-                smt_gain = gain;
-                // Stars: max per-workload gain across suite + extended
-                // groups in the SMT mode.
-                let cur_ext = suite_perf(&cfg, &extended, seed, ops);
-                for ((name, new), (_, old)) in cur
-                    .iter()
-                    .chain(cur_ext.iter())
-                    .zip(prev_suite[mi].iter().chain(prev_ext.iter()))
-                {
-                    let g = new / old.max(1e-12) - 1.0;
-                    if g > max_gain {
-                        max_gain = g;
-                        max_workload = name.clone();
-                    }
+    let rows = AblationGroup::ALL
+        .iter()
+        .enumerate()
+        .map(|(g, group)| {
+            let step = g + 1;
+            let mut max_gain = f64::MIN;
+            let mut max_workload = String::new();
+            for (b, ratio) in modes[1].1.iter().zip(ratios(1, step)) {
+                if ratio - 1.0 > max_gain {
+                    max_gain = ratio - 1.0;
+                    max_workload = b.name.clone();
                 }
-                prev_ext = cur_ext;
             }
-            prev_cfgs[mi] = cfg;
-            prev_suite[mi] = cur;
-        }
-        rows.push(AblationRow {
-            group: group.label().to_owned(),
-            st_gain,
-            smt_gain,
-            max_gain,
-            max_workload,
-        });
-    }
+            AblationRow {
+                group: group.label().to_owned(),
+                st_gain: geomean(ratios(0, step)) - 1.0,
+                smt_gain: geomean(ratios(1, step).take(suite.len())) - 1.0,
+                max_gain,
+                max_workload,
+            }
+        })
+        .collect();
     Fig4 { rows }
 }
 

@@ -17,7 +17,14 @@
 //!
 //! Keys are content hashes of the full serialized configuration plus the
 //! workload identity, seed, and op budget — a config tweak, new seed, or
-//! different budget is a different point. Per-job wall-clock timing and a
+//! different budget is a different point.
+//!
+//! Besides the points, both layers hold whole results under content keys
+//! of their inputs: APEX reports (`powerstudies`), DSE recordings and
+//! shards, the Fig. 6 models, and the typed result of every `figures`
+//! driver that runs no benchmark points (all but `apex-speedup`, a
+//! wall-clock measurement), so a warm `figures all` simulates almost
+//! nothing. Per-job wall-clock timing and a
 //! progress line (on stderr, so `--json` stdout stays parseable) make
 //! long runs observable.
 //!
@@ -378,13 +385,14 @@ impl Engine {
 
     fn disk_get<T: Deserialize>(&self, key: &str) -> Option<T> {
         let path = self.disk_cache.as_ref()?.join(format!("{key}.json"));
-        let text = std::fs::read_to_string(&path).ok()?;
-        // A corrupt or stale entry is recomputed like a miss, but counted
-        // so a damaged cache directory shows up in the run summary
-        // instead of silently costing a full re-simulation.
-        match serde_json::from_str(&text) {
-            Ok(v) => Some(v),
-            Err(_) => {
+        let bytes = std::fs::read(&path).ok()?;
+        // A corrupt or stale entry — not UTF-8, or not the expected JSON —
+        // is recomputed like a miss, but counted so a damaged cache
+        // directory shows up in the run summary instead of silently
+        // costing a full re-simulation.
+        match std::str::from_utf8(&bytes).map(serde_json::from_str) {
+            Ok(Ok(v)) => Some(v),
+            _ => {
                 self.stats
                     .disk_decode_errors
                     .fetch_add(1, Ordering::Relaxed);
@@ -745,6 +753,29 @@ mod tests {
         });
         let _: Vec<u64> = third.cached("healed", "point", || panic!("entry must be healed"));
         assert_eq!(third.cache_counts().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_that_is_not_utf8_is_counted_and_recomputed() {
+        let dir = scratch_dir("not-utf8");
+        let mk = || {
+            Engine::new(EngineConfig {
+                disk_cache: Some(dir.clone()),
+                ..EngineConfig::default()
+            })
+        };
+        let _: Vec<u64> = mk().cached("plant", "point", || vec![7, 8]);
+        // Flip the high bit of the first byte: the entry is no longer UTF-8.
+        let path = dir.join(format!("{:016x}.json", fnv1a64(b"point")));
+        let mut bytes = std::fs::read(&path).expect("entry written");
+        bytes[0] ^= 0x80;
+        std::fs::write(&path, &bytes).expect("flip");
+        let fresh = mk();
+        let warm: Vec<u64> = fresh.cached("reread", "point", || vec![7, 8]);
+        assert_eq!(warm, vec![7, 8]);
+        assert_eq!(fresh.cache_counts().disk_decode_errors, 1);
+        assert_eq!(fresh.cache_counts().computes, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
