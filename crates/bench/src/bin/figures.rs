@@ -52,7 +52,8 @@
 //! of them enabled or disabled (wall-clock data lives on stderr and in
 //! the ledger only).
 
-use p10_bench::{suite, FULL_OPS};
+#![forbid(unsafe_code)]
+
 use p10_core::dse;
 use p10_core::powerstudies::{
     build_dataset, build_datasets, run_fig10, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
@@ -65,10 +66,13 @@ use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
 use p10_workloads::microbench::derating_grid;
 use p10_workloads::suite::extended_groups;
-use p10_workloads::{chopstix, Benchmark};
+use p10_workloads::{chopstix, specint_like, Benchmark};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::path::{Path, PathBuf};
+
+/// The default op budget per workload (`--ops`).
+const FULL_OPS: u64 = 60_000;
 
 /// An experiment: its name, its driver, whether `all` runs it, and
 /// whether it runs engine benchmark points (and so honours `--sampling`).
@@ -724,7 +728,7 @@ fn do_table1(ops: u64) -> Report {
         "Table I — chip features & efficiency projections",
         "2.6x core perf/W, up to 3x socket",
     );
-    let t = table1::run_table1(&suite(), 42, ops);
+    let t = table1::run_table1(&specint_like(), 42, ops);
     r.line(format!(
         "SMT per core                  : {}",
         t.smt_per_core
@@ -785,7 +789,7 @@ fn do_fig4(ops: u64) -> Report {
         "Fig. 4 — per-design-change performance gains",
         "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
     );
-    let f = ablation::run_fig4(&suite(), 42, ops / 2);
+    let f = ablation::run_fig4(&specint_like(), 42, ops / 2);
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8}  max workload",
         "group", "ST", "SMT", "max"
@@ -918,7 +922,7 @@ fn do_fig10(ops: u64) -> Report {
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
-    let (benches, snippets, snippet_ops) = (suite(), 4, ops / 10);
+    let (benches, snippets, snippet_ops) = (specint_like(), 4, ops / 10);
     // `fig10_snippet` runs SMT2 POWER10 as the core and the chip model.
     let mut smt2 = CoreConfig::power10();
     smt2.smt = p10_uarch::SmtMode::Smt2;
@@ -958,7 +962,7 @@ fn do_fig10(ops: u64) -> Report {
 fn fig11_dataset(ops: u64) -> (serde_json::Value, impl FnOnce() -> p10_powermodel::Dataset) {
     let (cfg, benches, seeds, run_ops, window, target) = (
         CoreConfig::power10(),
-        suite(),
+        specint_like(),
         [1, 2],
         ops / 2,
         512,
@@ -1006,7 +1010,7 @@ fn do_fig12(ops: u64) -> Report {
         "models differ by 3.42% on average; 72 events total bottom-up",
     );
     let cfg = CoreConfig::power10();
-    let benches = &suite()[..6];
+    let benches = &specint_like()[..6];
     let (seeds, run_ops, window, top_down, per_component) = ([1], ops / 3, 512, 12, 3);
     // One windowed-run pass feeds all 40 targets (total + 39 components).
     let targets: Vec<Target> = std::iter::once(Target::TotalPower)
@@ -1054,7 +1058,7 @@ fn do_fig13(ops: u64) -> Report {
         "config": config_input(&cfg),
         "ops": run_ops,
         "grid": derating_grid(),
-        "spec": &suite()[..spec_benches],
+        "spec": &specint_like()[..spec_benches],
     });
     let f = driver_cached("fig13", &inputs, || {
         rasstudy::run_fig13(&cfg, run_ops, spec_benches)
@@ -1125,7 +1129,7 @@ fn do_fig15b(ops: u64) -> Report {
         "Fig. 15(b) — proxy error vs time granularity",
         "predicting every >=50 cycles is near-best; finer degrades fast",
     );
-    let (cfg, bench, run_ops) = (CoreConfig::power10(), &suite()[8], ops / 2);
+    let (cfg, bench, run_ops) = (CoreConfig::power10(), &specint_like()[8], ops / 2);
     let (windows, proxy_inputs, carryover) = ([8, 16, 32, 64, 128, 256, 512], 8, 0.35);
     let inputs = json!({
         "config": config_input(&cfg),
@@ -1155,7 +1159,10 @@ fn do_flushes(ops: u64) -> Report {
     let (seed, run_ops) = (42, ops / 2);
     // The study runs POWER9 and POWER10 on the suite and the extended groups.
     let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
-    let workloads: Vec<Benchmark> = suite().into_iter().chain(extended_groups()).collect();
+    let workloads: Vec<Benchmark> = specint_like()
+        .into_iter()
+        .chain(extended_groups())
+        .collect();
     let inputs = json!({"seed": seed, "ops": run_ops, "presets": presets, "workloads": workloads});
     let s = driver_cached("flushes", &inputs, || flush::run_flush_study(seed, run_ops));
     for row in &s.rows {
@@ -1183,7 +1190,7 @@ fn do_coverage(ops: u64) -> Report {
         "Proxy coverage — Chopstix top-10 hot functions",
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
-    let (benches, seed, top_n) = (suite(), 23, 10);
+    let (benches, seed, top_n) = (specint_like(), 23, 10);
     let inputs = json!({"suite": benches, "seed": seed, "ops": ops, "top_n": top_n});
     let rows = driver_cached("coverage", &inputs, || {
         let workloads: Vec<_> = benches.iter().map(|b| b.workload(seed)).collect();
@@ -1211,7 +1218,7 @@ fn do_apex_speedup(ops: u64) -> Report {
         "APEX speedup — detailed vs counter-based extraction",
         "~5000x on AWAN hardware; software analog shows the asymmetry",
     );
-    let b = &suite()[8];
+    let b = &specint_like()[8];
     let t = b.workload(5).trace_or_panic(ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
     // Wall-clock numbers vary run to run; they go to the obs summary on
@@ -1239,7 +1246,7 @@ fn do_profile(ops: u64) -> Report {
         "SS III methodology turned on the simulator itself: where cycles go",
     );
     let configs = [CoreConfig::power9(), CoreConfig::power10()];
-    let rows = p10_core::cycleprof::run_profile(&configs, &suite(), 42, ops);
+    let rows = p10_core::cycleprof::run_profile(&configs, &specint_like(), 42, ops);
     r.line(format!(
         "{:<16} {:<10} {:>12} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "workload",
@@ -1281,7 +1288,7 @@ fn do_wof(ops: u64) -> Report {
     );
     // Effective capacitance ratios from measured suite dynamic power.
     let cfg = CoreConfig::power10();
-    let results = scenario::run_suite(&cfg, &suite(), 42, ops / 3);
+    let results = runner::run_suite_par(&cfg, &specint_like(), 42, ops / 3);
     let ref_power = results
         .results
         .iter()
@@ -1313,7 +1320,7 @@ fn do_sensitivity(ops: u64) -> Report {
         "Design-choice sensitivity",
         "SS II-B mechanisms toggled off one at a time on POWER10",
     );
-    let rows = p10_core::sensitivity::run_sensitivity(&suite(), 42, ops / 2);
+    let rows = p10_core::sensitivity::run_sensitivity(&specint_like(), 42, ops / 2);
     r.line(format!(
         "{:<26} {:>10} {:>10} {:>12}",
         "mechanism", "perf", "power", "energy/inst"
@@ -1335,7 +1342,7 @@ fn do_smt(ops: u64) -> Report {
         "SMT throughput scaling",
         "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
     );
-    let suite = suite();
+    let suite = specint_like();
     let sel: Vec<_> = [8usize, 2, 7, 0]
         .iter()
         .map(|&i| suite[i].clone())
@@ -1360,7 +1367,7 @@ fn do_tracking(ops: u64) -> Report {
         "IPC, core power, efficiency, latches, % clock enabled, switching",
     );
     let cfgs = [CoreConfig::power9(), CoreConfig::power10()];
-    let (benches, seed, run_ops) = (&suite()[..4], 42, ops / 6);
+    let (benches, seed, run_ops) = (&specint_like()[..4], 42, ops / 6);
     let inputs = json!({
         "configs": cfgs.iter().map(config_input).collect::<Vec<_>>(),
         "suite": benches,
@@ -1406,7 +1413,7 @@ fn do_droop(ops: u64) -> Report {
         "SS IV-B: sudden workload change droops the rail; the DDS clips it",
     );
     use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
-    let (cfg, bench, scalar_seed) = (CoreConfig::power10(), &suite()[8], 3);
+    let (cfg, bench, scalar_seed) = (CoreConfig::power10(), &specint_like()[8], 3);
     let (window, max_cycles) = (256, 10_000_000);
     let (pdn, sensor) = (PdnModel::default(), DroopSensor::default());
     let inputs = json!({
@@ -1600,7 +1607,7 @@ fn do_sampling(ops: u64) -> Report {
         .filter(|m| !m.is_exact())
         .unwrap_or_else(|| default_sampling_mode(ops));
     let cfg = CoreConfig::power10();
-    let suite = suite();
+    let suite = specint_like();
     let benches = &suite[7..10];
     r.head += &format!("mode: {}  ops/workload: {}\n", mode.describe(), ops);
     // Cross-workload fast-forward geometry: the default interval and

@@ -106,7 +106,7 @@ pub fn run_fig4(suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
     }
     let ipcs = runner::run_jobs_par(&jobs, |_, job| {
         job.iter()
-            .map(|&(cfg, b)| runner::run_benchmark_cached(cfg, b, seed, ops).ipc())
+            .map(|&(cfg, b)| runner::engine().run_benchmark(cfg, b, seed, ops).ipc())
             .collect::<Vec<f64>>()
     });
     let ipc: Vec<Vec<Vec<f64>>> = slots

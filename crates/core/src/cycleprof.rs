@@ -13,7 +13,7 @@
 //! rely on survives sampling: buckets still sum exactly to the
 //! (estimated) total cycles, so every `share` column still adds to 100%.
 
-use crate::scenario::run_suite;
+use crate::runner::run_suite_par;
 use p10_uarch::{CoreConfig, CycleAttribution};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -56,7 +56,7 @@ pub fn run_profile(
 ) -> Vec<ProfileRow> {
     let mut rows = Vec::new();
     for cfg in configs {
-        let sr = run_suite(cfg, suite, seed, max_ops);
+        let sr = run_suite_par(cfg, suite, seed, max_ops);
         for r in &sr.results {
             debug_assert_eq!(r.sim.attribution.total(), r.sim.activity.cycles);
             rows.push(ProfileRow {

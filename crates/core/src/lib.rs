@@ -24,13 +24,14 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use p10_core::scenario::{run_suite, SuiteComparison};
+//! use p10_core::runner::run_suite_par;
+//! use p10_core::scenario::SuiteComparison;
 //! use p10_uarch::CoreConfig;
 //! use p10_workloads::specint_like;
 //!
 //! let suite = specint_like();
-//! let p9 = run_suite(&CoreConfig::power9(), &suite, 42, 120_000);
-//! let p10 = run_suite(&CoreConfig::power10(), &suite, 42, 120_000);
+//! let p9 = run_suite_par(&CoreConfig::power9(), &suite, 42, 120_000);
+//! let p10 = run_suite_par(&CoreConfig::power10(), &suite, 42, 120_000);
 //! let cmp = SuiteComparison::between(&p9, &p10);
 //! println!(
 //!     "perf {:.2}x power {:.2}x efficiency {:.2}x",

@@ -587,17 +587,6 @@ where
     engine().run_jobs_par(items, f)
 }
 
-/// [`Engine::run_benchmark`] on the process-wide engine.
-#[must_use]
-pub fn run_benchmark_cached(
-    cfg: &CoreConfig,
-    bench: &Benchmark,
-    seed: u64,
-    max_ops: u64,
-) -> ScenarioResult {
-    engine().run_benchmark(cfg, bench, seed, max_ops)
-}
-
 /// [`Engine::run_suite`] on the process-wide engine.
 #[must_use]
 pub fn run_suite_par(

@@ -192,16 +192,6 @@ impl SuiteResult {
     }
 }
 
-/// Runs every benchmark of a suite on one configuration.
-///
-/// Routed through the [`crate::runner`] engine: benchmarks fan out across
-/// the worker pool and already-simulated points come from the cache, with
-/// results ordered exactly as the serial path would produce them.
-#[must_use]
-pub fn run_suite(cfg: &CoreConfig, suite: &[Benchmark], seed: u64, max_ops: u64) -> SuiteResult {
-    crate::runner::run_suite_par(cfg, suite, seed, max_ops)
-}
-
 /// Suite-level comparison (new vs baseline) — the Table I quantities.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SuiteComparison {
@@ -459,8 +449,8 @@ mod tests {
     #[test]
     fn mismatched_suites_are_rejected() {
         let suite = specint_like();
-        let a = run_suite(&CoreConfig::power10(), &suite[8..9], 3, 5_000);
-        let b = run_suite(&CoreConfig::power9(), &suite[7..9], 3, 5_000);
+        let a = crate::runner::run_suite_par(&CoreConfig::power10(), &suite[8..9], 3, 5_000);
+        let b = crate::runner::run_suite_par(&CoreConfig::power9(), &suite[7..9], 3, 5_000);
         let err = SuiteComparison::try_between(&a, &b).unwrap_err();
         assert!(err.contains("mismatched suites"), "{err}");
         assert!(err.contains(&suite[7].name), "{err}");
@@ -471,7 +461,7 @@ mod tests {
     #[test]
     fn comparison_of_identical_suites_is_unity() {
         let suite = &specint_like()[8..9];
-        let a = run_suite(&CoreConfig::power10(), suite, 3, 10_000);
+        let a = crate::runner::run_suite_par(&CoreConfig::power10(), suite, 3, 10_000);
         let cmp = SuiteComparison::between(&a, &a);
         assert!((cmp.perf_ratio - 1.0).abs() < 1e-9);
         assert!((cmp.power_ratio - 1.0).abs() < 1e-9);

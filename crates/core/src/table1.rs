@@ -1,6 +1,7 @@
 //! Table I: chip features and the headline efficiency projections.
 
-use crate::scenario::{run_suite, SuiteComparison};
+use crate::runner::run_suite_par;
+use crate::scenario::SuiteComparison;
 use p10_uarch::{CoreConfig, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -34,8 +35,8 @@ pub fn run_table1(suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
     let p9 = CoreConfig::power9();
     let p10 = CoreConfig::power10();
     let st = SuiteComparison::between(
-        &run_suite(&p9, suite, seed, ops),
-        &run_suite(&p10, suite, seed, ops),
+        &run_suite_par(&p9, suite, seed, ops),
+        &run_suite_par(&p10, suite, seed, ops),
     );
     // Socket view: SMT4 halves (SMT8 cores), where POWER10's deeper
     // queues and bandwidth stretch further.
@@ -44,8 +45,8 @@ pub fn run_table1(suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
     let mut p10s = p10.clone();
     p10s.smt = SmtMode::Smt2;
     let smt = SuiteComparison::between(
-        &run_suite(&p9s, suite, seed, ops / 2),
-        &run_suite(&p10s, suite, seed, ops / 2),
+        &run_suite_par(&p9s, suite, seed, ops / 2),
+        &run_suite_par(&p10s, suite, seed, ops / 2),
     );
     Table1 {
         smt_per_core: 8,

@@ -222,22 +222,23 @@ pub fn append(dir: &Path, record: &RunRecord) -> std::io::Result<PathBuf> {
 }
 
 /// Reads the full run history from `dir/ledger.jsonl`, oldest first.
-/// A missing ledger is an empty history; lines that fail to parse
-/// (torn concurrent writes, foreign schemas) are skipped.
+/// A missing ledger is an empty history; lines that are not UTF-8 or
+/// fail to parse (torn concurrent writes, flipped bytes, foreign
+/// schemas) are skipped, so one bad line costs only its own record.
 ///
 /// # Errors
 ///
 /// Propagates read failures other than the file not existing.
 pub fn read(dir: &Path) -> std::io::Result<Vec<RunRecord>> {
     let path = dir.join(LEDGER_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    Ok(text
-        .lines()
-        .filter_map(|l| serde_json::from_str::<RunRecord>(l).ok())
+    Ok(bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|l| serde_json::from_str::<RunRecord>(std::str::from_utf8(l).ok()?).ok())
         .collect())
 }
 
@@ -490,6 +491,32 @@ mod tests {
         text.push_str("{\"torn\":");
         std::fs::write(&path, text).expect("plant torn line");
         assert_eq!(read(&dir).expect("read with torn line").len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_byte_costs_only_its_own_record() {
+        let dir = scratch_dir("flipbyte");
+        let a = record("all", &[("fig2", 0.5)]);
+        let b = record("all", &[("fig2", 0.4)]);
+        let c = record("fig4", &[("fig4", 1.0)]);
+        for r in [&a, &b, &c] {
+            append(&dir, r).expect("append");
+        }
+        // Flip the high bit of a byte in the middle of the second line:
+        // that line is no longer UTF-8, the other two still are.
+        let path = dir.join(LEDGER_FILE);
+        let mut bytes = std::fs::read(&path).expect("ledger bytes");
+        let first_nl = bytes.iter().position(|&b| b == b'\n').expect("first line");
+        let second_nl = first_nl
+            + 1
+            + bytes[first_nl + 1..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .expect("second line");
+        bytes[(first_nl + second_nl) / 2] ^= 0x80;
+        std::fs::write(&path, bytes).expect("plant flipped byte");
+        assert_eq!(read(&dir).expect("read with flipped byte"), vec![a, c]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

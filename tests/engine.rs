@@ -1,7 +1,7 @@
 //! Determinism guarantees of the parallel experiment engine: the worker
 //! pool and both cache layers must be invisible in the numbers.
 
-use p10_core::runner::{point_key, Engine, EngineConfig};
+use p10_core::runner::{self, point_key, Engine, EngineConfig};
 use p10_core::scenario::{self, ScenarioResult};
 use p10_uarch::CoreConfig;
 use p10_workloads::specint_like;
@@ -91,12 +91,12 @@ fn memo_hit_is_byte_identical_and_skips_work() {
 
 #[test]
 fn run_suite_entrypoint_is_deterministic_across_calls() {
-    // scenario::run_suite itself now routes through the engine; two calls
-    // (second one memo-warm) must agree exactly.
+    // The process-wide engine's suite entrypoint: two calls (second one
+    // memo-warm) must agree exactly.
     let suite = &specint_like()[..3];
     let cfg = CoreConfig::power10();
-    let a = scenario::run_suite(&cfg, suite, SEED, OPS);
-    let b = scenario::run_suite(&cfg, suite, SEED, OPS);
+    let a = runner::run_suite_par(&cfg, suite, SEED, OPS);
+    let b = runner::run_suite_par(&cfg, suite, SEED, OPS);
     assert_eq!(
         serde_json::to_string(&a).expect("json"),
         serde_json::to_string(&b).expect("json")

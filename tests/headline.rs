@@ -2,7 +2,8 @@
 //! shape whenever the whole stack is assembled.
 
 use p10sim::core::gemm::run_fig5;
-use p10sim::core::scenario::{run_suite, SuiteComparison};
+use p10sim::core::runner::run_suite_par;
+use p10sim::core::scenario::SuiteComparison;
 use p10sim::uarch::CoreConfig;
 use p10sim::workloads::specint_like;
 
@@ -11,8 +12,8 @@ fn power10_efficiency_headline() {
     // Paper: ~1.3x throughput at ~0.5x power = 2.6x perf/W (core level,
     // SPECint, iso voltage/frequency). Shape bands, not third decimals.
     let suite = specint_like();
-    let p9 = run_suite(&CoreConfig::power9(), &suite, 42, 15_000);
-    let p10 = run_suite(&CoreConfig::power10(), &suite, 42, 15_000);
+    let p9 = run_suite_par(&CoreConfig::power9(), &suite, 42, 15_000);
+    let p10 = run_suite_par(&CoreConfig::power10(), &suite, 42, 15_000);
     let cmp = SuiteComparison::between(&p9, &p10);
     assert!(
         cmp.perf_ratio > 1.15 && cmp.perf_ratio < 1.7,
@@ -34,8 +35,8 @@ fn power10_efficiency_headline() {
 #[test]
 fn every_benchmark_gains_perf_and_saves_power() {
     let suite = specint_like();
-    let p9 = run_suite(&CoreConfig::power9(), &suite, 7, 12_000);
-    let p10 = run_suite(&CoreConfig::power10(), &suite, 7, 12_000);
+    let p9 = run_suite_par(&CoreConfig::power9(), &suite, 7, 12_000);
+    let p10 = run_suite_par(&CoreConfig::power10(), &suite, 7, 12_000);
     for (a, b) in p9.results.iter().zip(p10.results.iter()) {
         assert!(
             b.ipc() > a.ipc(),

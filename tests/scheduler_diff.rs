@@ -58,7 +58,8 @@ fn smt_mode(threads: u8) -> SmtMode {
     }
 }
 
-/// Fixed-seed regression: every preset × every SPECint-like benchmark.
+/// Fixed-seed regression: every preset × every SPECint-like benchmark,
+/// plus the ALU-bound, miss-bound and SMT4 throughput extremes.
 #[test]
 fn schedulers_agree_on_specint_suite() {
     for cfg in presets() {
@@ -69,6 +70,9 @@ fn schedulers_agree_on_specint_suite() {
                 .collect();
             assert_schedulers_agree(&cfg, &traces, &bench.name);
         }
+    }
+    for (label, cfg, traces) in throughput_scenarios() {
+        assert_schedulers_agree(&cfg, &traces, label);
     }
 }
 
@@ -242,6 +246,66 @@ fn schedulers_agree_on_reach_boundaries_in_smt4_icount() {
     }
 }
 
+/// Independent adds in a counted loop: issue-width bound, almost no stall
+/// cycles, so the event-driven scheduler has nothing to fast-forward.
+fn alu_loop_trace(iters: i64) -> p10sim::isa::Trace {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::gpr(4), iters);
+    b.mtctr(Reg::gpr(4));
+    let top = b.bind_label();
+    for r in 5..13u16 {
+        b.addi(Reg::gpr(r), Reg::gpr(r), 1);
+    }
+    b.bdnz(top);
+    p10sim::isa::Machine::new()
+        .run(&b.build(), 50_000_000)
+        .expect("ALU loop runs")
+}
+
+/// A dependent page-stride load chase: the next address depends on the
+/// loaded value (zero, so the walk stays a plain stride), so every
+/// iteration serializes behind a miss and nearly every cycle is idle,
+/// the fast-forward's best case. `seed` moves the chase to its own region.
+fn page_chase_trace(iters: i64, seed: i64) -> p10sim::isa::Trace {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::gpr(1), 0x20_0000 + seed * 0x40_0000);
+    b.li(Reg::gpr(4), iters);
+    b.mtctr(Reg::gpr(4));
+    let top = b.bind_label();
+    b.ld(Reg::gpr(2), Reg::gpr(1), 0);
+    b.add(Reg::gpr(1), Reg::gpr(1), Reg::gpr(2));
+    b.addi(Reg::gpr(1), Reg::gpr(1), 4096);
+    b.bdnz(top);
+    p10sim::isa::Machine::new()
+        .run(&b.build(), 50_000_000)
+        .expect("page chase runs")
+}
+
+/// The scheduler's two extremes and their SMT mix: an ALU loop on
+/// POWER10, a page chase on POWER10 without prefetch, and four staggered
+/// chases on SMT4.
+fn throughput_scenarios() -> Vec<(&'static str, CoreConfig, Vec<p10sim::isa::Trace>)> {
+    let mut no_prefetch = CoreConfig::power10();
+    no_prefetch.prefetch_streams = 0;
+    let mut smt4 = CoreConfig::power10();
+    smt4.smt = SmtMode::Smt4;
+    vec![
+        (
+            "alu loop",
+            CoreConfig::power10(),
+            vec![alu_loop_trace(40_000)],
+        ),
+        ("page chase", no_prefetch, vec![page_chase_trace(20_000, 0)]),
+        (
+            "smt4 page chases",
+            smt4,
+            (0..4)
+                .map(|t| page_chase_trace(6_000 + 500 * t, t))
+                .collect(),
+        ),
+    ]
+}
+
 /// Span-aware observer that checks the delivery stream tiles the run:
 /// live cycles and spans arrive contiguously, in order, and together
 /// account for every simulated cycle exactly once.
@@ -353,7 +417,8 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
 }
 
 /// Observed-vs-unobserved differential grid: every preset (P9/P10
-/// families across SMT modes) × every SPECint-like benchmark.
+/// families across SMT modes) × every SPECint-like benchmark, plus the
+/// ALU-bound, miss-bound and SMT4 throughput extremes.
 #[test]
 fn observed_runs_match_unobserved_on_specint_suite() {
     for cfg in presets() {
@@ -364,6 +429,9 @@ fn observed_runs_match_unobserved_on_specint_suite() {
                 .collect();
             assert_observation_is_transparent(&cfg, &traces, &bench.name);
         }
+    }
+    for (label, cfg, traces) in throughput_scenarios() {
+        assert_observation_is_transparent(&cfg, &traces, label);
     }
 }
 
@@ -383,31 +451,49 @@ fn observed_runs_match_unobserved_on_microbench_grid() {
     }
 }
 
-/// The latch-accurate RTL-sim analog now consumes the span stream; the
-/// simulation it embeds must still be the plain, unobserved one, bit for
-/// bit, on both processor generations.
+/// The latch-accurate RTL-sim analog and APEX's windowed counter
+/// extraction both consume the span stream; the simulation each embeds
+/// must still be the plain, unobserved one, bit for bit, on both
+/// processor generations and on the ALU-bound, miss-bound and SMT4
+/// extremes.
 #[test]
 fn rtlsim_observed_sim_matches_plain_run() {
     use p10sim::rtlsim::{run_detailed, Roi, ToggleDensity};
+    let mut cases = Vec::new();
     for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
         for bench_idx in [2usize, 8] {
             let bench = &specint_like()[bench_idx];
-            let trace = bench.workload(42).trace_or_panic(2_000);
-            let report = run_detailed(
-                &cfg,
-                vec![trace.clone()],
-                Roi::new(200, 50_000_000),
-                ToggleDensity::random_init(),
-            );
-            let plain = Core::new(cfg.clone()).run(vec![trace], 50_000_000);
-            assert_eq!(
-                serde_json::to_string(&report.sim).expect("serialize observed sim"),
-                serde_json::to_string(&plain).expect("serialize plain sim"),
-                "RTL-sim observation must not perturb the simulation for {} @ {}",
-                bench.name,
-                cfg.name
-            );
+            let traces = vec![bench.workload(42).trace_or_panic(2_000)];
+            cases.push((bench.name.clone(), cfg.clone(), traces));
         }
+    }
+    cases.extend(
+        throughput_scenarios()
+            .into_iter()
+            .map(|(label, cfg, traces)| (label.to_owned(), cfg, traces)),
+    );
+    for (label, cfg, traces) in cases {
+        let plain = Core::new(cfg.clone()).run(traces.clone(), 50_000_000);
+        let plain = serde_json::to_string(&plain).expect("serialize plain sim");
+        let rtl = run_detailed(
+            &cfg,
+            traces.clone(),
+            Roi::new(200, 50_000_000),
+            ToggleDensity::random_init(),
+        );
+        assert_eq!(
+            serde_json::to_string(&rtl.sim).expect("serialize RTL-sim sim"),
+            plain,
+            "RTL-sim observation must not perturb the simulation for {label} @ {}",
+            cfg.name
+        );
+        let apex = p10sim::apex::run_apex(&cfg, traces, 4096, 50_000_000);
+        assert_eq!(
+            serde_json::to_string(&apex.sim).expect("serialize APEX sim"),
+            plain,
+            "APEX observation must not perturb the simulation for {label} @ {}",
+            cfg.name
+        );
     }
 }
 
