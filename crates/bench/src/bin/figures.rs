@@ -5,52 +5,41 @@
 //! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]
 //! figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]
 //! ```
-//! `--out DIR` also writes each experiment's JSON payload (what `--json`
-//! prints after the header) to `DIR/<exp>.json`. `--jobs N` sets the
-//! worker-pool width (default: all CPUs) and `--no-cache` disables the
-//! on-disk result cache (`target/p10sim-cache`, override with
-//! `P10SIM_CACHE_DIR`); see `p10_core::runner`. `--sampling MODE`
-//! selects how the engine runs its benchmark points: `exact` (default,
-//! byte-identical reference) or `bound:PCT` (grow the cluster count until
-//! the reported error bound is at most PCT percent) — see
-//! `p10_core::sampling`. Only the experiments marked `sampled` in
-//! `EXPERIMENTS` run engine benchmark points; a non-exact mode on any
-//! other single experiment is a usage error. Sampled runs persist
-//! warm-state checkpoints under the engine's disk cache (override the
-//! directory with `P10SIM_CKPT_DIR`), so sweeps re-warm once per
-//! warm-equivalence class instead of once per config.
-//! `--trace-out FILE` writes an event trace via `p10_obs` — JSON lines
-//! by default, or a `chrome://tracing`/Perfetto-loadable trace-event
-//! file with `--trace-format chrome` (which needs `--trace-out`); either
-//! way an end-of-run summary table lands on stderr. `--obs-json FILE`
-//! additionally serializes that summary as one JSON object for scripts.
-//! `dse` keeps its class recordings and shard results in the result
-//! cache, so a killed or concurrent sweep reuses what is on disk.
-//!
-//! Every run also appends one `RunRecord` JSON line (identity, provenance
-//! and the `[obs]` summary) to the persistent run ledger
-//! (`target/p10sim-ledger/`, overridable with `--ledger-dir`, disabled
-//! with `--no-ledger`) — see `p10_obs::ledger`. The `obsreport`
-//! pseudo-experiment reads that history back: it prints
-//! wall-time/cache/coverage trends for the latest run against a
-//! baseline (`--baseline` selects one; default is the previous
-//! comparable run), derived from each record's summary counters, and
-//! with `--gate PCT` exits non-zero when the latest run regressed more
-//! than `PCT` percent (deltas under `--min-s` seconds never gate). It
-//! takes only the four flags in its usage line; any other flag is a
-//! usage error, as are its own flags on any other experiment.
 //! `<experiment>` is a name in `EXPERIMENTS`, `obsreport`, or `all` (the
-//! default) — every experiment marked for `all`, in table order. Each
-//! driver receives only the op budget. `dse` (the design-space Pareto
-//! sweep), `profile` (the cycle-attribution tables) and `sampling` (the
-//! exact-vs-sampled error/speedup study, whose wall-clock numbers vary
-//! run to run) run on demand only, which keeps `all`'s stdout stable
-//! across additions.
+//! default): every experiment marked for `all`, in table order. `dse`,
+//! `profile` and `sampling` (whose wall-clock numbers vary run to run) run
+//! on demand only, which keeps `all`'s stdout stable across additions.
 //!
-//! Stdout discipline: ledger, trace, and obs-json outputs never touch
-//! experiment stdout — `figures all` stdout is byte-identical with all
-//! of them enabled or disabled (wall-clock data lives on stderr and in
-//! the ledger only).
+//! Each experiment is a `compute(ops) -> T` and a `render(&T, &mut Text)`.
+//! The op budget is all a driver receives. `T` serialized is the `--json`
+//! payload, which `--out DIR` also writes to `DIR/<exp>.json`; `fig6` and
+//! `socket` print one document per model and `droop` one compact line.
+//! The experiments marked cached keep `T` as one result-cache entry, keyed
+//! by [`driver_key`], so a warm rerun simulates nothing. The committed
+//! `tests/goldens/` hold `all`'s stdout, and a unit test renders every
+//! `all` experiment from the golden payloads back to the golden text.
+//!
+//! `--jobs N` sets the worker-pool width (default: all CPUs); `--no-cache`
+//! disables the on-disk result cache (`target/p10sim-cache`, override with
+//! `P10SIM_CACHE_DIR`); see `p10_core::runner`. `--sampling MODE` is
+//! `exact` (the default) or `bound:PCT` (grow the cluster count until the
+//! error bound is at most PCT percent), see `p10_core::sampling`; an
+//! experiment not marked sampled rejects it when run alone. Sampled runs
+//! keep warm-state checkpoints under the cache (or `P10SIM_CKPT_DIR`).
+//! `--trace-out FILE` writes a `p10_obs` event trace (JSON lines, or a
+//! Perfetto-loadable file with `--trace-format chrome`); `--obs-json FILE`
+//! writes the end-of-run `[obs]` summary that stderr shows.
+//!
+//! Every run appends one `RunRecord` line to the run ledger
+//! (`target/p10sim-ledger/` or `--ledger-dir`, none with `--no-ledger`;
+//! see `p10_obs::ledger`). `obsreport` reads it
+//! back: wall-time/cache/coverage trends of the latest run against a
+//! baseline (`--baseline`; default the previous comparable run), and with
+//! `--gate PCT` a non-zero exit when it regressed more than PCT percent
+//! (deltas under `--min-s` seconds never gate). It takes only the flags
+//! of its usage line, and no other experiment takes `--baseline`, `--gate`
+//! or `--min-s`. Ledger, trace and obs-json output never
+//! touch stdout: wall-clock data lives on stderr and in the ledger only.
 
 #![forbid(unsafe_code)]
 
@@ -62,102 +51,192 @@ use p10_core::runner;
 use p10_core::sampling::{self, SamplingMode};
 use p10_core::{ablation, flush, gemm, inference, rasstudy, scenario, socket, table1, tracestudy};
 use p10_kernels::models::{bert_large, resnet50};
+use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
 use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
 use p10_workloads::microbench::derating_grid;
 use p10_workloads::suite::extended_groups;
 use p10_workloads::{chopstix, specint_like, Benchmark};
 use serde::{Deserialize, Serialize};
-use serde_json::json;
 use std::path::{Path, PathBuf};
 
 /// The default op budget per workload (`--ops`).
 const FULL_OPS: u64 = 60_000;
 
-/// An experiment: its name, its driver, whether `all` runs it, and
-/// whether it runs engine benchmark points (and so honours `--sampling`).
-type Experiment = (&'static str, fn(u64) -> Report, bool, bool);
+/// An experiment: its name; its driver, which renders into the text and
+/// returns the `--json` payload; whether `all` runs it, whether it runs
+/// engine benchmark points (and so honours `--sampling`), and whether its
+/// result is one result-cache entry, keyed by [`driver_key`]; and its
+/// header.
+type Experiment = (&'static str, Driver, bool, bool, bool, Head);
 
-/// Every experiment, in the order `all` runs them.
+type Driver = fn(&Run, &mut Text) -> String;
+
+/// An experiment header's title and paper reference.
+type Head = (&'static str, &'static str);
+
+/// Every experiment, in the order `all` runs them. Each driver joins a
+/// `compute(ops) -> T` and a `render(&T, &mut Text)` through [`Run::run`].
+#[rustfmt::skip]
 const EXPERIMENTS: [Experiment; 25] = [
-    ("table1", do_table1, true, true),
-    ("fig2", do_fig2, true, false),
-    ("fig4", do_fig4, true, true),
-    ("fig5", do_fig5, true, false),
-    ("fig6", do_fig6, true, false),
-    ("socket", do_socket, true, false),
-    ("fig10", do_fig10, true, false),
-    ("fig11", do_fig11, true, false),
-    ("fig12", do_fig12, true, false),
-    ("fig13", do_fig13, true, false),
-    ("fig14", do_fig14, true, false),
-    ("fig15a", do_fig15a, true, false),
-    ("fig15b", do_fig15b, true, false),
-    ("flushes", do_flushes, true, false),
-    ("coverage", do_coverage, true, false),
-    ("apex-speedup", do_apex_speedup, true, false),
-    ("wof", do_wof, true, true),
-    ("tracepoints", do_tracepoints, true, false),
-    ("sensitivity", do_sensitivity, true, true),
-    ("smt", do_smt, true, true),
-    ("tracking", do_tracking, true, false),
-    ("droop", do_droop, true, false),
-    ("dse", do_dse, false, true),
-    ("profile", do_profile, false, true),
-    ("sampling", do_sampling, false, true),
+    ("table1", |x, r| x.run(pretty, compute_table1, render_table1, r), true, true, false,
+        ("Table I — chip features & efficiency projections", "2.6x core perf/W, up to 3x socket")),
+    ("fig2", |x, r| x.run(pretty, compute_fig2, render_fig2, r), true, false, false,
+        ("Fig. 2 — optimal pipeline depth", "optimum stable at 27 FO4 for 0.5x-1.0x power targets")),
+    ("fig4", |x, r| x.run(pretty, compute_fig4, render_fig4, r), true, true, false,
+        ("Fig. 4 — per-design-change performance gains", "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%")),
+    ("fig5", |x, r| x.run(pretty, gemm::run_fig5, render_fig5, r), true, false, true,
+        ("Fig. 5 — DGEMM flops/cycle & core power", "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak")),
+    ("fig6", |x, r| x.run(per_item, compute_fig6, render_fig6, r), true, false, false,
+        ("Fig. 6 — end-to-end inference", "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)")),
+    ("socket", |x, r| x.run(per_item, compute_socket, render_socket, r), true, false, false,
+        ("Socket-level AI projections", "up to 10x FP32 and 21x INT8 over POWER9")),
+    ("fig10", |x, r| x.run(pretty, compute_fig10, render_fig10, r), true, false, true,
+        ("Fig. 10 — core-model vs chip-model power/IPC scatter", "memory-bound simpoints diverge between models")),
+    ("fig11", |x, r| x.run(pretty, compute_fig11, render_fig11, r), true, false, true,
+        ("Fig. 11 — M1-linked power model error vs #inputs", "error falls with inputs; <2.5% active at max inputs")),
+    ("fig12", |x, r| x.run(pretty, compute_fig12, render_fig12, r), true, false, true,
+        ("Fig. 12 — top-down vs bottom-up power models", "models differ by 3.42% on average; 72 events total bottom-up")),
+    ("fig13", |x, r| x.run(pretty, compute_fig13, render_fig13, r), true, false, true,
+        ("Fig. 13 — derating per testcase", "VT=10% leaves ~25% vulnerable; VT=90% ~52%")),
+    ("fig14", |x, r| x.run(pretty, compute_fig14, render_fig14, r), true, false, true,
+        ("Fig. 14 — POWER9 vs POWER10 derating vs VT", "P10 runtime derating higher (6%→21% gap); static ~10% lower")),
+    ("fig15a", |x, r| x.run(pretty, compute_fig15a, render_fig15a, r), true, false, true,
+        ("Fig. 15(a) — power-proxy error vs #counters", "16 counters → 9.8% active-power error (<5% incl. static)")),
+    ("fig15b", |x, r| x.run(pretty, compute_fig15b, render_fig15b, r), true, false, true,
+        ("Fig. 15(b) — proxy error vs time granularity", "predicting every >=50 cycles is near-best; finer degrades fast")),
+    ("flushes", |x, r| x.run(pretty, compute_flushes, render_flushes, r), true, false, true,
+        ("Flush study — wasted instructions", "-25% SPECint, -38% interpreted/analytics")),
+    ("coverage", |x, r| x.run(pretty, compute_coverage, render_coverage, r), true, false, true,
+        ("Proxy coverage — Chopstix top-10 hot functions", "coverage 41% (gcc) to 99% (xz), ~70% average")),
+    ("apex-speedup", |x, r| x.run(pretty, compute_apex_speedup, render_apex_speedup, r), true, false, false,
+        ("APEX speedup — detailed vs counter-based extraction", "~5000x on AWAN hardware; software analog shows the asymmetry")),
+    ("wof", |x, r| x.run(pretty, compute_wof, render_wof, r), true, true, false,
+        ("WOF — workload-optimized frequency", "light workloads boost under the envelope; MMA gating reclaims leakage")),
+    ("tracepoints", |x, r| x.run(pretty, compute_tracepoints, render_tracepoints, r), true, false, true,
+        ("Tracepoints vs Simpoints", "counter-histogram epochs beat BBVs on phased/interpreted code")),
+    ("sensitivity", |x, r| x.run(pretty, compute_sensitivity, render_sensitivity, r), true, true, false,
+        ("Design-choice sensitivity", "SS II-B mechanisms toggled off one at a time on POWER10")),
+    ("smt", |x, r| x.run(pretty, compute_smt, render_smt, r), true, true, false,
+        ("SMT throughput scaling", "Table I: 8-way SMT per core; deeper P10 queues sustain threads")),
+    ("tracking", |x, r| x.run(pretty, compute_tracking, render_tracking, r), true, false, true,
+        ("SS III-B tracked metrics", "IPC, core power, efficiency, latches, % clock enabled, switching")),
+    ("droop", |x, r| x.run(compact, compute_droop, render_droop, r), true, false, true,
+        ("Workload-transition droop", "SS IV-B: sudden workload change droops the rail; the DDS clips it")),
+    ("dse", |x, r| x.run(pretty, compute_dse, render_dse, r), false, true, false,
+        ("DSE — perf/watt Pareto frontier over the design space", "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier")),
+    ("profile", |x, r| x.run(pretty, compute_profile, render_profile, r), false, true, false,
+        ("Cycle-attribution profile", "SS III methodology turned on the simulator itself: where cycles go")),
+    ("sampling", |x, r| x.run(pretty, compute_sampling, render_sampling, r), false, true, false,
+        ("Sampled simulation — exact vs SimPoint-weighted execution", "representative-interval sampling with statistical error bounds")),
 ];
 
-/// What one experiment produced: a header both forms share, the
-/// human-readable text, and the `--json` payload (`--out` writes exactly
-/// the payload).
-struct Report {
+/// The human-readable form of an experiment: a header, which the `--json`
+/// form prints too, and the body.
+struct Text {
     head: String,
-    text: String,
-    json: String,
+    body: String,
 }
 
-impl Report {
+impl Text {
     fn new(title: &str, paper: &str) -> Self {
-        Report {
+        Text {
             head: format!("\n=== {title} ===\n    paper reference: {paper}\n"),
-            text: String::new(),
-            json: String::new(),
+            body: String::new(),
         }
     }
 
-    /// Appends one line to the text.
+    /// Appends one line to the body.
     fn line(&mut self, line: String) {
-        self.text += &line;
-        self.text.push('\n');
-    }
-
-    /// Finishes the report with `value` as a pretty-printed payload.
-    fn json(mut self, value: &impl serde::Serialize) -> Self {
-        self.json = pretty(value);
-        self
+        self.body += &line;
+        self.body.push('\n');
     }
 }
 
-/// `value` as one pretty-printed JSON document plus a newline.
-fn pretty(value: &impl serde::Serialize) -> String {
+/// A `--json` payload: the result as one pretty-printed document.
+fn pretty(value: &serde_json::Value) -> String {
     format!("{}\n", serde_json::to_string_pretty(value).expect("json"))
 }
 
-/// A driver's typed result through the engine's result cache, so a rerun
-/// on a warm cache simulates nothing. The content key is the experiment
-/// name plus `inputs`: every argument the driver passes and every preset
-/// the library call builds inside itself.
-fn driver_cached<T>(name: &str, inputs: &serde_json::Value, compute: impl FnOnce() -> T) -> T
-where
-    T: Clone + Serialize + Deserialize + Send + Sync + 'static,
-{
-    runner::cached(name, &format!("{name}|{inputs}"), compute)
+/// A `--json` payload: one pretty document per element of a list result
+/// (`fig6`, `socket`: one per model).
+fn per_item(list: &serde_json::Value) -> String {
+    let items = list.as_array().expect("a list result");
+    items.iter().map(pretty).collect()
 }
 
-/// A configuration as a key input: its timing projection, as in
-/// `runner::point_key`, and the display name the results print.
-fn config_input(cfg: &CoreConfig) -> serde_json::Value {
-    json!([cfg.name, runner::timing_projection(cfg)])
+/// A `--json` payload: the result as one compact line (`droop`).
+fn compact(value: &serde_json::Value) -> String {
+    format!("{value}\n")
+}
+
+/// Where a driver's result comes from.
+enum Run {
+    /// Computed for the experiment name at the op budget, through the
+    /// result cache when the flag is set.
+    Compute(&'static str, u64, bool),
+    /// The result a payload printed.
+    #[cfg(test)]
+    Replay(serde_json::Value),
+}
+
+impl Run {
+    /// Renders the typed result into `text` and returns its `--json`
+    /// payload (`--out` writes exactly the payload). `T` is what the result
+    /// cache stores.
+    fn run<T: Clone + Serialize + Deserialize + Send + Sync + 'static>(
+        &self,
+        payload: fn(&serde_json::Value) -> String,
+        compute: fn(u64) -> T,
+        render: fn(&T, &mut Text),
+        text: &mut Text,
+    ) -> String {
+        let result = match *self {
+            Run::Compute(name, ops, true) => {
+                runner::cached(name, &driver_key(name, ops), || compute(ops))
+            }
+            Run::Compute(_, ops, false) => compute(ops),
+            #[cfg(test)]
+            Run::Replay(ref value) => serde_json::from_value(value).expect("payload holds T"),
+        };
+        render(&result, text);
+        payload(&serde_json::to_value(&result).expect("result serializes"))
+    }
+}
+
+/// The result-cache key of a cached experiment: its name, the op budget
+/// (the only argument a driver receives) and [`preset_digest`].
+fn driver_key(name: &str, ops: u64) -> String {
+    format!("{name}|{ops}|{:016x}", preset_digest())
+}
+
+/// `tracepoints`' phased pointer chase: nodes per phase.
+const PHASE_NODES: u64 = 2_000;
+
+/// What every cached result depends on besides its name and op budget:
+/// this file's source, so an edit to any driver constant rekeys every
+/// entry, and the presets the library calls build inside themselves.
+/// Computed once per process.
+fn preset_digest() -> u64 {
+    static DIGEST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *DIGEST.get_or_init(|| {
+        let mut smt2 = CoreConfig::power10();
+        smt2.smt = p10_uarch::SmtMode::Smt2;
+        let presets = serde_json::json!([
+            CoreConfig::power9(),
+            CoreConfig::power10(),
+            p10_apex::core_model(smt2.clone()),
+            p10_apex::chip_model(smt2),
+            specint_like(),
+            extended_groups(),
+            derating_grid(),
+            p10_workloads::suite::phased_pointer_chase(PHASE_NODES).content_hash(),
+            PdnModel::default(),
+            DroopSensor::default(),
+        ]);
+        let source = include_str!("figures.rs");
+        runner::fnv1a64(format!("{source}{presets}").as_bytes())
+    })
 }
 
 struct Opts {
@@ -323,11 +402,11 @@ fn parse_args(args: &[String]) -> (String, Opts) {
     }
     let ignores_sampling = EXPERIMENTS
         .iter()
-        .any(|&(name, _, _, sampled)| name == what && !sampled);
+        .any(|&(name, _, _, sampled, ..)| name == what && !sampled);
     if !opts.sampling.is_exact() && ignores_sampling {
         let sampled: Vec<&str> = EXPERIMENTS
             .iter()
-            .filter(|&&(.., sampled)| sampled)
+            .filter(|&&(_, _, _, sampled, ..)| sampled)
             .map(|&(name, ..)| name)
             .collect();
         usage_error(&format!(
@@ -405,24 +484,21 @@ fn main() {
 
     let experiments: Vec<&Experiment> = EXPERIMENTS
         .iter()
-        .filter(|&&(name, _, in_all, _)| if what == "all" { in_all } else { name == what })
+        .filter(|&&(name, _, in_all, ..)| if what == "all" { in_all } else { name == what })
         .collect();
 
-    for &&(e, driver, ..) in &experiments {
+    for &&(e, driver, _, _, cached, (title, paper)) in &experiments {
         let sp = p10_obs::span(e);
-        let report = driver(opts.ops);
+        let mut text = Text::new(title, paper);
+        let payload = driver(&Run::Compute(e, opts.ops, cached), &mut text);
         let secs = sp.finish();
-        let body = if opts.json {
-            &report.json
-        } else {
-            &report.text
-        };
-        print!("{}{body}", report.head);
+        let body = if opts.json { &payload } else { &text.body };
+        print!("{}{body}", text.head);
         eprintln!("[figures] {e}: {secs:.2}s");
         if let Some(dir) = &opts.out {
             let path = dir.join(format!("{e}.json"));
             if let Err(err) =
-                std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &report.json))
+                std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &payload))
             {
                 eprintln!("error: cannot write artifact {}: {err}", path.display());
                 std::process::exit(1);
@@ -576,14 +652,15 @@ fn run_rates(s: &p10_obs::Summary) -> (f64, f64, f64) {
 fn do_obsreport(opts: &Opts) -> i32 {
     use p10_obs::ledger;
     let dir = opts.ledger_dir.clone().unwrap_or_else(ledger::default_dir);
-    let runs = match ledger::read(&dir) {
+    let (runs, skipped) = match ledger::read(&dir) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: cannot read ledger {}: {e}", dir.display());
             return 1;
         }
     };
-    println!("=== obsreport: {} ({} runs) ===", dir.display(), runs.len());
+    let (n, dir_text) = (runs.len(), dir.display());
+    println!("=== obsreport: {dir_text} ({n} runs, {skipped} unreadable lines) ===");
     let Some(latest) = runs.last() else {
         println!("ledger is empty; run any `figures` experiment first");
         return i32::from(opts.gate.is_some());
@@ -723,12 +800,11 @@ fn do_obsreport(opts: &Opts) -> i32 {
     1
 }
 
-fn do_table1(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Table I — chip features & efficiency projections",
-        "2.6x core perf/W, up to 3x socket",
-    );
-    let t = table1::run_table1(&specint_like(), 42, ops);
+fn compute_table1(ops: u64) -> table1::Table1 {
+    table1::run_table1(&specint_like(), 42, ops)
+}
+
+fn render_table1(t: &table1::Table1, r: &mut Text) {
     r.line(format!(
         "SMT per core                  : {}",
         t.smt_per_core
@@ -757,15 +833,13 @@ fn do_table1(ops: u64) -> Report {
         "Socket-view efficiency (SMT2) : {:.2}x (paper: up to 3x)",
         t.socket_efficiency
     ));
-    r.json(&t)
 }
 
-fn do_fig2(_: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 2 — optimal pipeline depth",
-        "optimum stable at 27 FO4 for 0.5x-1.0x power targets",
-    );
-    let f = p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25]);
+fn compute_fig2(_: u64) -> p10_pipedepth::Fig2 {
+    p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25])
+}
+
+fn render_fig2(f: &p10_pipedepth::Fig2, r: &mut Text) {
     for &t in &f.power_targets {
         r.line(format!(
             "power target {t:.2}x: optimal FO4 = {}",
@@ -781,15 +855,13 @@ fn do_fig2(_: u64) -> Report {
     {
         r.line(format!("  {:>4.0}  {:.3}", p.fo4, p.bips));
     }
-    r.json(&f)
 }
 
-fn do_fig4(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 4 — per-design-change performance gains",
-        "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
-    );
-    let f = ablation::run_fig4(&specint_like(), 42, ops / 2);
+fn compute_fig4(ops: u64) -> ablation::Fig4 {
+    ablation::run_fig4(&specint_like(), 42, ops / 2)
+}
+
+fn render_fig4(f: &ablation::Fig4, r: &mut Text) {
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8}  max workload",
         "group", "ST", "SMT", "max"
@@ -804,18 +876,9 @@ fn do_fig4(ops: u64) -> Report {
             row.max_workload
         ));
     }
-    r.json(&f)
 }
 
-fn do_fig5(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 5 — DGEMM flops/cycle & core power",
-        "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
-    );
-    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
-    let f = driver_cached("fig5", &json!({"presets": presets, "ops": ops}), || {
-        gemm::run_fig5(ops)
-    });
+fn render_fig5(f: &gemm::Fig5, r: &mut Text) {
     for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
         r.line(format!(
             "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}",
@@ -835,7 +898,6 @@ fn do_fig5(ops: u64) -> Report {
         f.mma_speedup(),
         f.mma_power_delta() * 100.0
     ));
-    r.json(&f)
 }
 
 /// Fig. 6 for one model, through the engine cache (the socket experiment
@@ -851,14 +913,13 @@ fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> infe
     )
 }
 
-fn do_fig6(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 6 — end-to-end inference",
-        "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)",
-    );
+fn compute_fig6(ops: u64) -> Vec<inference::Fig6Model> {
     let models = [resnet50(100), bert_large(8, 384)];
-    let figs = runner::run_jobs_par(&models, |_, m| fig6_cached(m, ops / 2));
-    for f in &figs {
+    runner::run_jobs_par(&models, |_, m| fig6_cached(m, ops / 2))
+}
+
+fn render_fig6(figs: &Vec<inference::Fig6Model>, r: &mut Text) {
+    for f in figs {
         r.line(format!("-- {} --", f.model));
         r.line(format!(
             "{:<16} {:>12} {:>12} {:>7} {:>10}",
@@ -880,19 +941,12 @@ fn do_fig6(ops: u64) -> Report {
             f.speedup_mma()
         ));
     }
-    // One document per model.
-    r.json = figs.iter().map(pretty).collect();
-    r
 }
 
-fn do_socket(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Socket-level AI projections",
-        "up to 10x FP32 and 21x INT8 over POWER9",
-    );
+fn compute_socket(ops: u64) -> Vec<socket::SocketProjection> {
     let p10 = CoreConfig::power10();
     let models = [resnet50(100), bert_large(8, 384)];
-    let projections = runner::run_jobs_par(&models, |_, model| {
+    runner::run_jobs_par(&models, |_, model| {
         let f = fig6_cached(model, ops / 2);
         let int8: inference::InferenceRun = runner::cached(
             &format!("int8 {} ops={}", model.name, ops / 2),
@@ -905,42 +959,30 @@ fn do_socket(ops: u64) -> Report {
             || inference::compose_int8(model, &p10, ops / 2),
         );
         socket::project_socket_measured(&f, &int8, &socket::SocketScaling::default())
-    });
-    for p in &projections {
+    })
+}
+
+fn render_socket(projections: &Vec<socket::SocketProjection>, r: &mut Text) {
+    for p in projections {
         r.line(format!(
             "{:<12} core {:.2}x  socket FP32 {:.1}x (paper up to 10x)  INT8 {:.1}x (paper up to 21x)",
             p.model, p.core_speedup, p.fp32_socket_speedup, p.int8_socket_speedup
         ));
     }
-    // One document per model.
-    r.json = projections.iter().map(pretty).collect();
-    r
 }
 
-fn do_fig10(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 10 — core-model vs chip-model power/IPC scatter",
-        "memory-bound simpoints diverge between models",
-    );
-    let (benches, snippets, snippet_ops) = (specint_like(), 4, ops / 10);
-    // `fig10_snippet` runs SMT2 POWER10 as the core and the chip model.
-    let mut smt2 = CoreConfig::power10();
-    smt2.smt = p10_uarch::SmtMode::Smt2;
-    let models = [
-        p10_apex::core_model(smt2.clone()),
-        p10_apex::chip_model(smt2),
-    ]
-    .map(|c| config_input(&c));
-    let inputs =
-        json!({"suite": benches, "snippets": snippets, "ops": snippet_ops, "presets": models});
-    let pts = driver_cached("fig10", &inputs, || {
-        run_fig10(&benches, snippets, snippet_ops)
-    });
+/// Fig. 10: four snippets of each suite member at a tenth of the budget;
+/// `fig10_snippet` runs SMT2 POWER10 as the core and the chip model.
+fn compute_fig10(ops: u64) -> Vec<p10_apex::Fig10Point> {
+    run_fig10(&specint_like(), 4, ops / 10)
+}
+
+fn render_fig10(pts: &Vec<p10_apex::Fig10Point>, r: &mut Text) {
     r.line(format!(
         "{:<14} {:>4} {:>6} {:>8} {:>10}",
         "bench", "snip", "model", "IPC", "core power"
     ));
-    for p in &pts {
+    for p in pts {
         r.line(format!(
             "{:<14} {:>4} {:>6} {:>8.3} {:>10.1}",
             p.bench,
@@ -953,46 +995,30 @@ fn do_fig10(ops: u64) -> Report {
             p.core_power
         ));
     }
-    r.json(&pts)
 }
 
-/// The Fig. 11 and 15(a) dataset — windowed POWER10 runs of the suite at
+/// The Fig. 11 and 15(a) dataset: windowed POWER10 runs of the suite at
 /// seeds 1 and 2, half the op budget each, in 512-cycle windows, fitted to
-/// active power — as its key inputs and its build.
-fn fig11_dataset(ops: u64) -> (serde_json::Value, impl FnOnce() -> p10_powermodel::Dataset) {
-    let (cfg, benches, seeds, run_ops, window, target) = (
-        CoreConfig::power10(),
-        specint_like(),
-        [1, 2],
+/// active power.
+fn fig11_dataset(ops: u64) -> p10_powermodel::Dataset {
+    let cfg = CoreConfig::power10();
+    build_dataset(
+        &cfg,
+        &specint_like(),
+        &[1, 2],
         ops / 2,
         512,
         Target::ActivePower,
-    );
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "suite": benches,
-        "seeds": seeds,
-        "ops": run_ops,
-        "window": window,
-        "target": target,
-    });
-    let build = move || build_dataset(&cfg, &benches, &seeds, run_ops, window, target);
-    (inputs, build)
+    )
 }
 
-fn do_fig11(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 11 — M1-linked power model error vs #inputs",
-        "error falls with inputs; <2.5% active at max inputs",
-    );
-    let (dataset, build) = fig11_dataset(ops);
-    let max_inputs = 12;
-    let inputs = json!({"dataset": dataset, "max_inputs": max_inputs});
-    let curves = driver_cached("fig11", &inputs, || {
-        let data = runner::timed("fig11 dataset", build);
-        runner::timed("fig11 regression", || run_fig11(&data, max_inputs))
-    });
-    for c in &curves {
+fn compute_fig11(ops: u64) -> Vec<p10_core::powerstudies::Fig11Curve> {
+    let data = runner::timed("fig11 dataset", || fig11_dataset(ops));
+    runner::timed("fig11 regression", || run_fig11(&data, 12))
+}
+
+fn render_fig11(curves: &Vec<p10_core::powerstudies::Fig11Curve>, r: &mut Text) {
+    for c in curves {
         r.line(format!("-- {} --", c.label));
         for p in &c.points {
             r.line(format!(
@@ -1001,36 +1027,20 @@ fn do_fig11(ops: u64) -> Report {
             ));
         }
     }
-    r.json(&curves)
 }
 
-fn do_fig12(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 12 — top-down vs bottom-up power models",
-        "models differ by 3.42% on average; 72 events total bottom-up",
-    );
-    let cfg = CoreConfig::power10();
-    let benches = &specint_like()[..6];
-    let (seeds, run_ops, window, top_down, per_component) = ([1], ops / 3, 512, 12, 3);
+fn compute_fig12(ops: u64) -> p10_core::powerstudies::Fig12 {
     // One windowed-run pass feeds all 40 targets (total + 39 components).
     let targets: Vec<Target> = std::iter::once(Target::TotalPower)
         .chain((0..39).map(Target::Component))
         .collect();
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "suite": benches,
-        "seeds": seeds,
-        "ops": run_ops,
-        "window": window,
-        "targets": targets,
-        "top_down_inputs": top_down,
-        "per_component_inputs": per_component,
-    });
-    let f = driver_cached("fig12", &inputs, || {
-        let mut datasets = build_datasets(&cfg, benches, &seeds, run_ops, window, &targets);
-        let total = datasets.remove(0);
-        run_fig12(&total, &datasets, top_down, per_component)
-    });
+    let cfg = CoreConfig::power10();
+    let mut datasets = build_datasets(&cfg, &specint_like()[..6], &[1], ops / 3, 512, &targets);
+    let total = datasets.remove(0);
+    run_fig12(&total, &datasets, 12, 3)
+}
+
+fn render_fig12(f: &p10_core::powerstudies::Fig12, r: &mut Text) {
     r.line(format!(
         "model difference   : {:.2}% (paper 3.42%)",
         f.mean_model_difference_pct
@@ -1044,25 +1054,13 @@ fn do_fig12(ops: u64) -> Report {
         "held-out error     : top-down {:.2}%, bottom-up {:.2}%",
         f.top_down_error_pct, f.bottom_up_error_pct
     ));
-    r.json(&f)
 }
 
-fn do_fig13(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 13 — derating per testcase",
-        "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
-    );
-    let (cfg, run_ops, spec_benches) = (CoreConfig::power10(), ops / 6, 3);
-    // `run_fig13` runs the derating grid and the first suite members.
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "ops": run_ops,
-        "grid": derating_grid(),
-        "spec": &specint_like()[..spec_benches],
-    });
-    let f = driver_cached("fig13", &inputs, || {
-        rasstudy::run_fig13(&cfg, run_ops, spec_benches)
-    });
+fn compute_fig13(ops: u64) -> rasstudy::Fig13 {
+    rasstudy::run_fig13(&CoreConfig::power10(), ops / 6, 3)
+}
+
+fn render_fig13(f: &rasstudy::Fig13, r: &mut Text) {
     r.line(format!(
         "{:<20} {:>8} {:>8} {:>8} {:>8}",
         "testcase", "static", "VT=10%", "VT=50%", "VT=90%"
@@ -1073,19 +1071,13 @@ fn do_fig13(ops: u64) -> Report {
             row.testcase, row.static_pct, row.runtime_vt10, row.runtime_vt50, row.runtime_vt90
         ));
     }
-    r.json(&f)
 }
 
-fn do_fig14(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 14 — POWER9 vs POWER10 derating vs VT",
-        "P10 runtime derating higher (6%→21% gap); static ~10% lower",
-    );
-    let (run_ops, vts) = (ops / 6, [0.1, 0.3, 0.5, 0.7, 0.9]);
-    // `run_fig14` runs POWER9 and POWER10 on the derating grid.
-    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
-    let inputs = json!({"ops": run_ops, "vts": vts, "presets": presets, "grid": derating_grid()});
-    let f = driver_cached("fig14", &inputs, || rasstudy::run_fig14(run_ops, &vts));
+fn compute_fig14(ops: u64) -> rasstudy::Fig14 {
+    rasstudy::run_fig14(ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9])
+}
+
+fn render_fig14(f: &rasstudy::Fig14, r: &mut Text) {
     r.line(format!(
         "static derating: P9 {:.1}%  P10 {:.1}%",
         f.p9.static_pct, f.p10.static_pct
@@ -1103,68 +1095,47 @@ fn do_fig14(ops: u64) -> Report {
             r10 - r9
         ));
     }
-    r.json(&f)
 }
 
-fn do_fig15a(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 15(a) — power-proxy error vs #counters",
-        "16 counters → 9.8% active-power error (<5% incl. static)",
-    );
-    let (dataset, build) = fig11_dataset(ops);
-    let max_counters = 16;
-    let inputs = json!({"dataset": dataset, "max_counters": max_counters});
-    let sweep = driver_cached("fig15a", &inputs, || run_fig15a(&build(), max_counters));
-    for p in &sweep {
+fn compute_fig15a(ops: u64) -> Vec<p10_powermodel::SweepPoint> {
+    run_fig15a(&fig11_dataset(ops), 16)
+}
+
+fn render_fig15a(sweep: &Vec<p10_powermodel::SweepPoint>, r: &mut Text) {
+    for p in sweep {
         r.line(format!(
             "  counters {:>2}: active-power err {:>6.2}%",
             p.inputs, p.test_error_pct
         ));
     }
-    r.json(&sweep)
 }
 
-fn do_fig15b(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Fig. 15(b) — proxy error vs time granularity",
-        "predicting every >=50 cycles is near-best; finer degrades fast",
-    );
-    let (cfg, bench, run_ops) = (CoreConfig::power10(), &specint_like()[8], ops / 2);
-    let (windows, proxy_inputs, carryover) = ([8, 16, 32, 64, 128, 256, 512], 8, 0.35);
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "bench": bench,
-        "ops": run_ops,
-        "windows": windows,
-        "proxy_inputs": proxy_inputs,
-        "carryover": carryover,
-    });
-    let pts = driver_cached("fig15b", &inputs, || {
-        run_fig15b(&cfg, bench, run_ops, &windows, proxy_inputs, carryover)
-    });
-    for p in &pts {
+fn compute_fig15b(ops: u64) -> Vec<p10_core::powerstudies::GranularityPoint> {
+    let windows = [8, 16, 32, 64, 128, 256, 512];
+    run_fig15b(
+        &CoreConfig::power10(),
+        &specint_like()[8],
+        ops / 2,
+        &windows,
+        8,
+        0.35,
+    )
+}
+
+fn render_fig15b(pts: &Vec<p10_core::powerstudies::GranularityPoint>, r: &mut Text) {
+    for p in pts {
         r.line(format!(
             "  window {:>4} cycles: err {:>6.2}%",
             p.window_cycles, p.error_pct
         ));
     }
-    r.json(&pts)
 }
 
-fn do_flushes(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Flush study — wasted instructions",
-        "-25% SPECint, -38% interpreted/analytics",
-    );
-    let (seed, run_ops) = (42, ops / 2);
-    // The study runs POWER9 and POWER10 on the suite and the extended groups.
-    let presets = [CoreConfig::power9(), CoreConfig::power10()].map(|c| config_input(&c));
-    let workloads: Vec<Benchmark> = specint_like()
-        .into_iter()
-        .chain(extended_groups())
-        .collect();
-    let inputs = json!({"seed": seed, "ops": run_ops, "presets": presets, "workloads": workloads});
-    let s = driver_cached("flushes", &inputs, || flush::run_flush_study(seed, run_ops));
+fn compute_flushes(ops: u64) -> flush::FlushStudy {
+    flush::run_flush_study(42, ops / 2)
+}
+
+fn render_flushes(s: &flush::FlushStudy, r: &mut Text) {
     for row in &s.rows {
         r.line(format!(
             "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%",
@@ -1182,22 +1153,16 @@ fn do_flushes(ops: u64) -> Report {
         "interpreted/analytics mean  : {:.1}% (paper 38%)",
         s.interpreted_reduction() * 100.0
     ));
-    r.json(&s)
 }
 
-fn do_coverage(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Proxy coverage — Chopstix top-10 hot functions",
-        "coverage 41% (gcc) to 99% (xz), ~70% average",
-    );
-    let (benches, seed, top_n) = (specint_like(), 23, 10);
-    let inputs = json!({"suite": benches, "seed": seed, "ops": ops, "top_n": top_n});
-    let rows = driver_cached("coverage", &inputs, || {
-        let workloads: Vec<_> = benches.iter().map(|b| b.workload(seed)).collect();
-        runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, top_n))
-    });
+fn compute_coverage(ops: u64) -> Vec<chopstix::CoverageRow> {
+    let workloads: Vec<_> = specint_like().iter().map(|b| b.workload(23)).collect();
+    runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10))
+}
+
+fn render_coverage(rows: &Vec<chopstix::CoverageRow>, r: &mut Text) {
     let mut sum = 0.0;
-    for row in &rows {
+    for row in rows {
         r.line(format!(
             "{:<16} proxies {:>2}  coverage {:>5.1}%",
             row.workload,
@@ -1210,14 +1175,16 @@ fn do_coverage(ops: u64) -> Report {
         "average coverage: {:.1}% (paper ~70%)",
         sum / rows.len() as f64 * 100.0
     ));
-    r.json(&rows)
 }
 
-fn do_apex_speedup(ops: u64) -> Report {
-    let mut r = Report::new(
-        "APEX speedup — detailed vs counter-based extraction",
-        "~5000x on AWAN hardware; software analog shows the asymmetry",
-    );
+/// What `apex-speedup` prints; its wall-clock numbers go to stderr only.
+#[derive(Clone, Serialize, Deserialize)]
+struct ApexSpeedup {
+    cycles: u64,
+    windows: u64,
+}
+
+fn compute_apex_speedup(ops: u64) -> ApexSpeedup {
     let b = &specint_like()[8];
     let t = b.workload(5).trace_or_panic(ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
@@ -1230,23 +1197,25 @@ fn do_apex_speedup(ops: u64) -> Report {
         "[figures] apex-speedup wall clock: detailed {:.3}s vs APEX {:.3}s -> {:.1}x",
         s.detailed_secs, s.apex_secs, s.speedup
     );
+    ApexSpeedup {
+        cycles: s.cycles,
+        windows: s.windows,
+    }
+}
+
+fn render_apex_speedup(s: &ApexSpeedup, r: &mut Text) {
     r.line(format!(
         "APEX extracted {} counter windows over {} cycles (detailed run reads every cycle)",
         s.windows, s.cycles
     ));
-    r.json(&json!({
-        "cycles": s.cycles,
-        "windows": s.windows,
-    }))
 }
 
-fn do_profile(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Cycle-attribution profile",
-        "SS III methodology turned on the simulator itself: where cycles go",
-    );
+fn compute_profile(ops: u64) -> Vec<p10_core::cycleprof::ProfileRow> {
     let configs = [CoreConfig::power9(), CoreConfig::power10()];
-    let rows = p10_core::cycleprof::run_profile(&configs, &specint_like(), 42, ops);
+    p10_core::cycleprof::run_profile(&configs, &specint_like(), 42, ops)
+}
+
+fn render_profile(rows: &Vec<p10_core::cycleprof::ProfileRow>, r: &mut Text) {
     r.line(format!(
         "{:<16} {:<10} {:>12} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "workload",
@@ -1261,7 +1230,7 @@ fn do_profile(ops: u64) -> Report {
         "fetch",
         "idle"
     ));
-    for row in &rows {
+    for row in rows {
         let a = row.attribution;
         r.line(format!(
             "{:<16} {:<10} {:>12} {:>6.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
@@ -1278,54 +1247,60 @@ fn do_profile(ops: u64) -> Report {
             row.share(a.idle)
         ));
     }
-    r.json(&rows)
 }
 
-fn do_wof(ops: u64) -> Report {
-    let mut r = Report::new(
-        "WOF — workload-optimized frequency",
-        "light workloads boost under the envelope; MMA gating reclaims leakage",
-    );
+/// One workload's WOF operating point.
+#[derive(Clone, Serialize, Deserialize)]
+struct WofRow {
+    workload: String,
+    ceff: f64,
+    freq_ghz: f64,
+    boost: f64,
+    freq_with_mma_gated: f64,
+}
+
+fn compute_wof(ops: u64) -> Vec<WofRow> {
     // Effective capacitance ratios from measured suite dynamic power.
-    let cfg = CoreConfig::power10();
-    let results = runner::run_suite_par(&cfg, &specint_like(), 42, ops / 3);
+    let results = runner::run_suite_par(&CoreConfig::power10(), &specint_like(), 42, ops / 3);
     let ref_power = results
         .results
         .iter()
         .map(|res| res.power.active())
         .fold(0.0f64, f64::max);
     let wcfg = wof::WofConfig::typical();
-    let mut rows = Vec::new();
-    for res in &results.results {
+    let row = |res: &scenario::ScenarioResult| {
         let ceff = wof::ceff_ratio(res.power.active(), ref_power);
         let d = wof::solve(&wcfg, ceff, 0.0);
-        let d_gated = wof::solve(&wcfg, ceff, 2.0);
-        rows.push(json!({
-            "workload": res.workload,
-            "ceff": ceff,
-            "freq_ghz": d.point.freq,
-            "boost": d.boost,
-            "freq_with_mma_gated": d_gated.point.freq,
-        }));
-        r.line(format!(
-            "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated",
-            res.workload, ceff, d.point.freq, d.boost, d_gated.point.freq
-        ));
-    }
-    r.json(&rows)
+        WofRow {
+            workload: res.workload.clone(),
+            ceff,
+            freq_ghz: d.point.freq,
+            boost: d.boost,
+            freq_with_mma_gated: wof::solve(&wcfg, ceff, 2.0).point.freq,
+        }
+    };
+    results.results.iter().map(row).collect()
 }
 
-fn do_sensitivity(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Design-choice sensitivity",
-        "SS II-B mechanisms toggled off one at a time on POWER10",
-    );
-    let rows = p10_core::sensitivity::run_sensitivity(&specint_like(), 42, ops / 2);
+fn render_wof(rows: &Vec<WofRow>, r: &mut Text) {
+    for w in rows {
+        r.line(format!(
+            "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated",
+            w.workload, w.ceff, w.freq_ghz, w.boost, w.freq_with_mma_gated
+        ));
+    }
+}
+
+fn compute_sensitivity(ops: u64) -> Vec<p10_core::sensitivity::SensitivityRow> {
+    p10_core::sensitivity::run_sensitivity(&specint_like(), 42, ops / 2)
+}
+
+fn render_sensitivity(rows: &Vec<p10_core::sensitivity::SensitivityRow>, r: &mut Text) {
     r.line(format!(
         "{:<26} {:>10} {:>10} {:>12}",
         "mechanism", "perf", "power", "energy/inst"
     ));
-    for row in &rows {
+    for row in rows {
         r.line(format!(
             "{:<26} {:>+9.1}% {:>+9.1}% {:>+11.1}%",
             row.label,
@@ -1334,20 +1309,18 @@ fn do_sensitivity(ops: u64) -> Report {
             row.efficiency_benefit * 100.0
         ));
     }
-    r.json(&rows)
 }
 
-fn do_smt(ops: u64) -> Report {
-    let mut r = Report::new(
-        "SMT throughput scaling",
-        "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
-    );
+fn compute_smt(ops: u64) -> p10_core::smtscale::SmtScaling {
     let suite = specint_like();
     let sel: Vec<_> = [8usize, 2, 7, 0]
         .iter()
         .map(|&i| suite[i].clone())
         .collect();
-    let s = p10_core::smtscale::run_smt_scaling(&sel, 42, ops / 4);
+    p10_core::smtscale::run_smt_scaling(&sel, 42, ops / 4)
+}
+
+fn render_smt(s: &p10_core::smtscale::SmtScaling, r: &mut Text) {
     r.line(format!(
         "{:<10} {:>8} {:>14} {:>9}",
         "machine", "threads", "aggregate IPC", "scaling"
@@ -1358,30 +1331,19 @@ fn do_smt(ops: u64) -> Report {
             p.config, p.threads, p.aggregate_ipc, p.scaling
         ));
     }
-    r.json(&s)
 }
 
-fn do_tracking(ops: u64) -> Report {
-    let mut r = Report::new(
-        "SS III-B tracked metrics",
-        "IPC, core power, efficiency, latches, % clock enabled, switching",
-    );
+fn compute_tracking(ops: u64) -> Vec<p10_core::tracking::TrackingRow> {
     let cfgs = [CoreConfig::power9(), CoreConfig::power10()];
-    let (benches, seed, run_ops) = (&specint_like()[..4], 42, ops / 6);
-    let inputs = json!({
-        "configs": cfgs.iter().map(config_input).collect::<Vec<_>>(),
-        "suite": benches,
-        "seed": seed,
-        "ops": run_ops,
-    });
-    let rows = driver_cached("tracking", &inputs, || {
-        p10_core::tracking::track(&cfgs, benches, seed, run_ops)
-    });
+    p10_core::tracking::track(&cfgs, &specint_like()[..4], 42, ops / 6)
+}
+
+fn render_tracking(rows: &Vec<p10_core::tracking::TrackingRow>, r: &mut Text) {
     r.line(format!(
         "{:<10} {:>6} {:>10} {:>11} {:>10} {:>9} {:>10} {:>9}",
         "machine", "IPC", "core pwr", "efficiency", "latches", "clk-en%", "potential", "obs/pot"
     ));
-    for row in &rows {
+    for row in rows {
         r.line(format!(
             "{:<10} {:>6.2} {:>10.1} {:>11.5} {:>10.0} {:>8.1}% {:>10.3} {:>9.2}",
             row.config,
@@ -1394,11 +1356,9 @@ fn do_tracking(ops: u64) -> Report {
             row.observed_ratio
         ));
     }
-    r.json(&rows)
 }
 
-/// The workload-transition droop result; its fields are the `--json`
-/// payload.
+/// The workload-transition droop result.
 #[derive(Clone, Serialize, Deserialize)]
 struct Droop {
     max_droop_unprotected: f64,
@@ -1407,57 +1367,41 @@ struct Droop {
     windows: usize,
 }
 
-fn do_droop(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Workload-transition droop",
-        "SS IV-B: sudden workload change droops the rail; the DDS clips it",
-    );
-    use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
-    let (cfg, bench, scalar_seed) = (CoreConfig::power10(), &specint_like()[8], 3);
-    let (window, max_cycles) = (256, 10_000_000);
-    let (pdn, sensor) = (PdnModel::default(), DroopSensor::default());
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "scalar": bench,
-        "scalar_seed": scalar_seed,
-        "scalar_ops": ops / 8,
-        "dgemm_mma_ops": ops / 4,
-        "window": window,
-        "max_cycles": max_cycles,
-        "pdn": pdn,
-        "sensor": sensor,
-    });
-    let d = driver_cached("droop", &inputs, || {
-        // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-        let scalar = bench.workload(scalar_seed).trace_or_panic(ops / 8);
-        let mut ops_list = scalar.ops;
-        let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
-        // The kernel workload uses its own memory image; for the droop
-        // demand we only need the power series, so run the two phases
-        // separately.
-        let model = p10_power::PowerModel::for_config(&cfg);
-        let phase_power = |trace: p10_isa::Trace| -> Vec<f64> {
-            let report = p10_apex::run_apex(&cfg, vec![trace], window, max_cycles);
-            report
-                .windows
-                .iter()
-                .map(|w| model.evaluate(&w.activity).core_total())
-                .collect()
-        };
-        ops_list.truncate(ops as usize / 8);
-        let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
-        let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
-        powers.extend(phase_power(kernel));
-        let demand = demand_from_power(&powers, p_ref);
-        let free = simulate_droop(&pdn, None, &demand);
-        let protected = simulate_droop(&pdn, Some(&sensor), &demand);
-        Droop {
-            max_droop_unprotected: free.max_droop,
-            max_droop_with_dds: protected.max_droop,
-            engagements: protected.engagements,
-            windows: demand.len(),
-        }
-    });
+fn compute_droop(ops: u64) -> Droop {
+    let (cfg, window, max_cycles) = (CoreConfig::power10(), 256, 10_000_000);
+    // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
+    let scalar = specint_like()[8].workload(3).trace_or_panic(ops / 8);
+    let mut ops_list = scalar.ops;
+    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
+    // The kernel workload uses its own memory image; for the droop
+    // demand we only need the power series, so run the two phases
+    // separately.
+    let model = p10_power::PowerModel::for_config(&cfg);
+    let phase_power = |trace: p10_isa::Trace| -> Vec<f64> {
+        let report = p10_apex::run_apex(&cfg, vec![trace], window, max_cycles);
+        report
+            .windows
+            .iter()
+            .map(|w| model.evaluate(&w.activity).core_total())
+            .collect()
+    };
+    ops_list.truncate(ops as usize / 8);
+    let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
+    let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
+    powers.extend(phase_power(kernel));
+    let demand = demand_from_power(&powers, p_ref);
+    let pdn = PdnModel::default();
+    let free = simulate_droop(&pdn, None, &demand);
+    let protected = simulate_droop(&pdn, Some(&DroopSensor::default()), &demand);
+    Droop {
+        max_droop_unprotected: free.max_droop,
+        max_droop_with_dds: protected.max_droop,
+        engagements: protected.engagements,
+        windows: demand.len(),
+    }
+}
+
+fn render_droop(d: &Droop, r: &mut Text) {
     r.line(format!(
         "scalar -> MMA-kernel transition over {} power windows:",
         d.windows
@@ -1468,26 +1412,21 @@ fn do_droop(ops: u64) -> Report {
         d.max_droop_with_dds * 100.0,
         d.engagements
     ));
-    // The one compact payload.
-    r.json = format!("{}\n", serde_json::to_string(&d).expect("json"));
-    r
 }
 
-fn do_dse(ops: u64) -> Report {
-    let mut r = Report::new(
-        "DSE — perf/watt Pareto frontier over the design space",
-        "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier",
-    );
-    let grid = dse::default_grid();
-    let suite = dse::default_suite();
+fn compute_dse(ops: u64) -> dse::DseResult {
     // Recordings and shard results are engine result-cache entries, so a
     // killed sweep resumes from the disk cache.
     let cfg = dse::DseConfig::new(42, ops);
     let sp = p10_obs::span("dse.sweep");
-    let outcome = dse::run_dse(runner::engine(), &grid, &suite, &cfg);
+    let outcome = dse::run_dse(
+        runner::engine(),
+        &dse::default_grid(),
+        &dse::default_suite(),
+        &cfg,
+    );
     let wall = sp.finish();
-    let res = &outcome.result;
-    let s = res.stats;
+    let s = outcome.result.stats;
     // Wall-clock accounting stays on stderr so stdout is deterministic.
     eprintln!(
         "[figures] dse: {} points in {wall:.2}s — {} recordings simulated, {} shards computed, {} resumed",
@@ -1502,6 +1441,11 @@ fn do_dse(ops: u64) -> Report {
         // per-config re-simulation would cost ~points/classes as much.
         p10_obs::gauge("dse.est_naive_speedup", s.points as f64 / s.classes as f64);
     }
+    outcome.result
+}
+
+fn render_dse(res: &dse::DseResult, r: &mut Text) {
+    let s = res.stats;
     r.line(format!(
         "grid: {} points | {} timing classes | {} benchmarks | {} shards",
         s.points, s.classes, s.benches, s.shards
@@ -1520,9 +1464,9 @@ fn do_dse(ops: u64) -> Report {
         res.frontier.len(),
         s.points
     ));
-    r.text.push_str(&dse::frontier_markdown(res));
+    r.body.push_str(&dse::frontier_markdown(res));
     let paper: Vec<&dse::DsePointResult> = res.points.iter().filter(|p| p.paper).collect();
-    r.text.push('\n');
+    r.body.push('\n');
     for p in &paper {
         let on = res.frontier.iter().any(|&i| res.points[i].name == p.name);
         r.line(format!(
@@ -1540,7 +1484,6 @@ fn do_dse(ops: u64) -> Report {
             p10.perf_per_watt / p9.perf_per_watt.max(1e-12)
         ));
     }
-    r.json(res)
 }
 
 /// The study's default interval: ~64 intervals across the op budget. The
@@ -1578,27 +1521,100 @@ enum StudyJob<'a> {
     Train(&'a Benchmark),
 }
 
-/// What one study job measured.
-struct StudyRun {
-    exact_cpi: f64,
-    exact_power: f64,
-    exact_s: f64,
-    sampled: sampling::SampledScenario,
-    sampled_s: f64,
-    /// The target-bound demo's result and wall time.
-    bound: Option<(sampling::SampledScenario, f64)>,
-}
-
+/// What one study job measured: its row, the bound demo's when the job
+/// ran it, and the statistics of each for `[obs]`.
 enum StudyOut {
-    Study(Box<StudyRun>),
+    Study(Box<(StudyRow, Option<BoundRow>, Vec<sampling::SamplingStats>)>),
     Train(Vec<sampling::TrainingRow>),
 }
 
-fn do_sampling(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Sampled simulation — exact vs SimPoint-weighted execution",
-        "representative-interval sampling with statistical error bounds",
-    );
+/// The sampling study. Its payload omits the `#[serde(skip)]` fields,
+/// which only the text prints.
+#[derive(Clone, Serialize, Deserialize)]
+struct SamplingStudy {
+    #[serde(skip)]
+    mode: String,
+    #[serde(skip)]
+    ops: u64,
+    rows: Vec<StudyRow>,
+    bound: Option<BoundRow>,
+    cross_workload: Option<CrossWorkloadRow>,
+    checkpoints: Checkpoints,
+}
+
+/// Exact versus sampled on one study workload.
+#[derive(Clone, Serialize, Deserialize)]
+struct StudyRow {
+    workload: String,
+    mode: String,
+    exact_cpi: f64,
+    sampled_cpi: f64,
+    cpi_rel_err: f64,
+    cpi_bound_rel: f64,
+    exact_core_power: f64,
+    sampled_core_power: f64,
+    power_rel_err: f64,
+    power_bound_rel: f64,
+    simulated_ops: u64,
+    skipped_ops: u64,
+    intervals: u64,
+    clusters: u64,
+    exact_s: f64,
+    sampled_s: f64,
+    speedup: f64,
+    within_bound: bool,
+}
+
+/// The target-bound demo on the first study workload.
+#[derive(Clone, Serialize, Deserialize)]
+struct BoundRow {
+    workload: String,
+    mode: String,
+    cpi_rel_err: f64,
+    cpi_bound_rel: f64,
+    power_rel_err: f64,
+    power_bound_rel: f64,
+    simulated_ops: u64,
+    total_ops: u64,
+    clusters: u64,
+    #[serde(skip)]
+    wall_s: f64,
+}
+
+/// The cross-workload prediction of the last study workload.
+#[derive(Clone, Serialize, Deserialize)]
+struct CrossWorkloadRow {
+    workload: String,
+    mode: String,
+    training_rows: usize,
+    cv_cpi_error_pct: f64,
+    cv_power_error_pct: f64,
+    cpi_rel_err: f64,
+    power_rel_err: f64,
+    #[serde(skip)]
+    sampled_cpi: f64,
+    #[serde(skip)]
+    sampled_core_power: f64,
+}
+
+/// Warm-state checkpoint traffic across the whole study.
+#[derive(Clone, Serialize, Deserialize)]
+struct Checkpoints {
+    hits: u64,
+    misses: u64,
+    bytes: u64,
+    warm_passes: u64,
+}
+
+/// The relative errors of a sampled estimate's CPI and power.
+fn rel_errs(stats: &sampling::SamplingStats, exact_cpi: f64, exact_power: f64) -> (f64, f64) {
+    (
+        (stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12),
+        (stats.power_est - exact_power).abs() / exact_power.max(1e-12),
+    )
+}
+
+fn compute_sampling(ops: u64) -> SamplingStudy {
     // The study always runs both sides itself (uncached, so wall times
     // are honest): exact as ground truth, sampled in the engine's mode
     // (or a budget-scaled default when the engine is exact).
@@ -1609,7 +1625,6 @@ fn do_sampling(ops: u64) -> Report {
     let cfg = CoreConfig::power10();
     let suite = specint_like();
     let benches = &suite[7..10];
-    r.head += &format!("mode: {}  ops/workload: {}\n", mode.describe(), ops);
     // Cross-workload fast-forward geometry: the default interval and
     // cluster budget (bound mode, the only other study mode, has none).
     let (xi, xk) = (study_interval_ops(ops), STUDY_K);
@@ -1646,215 +1661,195 @@ fn do_sampling(ops: u64) -> Report {
             let t1 = std::time::Instant::now();
             let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &mode);
             let sampled_s = t1.elapsed().as_secs_f64();
+            let (exact_cpi, exact_power) = (exact.sim.cpi(), exact.core_power());
+            let s = &sampled.stats;
+            let (cpi_err, power_err) = rel_errs(s, exact_cpi, exact_power);
+            let row = StudyRow {
+                workload: bench.name.clone(),
+                mode: s.mode.clone(),
+                exact_cpi,
+                sampled_cpi: s.cpi_est,
+                cpi_rel_err: cpi_err,
+                cpi_bound_rel: s.cpi_bound_rel,
+                exact_core_power: exact_power,
+                sampled_core_power: s.power_est,
+                power_rel_err: power_err,
+                power_bound_rel: s.power_bound_rel,
+                simulated_ops: s.simulated_ops,
+                skipped_ops: s.skipped_ops,
+                intervals: s.intervals,
+                clusters: s.clusters,
+                exact_s,
+                sampled_s,
+                speedup: exact_s / sampled_s.max(1e-9),
+                within_bound: cpi_err <= s.cpi_bound_rel && power_err <= s.power_bound_rel,
+            };
             let bound = bound.map(|target| {
                 let t2 = std::time::Instant::now();
-                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &target);
-                (s, t2.elapsed().as_secs_f64())
+                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &target).stats;
+                let wall_s = t2.elapsed().as_secs_f64();
+                let (cpi_err, power_err) = rel_errs(&s, exact_cpi, exact_power);
+                let row = BoundRow {
+                    workload: bench.name.clone(),
+                    mode: s.mode.clone(),
+                    cpi_rel_err: cpi_err,
+                    cpi_bound_rel: s.cpi_bound_rel,
+                    power_rel_err: power_err,
+                    power_bound_rel: s.power_bound_rel,
+                    simulated_ops: s.simulated_ops,
+                    total_ops: s.total_ops,
+                    clusters: s.clusters,
+                    wall_s,
+                };
+                (row, s)
             });
-            StudyOut::Study(Box::new(StudyRun {
-                exact_cpi: exact.sim.cpi(),
-                exact_power: exact.core_power(),
-                exact_s,
-                sampled,
-                sampled_s,
-                bound,
-            }))
+            let (bound, bound_stats) = bound.unzip();
+            let stats = std::iter::once(sampled.stats).chain(bound_stats).collect();
+            StudyOut::Study(Box::new((row, bound, stats)))
         }
         StudyJob::Train(bench) => StudyOut::Train(sampling::cross_workload_rows(
             &cfg, bench, 42, ops, xi, xk, store,
         )),
     });
-    let mut runs = Vec::new();
-    let mut training_rows = Vec::new();
+    let (mut rows, mut bound, mut training_rows) = (Vec::new(), None, Vec::new());
     for out in outs {
         match out {
-            StudyOut::Study(run) => runs.push(run),
-            StudyOut::Train(rows) => training_rows.extend(rows),
+            StudyOut::Study(study) => {
+                let (row, demo, stats) = *study;
+                // `[obs]` gauges are last-write-wins, so the main thread
+                // records, in job order.
+                stats.iter().for_each(sampling::record_obs);
+                rows.push(row);
+                bound = bound.or(demo);
+            }
+            StudyOut::Train(more) => training_rows.extend(more),
         }
     }
-
-    // Results print (and reach `[obs]`) in the serial order, whatever
-    // order the jobs finished in.
-    let mut rows = Vec::new();
-    let mut all_ok = true;
-    let mut speedup_sum = 0.0;
-    for (b, run) in benches.iter().zip(&runs) {
-        let s = &run.sampled;
-        let (exact_s, sampled_s) = (run.exact_s, run.sampled_s);
-        sampling::record_obs(&s.stats);
-
-        let cpi_err = (s.stats.cpi_est - run.exact_cpi).abs() / run.exact_cpi.max(1e-12);
-        let power_err = (s.stats.power_est - run.exact_power).abs() / run.exact_power.max(1e-12);
-        let within = cpi_err <= s.stats.cpi_bound_rel && power_err <= s.stats.power_bound_rel;
-        let speedup = exact_s / sampled_s.max(1e-9);
-        all_ok &= within;
-        speedup_sum += speedup;
-        rows.push(json!({
-            "workload": b.name,
-            "mode": s.stats.mode,
-            "exact_cpi": run.exact_cpi,
-            "sampled_cpi": s.stats.cpi_est,
-            "cpi_rel_err": cpi_err,
-            "cpi_bound_rel": s.stats.cpi_bound_rel,
-            "exact_core_power": run.exact_power,
-            "sampled_core_power": s.stats.power_est,
-            "power_rel_err": power_err,
-            "power_bound_rel": s.stats.power_bound_rel,
-            "simulated_ops": s.stats.simulated_ops,
-            "skipped_ops": s.stats.skipped_ops,
-            "intervals": s.stats.intervals,
-            "clusters": s.stats.clusters,
-            "exact_s": exact_s,
-            "sampled_s": sampled_s,
-            "speedup": speedup,
-            "within_bound": within,
-        }));
-        r.line(format!(
-            "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
-             power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
-            b.name,
-            run.exact_cpi,
-            s.stats.cpi_est,
-            cpi_err * 100.0,
-            s.stats.cpi_bound_rel * 100.0,
-            run.exact_power,
-            s.stats.power_est,
-            power_err * 100.0,
-            s.stats.power_bound_rel * 100.0,
-            if within { "OK" } else { "VIOLATED" }
-        ));
-        r.line(format!(
-            "{:<16} simulated {}/{} ops over {} intervals ({} clusters)  \
-             wall {:.2}s -> {:.2}s  speedup {:.1}x",
-            "",
-            s.stats.simulated_ops,
-            s.stats.total_ops,
-            s.stats.intervals,
-            s.stats.clusters,
-            exact_s,
-            sampled_s,
-            speedup
-        ));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let mean_speedup = speedup_sum / rows.len() as f64;
-    r.line(format!(
-        "error bound check: {}  mean speedup {:.1}x",
-        if all_ok { "OK" } else { "VIOLATED" },
-        mean_speedup
-    ));
-
-    let bound = runs[0].bound.as_ref().map(|(s, wall)| {
-        let b = &benches[0];
-        let wall = *wall;
-        sampling::record_obs(&s.stats);
-        let (exact_cpi, exact_power, exact_s) =
-            (runs[0].exact_cpi, runs[0].exact_power, runs[0].exact_s);
-        let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
-        let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-        r.line(format!(
-            "bound:5 on {:<12} -> {}  CPI err {:>4.1}% <= bound {:>4.1}%  \
-             power err {:>4.1}% <= bound {:>4.1}%  simulated {}/{}  wall {:.2}s ({:.1}x)",
-            b.name,
-            s.stats.mode,
-            cpi_err * 100.0,
-            s.stats.cpi_bound_rel * 100.0,
-            power_err * 100.0,
-            s.stats.power_bound_rel * 100.0,
-            s.stats.simulated_ops,
-            s.stats.total_ops,
-            wall,
-            exact_s / wall.max(1e-9)
-        ));
-        json!({
-            "workload": b.name,
-            "mode": s.stats.mode,
-            "cpi_rel_err": cpi_err,
-            "cpi_bound_rel": s.stats.cpi_bound_rel,
-            "power_rel_err": power_err,
-            "power_bound_rel": s.stats.power_bound_rel,
-            "simulated_ops": s.stats.simulated_ops,
-            "total_ops": s.stats.total_ops,
-            "clusters": s.stats.clusters,
-        })
-    });
 
     // Cross-workload fast-forward: fit interval-level CPI/power
     // predictors on the seven non-study workloads' measured intervals,
     // then estimate the last study workload from its functional-warming
     // features alone — one anchor interval simulated, everything else
     // predicted. Only the fit and this estimate run after the join.
-    let xw = sampling::fit_cross_workload(&training_rows, 4).map(|model| {
+    let cross_workload = sampling::fit_cross_workload(&training_rows, 4).map(|model| {
         let b = &benches[2];
-        let s = sampling::run_benchmark_predicted(&cfg, b, 42, ops, xi, &model, store);
-        sampling::record_obs(&s.stats);
-        let (exact_cpi, exact_power) = (runs[2].exact_cpi, runs[2].exact_power);
-        let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
-        let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-        r.line(format!(
-            "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
-             CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
-            model.training_rows,
-            model.cv_cpi_error_pct(),
-            model.cv_power_error_pct(),
-            b.name,
-            s.stats.cpi_est,
-            cpi_err * 100.0,
-            s.stats.power_est,
-            power_err * 100.0,
-            s.stats.mode
-        ));
-        json!({
-            "workload": b.name,
-            "mode": s.stats.mode,
-            "training_rows": model.training_rows,
-            "cv_cpi_error_pct": model.cv_cpi_error_pct(),
-            "cv_power_error_pct": model.cv_power_error_pct(),
-            "cpi_rel_err": cpi_err,
-            "power_rel_err": power_err,
-        })
+        let s = sampling::run_benchmark_predicted(&cfg, b, 42, ops, xi, &model, store).stats;
+        sampling::record_obs(&s);
+        let (cpi_err, power_err) = rel_errs(&s, rows[2].exact_cpi, rows[2].exact_core_power);
+        CrossWorkloadRow {
+            workload: b.name.clone(),
+            mode: s.mode,
+            training_rows: model.training_rows,
+            cv_cpi_error_pct: model.cv_cpi_error_pct(),
+            cv_power_error_pct: model.cv_power_error_pct(),
+            cpi_rel_err: cpi_err,
+            power_rel_err: power_err,
+            sampled_cpi: s.cpi_est,
+            sampled_core_power: s.power_est,
+        }
     });
 
     // Warm-state checkpoint traffic across all of the above. A cold run
     // reports misses and warm passes; a repeat run (same budget, shared
     // P10SIM_CKPT_DIR or disk cache) reports hits and zero warm passes.
-    r.line(format!(
-        "checkpoints: {} hit(s), {} miss(es), {} bytes, {} warm pass(es)",
-        store.ckpt_hits(),
-        store.ckpt_misses(),
-        store.ckpt_bytes(),
-        store.warm_passes()
-    ));
-    r.json(&json!({
-        "rows": rows,
-        "bound": bound,
-        "cross_workload": xw,
-        "checkpoints": {
-            "hits": store.ckpt_hits(),
-            "misses": store.ckpt_misses(),
-            "bytes": store.ckpt_bytes(),
-            "warm_passes": store.warm_passes(),
+    SamplingStudy {
+        mode: mode.describe(),
+        ops,
+        rows,
+        bound,
+        cross_workload,
+        checkpoints: Checkpoints {
+            hits: store.ckpt_hits(),
+            misses: store.ckpt_misses(),
+            bytes: store.ckpt_bytes(),
+            warm_passes: store.warm_passes(),
         },
-    }))
+    }
 }
 
-fn do_tracepoints(ops: u64) -> Report {
-    let mut r = Report::new(
-        "Tracepoints vs Simpoints",
-        "counter-histogram epochs beat BBVs on phased/interpreted code",
-    );
-    let (cfg, phase_nodes, epoch_ops, clusters) = (CoreConfig::power10(), 2_000, 1_500, 3);
-    let inputs = json!({
-        "config": config_input(&cfg),
-        "phased_pointer_chase": phase_nodes,
-        "ops": ops,
-        "epoch_ops": epoch_ops,
-        "clusters": clusters,
-    });
-    let s = driver_cached("tracepoints", &inputs, || {
-        let w = p10_workloads::suite::phased_pointer_chase(phase_nodes);
-        tracestudy::run_trace_study(&cfg, &w, ops, epoch_ops, clusters)
-    });
+fn render_sampling(study: &SamplingStudy, r: &mut Text) {
+    r.head += &format!("mode: {}  ops/workload: {}\n", study.mode, study.ops);
+    for row in &study.rows {
+        r.line(format!(
+            "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
+             power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
+            row.workload,
+            row.exact_cpi,
+            row.sampled_cpi,
+            row.cpi_rel_err * 100.0,
+            row.cpi_bound_rel * 100.0,
+            row.exact_core_power,
+            row.sampled_core_power,
+            row.power_rel_err * 100.0,
+            row.power_bound_rel * 100.0,
+            if row.within_bound { "OK" } else { "VIOLATED" }
+        ));
+        r.line(format!(
+            "{:<16} simulated {}/{} ops over {} intervals ({} clusters)  \
+             wall {:.2}s -> {:.2}s  speedup {:.1}x",
+            "",
+            row.simulated_ops,
+            row.simulated_ops + row.skipped_ops,
+            row.intervals,
+            row.clusters,
+            row.exact_s,
+            row.sampled_s,
+            row.speedup
+        ));
+    }
+    let all_ok = study.rows.iter().all(|row| row.within_bound);
+    #[allow(clippy::cast_precision_loss)]
+    let mean_speedup =
+        study.rows.iter().map(|row| row.speedup).sum::<f64>() / study.rows.len() as f64;
+    r.line(format!(
+        "error bound check: {}  mean speedup {:.1}x",
+        if all_ok { "OK" } else { "VIOLATED" },
+        mean_speedup
+    ));
+    if let Some(b) = &study.bound {
+        r.line(format!(
+            "bound:5 on {:<12} -> {}  CPI err {:>4.1}% <= bound {:>4.1}%  \
+             power err {:>4.1}% <= bound {:>4.1}%  simulated {}/{}  wall {:.2}s ({:.1}x)",
+            b.workload,
+            b.mode,
+            b.cpi_rel_err * 100.0,
+            b.cpi_bound_rel * 100.0,
+            b.power_rel_err * 100.0,
+            b.power_bound_rel * 100.0,
+            b.simulated_ops,
+            b.total_ops,
+            b.wall_s,
+            study.rows[0].exact_s / b.wall_s.max(1e-9)
+        ));
+    }
+    if let Some(x) = &study.cross_workload {
+        r.line(format!(
+            "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
+             CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
+            x.training_rows,
+            x.cv_cpi_error_pct,
+            x.cv_power_error_pct,
+            x.workload,
+            x.sampled_cpi,
+            x.cpi_rel_err * 100.0,
+            x.sampled_core_power,
+            x.power_rel_err * 100.0,
+            x.mode
+        ));
+    }
+    let c = &study.checkpoints;
+    r.line(format!(
+        "checkpoints: {} hit(s), {} miss(es), {} bytes, {} warm pass(es)",
+        c.hits, c.misses, c.bytes, c.warm_passes
+    ));
+}
+
+fn compute_tracepoints(ops: u64) -> tracestudy::TraceStudy {
+    let w = p10_workloads::suite::phased_pointer_chase(PHASE_NODES);
+    tracestudy::run_trace_study(&CoreConfig::power10(), &w, ops, 1_500, 3)
+}
+
+fn render_tracepoints(s: &tracestudy::TraceStudy, r: &mut Text) {
     r.line(format!(
         "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)",
         s.full_cpi,
@@ -1863,5 +1858,106 @@ fn do_tracepoints(ops: u64) -> Report {
         s.tracepoint_cpi,
         s.tracepoint_error * 100.0
     ));
-    r.json(&s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `figures all --ops 2000 --no-cache --no-ledger` stdout, as text and
+    /// with `--json`.
+    const TEXT: &str = include_str!("../../../../tests/goldens/all-2000.txt");
+    const JSON: &str = include_str!("../../../../tests/goldens/all-2000.json");
+
+    /// The value a payload printed: its one document, or the list of the
+    /// documents `per_item` printed.
+    fn parse(payload: &str) -> serde_json::Value {
+        let doc = |d: &str| serde_json::parse(d).expect("payload parses");
+        let mut docs: Vec<_> = payload.split_inclusive("\n}\n").map(doc).collect();
+        if docs.len() == 1 {
+            docs.remove(0)
+        } else {
+            serde_json::Value::Array(docs)
+        }
+    }
+
+    #[test]
+    fn every_experiment_renders_the_golden_text_from_the_golden_payload() {
+        let all: Vec<&Experiment> = EXPERIMENTS.iter().filter(|e| e.2).collect();
+        let sections: Vec<&str> = JSON.split("\n=== ").skip(1).collect();
+        assert_eq!(
+            sections.len(),
+            all.len(),
+            "one golden section per experiment"
+        );
+        let (mut text, mut json) = (String::new(), String::new());
+        for (&&(name, driver, _, _, _, (title, paper)), section) in all.iter().zip(sections) {
+            // Each section is the rest of the title line, the paper
+            // reference line, then the payload.
+            let payload = section.splitn(3, '\n').nth(2).expect(name);
+            let mut rendered = Text::new(title, paper);
+            let reprinted = driver(&Run::Replay(parse(payload)), &mut rendered);
+            text += &format!("{}{}", rendered.head, rendered.body);
+            json += &format!("{}{reprinted}", rendered.head);
+        }
+        assert!(text == TEXT, "rendered text differs from the golden");
+        assert!(json == JSON, "reprinted payloads differ from the golden");
+    }
+
+    #[test]
+    fn text_only_fields_stay_out_of_the_payload() {
+        let x = CrossWorkloadRow {
+            workload: "xzish".into(),
+            mode: "xlearned:2500".into(),
+            training_rows: 56,
+            cv_cpi_error_pct: 3.1,
+            cv_power_error_pct: 9.3,
+            cpi_rel_err: 0.186,
+            power_rel_err: 0.114,
+            sampled_cpi: 0.587,
+            sampled_core_power: 109.8,
+        };
+        let value = serde_json::to_value(&x).expect("serializes");
+        let keys: Vec<&str> = value
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "workload",
+                "mode",
+                "training_rows",
+                "cv_cpi_error_pct",
+                "cv_power_error_pct",
+                "cpi_rel_err",
+                "power_rel_err"
+            ]
+        );
+        let back: CrossWorkloadRow = serde_json::from_value(&value).expect("deserializes");
+        assert_eq!(
+            (
+                back.training_rows,
+                back.sampled_cpi,
+                back.sampled_core_power
+            ),
+            (56, 0.0, 0.0)
+        );
+    }
+
+    #[test]
+    fn driver_keys_are_distinct_follow_ops_and_carry_the_preset_digest() {
+        let digest = format!("|{:016x}", preset_digest());
+        let cached: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.4).map(|e| e.0).collect();
+        assert_eq!(cached.len(), 13);
+        let keys: std::collections::BTreeSet<String> =
+            cached.iter().map(|name| driver_key(name, 2000)).collect();
+        assert_eq!(keys.len(), cached.len(), "driver keys collide: {keys:?}");
+        for name in cached {
+            assert_ne!(driver_key(name, 2000), driver_key(name, 2001), "{name}");
+            assert!(driver_key(name, 2000).ends_with(&digest), "{name}");
+        }
+    }
 }

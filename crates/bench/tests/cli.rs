@@ -939,3 +939,69 @@ fn unwritable_out_dir_fails_cleanly() {
     assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
     let _ = std::fs::remove_dir_all(file.parent().expect("scratch dir"));
 }
+
+/// A file under the repository's `tests/goldens/`.
+fn golden(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/goldens")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn stdout_and_counters_match_the_committed_goldens() {
+    // Fixed values recorded once, so a change that shifts serial and pool
+    // runs alike still fails. Regenerate them only for an intended change
+    // (see README).
+    let by_name = serde_json::parse(&golden("all-2000.counters.json")).expect("golden parses");
+    let counters: Vec<(String, u64)> = by_name
+        .as_object()
+        .expect("counter golden is an object")
+        .iter()
+        .map(|(name, _)| (name.clone(), field_u64(&by_name, name)))
+        .collect();
+    let sampling = serde_json::parse(&golden("sampling-20000.json")).expect("golden parses");
+    for jobs in ["1", "2"] {
+        let (text, all_counters) = run_counted(&["all", "--ops", "2000", "--no-cache"], jobs, &[]);
+        assert!(
+            text == golden("all-2000.txt"),
+            "all text differs at --jobs {jobs}"
+        );
+        assert_eq!(
+            all_counters, counters,
+            "all counters differ at --jobs {jobs}"
+        );
+        let (json, _) = run_counted(&["all", "--ops", "2000", "--no-cache", "--json"], jobs, &[]);
+        assert!(
+            json == golden("all-2000.json"),
+            "all --json differs at --jobs {jobs}"
+        );
+        let (dse, _) = run_counted(&["dse", "--ops", "2000", "--no-cache"], jobs, &[]);
+        assert!(
+            dse == golden("dse-2000.txt"),
+            "dse differs at --jobs {jobs}"
+        );
+        let args = ["sampling", "--ops", "20000", "--no-cache", "--json"];
+        let (study, _) = run_counted(&args, jobs, &[]);
+        assert_eq!(
+            strip_walls(&json_payload(&study)),
+            sampling,
+            "sampling payload differs at --jobs {jobs}"
+        );
+    }
+}
+
+#[test]
+fn another_op_budget_misses_the_driver_cache() {
+    let cache = scratch("driver-key", "");
+    let env = [("P10SIM_CACHE_DIR", cache.as_path())];
+    let _ = run_counted(&["fig13", "--ops", "3000"], "2", &env);
+    let (_, warm) = run_counted(&["fig13", "--ops", "3000"], "2", &env);
+    assert_eq!(counter(&warm, "cache.computes"), 0, "warm rerun computed");
+    let (_, other) = run_counted(&["fig13", "--ops", "3001"], "2", &env);
+    assert!(
+        counter(&other, "cache.computes") > 0,
+        "--ops 3001 was served from the --ops 3000 entry"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}

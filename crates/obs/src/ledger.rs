@@ -221,25 +221,28 @@ pub fn append(dir: &Path, record: &RunRecord) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Reads the full run history from `dir/ledger.jsonl`, oldest first.
-/// A missing ledger is an empty history; lines that are not UTF-8 or
-/// fail to parse (torn concurrent writes, flipped bytes, foreign
-/// schemas) are skipped, so one bad line costs only its own record.
+/// Reads the full run history from `dir/ledger.jsonl`, oldest first,
+/// and the number of non-empty lines it skipped. A missing ledger is an
+/// empty history; lines that are not UTF-8 or fail to parse (torn
+/// concurrent writes, flipped bytes, foreign schemas) are skipped, so one
+/// bad line costs only its own record.
 ///
 /// # Errors
 ///
 /// Propagates read failures other than the file not existing.
-pub fn read(dir: &Path) -> std::io::Result<Vec<RunRecord>> {
+pub fn read(dir: &Path) -> std::io::Result<(Vec<RunRecord>, usize)> {
     let path = dir.join(LEDGER_FILE);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     };
-    Ok(bytes
-        .split(|&b| b == b'\n')
-        .filter_map(|l| serde_json::from_str::<RunRecord>(std::str::from_utf8(l).ok()?).ok())
-        .collect())
+    let lines = bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty());
+    let parsed: Vec<Option<RunRecord>> = lines
+        .map(|l| serde_json::from_str(std::str::from_utf8(l).ok()?).ok())
+        .collect();
+    let skipped = parsed.iter().filter(|r| r.is_none()).count();
+    Ok((parsed.into_iter().flatten().collect(), skipped))
 }
 
 /// The prior runs that are apples-to-apples with `latest`: same
@@ -476,7 +479,7 @@ mod tests {
     #[test]
     fn ledger_appends_and_reads_back_across_runs() {
         let dir = scratch_dir("appendread");
-        assert_eq!(read(&dir).expect("missing ledger reads empty"), vec![]);
+        assert_eq!(read(&dir).expect("missing ledger reads empty"), (vec![], 0));
         let a = record("all", &[("fig2", 0.5)]);
         let b = record("all", &[("fig2", 0.4)]);
         let c = record("fig4", &[("fig4", 1.0)]);
@@ -484,13 +487,14 @@ mod tests {
             append(&dir, r).expect("append");
         }
         let runs = read(&dir).expect("read back");
-        assert_eq!(runs, vec![a.clone(), b.clone(), c.clone()]);
+        assert_eq!(runs, (vec![a.clone(), b.clone(), c.clone()], 0));
         // A torn/corrupt line is skipped, not fatal.
         let path = dir.join(LEDGER_FILE);
         let mut text = std::fs::read_to_string(&path).expect("ledger text");
         text.push_str("{\"torn\":");
         std::fs::write(&path, text).expect("plant torn line");
-        assert_eq!(read(&dir).expect("read with torn line").len(), 3);
+        let (runs, skipped) = read(&dir).expect("read with torn line");
+        assert_eq!((runs.len(), skipped), (3, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -516,7 +520,7 @@ mod tests {
                 .expect("second line");
         bytes[(first_nl + second_nl) / 2] ^= 0x80;
         std::fs::write(&path, bytes).expect("plant flipped byte");
-        assert_eq!(read(&dir).expect("read with flipped byte"), vec![a, c]);
+        assert_eq!(read(&dir).expect("read with flipped byte"), (vec![a, c], 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
