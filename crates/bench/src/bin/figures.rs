@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]
+//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]
 //! figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]
 //! ```
 //! `<experiment>` is a name in `EXPERIMENTS`, `obsreport`, or `all` (the
@@ -26,9 +26,9 @@
 //! error bound is at most PCT percent), see `p10_core::sampling`; an
 //! experiment not marked sampled rejects it when run alone. Sampled runs
 //! keep warm-state checkpoints under the cache (or `P10SIM_CKPT_DIR`).
-//! `--trace-out FILE` writes a `p10_obs` event trace (JSON lines, or a
-//! Perfetto-loadable file with `--trace-format chrome`); `--obs-json FILE`
-//! writes the end-of-run `[obs]` summary that stderr shows.
+//! `--trace-out FILE` writes the `p10_obs` event trace as a
+//! Perfetto-loadable Chrome trace; `--obs-json FILE` writes the
+//! end-of-run `[obs]` summary that stderr shows.
 //!
 //! Every run appends one `RunRecord` line to the run ledger
 //! (`target/p10sim-ledger/` or `--ledger-dir`, none with `--no-ledger`;
@@ -246,7 +246,6 @@ struct Opts {
     jobs: usize,
     no_cache: bool,
     trace_out: Option<PathBuf>,
-    trace_format: Option<p10_obs::TraceFormat>,
     obs_json: Option<PathBuf>,
     ledger_dir: Option<PathBuf>,
     no_ledger: bool,
@@ -259,7 +258,7 @@ struct Opts {
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
+        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
     );
     eprintln!(
         "       figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]"
@@ -274,17 +273,6 @@ fn usage_error(msg: &str) -> ! {
 /// `--ledger-dir`, then the three no other experiment reads.
 const OBSREPORT_FLAGS: [&str; 4] = ["--ledger-dir", "--baseline", "--gate", "--min-s"];
 
-/// Parses a `--trace-format` value.
-fn parse_trace_format(v: &str) -> p10_obs::TraceFormat {
-    match v {
-        "jsonl" | "json-lines" => p10_obs::TraceFormat::JsonLines,
-        "chrome" => p10_obs::TraceFormat::Chrome,
-        other => usage_error(&format!(
-            "invalid trace format '{other}' (expected jsonl or chrome)"
-        )),
-    }
-}
-
 /// Parses the command line strictly: malformed values and unknown
 /// experiments or flags abort with a clear message instead of silently
 /// running something else.
@@ -298,7 +286,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         jobs: 0,
         no_cache: false,
         trace_out: None,
-        trace_format: None,
         obs_json: None,
         ledger_dir: None,
         no_ledger: false,
@@ -342,9 +329,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
             }
             "--out" => opts.out = Some(PathBuf::from(flag_value("--out"))),
             "--trace-out" => opts.trace_out = Some(PathBuf::from(flag_value("--trace-out"))),
-            "--trace-format" => {
-                opts.trace_format = Some(parse_trace_format(&flag_value("--trace-format")));
-            }
             "--obs-json" => opts.obs_json = Some(PathBuf::from(flag_value("--obs-json"))),
             "--ledger-dir" => opts.ledger_dir = Some(PathBuf::from(flag_value("--ledger-dir"))),
             "--no-ledger" => opts.no_ledger = true,
@@ -396,9 +380,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         }
     } else if given.iter().any(|f| OBSREPORT_FLAGS[1..].contains(f)) {
         usage_error("--gate/--baseline/--min-s only apply to the obsreport experiment");
-    }
-    if opts.trace_format.is_some() && opts.trace_out.is_none() {
-        usage_error("--trace-format only applies with --trace-out");
     }
     let ignores_sampling = EXPERIMENTS
         .iter()
@@ -457,10 +438,7 @@ fn main() {
 
     // Observability first, so every later span/counter lands in the same
     // recorder.
-    p10_obs::init(&p10_obs::ObsConfig {
-        trace_path: opts.trace_out.clone(),
-        trace_format: opts.trace_format.unwrap_or_default(),
-    });
+    p10_obs::init(opts.trace_out.clone());
     p10_obs::set_thread_name("main");
 
     let sampling_key = opts.sampling.describe();
@@ -599,7 +577,7 @@ fn main() {
         }
     }
 
-    // Last: a Chrome-format trace buffers in memory and is written here.
+    // Last: the Chrome trace buffers in memory and is written here.
     p10_obs::finalize();
 }
 

@@ -184,40 +184,6 @@ fn profile_reports_buckets_that_sum_to_cycles() {
     }
 }
 
-#[test]
-fn trace_out_writes_valid_json_lines() {
-    let path = std::env::temp_dir().join(format!("p10sim-trace-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let out = figures()
-        .args(["fig2", "--json", "--no-cache", "--trace-out"])
-        .arg(&path)
-        .output()
-        .expect("run figures");
-    assert!(out.status.success(), "traced fig2 run failed: {out:?}");
-    let text = std::fs::read_to_string(&path).expect("trace file written");
-    let _ = std::fs::remove_file(&path);
-    assert!(!text.is_empty(), "trace file must contain events");
-    for line in text.lines() {
-        let event: serde_json::Value =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
-        field_u64(&event, "t_us");
-        field_u64(&event, "thread");
-        assert!(
-            event
-                .get("kind")
-                .and_then(serde_json::Value::as_object)
-                .is_some(),
-            "event missing kind: {line}"
-        );
-    }
-    // The experiment span must be among the events.
-    assert!(
-        text.lines()
-            .any(|l| l.contains("\"Span\"") && l.contains("fig2")),
-        "fig2 span event missing from trace"
-    );
-}
-
 /// A unique scratch path under the system temp dir.
 fn scratch(tag: &str, leaf: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -245,8 +211,6 @@ fn chrome_trace_is_valid_and_tracks_workers() {
             "2",
             "--no-cache",
             "--no-ledger",
-            "--trace-format",
-            "chrome",
             "--trace-out",
         ])
         .arg(&path)
@@ -432,7 +396,7 @@ fn stdout_is_byte_identical_with_flight_recorder_enabled() {
     let instrumented = figures()
         .args(["table1", "--ops", "800", "--no-cache", "--ledger-dir"])
         .arg(scratch("ident", ""))
-        .args(["--trace-format", "chrome", "--trace-out"])
+        .arg("--trace-out")
         .arg(scratch("ident-trace", "trace.json"))
         .arg("--obs-json")
         .arg(scratch("ident-obs", "obs.json"))
@@ -730,8 +694,7 @@ fn gate_flag_outside_obsreport_fails_loudly() {
         &["--jobs", "2"],
         &["--no-cache"],
         &["--sampling", "bound:5"],
-        &["--trace-out", "t.jsonl"],
-        &["--trace-format", "chrome"],
+        &["--trace-out", "t.json"],
         &["--obs-json", "obs.json"],
         &["--no-ledger"],
     ] {
@@ -740,9 +703,10 @@ fn gate_flag_outside_obsreport_fails_loudly() {
         let needle = format!("{} does not apply to the obsreport experiment", args[0]);
         assert_usage_error(&argv, &needle);
     }
+    // The trace is always a Chrome trace; there is no format to pick.
     assert_usage_error(
         &["fig2", "--trace-format", "chrome"],
-        "--trace-format only applies with --trace-out",
+        "unknown flag '--trace-format'",
     );
 }
 

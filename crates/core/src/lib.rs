@@ -15,6 +15,8 @@
 //! * [`flush`] — the wasted-instruction (flush-reduction) study.
 //! * [`runner`] — the parallel experiment engine and result cache every
 //!   driver runs on.
+//! * [`store`] — the one on-disk byte store the result cache and the
+//!   checkpoint store persist through.
 //! * [`sampling`] — SimPoint-weighted sampled execution with error
 //!   bounds (opt-in via `--sampling`) and a cross-workload predicted
 //!   fast-forward.
@@ -56,6 +58,7 @@ pub mod scenario;
 pub mod sensitivity;
 pub mod smtscale;
 pub mod socket;
+pub mod store;
 pub mod table1;
 pub mod tracestudy;
 pub mod tracking;

@@ -12,8 +12,8 @@
 //! * an **in-process memo** so one `figures all` run never simulates the
 //!   same point twice (e.g. the Fig. 12 bottom-up study re-reads the same
 //!   windowed runs for all 39 component targets), and
-//! * an optional **on-disk JSON cache** so a warm re-run skips
-//!   already-simulated points.
+//! * an optional **on-disk JSON cache** ([`crate::store::Store`]) so a
+//!   warm re-run skips already-simulated points.
 //!
 //! Keys are content hashes of the full serialized configuration plus the
 //! workload identity, seed, and op budget — a config tweak, new seed, or
@@ -34,12 +34,13 @@
 
 use crate::sampling::{CkptStore, SamplingMode};
 use crate::scenario::{run_benchmark, ScenarioResult, SuiteResult};
+use crate::store::Store;
 use p10_uarch::{CoreConfig, Scheduler};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -65,8 +66,8 @@ pub struct CacheCounts {
     pub disk_hits: u64,
     /// Points actually simulated (both caches missed).
     pub computes: u64,
-    /// Disk entries that existed but failed to deserialize (corrupt or
-    /// stale format) and were recomputed.
+    /// Disk entries that existed but failed to decode (corrupt, or
+    /// written in another format) and were recomputed.
     pub disk_decode_errors: u64,
 }
 
@@ -75,7 +76,6 @@ struct CacheStats {
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     computes: AtomicU64,
-    disk_decode_errors: AtomicU64,
 }
 
 /// The execution engine: a worker-pool runner plus the two cache layers,
@@ -83,7 +83,7 @@ struct CacheStats {
 /// store sampled runs warm through.
 pub struct Engine {
     jobs: usize,
-    disk_cache: Option<PathBuf>,
+    disk: Option<Store>,
     progress: bool,
     memo: Mutex<HashMap<String, Box<dyn Any + Send + Sync>>>,
     stats: CacheStats,
@@ -103,7 +103,9 @@ impl Engine {
         };
         Engine {
             jobs,
-            disk_cache: config.disk_cache,
+            disk: config
+                .disk_cache
+                .map(|dir| Store::new(dir, "cache.disk_decode_errors")),
             progress: config.progress,
             memo: Mutex::new(HashMap::new()),
             stats: CacheStats::default(),
@@ -150,7 +152,7 @@ impl Engine {
     pub fn config(&self) -> EngineConfig {
         EngineConfig {
             jobs: self.jobs,
-            disk_cache: self.disk_cache.clone(),
+            disk_cache: self.disk.as_ref().map(|s| s.dir().to_path_buf()),
             progress: self.progress,
         }
     }
@@ -162,7 +164,7 @@ impl Engine {
             memo_hits: self.stats.memo_hits.load(Ordering::Relaxed),
             disk_hits: self.stats.disk_hits.load(Ordering::Relaxed),
             computes: self.stats.computes.load(Ordering::Relaxed),
-            disk_decode_errors: self.stats.disk_decode_errors.load(Ordering::Relaxed),
+            disk_decode_errors: self.disk.as_ref().map_or(0, Store::rejects),
         }
     }
 
@@ -270,7 +272,12 @@ impl Engine {
             self.progress_line(label, "memo hit");
             return hit;
         }
-        if let Some(hit) = self.disk_get::<T>(&key) {
+        let name = format!("{key}.json");
+        if let Some(hit) = self
+            .disk
+            .as_ref()
+            .and_then(|s| s.read_json::<T>(&name).hit())
+        {
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             p10_obs::counter("cache.disk_hits", 1);
             self.memo_put(&key, hit.clone());
@@ -286,7 +293,10 @@ impl Engine {
         p10_obs::counter("cache.computes", 1);
         p10_obs::observe("engine.compute_s", secs);
         self.progress_line(label, &format!("{secs:.2}s"));
-        self.disk_put(&key, &value);
+        if let Some(store) = &self.disk {
+            // Best-effort: a failed write leaves a miss, the result stands.
+            store.write_json(&name, &value);
+        }
         self.memo_put(&key, value.clone());
         value
     }
@@ -381,34 +391,6 @@ impl Engine {
             .lock()
             .expect("memo poisoned")
             .insert(key.to_owned(), Box::new(value));
-    }
-
-    fn disk_get<T: Deserialize>(&self, key: &str) -> Option<T> {
-        let path = self.disk_cache.as_ref()?.join(format!("{key}.json"));
-        let bytes = std::fs::read(&path).ok()?;
-        // A corrupt or stale entry — not UTF-8, or not the expected JSON —
-        // is recomputed like a miss, but counted so a damaged cache
-        // directory shows up in the run summary instead of silently
-        // costing a full re-simulation.
-        match std::str::from_utf8(&bytes).map(serde_json::from_str) {
-            Ok(Ok(v)) => Some(v),
-            _ => {
-                self.stats
-                    .disk_decode_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                p10_obs::counter("cache.disk_decode_errors", 1);
-                p10_obs::mark("cache.disk_decode_error", &path.display().to_string());
-                None
-            }
-        }
-    }
-
-    fn disk_put<T: Serialize>(&self, key: &str, value: &T) {
-        // Best-effort: a failed write leaves a miss, the result still stands.
-        let Some(dir) = &self.disk_cache else { return };
-        if let Ok(text) = serde_json::to_string(value) {
-            write_atomic(dir, &format!("{key}.json"), text.as_bytes());
-        }
     }
 
     fn progress_line(&self, label: &str, outcome: &str) {
@@ -524,42 +506,8 @@ pub fn point_key(cfg: &CoreConfig, bench: &Benchmark, seed: u64, max_ops: u64) -
     )
 }
 
-/// Writes `bytes` to `dir/name` atomically: the bytes go to a temp file
-/// first and are renamed into place, so a reader never sees a torn file.
-/// The temp name carries the pid plus a process-wide sequence number, so
-/// concurrent writers — in one process or several — never share a temp
-/// path; the last rename wins, and same-name writers write the same bytes
-/// anyway. Creates `dir` if needed. Best-effort: returns whether the file
-/// landed, and removes the temp file when it did not.
-pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> bool {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    if std::fs::create_dir_all(dir).is_err() {
-        return false;
-    }
-    let tmp = dir.join(format!(
-        "{name}.tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let landed =
-        std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, dir.join(name)).is_ok();
-    if !landed {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    landed
-}
-
-/// 64-bit FNV-1a — deterministic across runs and Rust versions, which the
-/// on-disk cache requires (`DefaultHasher` makes no such promise).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a, the engine's content-key digest.
+pub use p10_isa::fnv1a64;
 
 static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
@@ -768,8 +716,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn entry_with_a_changed_digit_is_counted_and_recomputed() {
+        let dir = scratch_dir("digit");
+        let mk = || {
+            Engine::new(EngineConfig {
+                disk_cache: Some(dir.clone()),
+                ..EngineConfig::default()
+            })
+        };
+        let value = vec![54.540_f64, 12.25];
+        let _: Vec<f64> = mk().cached("plant", "point", || value.clone());
+        // 54.54 -> 74.54: still valid JSON of the right shape, and the
+        // same length.
+        let path = dir.join(format!("{:016x}.json", fnv1a64(b"point")));
+        let text = std::fs::read_to_string(&path).expect("entry written");
+        assert!(text.starts_with("[54.54"), "{text}");
+        std::fs::write(&path, text.replacen('5', "7", 1)).expect("change digit");
+        let fresh = mk();
+        let warm: Vec<f64> = fresh.cached("reread", "point", || value.clone());
+        assert_eq!(warm, value, "a changed digit must not decode");
+        let counts = fresh.cache_counts();
+        assert_eq!(
+            (counts.disk_decode_errors, counts.disk_hits, counts.computes),
+            (1, 0, 1)
+        );
+        let third = mk();
+        let _: Vec<f64> = third.cached("healed", "point", || panic!("entry must be healed"));
+        assert_eq!(third.cache_counts().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Names in `dir` that look like leftover temp files.
-    fn temp_leftovers(dir: &Path) -> Vec<String> {
+    fn temp_leftovers(dir: &std::path::Path) -> Vec<String> {
         std::fs::read_dir(dir)
             .expect("dir exists")
             .map(|e| {
@@ -808,18 +787,6 @@ mod tests {
         let back: Vec<u64> = fresh.cached("reread", "point", || panic!("entry must decode"));
         assert_eq!(back, value);
         assert_eq!(fresh.cache_counts().disk_decode_errors, 0);
-        assert_eq!(temp_leftovers(&dir), Vec::<String>::new());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn write_atomic_reports_failure_and_cleans_up() {
-        let dir = scratch_dir("atomic");
-        assert!(write_atomic(&dir, "a.bin", b"abc"));
-        assert_eq!(std::fs::read(dir.join("a.bin")).expect("written"), b"abc");
-        // A directory squatting on the target name makes the rename fail.
-        std::fs::create_dir_all(dir.join("b.bin").join("x")).expect("squat");
-        assert!(!write_atomic(&dir, "b.bin", b"def"));
         assert_eq!(temp_leftovers(&dir), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }

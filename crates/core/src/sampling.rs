@@ -71,6 +71,7 @@
 
 use crate::runner;
 use crate::scenario::{self, ScenarioResult};
+use crate::store::{self, Store};
 use p10_isa::{DynOp, OpClass, TraceView};
 use p10_power::PowerModel;
 use p10_powermodel::{forward_select_loo, CvModel, Dataset, FitOptions};
@@ -328,11 +329,13 @@ type ClassBlobs = HashMap<usize, Arc<Vec<u8>>>;
 /// signature and the interval size — and by interval boundary index, so
 /// every config in a sweep that shares warm-relevant geometry shares one
 /// set of checkpoints. Blobs live in exactly one tier: on disk when the
-/// store has a directory (persistent across runs; the page cache makes
-/// in-process reloads cheap), otherwise in an in-memory memo capped per
-/// warm class. Either way what a class finds depends only on that
-/// class's own saves, so hit counts do not depend on how concurrent jobs
-/// interleave as long as no two concurrent jobs share a class.
+/// store has a directory (a [`Store`]: raw `P10WARM2` blobs, whose codec
+/// carries its own checksum, and framed JSON feature vectors; persistent
+/// across runs, and the page cache makes in-process reloads cheap),
+/// otherwise in an in-memory memo capped per warm class. Either way what
+/// a class finds depends only on that class's own saves, so hit counts do
+/// not depend on how concurrent jobs interleave as long as no two
+/// concurrent jobs share a class.
 ///
 /// All traffic is counted per store (`ckpt_hits`/`ckpt_misses`/
 /// `ckpt_bytes`/`warm_passes`) *and* mirrored into the process-wide
@@ -340,12 +343,11 @@ type ClassBlobs = HashMap<usize, Arc<Vec<u8>>>;
 /// construct private stores so the counts are exact even with other
 /// tests running in parallel.
 pub struct CkptStore {
-    dir: Option<PathBuf>,
+    disk: Option<Store>,
     blobs: Mutex<HashMap<u64, ClassBlobs>>,
     feats: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    rejects: AtomicU64,
     bytes: AtomicU64,
     warm_passes: AtomicU64,
 }
@@ -355,12 +357,11 @@ impl CkptStore {
     #[must_use]
     pub fn new(dir: Option<PathBuf>) -> Self {
         CkptStore {
-            dir,
+            disk: dir.map(|d| Store::new(d, "sampling.ckpt_rejects")),
             blobs: Mutex::new(HashMap::new()),
             feats: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            rejects: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             warm_passes: AtomicU64::new(0),
         }
@@ -384,7 +385,7 @@ impl CkptStore {
     /// intervals; each is recomputed and overwritten under the same name.
     #[must_use]
     pub fn ckpt_rejects(&self) -> u64 {
-        self.rejects.load(Ordering::Relaxed)
+        self.disk.as_ref().map_or(0, Store::rejects)
     }
 
     /// Total checkpoint bytes serialized through this store.
@@ -410,15 +411,17 @@ impl CkptStore {
     }
 
     /// Loads the warmer checkpointed at interval boundary `idx` for the
-    /// given warm class, if one exists and decodes under `cfg`. A blob
-    /// that exists but does not decode counts as a reject
-    /// (`sampling.ckpt_rejects`, emitted only when one happens).
+    /// given warm class, if one exists and decodes under `cfg`. A disk
+    /// blob that exists but does not decode counts as a reject
+    /// (`sampling.ckpt_rejects`, emitted only when one happens); a memo
+    /// blob is this process's own encoding for this class.
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
-        let w = match &self.dir {
-            Some(dir) => FunctionalWarmer::from_bytes(
-                cfg,
-                &std::fs::read(dir.join(Self::blob_name(class, idx))).ok()?,
-            ),
+        let w = match &self.disk {
+            Some(disk) => disk
+                .read(&Self::blob_name(class, idx), |b| {
+                    FunctionalWarmer::from_bytes(cfg, b)
+                })
+                .hit()?,
             None => {
                 let blob = self
                     .blobs
@@ -427,12 +430,8 @@ impl CkptStore {
                     .get(&class)?
                     .get(&idx)
                     .cloned()?;
-                FunctionalWarmer::from_bytes(cfg, &blob)
+                FunctionalWarmer::from_bytes(cfg, &blob)?
             }
-        };
-        let Some(w) = w else {
-            self.note_reject();
-            return None;
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_hits", 1);
@@ -441,14 +440,13 @@ impl CkptStore {
 
     /// Serializes and stores a checkpoint at interval boundary `idx`:
     /// on disk when the store has a directory, else in the memo. Disk
-    /// writes are best-effort ([`runner::write_atomic`], errors ignored):
-    /// the store is a cache, never a source of truth.
+    /// writes are best-effort ([`Store::write`], errors ignored).
     fn save(&self, class: u64, idx: usize, w: &FunctionalWarmer) {
         let bytes = w.to_bytes();
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_bytes", bytes.len() as u64);
-        if let Some(dir) = &self.dir {
-            runner::write_atomic(dir, &Self::blob_name(class, idx), &bytes);
+        if let Some(disk) = &self.disk {
+            disk.write(&Self::blob_name(class, idx), &bytes);
             return;
         }
         let mut m = self.blobs.lock().expect("ckpt memo poisoned");
@@ -477,15 +475,10 @@ impl CkptStore {
         p10_obs::counter("sampling.ckpt_misses", 1);
     }
 
-    fn note_reject(&self) {
-        self.rejects.fetch_add(1, Ordering::Relaxed);
-        p10_obs::counter("sampling.ckpt_rejects", 1);
-    }
-
     /// The per-interval warm miss-rate features for one warm class,
     /// computing (and persisting) them on first use. `expected_len`
     /// guards against a stale vector from a different interval count; a
-    /// feature file that exists but does not parse or has the wrong
+    /// feature file that exists but does not decode or has the wrong
     /// length counts as a reject and is recomputed.
     fn warm_features_cached(
         &self,
@@ -499,25 +492,22 @@ impl CkptStore {
             }
         }
         let fname = Self::feat_name(class);
-        if let Some(dir) = &self.dir {
-            if let Ok(bytes) = std::fs::read(dir.join(&fname)) {
-                match serde_json::from_str::<Vec<f64>>(&String::from_utf8_lossy(&bytes)) {
-                    Ok(v) if v.len() == expected_len => {
-                        let a = Arc::new(v);
-                        self.feat_put(class, Arc::clone(&a));
-                        return a;
-                    }
-                    _ => self.note_reject(),
-                }
+        let stored = self.disk.as_ref().and_then(|disk| {
+            disk.read(&fname, |b| {
+                store::decode_json::<Vec<f64>>(b).filter(|v| v.len() == expected_len)
+            })
+            .hit()
+        });
+        let v = stored.unwrap_or_else(|| {
+            let v = compute();
+            debug_assert_eq!(v.len(), expected_len, "warm feature pass length");
+            self.warm_passes.fetch_add(1, Ordering::Relaxed);
+            p10_obs::counter("sampling.warm_passes", 1);
+            if let Some(disk) = &self.disk {
+                disk.write_json(&fname, &v);
             }
-        }
-        let v = compute();
-        debug_assert_eq!(v.len(), expected_len, "warm feature pass length");
-        self.warm_passes.fetch_add(1, Ordering::Relaxed);
-        p10_obs::counter("sampling.warm_passes", 1);
-        if let (Some(dir), Ok(text)) = (&self.dir, serde_json::to_string(&v)) {
-            runner::write_atomic(dir, &fname, text.as_bytes());
-        }
+            v
+        });
         let a = Arc::new(v);
         self.feat_put(class, Arc::clone(&a));
         a
@@ -1911,6 +1901,8 @@ mod tests {
     use super::*;
     use p10_uarch::AblationGroup;
     use p10_workloads::specint_like;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn simpoints_mode() -> SamplingMode {
         SamplingMode::SimPoints {
@@ -2211,6 +2203,154 @@ mod tests {
             });
             assert_eq!(*got, feats, "{bad}");
             assert_eq!((healed.warm_passes(), healed.ckpt_rejects()), (0, 0));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn feature_file_with_a_changed_digit_is_a_reject() {
+        let dir = scratch_dir("feat-digit");
+        let feats = vec![0.25, 0.5, 0.75];
+        let _ = CkptStore::new(Some(dir.clone())).warm_features_cached(9, 3, || feats.clone());
+        // 0.25 -> 0.35: still three numbers, so the length check passes.
+        let path = dir.join(CkptStore::feat_name(9));
+        let text = std::fs::read_to_string(&path).expect("feature file written");
+        assert!(text.starts_with("[0.25,"), "{text}");
+        std::fs::write(&path, text.replacen('2', "3", 1)).expect("change digit");
+        let store = CkptStore::new(Some(dir.clone()));
+        let got = store.warm_features_cached(9, 3, || feats.clone());
+        assert_eq!(*got, feats, "a changed digit must not decode");
+        assert_eq!((store.ckpt_rejects(), store.warm_passes()), (1, 1));
+        let healed = CkptStore::new(Some(dir.clone()));
+        let got = healed.warm_features_cached(9, 3, || panic!("the healed file must hit"));
+        assert_eq!(*got, feats);
+        assert_eq!((healed.ckpt_rejects(), healed.warm_passes()), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One way to damage a stored entry.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// Cut the entry at a random length.
+        Truncate,
+        /// Flip one random bit, trailer included.
+        FlipBit,
+        /// Replace it with a well-formed entry of another shape or format.
+        Skew,
+    }
+
+    /// Applies `damage` to the file at `path`; `skew` is the replacement.
+    fn damage(rng: &mut SmallRng, path: &std::path::Path, damage: Damage, skew: &[u8]) {
+        let mut bytes = std::fs::read(path).expect("entry exists");
+        match damage {
+            Damage::Truncate => bytes.truncate(rng.gen_range(0..bytes.len())),
+            Damage::FlipBit => {
+                let i = rng.gen_range(0..bytes.len());
+                bytes[i] ^= 1 << rng.gen_range(0..8u32);
+            }
+            Damage::Skew => bytes = skew.to_vec(),
+        }
+        std::fs::write(path, &bytes).expect("damage entry");
+    }
+
+    /// `body` as a JSON store entry: the text plus its trailer line.
+    fn framed(body: &str) -> Vec<u8> {
+        format!(
+            "{body}\nfnv1a64:{:016x}\n",
+            runner::fnv1a64(body.as_bytes())
+        )
+        .into_bytes()
+    }
+
+    /// A `P10WARM2` blob relabelled as the older `P10WARM1` format, with
+    /// its checksum fixed up so only the version tells it apart.
+    fn warm1_blob(blob: &[u8]) -> Vec<u8> {
+        let mut old = blob.to_vec();
+        assert_eq!(&old[..8], b"P10WARM2");
+        old[..8].copy_from_slice(b"P10WARM1");
+        let n = old.len() - 8;
+        let sum = runner::fnv1a64(&old[..n]);
+        old[n..].copy_from_slice(&sum.to_le_bytes());
+        old
+    }
+
+    /// Decode fuzzing at the store boundary: each of the three kinds of
+    /// persisted entry, damaged at random, must read as a counted reject
+    /// (never a panic or a different value) and heal on the recompute.
+    #[test]
+    fn damaged_entries_are_counted_rejects_that_heal() {
+        const ROUNDS: usize = 40;
+        const DAMAGES: [Damage; 3] = [Damage::Truncate, Damage::FlipBit, Damage::Skew];
+        let mut rng = SmallRng::seed_from_u64(0x5707e);
+        let dir = scratch_dir("fuzz");
+
+        // Result-cache entries, through the engine that heals them.
+        let engine = || {
+            runner::Engine::new(runner::EngineConfig {
+                disk_cache: Some(dir.join("cache")),
+                ..runner::EngineConfig::default()
+            })
+        };
+        let value: Vec<u64> = (0..64).map(|i| i * 977 + 54).collect();
+        let _: Vec<u64> = engine().cached("plant", "point", || value.clone());
+        let entry = dir
+            .join("cache")
+            .join(format!("{:016x}.json", runner::fnv1a64(b"point")));
+        let skew = framed(r#"{"v":[1,2,3]}"#);
+        for round in 0..ROUNDS {
+            let d = DAMAGES[round % 3];
+            damage(&mut rng, &entry, d, &skew);
+            let eng = engine();
+            let got: Vec<u64> = eng.cached("reread", "point", || value.clone());
+            assert_eq!(got, value, "round {round} {d:?}");
+            let c = eng.cache_counts();
+            assert_eq!(
+                (c.disk_decode_errors, c.disk_hits, c.computes),
+                (1, 0, 1),
+                "round {round} {d:?}: one counted reject, one recompute"
+            );
+            let healed = engine();
+            let _: Vec<u64> = healed.cached("healed", "point", || panic!("round {round} healed"));
+            assert_eq!(healed.cache_counts().disk_hits, 1, "round {round} {d:?}");
+        }
+
+        // Warm-feature vectors and P10WARM2 checkpoints, through the
+        // checkpoint store that heals them.
+        let ckpt_dir = dir.join("ckpt");
+        let feats: Vec<f64> = (0..24).map(|i| f64::from(i) * 0.037 + 0.5).collect();
+        let cfg = CoreConfig::power10();
+        let mut warmer = FunctionalWarmer::new(&cfg);
+        warmer.observe(&scenario::benchmark_views(&cfg, &specint_like()[3], 4, 512));
+        let blob = warmer.to_bytes();
+        let seeded = CkptStore::new(Some(ckpt_dir.clone()));
+        let _ = seeded.warm_features_cached(9, feats.len(), || feats.clone());
+        seeded.save(7, 3, &warmer);
+        let feat_path = ckpt_dir.join(CkptStore::feat_name(9));
+        let blob_path = ckpt_dir.join(CkptStore::blob_name(7, 3));
+        let feat_skew = framed(r#"{"feats":[0.5]}"#);
+        let blob_skew = warm1_blob(&blob);
+        for round in 0..ROUNDS {
+            let d = DAMAGES[round % 3];
+            damage(&mut rng, &feat_path, d, &feat_skew);
+            damage(&mut rng, &blob_path, d, &blob_skew);
+            let store = CkptStore::new(Some(ckpt_dir.clone()));
+            let got = store.warm_features_cached(9, feats.len(), || feats.clone());
+            assert_eq!(*got, feats, "round {round} {d:?}");
+            assert!(store.load(&cfg, 7, 3).is_none(), "round {round} {d:?}");
+            assert_eq!(
+                (store.ckpt_rejects(), store.warm_passes(), store.ckpt_hits()),
+                (2, 1, 0),
+                "round {round} {d:?}: two counted rejects, one recompute"
+            );
+            store.save(7, 3, &warmer);
+            let healed = CkptStore::new(Some(ckpt_dir.clone()));
+            let got = healed.warm_features_cached(9, feats.len(), || {
+                panic!("round {round}: healed features must hit")
+            });
+            assert_eq!(*got, feats);
+            let back = healed.load(&cfg, 7, 3).expect("healed blob decodes");
+            assert_eq!(back.to_bytes(), blob);
+            assert_eq!((healed.ckpt_rejects(), healed.warm_passes()), (0, 0));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,11 @@
-//! A stable FNV-1a 64-bit [`std::hash::Hasher`].
+//! Stable FNV-1a 64-bit hashing: the byte-wise [`fnv1a64`] and a
+//! [`std::hash::Hasher`].
 //!
 //! `DefaultHasher` is randomly seeded per process, so it cannot key
 //! anything that must be reproducible across runs (content-addressed
-//! caches, trace-arena keys). FNV-1a is the workspace's standing choice
-//! for such keys (the experiment engine keys its disk cache with the
-//! byte-level equivalent); this wraps it in the `Hasher` trait so any
-//! `#[derive(Hash)]` type can feed it.
+//! caches, trace-arena keys). [`fnv1a64`] is the digest the workspace
+//! persists (cache keys, store trailers, checkpoint checksums);
+//! [`Fnv1aHasher`] lets any `#[derive(Hash)]` type feed the same hash.
 //!
 //! Note: `Hash` impls for integers write native-endian bytes, so digests
 //! are stable per platform, which is all the in-process arena needs.
@@ -14,6 +14,20 @@ use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Byte-wise FNV-1a 64 of `bytes`: deterministic across runs, platforms
+/// and Rust versions, which persisted digests require.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fold_bytes(FNV_OFFSET, bytes)
+}
+
+/// Folds `bytes` into FNV-1a state `h`, one byte per step.
+fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// FNV-1a 64-bit hasher state.
 #[derive(Debug, Clone)]
@@ -50,10 +64,7 @@ impl Hasher for Fnv1aHasher {
             self.0 ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
-        for &b in chunks.remainder() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fold_bytes(self.0, chunks.remainder());
     }
 }
 
@@ -74,6 +85,13 @@ mod tests {
         assert_eq!(digest(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(digest("foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod view;
 
 pub use dynop::{BranchInfo, BranchKind, DynOp, MemRef, MmaKind, OpClass, Trace, MAX_SRCS};
 pub use exec::{bf16_to_f32, f32_to_bf16, ExecError, Machine, HALT_ADDR};
-pub use fnv::Fnv1aHasher;
+pub use fnv::{fnv1a64, Fnv1aHasher};
 pub use inst::{Cond, Inst};
 pub use mem::SparseMemory;
 pub use program::{Label, Program, ProgramBuilder, ProgramError, CODE_BASE};

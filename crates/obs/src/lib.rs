@@ -13,12 +13,10 @@
 //!   hits, jobs per worker, per-job compute seconds, ...).
 //! * **A trace sink** ([`init`] with a trace path, driven by
 //!   `figures --trace-out`) records every span, counter
-//!   increment, gauge and mark — either as one [`TraceEvent`] JSON line
-//!   ([`TraceFormat::JsonLines`], the default) or as a Chrome
-//!   trace-event file loadable in `chrome://tracing`/Perfetto
-//!   ([`TraceFormat::Chrome`], one track per named worker thread; see
-//!   [`chrome`]). Chrome traces buffer in memory and are written by
-//!   [`finalize`].
+//!   increment, gauge and mark as a [`TraceEvent`], and [`finalize`]
+//!   writes them as one Chrome trace-event file loadable in
+//!   `chrome://tracing`/Perfetto (one track per named worker thread; see
+//!   [`chrome`]). Events buffer in memory until then.
 //! * **[`summary`]/[`render_summary`]** produce the end-of-run table the
 //!   `figures` driver prints on stderr.
 //! * **[`ledger`]** makes runs durable: one append-only JSON-lines
@@ -31,7 +29,7 @@
 //! on the hot path, so the parallel runner's workers never contend (and
 //! simulation stays bit-identical — recording has no feedback into the
 //! model). Buffers drain into the global aggregate when a thread exits
-//! (scoped workers), when the event buffer fills, or on [`flush`].
+//! (scoped workers) or on [`flush`].
 //!
 //! With no sink configured, events are dropped at the recording site and
 //! only the cheap metric aggregation remains; the crate is safe to call
@@ -46,35 +44,13 @@ pub mod ledger;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// On-disk format of the trace sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFormat {
-    /// One [`TraceEvent`] JSON object per line, streamed as recorded.
-    #[default]
-    JsonLines,
-    /// A Chrome trace-event file (`chrome://tracing` / Perfetto).
-    /// Events buffer in memory and are written by [`finalize`].
-    Chrome,
-}
-
-/// How the process-wide recorder behaves.
-#[derive(Debug, Clone, Default)]
-pub struct ObsConfig {
-    /// Write every recorded event to this file. `None` disables event
-    /// recording (metrics still aggregate).
-    pub trace_path: Option<PathBuf>,
-    /// Format of the trace file (JSON lines unless asked otherwise).
-    pub trace_format: TraceFormat,
-}
-
-/// One recorded event, as written to the JSON-lines trace sink.
+/// One recorded event, as the trace sink buffers it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Microseconds since the recorder was created.
@@ -302,19 +278,12 @@ struct Agg {
     hists: BTreeMap<String, HistSummary>,
 }
 
-enum Sink {
-    /// Streamed: each drained event becomes one JSON line immediately.
-    JsonLines(Mutex<BufWriter<File>>),
-    /// Buffered: events accumulate until [`finalize`] sorts them into
-    /// tracks and writes the complete trace-event file (the format needs
-    /// a closing bracket, so it cannot stream).
-    Chrome(Mutex<ChromeBuf>),
-}
-
-struct ChromeBuf {
+/// The trace sink: events accumulate until [`finalize`] sorts them into
+/// tracks and writes the complete trace-event file (the format needs a
+/// closing bracket, so it cannot stream). `events` is `None` once written.
+struct Sink {
     path: PathBuf,
-    events: Vec<TraceEvent>,
-    written: bool,
+    events: Mutex<Option<Vec<TraceEvent>>>,
 }
 
 struct Recorder {
@@ -328,24 +297,17 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(config: &ObsConfig) -> Self {
-        let sink = config
-            .trace_path
-            .as_ref()
-            .and_then(|p| match File::create(p) {
-                Ok(f) => Some(match config.trace_format {
-                    TraceFormat::JsonLines => Sink::JsonLines(Mutex::new(BufWriter::new(f))),
-                    TraceFormat::Chrome => Sink::Chrome(Mutex::new(ChromeBuf {
-                        path: p.clone(),
-                        events: Vec::new(),
-                        written: false,
-                    })),
-                }),
-                Err(e) => {
-                    eprintln!("[obs] cannot open trace file {}: {e}", p.display());
-                    None
-                }
-            });
+    fn new(trace_path: Option<PathBuf>) -> Self {
+        let sink = trace_path.and_then(|p| match std::fs::File::create(&p) {
+            Ok(_) => Some(Sink {
+                path: p,
+                events: Mutex::new(Some(Vec::new())),
+            }),
+            Err(e) => {
+                eprintln!("[obs] cannot open trace file {}: {e}", p.display());
+                None
+            }
+        });
         Recorder {
             start: Instant::now(),
             sink,
@@ -365,23 +327,25 @@ impl Recorder {
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
 
 fn recorder() -> &'static Recorder {
-    RECORDER.get_or_init(|| Recorder::new(&ObsConfig::default()))
+    RECORDER.get_or_init(|| Recorder::new(None))
 }
 
-/// Installs the process-wide recorder. First caller wins; returns `false`
-/// if a recorder already existed (in which case the requested sink is
-/// **not** attached). Call before any recording, e.g. first thing in
-/// `main`.
-pub fn init(config: &ObsConfig) -> bool {
+/// Installs the process-wide recorder, with a trace sink that writes
+/// every recorded event to `trace_path` as a Chrome trace (`None`: no
+/// event recording; metrics still aggregate). First caller wins; returns
+/// `false` if a recorder already existed (in which case the requested
+/// sink is **not** attached). Call before any recording, e.g. first
+/// thing in `main`.
+pub fn init(trace_path: Option<PathBuf>) -> bool {
     let mut created = false;
     RECORDER.get_or_init(|| {
         created = true;
-        Recorder::new(config)
+        Recorder::new(trace_path)
     });
     created
 }
 
-/// Whether a trace sink of any format is attached (events are recorded).
+/// Whether a trace sink is attached (events are recorded).
 #[must_use]
 pub fn trace_enabled() -> bool {
     recorder().sink.is_some()
@@ -398,8 +362,6 @@ struct Local {
     phases: Vec<(String, f64, u64)>,
 }
 
-const EVENT_FLUSH_THRESHOLD: usize = 512;
-
 impl Local {
     fn new() -> Self {
         Local {
@@ -415,24 +377,11 @@ impl Local {
     fn drain(&mut self) {
         let Some(r) = RECORDER.get() else { return };
         if !self.events.is_empty() {
-            match &r.sink {
-                Some(Sink::JsonLines(sink)) => {
-                    let mut w = sink.lock().expect("trace sink poisoned");
-                    for e in &self.events {
-                        if let Ok(line) = serde_json::to_string(e) {
-                            let _ = writeln!(w, "{line}");
-                        }
-                    }
-                    let _ = w.flush();
+            if let Some(sink) = &r.sink {
+                // Events after finalization have no file to land in.
+                if let Some(events) = sink.events.lock().expect("trace sink poisoned").as_mut() {
+                    events.append(&mut self.events);
                 }
-                Some(Sink::Chrome(buf)) => {
-                    let mut b = buf.lock().expect("chrome buffer poisoned");
-                    // Events after finalization have no file to land in.
-                    if !b.written {
-                        b.events.append(&mut self.events);
-                    }
-                }
-                None => {}
             }
             self.events.clear();
         }
@@ -501,9 +450,6 @@ fn emit(local: &mut Local, kind: EventKind) {
         thread: local.thread_id,
         kind,
     });
-    if local.events.len() >= EVENT_FLUSH_THRESHOLD {
-        local.drain();
-    }
 }
 
 // ---- the recording API ----
@@ -690,43 +636,34 @@ pub fn progress(label: &str, outcome: &str) {
     mark(label, outcome);
 }
 
-/// Drains the calling thread's buffers into the global aggregate and
-/// flushes the trace sink. Threads that already exited (scoped workers)
-/// drained automatically on exit.
+/// Drains the calling thread's buffers into the global aggregate and the
+/// trace sink. Threads that already exited (scoped workers) drained
+/// automatically on exit.
 pub fn flush() {
     with_local(Local::drain);
-    if let Some(r) = RECORDER.get() {
-        if let Some(Sink::JsonLines(sink)) = &r.sink {
-            let _ = sink.lock().expect("trace sink poisoned").flush();
-        }
-    }
 }
 
-/// Flushes the calling thread and, for a Chrome-format sink, writes the
-/// complete trace-event file (threads that already exited drained on
-/// exit). Idempotent — the first call wins; events recorded afterwards
-/// are dropped. JSON-lines sinks are complete after every [`flush`], so
-/// this is only *required* when tracing in [`TraceFormat::Chrome`]; call
-/// it last thing before process exit.
+/// Flushes the calling thread and, with a trace sink attached, writes the
+/// complete Chrome trace-event file (threads that already exited drained
+/// on exit). Idempotent — the first call wins; events recorded afterwards
+/// are dropped. Call it last thing before process exit.
 pub fn finalize() {
     flush();
     let Some(r) = RECORDER.get() else { return };
-    if let Some(Sink::Chrome(buf)) = &r.sink {
-        let mut b = buf.lock().expect("chrome buffer poisoned");
-        if b.written {
-            return;
-        }
-        b.written = true;
-        let names = r
-            .thread_names
-            .lock()
-            .expect("thread names poisoned")
-            .clone();
-        let text = chrome::render(&b.events, &names);
-        b.events = Vec::new();
-        if let Err(e) = std::fs::write(&b.path, text) {
-            eprintln!("[obs] cannot write chrome trace {}: {e}", b.path.display());
-        }
+    let Some(sink) = &r.sink else { return };
+    let Some(events) = sink.events.lock().expect("trace sink poisoned").take() else {
+        return;
+    };
+    let names = r
+        .thread_names
+        .lock()
+        .expect("thread names poisoned")
+        .clone();
+    if let Err(e) = std::fs::write(&sink.path, chrome::render(&events, &names)) {
+        eprintln!(
+            "[obs] cannot write chrome trace {}: {e}",
+            sink.path.display()
+        );
     }
 }
 

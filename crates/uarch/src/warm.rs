@@ -15,7 +15,7 @@ use crate::config::CoreConfig;
 use crate::stats::Activity;
 use crate::tlb::{Mmu, TranslateSide};
 use crate::wire::{self, Reader};
-use p10_isa::{DynOp, TraceView};
+use p10_isa::{fnv1a64, DynOp, TraceView};
 
 /// Checkpoint container magic + format version. Bump on any layout change
 /// so stale on-disk checkpoints decode to `None` and are re-warmed.
@@ -177,7 +177,7 @@ impl FunctionalWarmer {
         }
         wire::put_bytes(&mut buf, scratch.as_bytes());
         self.state.encode(&mut buf);
-        let sum = wire::fnv1a64(&buf);
+        let sum = fnv1a64(&buf);
         wire::put_u64(&mut buf, sum);
         debug_assert_eq!(buf.len(), len, "encoded_len disagrees with encode");
         buf
@@ -199,7 +199,7 @@ impl FunctionalWarmer {
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().ok()?);
-        if wire::fnv1a64(body) != stored {
+        if fnv1a64(body) != stored {
             return None;
         }
         let mut r = Reader::new(body);
@@ -314,7 +314,7 @@ mod tests {
         // Trailing garbage is rejected even with a fixed-up checksum.
         let mut padded = bytes[..bytes.len() - 8].to_vec();
         padded.push(0);
-        let sum = crate::wire::fnv1a64(&padded);
+        let sum = fnv1a64(&padded);
         padded.extend_from_slice(&sum.to_le_bytes());
         assert!(FunctionalWarmer::from_bytes(&cfg, &padded).is_none());
         // A different warm geometry must refuse the blob.
@@ -327,7 +327,7 @@ mod tests {
     /// Appends a fresh FNV-1a trailer to a checkpoint body, so a mutated
     /// blob reaches the structural checks instead of failing the checksum.
     fn reseal(mut body: Vec<u8>) -> Vec<u8> {
-        let sum = wire::fnv1a64(&body);
+        let sum = fnv1a64(&body);
         body.extend_from_slice(&sum.to_le_bytes());
         body
     }
@@ -548,12 +548,7 @@ mod tests {
             (CoreConfig::power10(), 375_607, 0xa0a1_1edd_38fd_5c2b),
         ] {
             let blob = pinned_warmer(&cfg).to_bytes();
-            assert_eq!(
-                (blob.len(), wire::fnv1a64(&blob)),
-                (len, digest),
-                "{}",
-                cfg.name
-            );
+            assert_eq!((blob.len(), fnv1a64(&blob)), (len, digest), "{}", cfg.name);
         }
     }
 

@@ -47,18 +47,6 @@ pub(crate) fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
     buf.extend_from_slice(v);
 }
 
-/// FNV-1a 64-bit hash (same parameters as the engine's content keys);
-/// used as the checkpoint trailer checksum.
-#[must_use]
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A bounds-checked cursor over a checkpoint blob.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
@@ -173,11 +161,5 @@ mod tests {
     fn bool_rejects_junk() {
         let mut r = Reader::new(&[2]);
         assert_eq!(r.take_bool(), None);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -12,6 +12,7 @@ use p10sim::core::dse::{self, DseConfig, DsePoint, DsePointResult, PowerKnobs};
 use p10sim::core::runner::{Engine, EngineConfig};
 use p10sim::core::sampling::SamplingMode;
 use p10sim::core::scenario;
+use p10sim::core::store::decode_json;
 use p10sim::uarch::{CoreConfig, SmtMode};
 use p10sim::workloads::specint_like;
 
@@ -114,8 +115,8 @@ fn killed_sweep_resumes_from_the_result_cache_byte_identically() {
         .expect("cache dir")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| {
-            let text = std::fs::read_to_string(p).expect("cache entry");
-            serde_json::from_str::<Vec<DsePointResult>>(&text).is_ok()
+            let bytes = std::fs::read(p).expect("cache entry");
+            decode_json::<Vec<DsePointResult>>(&bytes).is_some()
         })
         .collect();
     entries.sort();

@@ -71,54 +71,6 @@ fn activity_and_power_report_roundtrip() {
 }
 
 #[test]
-fn obs_trace_events_roundtrip() {
-    use p10sim::obs::{EventKind, TraceEvent};
-    let events = [
-        TraceEvent {
-            t_us: 1,
-            thread: 0,
-            kind: EventKind::Span {
-                name: "run_suite".to_owned(),
-                dur_us: 421_337,
-            },
-        },
-        TraceEvent {
-            t_us: 2,
-            thread: 3,
-            kind: EventKind::Count {
-                name: "cache.memo_hits".to_owned(),
-                delta: 7,
-            },
-        },
-        TraceEvent {
-            t_us: 3,
-            thread: 1,
-            kind: EventKind::Gauge {
-                name: "apex.speedup".to_owned(),
-                value: 17.5,
-            },
-        },
-        TraceEvent {
-            t_us: 4,
-            thread: 0,
-            kind: EventKind::Mark {
-                name: "table1".to_owned(),
-                detail: "disk hit".to_owned(),
-            },
-        },
-    ];
-    for e in &events {
-        let json = serde_json::to_string(e).expect("serialize event");
-        assert!(
-            !json.contains('\n'),
-            "trace events must serialize to one JSONL-safe line: {json}"
-        );
-        let back: TraceEvent = serde_json::from_str(&json).expect("deserialize event");
-        assert_eq!(e, &back);
-    }
-}
-
-#[test]
 fn obs_summary_roundtrip() {
     use p10sim::obs::{
         CounterSummary, GaugeSummary, HistEntry, HistSummary, PhaseSummary, Summary,
