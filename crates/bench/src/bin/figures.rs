@@ -10,8 +10,10 @@
 //! `profile` and `sampling` (whose wall-clock numbers vary run to run) run
 //! on demand only, which keeps `all`'s stdout stable across additions.
 //!
-//! Each experiment is a `compute(ops) -> T` and a `render(&T, &mut Text)`.
-//! The op budget is all a driver receives. `T` serialized is the `--json`
+//! Each experiment is a `compute(engine, ops) -> T` and a
+//! `render(&T, &mut Text)`. A driver receives the engine `main` builds
+//! (worker pool, result cache, sampling mode, checkpoint store) and the
+//! op budget, nothing else. `T` serialized is the `--json`
 //! payload, which `--out DIR` also writes to `DIR/<exp>.json`; `fig6` and
 //! `socket` print one document per model and `droop` one compact line.
 //! The experiments marked cached keep `T` as one result-cache entry, keyed
@@ -47,7 +49,7 @@ use p10_core::dse;
 use p10_core::powerstudies::{
     build_dataset, build_datasets, run_fig10, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
 };
-use p10_core::runner;
+use p10_core::runner::{self, Engine};
 use p10_core::sampling::{self, SamplingMode};
 use p10_core::{ablation, flush, gemm, inference, rasstudy, scenario, socket, table1, tracestudy};
 use p10_kernels::models::{bert_large, resnet50};
@@ -70,13 +72,14 @@ const FULL_OPS: u64 = 60_000;
 /// header.
 type Experiment = (&'static str, Driver, bool, bool, bool, Head);
 
-type Driver = fn(&Run, &mut Text) -> String;
+type Driver = fn(&Run<'_>, &mut Text) -> String;
 
 /// An experiment header's title and paper reference.
 type Head = (&'static str, &'static str);
 
 /// Every experiment, in the order `all` runs them. Each driver joins a
-/// `compute(ops) -> T` and a `render(&T, &mut Text)` through [`Run::run`].
+/// `compute(engine, ops) -> T` and a `render(&T, &mut Text)` through
+/// [`Run::run`].
 #[rustfmt::skip]
 const EXPERIMENTS: [Experiment; 25] = [
     ("table1", |x, r| x.run(pretty, compute_table1, render_table1, r), true, true, false,
@@ -171,31 +174,31 @@ fn compact(value: &serde_json::Value) -> String {
 }
 
 /// Where a driver's result comes from.
-enum Run {
-    /// Computed for the experiment name at the op budget, through the
-    /// result cache when the flag is set.
-    Compute(&'static str, u64, bool),
+enum Run<'a> {
+    /// Computed on the engine for the experiment name at the op budget,
+    /// through the engine's result cache when the flag is set.
+    Compute(&'a Engine, &'static str, u64, bool),
     /// The result a payload printed.
     #[cfg(test)]
     Replay(serde_json::Value),
 }
 
-impl Run {
+impl Run<'_> {
     /// Renders the typed result into `text` and returns its `--json`
     /// payload (`--out` writes exactly the payload). `T` is what the result
     /// cache stores.
     fn run<T: Clone + Serialize + Deserialize + Send + Sync + 'static>(
         &self,
         payload: fn(&serde_json::Value) -> String,
-        compute: fn(u64) -> T,
+        compute: fn(&Engine, u64) -> T,
         render: fn(&T, &mut Text),
         text: &mut Text,
     ) -> String {
         let result = match *self {
-            Run::Compute(name, ops, true) => {
-                runner::cached(name, &driver_key(name, ops), || compute(ops))
+            Run::Compute(engine, name, ops, true) => {
+                engine.cached(name, &driver_key(name, ops), || compute(engine, ops))
             }
-            Run::Compute(_, ops, false) => compute(ops),
+            Run::Compute(engine, _, ops, false) => compute(engine, ops),
             #[cfg(test)]
             Run::Replay(ref value) => serde_json::from_value(value).expect("payload holds T"),
         };
@@ -404,7 +407,7 @@ fn parse_args(args: &[String]) -> (String, Opts) {
 /// `--no-cache`). Warm-state checkpoints go to a non-empty
 /// `P10SIM_CKPT_DIR` — with or without `--no-cache` — else to
 /// `<result cache>/warm`, else to memory only.
-fn build_engine(opts: &Opts) -> runner::Engine {
+fn build_engine(opts: &Opts) -> Engine {
     let disk_cache = (!opts.no_cache).then(|| {
         std::env::var_os("P10SIM_CACHE_DIR")
             .map_or_else(|| Path::new("target").join("p10sim-cache"), PathBuf::from)
@@ -414,7 +417,7 @@ fn build_engine(opts: &Opts) -> runner::Engine {
         .filter(|s| !s.is_empty())
         .map(PathBuf::from)
         .or_else(|| disk_cache.as_ref().map(|d| d.join("warm")));
-    runner::Engine::new(runner::EngineConfig {
+    Engine::new(runner::EngineConfig {
         jobs: opts.jobs,
         disk_cache,
         progress: true,
@@ -446,11 +449,11 @@ fn main() {
         eprintln!("[figures] sampled execution: {sampling_key}");
     }
 
-    // All experiment drivers run on the shared engine: a worker pool plus
+    // Every experiment driver runs on this one engine: a worker pool plus
     // in-process memo and (unless --no-cache) the on-disk result cache,
     // in the --sampling mode.
-    runner::install(build_engine(&opts));
-    let eng_cfg = runner::engine().config();
+    let engine = build_engine(&opts);
+    let eng_cfg = engine.config();
     eprintln!(
         "[figures] {} worker(s), disk cache {}",
         eng_cfg.jobs,
@@ -468,7 +471,7 @@ fn main() {
     for &&(e, driver, _, _, cached, (title, paper)) in &experiments {
         let sp = p10_obs::span(e);
         let mut text = Text::new(title, paper);
-        let payload = driver(&Run::Compute(e, opts.ops, cached), &mut text);
+        let payload = driver(&Run::Compute(&engine, e, opts.ops, cached), &mut text);
         let secs = sp.finish();
         let body = if opts.json { &payload } else { &text.body };
         print!("{}{body}", text.head);
@@ -778,8 +781,8 @@ fn do_obsreport(opts: &Opts) -> i32 {
     1
 }
 
-fn compute_table1(ops: u64) -> table1::Table1 {
-    table1::run_table1(&specint_like(), 42, ops)
+fn compute_table1(engine: &Engine, ops: u64) -> table1::Table1 {
+    table1::run_table1(engine, &specint_like(), 42, ops)
 }
 
 fn render_table1(t: &table1::Table1, r: &mut Text) {
@@ -813,7 +816,7 @@ fn render_table1(t: &table1::Table1, r: &mut Text) {
     ));
 }
 
-fn compute_fig2(_: u64) -> p10_pipedepth::Fig2 {
+fn compute_fig2(_: &Engine, _: u64) -> p10_pipedepth::Fig2 {
     p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25])
 }
 
@@ -835,8 +838,8 @@ fn render_fig2(f: &p10_pipedepth::Fig2, r: &mut Text) {
     }
 }
 
-fn compute_fig4(ops: u64) -> ablation::Fig4 {
-    ablation::run_fig4(&specint_like(), 42, ops / 2)
+fn compute_fig4(engine: &Engine, ops: u64) -> ablation::Fig4 {
+    ablation::run_fig4(engine, &specint_like(), 42, ops / 2)
 }
 
 fn render_fig4(f: &ablation::Fig4, r: &mut Text) {
@@ -880,8 +883,12 @@ fn render_fig5(f: &gemm::Fig5, r: &mut Text) {
 
 /// Fig. 6 for one model, through the engine cache (the socket experiment
 /// needs the same runs, and warm re-runs skip them entirely).
-fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> inference::Fig6Model {
-    runner::cached(
+fn fig6_cached(
+    engine: &Engine,
+    model: &p10_kernels::models::ModelGraph,
+    kernel_ops: u64,
+) -> inference::Fig6Model {
+    engine.cached(
         &format!("fig6 {} ops={kernel_ops}", model.name),
         &format!(
             "fig6|{}|{kernel_ops}",
@@ -891,9 +898,9 @@ fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> infe
     )
 }
 
-fn compute_fig6(ops: u64) -> Vec<inference::Fig6Model> {
+fn compute_fig6(engine: &Engine, ops: u64) -> Vec<inference::Fig6Model> {
     let models = [resnet50(100), bert_large(8, 384)];
-    runner::run_jobs_par(&models, |_, m| fig6_cached(m, ops / 2))
+    engine.run_jobs_par(&models, |_, m| fig6_cached(engine, m, ops / 2))
 }
 
 fn render_fig6(figs: &Vec<inference::Fig6Model>, r: &mut Text) {
@@ -921,12 +928,12 @@ fn render_fig6(figs: &Vec<inference::Fig6Model>, r: &mut Text) {
     }
 }
 
-fn compute_socket(ops: u64) -> Vec<socket::SocketProjection> {
+fn compute_socket(engine: &Engine, ops: u64) -> Vec<socket::SocketProjection> {
     let p10 = CoreConfig::power10();
     let models = [resnet50(100), bert_large(8, 384)];
-    runner::run_jobs_par(&models, |_, model| {
-        let f = fig6_cached(model, ops / 2);
-        let int8: inference::InferenceRun = runner::cached(
+    engine.run_jobs_par(&models, |_, model| {
+        let f = fig6_cached(engine, model, ops / 2);
+        let int8: inference::InferenceRun = engine.cached(
             &format!("int8 {} ops={}", model.name, ops / 2),
             &format!(
                 "int8|{}|{}|{}",
@@ -951,8 +958,8 @@ fn render_socket(projections: &Vec<socket::SocketProjection>, r: &mut Text) {
 
 /// Fig. 10: four snippets of each suite member at a tenth of the budget;
 /// `fig10_snippet` runs SMT2 POWER10 as the core and the chip model.
-fn compute_fig10(ops: u64) -> Vec<p10_apex::Fig10Point> {
-    run_fig10(&specint_like(), 4, ops / 10)
+fn compute_fig10(engine: &Engine, ops: u64) -> Vec<p10_apex::Fig10Point> {
+    run_fig10(engine, &specint_like(), 4, ops / 10)
 }
 
 fn render_fig10(pts: &Vec<p10_apex::Fig10Point>, r: &mut Text) {
@@ -978,9 +985,10 @@ fn render_fig10(pts: &Vec<p10_apex::Fig10Point>, r: &mut Text) {
 /// The Fig. 11 and 15(a) dataset: windowed POWER10 runs of the suite at
 /// seeds 1 and 2, half the op budget each, in 512-cycle windows, fitted to
 /// active power.
-fn fig11_dataset(ops: u64) -> p10_powermodel::Dataset {
+fn fig11_dataset(engine: &Engine, ops: u64) -> p10_powermodel::Dataset {
     let cfg = CoreConfig::power10();
     build_dataset(
+        engine,
         &cfg,
         &specint_like(),
         &[1, 2],
@@ -990,9 +998,9 @@ fn fig11_dataset(ops: u64) -> p10_powermodel::Dataset {
     )
 }
 
-fn compute_fig11(ops: u64) -> Vec<p10_core::powerstudies::Fig11Curve> {
-    let data = runner::timed("fig11 dataset", || fig11_dataset(ops));
-    runner::timed("fig11 regression", || run_fig11(&data, 12))
+fn compute_fig11(engine: &Engine, ops: u64) -> Vec<p10_core::powerstudies::Fig11Curve> {
+    let data = engine.timed("fig11 dataset", || fig11_dataset(engine, ops));
+    engine.timed("fig11 regression", || run_fig11(&data, 12))
 }
 
 fn render_fig11(curves: &Vec<p10_core::powerstudies::Fig11Curve>, r: &mut Text) {
@@ -1007,13 +1015,21 @@ fn render_fig11(curves: &Vec<p10_core::powerstudies::Fig11Curve>, r: &mut Text) 
     }
 }
 
-fn compute_fig12(ops: u64) -> p10_core::powerstudies::Fig12 {
+fn compute_fig12(engine: &Engine, ops: u64) -> p10_core::powerstudies::Fig12 {
     // One windowed-run pass feeds all 40 targets (total + 39 components).
     let targets: Vec<Target> = std::iter::once(Target::TotalPower)
         .chain((0..39).map(Target::Component))
         .collect();
     let cfg = CoreConfig::power10();
-    let mut datasets = build_datasets(&cfg, &specint_like()[..6], &[1], ops / 3, 512, &targets);
+    let mut datasets = build_datasets(
+        engine,
+        &cfg,
+        &specint_like()[..6],
+        &[1],
+        ops / 3,
+        512,
+        &targets,
+    );
     let total = datasets.remove(0);
     run_fig12(&total, &datasets, 12, 3)
 }
@@ -1034,8 +1050,8 @@ fn render_fig12(f: &p10_core::powerstudies::Fig12, r: &mut Text) {
     ));
 }
 
-fn compute_fig13(ops: u64) -> rasstudy::Fig13 {
-    rasstudy::run_fig13(&CoreConfig::power10(), ops / 6, 3)
+fn compute_fig13(engine: &Engine, ops: u64) -> rasstudy::Fig13 {
+    rasstudy::run_fig13(engine, &CoreConfig::power10(), ops / 6, 3)
 }
 
 fn render_fig13(f: &rasstudy::Fig13, r: &mut Text) {
@@ -1051,8 +1067,8 @@ fn render_fig13(f: &rasstudy::Fig13, r: &mut Text) {
     }
 }
 
-fn compute_fig14(ops: u64) -> rasstudy::Fig14 {
-    rasstudy::run_fig14(ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9])
+fn compute_fig14(engine: &Engine, ops: u64) -> rasstudy::Fig14 {
+    rasstudy::run_fig14(engine, ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9])
 }
 
 fn render_fig14(f: &rasstudy::Fig14, r: &mut Text) {
@@ -1075,8 +1091,8 @@ fn render_fig14(f: &rasstudy::Fig14, r: &mut Text) {
     }
 }
 
-fn compute_fig15a(ops: u64) -> Vec<p10_powermodel::SweepPoint> {
-    run_fig15a(&fig11_dataset(ops), 16)
+fn compute_fig15a(engine: &Engine, ops: u64) -> Vec<p10_powermodel::SweepPoint> {
+    run_fig15a(&fig11_dataset(engine, ops), 16)
 }
 
 fn render_fig15a(sweep: &Vec<p10_powermodel::SweepPoint>, r: &mut Text) {
@@ -1088,7 +1104,7 @@ fn render_fig15a(sweep: &Vec<p10_powermodel::SweepPoint>, r: &mut Text) {
     }
 }
 
-fn compute_fig15b(ops: u64) -> Vec<p10_core::powerstudies::GranularityPoint> {
+fn compute_fig15b(_: &Engine, ops: u64) -> Vec<p10_core::powerstudies::GranularityPoint> {
     let windows = [8, 16, 32, 64, 128, 256, 512];
     run_fig15b(
         &CoreConfig::power10(),
@@ -1109,8 +1125,8 @@ fn render_fig15b(pts: &Vec<p10_core::powerstudies::GranularityPoint>, r: &mut Te
     }
 }
 
-fn compute_flushes(ops: u64) -> flush::FlushStudy {
-    flush::run_flush_study(42, ops / 2)
+fn compute_flushes(engine: &Engine, ops: u64) -> flush::FlushStudy {
+    flush::run_flush_study(engine, 42, ops / 2)
 }
 
 fn render_flushes(s: &flush::FlushStudy, r: &mut Text) {
@@ -1133,9 +1149,9 @@ fn render_flushes(s: &flush::FlushStudy, r: &mut Text) {
     ));
 }
 
-fn compute_coverage(ops: u64) -> Vec<chopstix::CoverageRow> {
+fn compute_coverage(engine: &Engine, ops: u64) -> Vec<chopstix::CoverageRow> {
     let workloads: Vec<_> = specint_like().iter().map(|b| b.workload(23)).collect();
-    runner::run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10))
+    engine.run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10))
 }
 
 fn render_coverage(rows: &Vec<chopstix::CoverageRow>, r: &mut Text) {
@@ -1162,7 +1178,7 @@ struct ApexSpeedup {
     windows: u64,
 }
 
-fn compute_apex_speedup(ops: u64) -> ApexSpeedup {
+fn compute_apex_speedup(_: &Engine, ops: u64) -> ApexSpeedup {
     let b = &specint_like()[8];
     let t = b.workload(5).trace_or_panic(ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
@@ -1188,9 +1204,9 @@ fn render_apex_speedup(s: &ApexSpeedup, r: &mut Text) {
     ));
 }
 
-fn compute_profile(ops: u64) -> Vec<p10_core::cycleprof::ProfileRow> {
+fn compute_profile(engine: &Engine, ops: u64) -> Vec<p10_core::cycleprof::ProfileRow> {
     let configs = [CoreConfig::power9(), CoreConfig::power10()];
-    p10_core::cycleprof::run_profile(&configs, &specint_like(), 42, ops)
+    p10_core::cycleprof::run_profile(engine, &configs, &specint_like(), 42, ops)
 }
 
 fn render_profile(rows: &Vec<p10_core::cycleprof::ProfileRow>, r: &mut Text) {
@@ -1237,9 +1253,9 @@ struct WofRow {
     freq_with_mma_gated: f64,
 }
 
-fn compute_wof(ops: u64) -> Vec<WofRow> {
+fn compute_wof(engine: &Engine, ops: u64) -> Vec<WofRow> {
     // Effective capacitance ratios from measured suite dynamic power.
-    let results = runner::run_suite_par(&CoreConfig::power10(), &specint_like(), 42, ops / 3);
+    let results = engine.run_suite(&CoreConfig::power10(), &specint_like(), 42, ops / 3);
     let ref_power = results
         .results
         .iter()
@@ -1269,8 +1285,8 @@ fn render_wof(rows: &Vec<WofRow>, r: &mut Text) {
     }
 }
 
-fn compute_sensitivity(ops: u64) -> Vec<p10_core::sensitivity::SensitivityRow> {
-    p10_core::sensitivity::run_sensitivity(&specint_like(), 42, ops / 2)
+fn compute_sensitivity(engine: &Engine, ops: u64) -> Vec<p10_core::sensitivity::SensitivityRow> {
+    p10_core::sensitivity::run_sensitivity(engine, &specint_like(), 42, ops / 2)
 }
 
 fn render_sensitivity(rows: &Vec<p10_core::sensitivity::SensitivityRow>, r: &mut Text) {
@@ -1289,13 +1305,13 @@ fn render_sensitivity(rows: &Vec<p10_core::sensitivity::SensitivityRow>, r: &mut
     }
 }
 
-fn compute_smt(ops: u64) -> p10_core::smtscale::SmtScaling {
+fn compute_smt(engine: &Engine, ops: u64) -> p10_core::smtscale::SmtScaling {
     let suite = specint_like();
     let sel: Vec<_> = [8usize, 2, 7, 0]
         .iter()
         .map(|&i| suite[i].clone())
         .collect();
-    p10_core::smtscale::run_smt_scaling(&sel, 42, ops / 4)
+    p10_core::smtscale::run_smt_scaling(engine, &sel, 42, ops / 4)
 }
 
 fn render_smt(s: &p10_core::smtscale::SmtScaling, r: &mut Text) {
@@ -1311,9 +1327,9 @@ fn render_smt(s: &p10_core::smtscale::SmtScaling, r: &mut Text) {
     }
 }
 
-fn compute_tracking(ops: u64) -> Vec<p10_core::tracking::TrackingRow> {
+fn compute_tracking(engine: &Engine, ops: u64) -> Vec<p10_core::tracking::TrackingRow> {
     let cfgs = [CoreConfig::power9(), CoreConfig::power10()];
-    p10_core::tracking::track(&cfgs, &specint_like()[..4], 42, ops / 6)
+    p10_core::tracking::track(engine, &cfgs, &specint_like()[..4], 42, ops / 6)
 }
 
 fn render_tracking(rows: &Vec<p10_core::tracking::TrackingRow>, r: &mut Text) {
@@ -1345,7 +1361,7 @@ struct Droop {
     windows: usize,
 }
 
-fn compute_droop(ops: u64) -> Droop {
+fn compute_droop(_: &Engine, ops: u64) -> Droop {
     let (cfg, window, max_cycles) = (CoreConfig::power10(), 256, 10_000_000);
     // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
     let scalar = specint_like()[8].workload(3).trace_or_panic(ops / 8);
@@ -1392,17 +1408,12 @@ fn render_droop(d: &Droop, r: &mut Text) {
     ));
 }
 
-fn compute_dse(ops: u64) -> dse::DseResult {
+fn compute_dse(engine: &Engine, ops: u64) -> dse::DseResult {
     // Recordings and shard results are engine result-cache entries, so a
     // killed sweep resumes from the disk cache.
     let cfg = dse::DseConfig::new(42, ops);
     let sp = p10_obs::span("dse.sweep");
-    let outcome = dse::run_dse(
-        runner::engine(),
-        &dse::default_grid(),
-        &dse::default_suite(),
-        &cfg,
-    );
+    let outcome = dse::run_dse(engine, &dse::default_grid(), &dse::default_suite(), &cfg);
     let wall = sp.finish();
     let s = outcome.result.stats;
     // Wall-clock accounting stays on stderr so stdout is deterministic.
@@ -1592,11 +1603,10 @@ fn rel_errs(stats: &sampling::SamplingStats, exact_cpi: f64, exact_power: f64) -
     )
 }
 
-fn compute_sampling(ops: u64) -> SamplingStudy {
+fn compute_sampling(engine: &Engine, ops: u64) -> SamplingStudy {
     // The study always runs both sides itself (uncached, so wall times
     // are honest): exact as ground truth, sampled in the engine's mode
     // (or a budget-scaled default when the engine is exact).
-    let engine = runner::engine();
     let mode = Some(engine.sampling())
         .filter(|m| !m.is_exact())
         .unwrap_or_else(|| default_sampling_mode(ops));
@@ -1608,8 +1618,8 @@ fn compute_sampling(ops: u64) -> SamplingStudy {
     let (xi, xk) = (study_interval_ops(ops), STUDY_K);
     // Target-bound auto-tuning demo: instead of fixing K, grow it until
     // the reported error bound meets a target. Later rounds reuse the
-    // warm checkpoints and cached interval measurements earlier rounds
-    // (and the study run of the same workload) persisted, so each round
+    // warm checkpoints and interval measurements that earlier rounds (and
+    // the study run of the same workload) left in the store, so each round
     // only pays for its newly measured intervals. Skipped when the CLI
     // already asked for bound mode — the main table covered it then.
     let bound_target = (!matches!(mode, SamplingMode::Bound { .. }))
@@ -1619,8 +1629,8 @@ fn compute_sampling(ops: u64) -> SamplingStudy {
     // One flat job graph on the worker pool: a study job per workload
     // (the first, longest one chaining the bound demo), then a
     // training-row job per cross-workload training benchmark. Each job
-    // owns one distinct trace, so no two jobs share an engine cache key
-    // or a warm class, and every counter is independent of `--jobs`.
+    // owns one distinct trace, so no two jobs share a measurement key or
+    // a warm class, and every counter is independent of `--jobs`.
     // Per-row walls are therefore measured while other jobs run.
     let jobs: Vec<StudyJob> = benches
         .iter()
@@ -1637,7 +1647,7 @@ fn compute_sampling(ops: u64) -> SamplingStudy {
             let exact = scenario::run_benchmark(&cfg, bench, 42, ops);
             let exact_s = t0.elapsed().as_secs_f64();
             let t1 = std::time::Instant::now();
-            let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &mode);
+            let sampled = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &mode, store);
             let sampled_s = t1.elapsed().as_secs_f64();
             let (exact_cpi, exact_power) = (exact.sim.cpi(), exact.core_power());
             let s = &sampled.stats;
@@ -1664,7 +1674,7 @@ fn compute_sampling(ops: u64) -> SamplingStudy {
             };
             let bound = bound.map(|target| {
                 let t2 = std::time::Instant::now();
-                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &target).stats;
+                let s = sampling::run_benchmark_sampled(&cfg, bench, 42, ops, &target, store).stats;
                 let wall_s = t2.elapsed().as_secs_f64();
                 let (cpi_err, power_err) = rel_errs(&s, exact_cpi, exact_power);
                 let row = BoundRow {
@@ -1822,9 +1832,9 @@ fn render_sampling(study: &SamplingStudy, r: &mut Text) {
     ));
 }
 
-fn compute_tracepoints(ops: u64) -> tracestudy::TraceStudy {
+fn compute_tracepoints(engine: &Engine, ops: u64) -> tracestudy::TraceStudy {
     let w = p10_workloads::suite::phased_pointer_chase(PHASE_NODES);
-    tracestudy::run_trace_study(&CoreConfig::power10(), &w, ops, 1_500, 3)
+    tracestudy::run_trace_study(engine, &CoreConfig::power10(), &w, ops, 1_500, 3)
 }
 
 fn render_tracepoints(s: &tracestudy::TraceStudy, r: &mut Text) {
@@ -1930,6 +1940,11 @@ mod tests {
         let digest = format!("|{:016x}", preset_digest());
         let cached: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.4).map(|e| e.0).collect();
         assert_eq!(cached.len(), 13);
+        // The key names no sampling mode, so it is sound only while no
+        // experiment that runs sampled benchmark points is also cached.
+        for e in EXPERIMENTS.iter().filter(|e| e.3) {
+            assert!(!e.4, "{} is both sampled and cached", e.0);
+        }
         let keys: std::collections::BTreeSet<String> =
             cached.iter().map(|name| driver_key(name, 2000)).collect();
         assert_eq!(keys.len(), cached.len(), "driver keys collide: {keys:?}");

@@ -285,7 +285,11 @@ fn ledger_records_runs_and_gate_passes_on_repeat() {
     let text = std::fs::read_to_string(dir.join("ledger.jsonl")).expect("ledger written");
     let records: Vec<serde_json::Value> = text
         .lines()
-        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad ledger line {l:?}: {e}")))
+        .map(|l| {
+            let json = p10_obs::ledger::unframe(l)
+                .unwrap_or_else(|| panic!("ledger line without its checksum: {l:?}"));
+            serde_json::from_str(json).unwrap_or_else(|e| panic!("bad ledger line {l:?}: {e}"))
+        })
         .collect();
     assert_eq!(records.len(), 2, "one record per run");
     for r in &records {

@@ -7,7 +7,7 @@
 //! L2 ≈9%, decode+double-VSX ≈5%, queues ≈4%; ML/analytics workloads gain
 //! close to 2× from the doubled VSX units alone.
 
-use crate::runner;
+use crate::runner::{self, Engine};
 use crate::scenario::geomean;
 use p10_uarch::{AblationGroup, CoreConfig, SmtMode};
 use p10_workloads::suite::extended_groups;
@@ -63,7 +63,7 @@ fn cumulative_configs(mode: SmtMode) -> Vec<CoreConfig> {
 /// `Queues` changes no warm-relevant field — so a sampled run warms each
 /// class once. The gains are folded in group order after the join.
 #[must_use]
-pub fn run_fig4(suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
+pub fn run_fig4(engine: &Engine, suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
     let extended = extended_groups();
     let modes = [
         (cumulative_configs(SmtMode::St), suite.iter().collect()),
@@ -104,9 +104,9 @@ pub fn run_fig4(suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
         }
         slots.push(mode_slots);
     }
-    let ipcs = runner::run_jobs_par(&jobs, |_, job| {
+    let ipcs = engine.run_jobs_par(&jobs, |_, job| {
         job.iter()
-            .map(|&(cfg, b)| runner::engine().run_benchmark(cfg, b, seed, ops).ipc())
+            .map(|&(cfg, b)| engine.run_benchmark(cfg, b, seed, ops).ipc())
             .collect::<Vec<f64>>()
     });
     let ipc: Vec<Vec<Vec<f64>>> = slots
@@ -154,13 +154,15 @@ pub fn run_fig4(suite: &[Benchmark], seed: u64, ops: u64) -> Fig4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
     fn fig4_has_five_positive_aggregate_rows() {
         // Small op budget keeps the test quick; shape only.
         let suite = specint_like();
-        let f = run_fig4(&suite[..4], 7, 12_000);
+        let engine = Engine::new(EngineConfig::default());
+        let f = run_fig4(&engine, &suite[..4], 7, 12_000);
         assert_eq!(f.rows.len(), 5);
         let total: f64 = f.rows.iter().map(|r| (1.0 + r.smt_gain).ln()).sum();
         assert!(

@@ -13,7 +13,7 @@
 //! rely on survives sampling: buckets still sum exactly to the
 //! (estimated) total cycles, so every `share` column still adds to 100%.
 
-use crate::runner::run_suite_par;
+use crate::runner::Engine;
 use p10_uarch::{CoreConfig, CycleAttribution};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -49,6 +49,7 @@ impl ProfileRow {
 /// per (workload, configuration) point, in suite-then-config order.
 #[must_use]
 pub fn run_profile(
+    engine: &Engine,
     configs: &[CoreConfig],
     suite: &[Benchmark],
     seed: u64,
@@ -56,7 +57,7 @@ pub fn run_profile(
 ) -> Vec<ProfileRow> {
     let mut rows = Vec::new();
     for cfg in configs {
-        let sr = run_suite_par(cfg, suite, seed, max_ops);
+        let sr = engine.run_suite(cfg, suite, seed, max_ops);
         for r in &sr.results {
             debug_assert_eq!(r.sim.attribution.total(), r.sim.activity.cycles);
             rows.push(ProfileRow {
@@ -74,13 +75,20 @@ pub fn run_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
     fn profile_rows_cover_suite_times_configs() {
         let suite = &specint_like()[..2];
         let configs = [CoreConfig::power9(), CoreConfig::power10()];
-        let rows = run_profile(&configs, suite, 42, 4000);
+        let rows = run_profile(
+            &Engine::new(EngineConfig::default()),
+            &configs,
+            suite,
+            42,
+            4000,
+        );
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert_eq!(

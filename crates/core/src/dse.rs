@@ -29,10 +29,7 @@
 //!
 //! The output is a perf/watt Pareto frontier with the paper's
 //! POWER9→POWER10 endpoints located on it (`figures dse` renders the
-//! JSON + markdown artifact). [`run_dse_generations`] adds iterative
-//! grid refinement: a streaming [`ParetoSet`] prunes timing classes
-//! whose every evaluated point is dominated before the next, finer
-//! generation runs.
+//! JSON + markdown artifact).
 
 use crate::runner::{fnv1a64, timing_projection, Engine};
 use crate::scenario::{benchmark_views, geomean, record_detailed_obs, ScenarioResult};
@@ -43,7 +40,7 @@ use p10_uarch::record::{ActivityRecorder, ActivityTrace};
 use p10_uarch::{Core, CoreConfig, SimResult, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Power-model / DVFS / WOF knobs of one grid point — the axes that
@@ -223,9 +220,6 @@ pub struct DseStats {
     pub benches: u64,
     /// Result-cache shards the grid was split into.
     pub shards: u64,
-    /// Candidate points pruned by the streaming Pareto filter between
-    /// refinement generations (always 0 for a single-generation sweep).
-    pub pruned_points: u64,
 }
 
 /// Process-dependent reuse accounting for this invocation (differs
@@ -238,14 +232,6 @@ pub struct DseRunStats {
     pub shards_resumed: u64,
     /// Class recordings actually simulated here (engine cache misses).
     pub recordings_simulated: u64,
-}
-
-impl DseRunStats {
-    fn absorb(&mut self, other: DseRunStats) {
-        self.shards_computed += other.shards_computed;
-        self.shards_resumed += other.shards_resumed;
-        self.recordings_simulated += other.recordings_simulated;
-    }
 }
 
 /// The sweep artifact: every point, the Pareto frontier, and the
@@ -499,40 +485,6 @@ pub fn pareto_frontier(points: &[DsePointResult]) -> Vec<usize> {
     frontier
 }
 
-/// Streaming Pareto filter: insert evaluated points as they land;
-/// dominated members drop out immediately. Used between refinement
-/// generations to prune timing classes that can no longer reach the
-/// frontier.
-#[derive(Debug, Clone, Default)]
-pub struct ParetoSet {
-    members: Vec<DsePointResult>,
-}
-
-impl ParetoSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        ParetoSet::default()
-    }
-
-    /// Inserts a point; returns `false` (and drops it) if an existing
-    /// member dominates it, otherwise evicts every member it dominates.
-    pub fn insert(&mut self, p: DsePointResult) -> bool {
-        if self.members.iter().any(|m| dominates(m, &p)) {
-            return false;
-        }
-        self.members.retain(|m| !dominates(&p, m));
-        self.members.push(p);
-        true
-    }
-
-    /// Current non-dominated members (insertion order).
-    #[must_use]
-    pub fn members(&self) -> &[DsePointResult] {
-        &self.members
-    }
-}
-
 fn shard_key(
     engine: &Engine,
     shard: &[DsePoint],
@@ -552,9 +504,9 @@ fn shard_key(
     )
 }
 
-/// Runs one sweep generation: record one trace per (timing class,
-/// benchmark), replay every grid point, cache each shard's results, and
-/// return the Pareto frontier. Deterministic: the result is
+/// Runs one sweep: record one trace per (timing class, benchmark),
+/// replay every grid point, cache each shard's results, and return the
+/// Pareto frontier. Deterministic: the result is
 /// byte-identical whether the caches were cold, warm, or mid-sweep.
 #[must_use]
 pub fn run_dse(
@@ -623,7 +575,6 @@ pub fn run_dse(
         replay_hits: (grid.len() - classes.len()) as u64,
         benches: suite.len() as u64,
         shards: shards.len() as u64,
-        pruned_points: 0,
     };
     let shards_computed = computed.into_inner();
     let run = DseRunStats {
@@ -635,80 +586,6 @@ pub fn run_dse(
     DseOutcome {
         result: DseResult {
             points,
-            frontier,
-            stats,
-        },
-        run,
-    }
-}
-
-/// Iterative grid refinement with streaming Pareto pruning.
-///
-/// Generation 0 runs in full. Before each later generation, candidates
-/// are dropped when (a) their `(timing class, knob label)` pair was
-/// already evaluated, or (b) their timing class was evaluated and no
-/// point of it reached the running frontier — a dominated region is
-/// never refined further. Pruned counts land in
-/// [`DseStats::pruned_points`]; the merged result covers every point
-/// actually evaluated, with the frontier recomputed over the union.
-#[must_use]
-pub fn run_dse_generations(
-    engine: &Engine,
-    generations: &[Vec<DsePoint>],
-    suite: &[Benchmark],
-    cfg: &DseConfig,
-) -> DseOutcome {
-    let mut all_points: Vec<DsePointResult> = Vec::new();
-    let mut run = DseRunStats::default();
-    let mut stats = DseStats::default();
-    let mut pareto = ParetoSet::new();
-    let mut seen: HashSet<(String, String)> = HashSet::new();
-    for (gen, candidates) in generations.iter().enumerate() {
-        let survivors: Vec<DsePoint> = if gen == 0 {
-            candidates.clone()
-        } else {
-            let frontier_classes: HashSet<&str> =
-                pareto.members().iter().map(|m| m.class.as_str()).collect();
-            let evaluated_classes: HashSet<&str> =
-                all_points.iter().map(|p| p.class.as_str()).collect();
-            candidates
-                .iter()
-                .filter(|c| {
-                    let class = timing_class(&c.core);
-                    if seen.contains(&(class.clone(), c.knobs.label.clone())) {
-                        return false;
-                    }
-                    // A class that was swept and never reached the
-                    // frontier is a dominated region: skip refining it.
-                    !evaluated_classes.contains(class.as_str())
-                        || frontier_classes.contains(class.as_str())
-                })
-                .cloned()
-                .collect()
-        };
-        stats.pruned_points += (candidates.len() - survivors.len()) as u64;
-        if survivors.is_empty() {
-            continue;
-        }
-        let outcome = run_dse(engine, &survivors, suite, cfg);
-        run.absorb(outcome.run);
-        stats.points += outcome.result.stats.points;
-        stats.classes += outcome.result.stats.classes;
-        stats.class_dedup += outcome.result.stats.class_dedup;
-        stats.replay_hits += outcome.result.stats.replay_hits;
-        stats.benches = outcome.result.stats.benches;
-        stats.shards += outcome.result.stats.shards;
-        for p in &outcome.result.points {
-            seen.insert((p.class.clone(), p.knobs.clone()));
-            pareto.insert(p.clone());
-        }
-        all_points.extend(outcome.result.points);
-    }
-    let frontier = pareto_frontier(&all_points);
-    p10_obs::counter("dse.pruned_points", stats.pruned_points);
-    DseOutcome {
-        result: DseResult {
-            points: all_points,
             frontier,
             stats,
         },
@@ -848,17 +725,6 @@ mod tests {
         // exact one.
         let scen = scenario_from_recording(&run, &cfg, &bench.name);
         assert_eq!(scen.sim.activity, run.sim.activity);
-    }
-
-    #[test]
-    fn pareto_set_keeps_only_nondominated() {
-        let mut set = ParetoSet::new();
-        assert!(set.insert(result_with("a", 1.0, 10.0)));
-        assert!(set.insert(result_with("b", 2.0, 20.0))); // trade-off: stays
-        assert!(!set.insert(result_with("c", 0.5, 15.0))); // dominated by a
-        assert!(set.insert(result_with("d", 2.5, 12.0))); // evicts b
-        let names: Vec<&str> = set.members().iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "d"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! wasted/flushed instructions by 25% on average for SPECint and up to
 //! 38% for interpreted languages and business analytics.
 
-use crate::runner;
+use crate::runner::Engine;
 use crate::scenario::run_benchmark;
 use p10_uarch::CoreConfig;
 use p10_workloads::suite::{extended_groups, specint_like};
@@ -79,14 +79,14 @@ fn waste(cfg: &CoreConfig, b: &Benchmark, seed: u64, ops: u64) -> f64 {
 /// the job (so the second run reuses the first's traces), rows in
 /// workload order.
 #[must_use]
-pub fn run_flush_study(seed: u64, ops: u64) -> FlushStudy {
+pub fn run_flush_study(engine: &Engine, seed: u64, ops: u64) -> FlushStudy {
     let p9 = CoreConfig::power9();
     let p10 = CoreConfig::power10();
     let workloads: Vec<Benchmark> = specint_like()
         .into_iter()
         .chain(extended_groups())
         .collect();
-    let rows = runner::run_jobs_par(&workloads, |_, b| FlushRow {
+    let rows = engine.run_jobs_par(&workloads, |_, b| FlushRow {
         workload: b.name.clone(),
         group: b.group,
         p9_waste_per_inst: waste(&p9, b, seed, ops),
@@ -98,10 +98,11 @@ pub fn run_flush_study(seed: u64, ops: u64) -> FlushStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
 
     #[test]
     fn flush_reductions_match_paper_shape() {
-        let s = run_flush_study(42, 25_000);
+        let s = run_flush_study(&Engine::new(EngineConfig::default()), 42, 25_000);
         let spec = s.specint_reduction();
         let interp = s.interpreted_reduction();
         // Paper: 25% SPECint, 38% interpreted/analytics. Shape gate:

@@ -6,7 +6,7 @@
 //! achieves 9.94 DP flops/cycle with VSU code (62.1% of its 16/cycle
 //! peak) and 27.9 with MMA code (87.1% of 32/cycle).
 
-use crate::runner;
+use crate::runner::Engine;
 use crate::scenario::{run_traces, ScenarioResult};
 use p10_kernels::gemm::{dgemm_mma, dgemm_vsu};
 use p10_uarch::CoreConfig;
@@ -78,7 +78,7 @@ fn measure(cfg: &CoreConfig, kernel: &p10_workloads::Workload, ops: u64, peak: f
 /// budget (the paper averages 5K-cycle windows; 60K+ ops gives several
 /// windows' worth).
 #[must_use]
-pub fn run_fig5(ops: u64) -> Fig5 {
+pub fn run_fig5(engine: &Engine, ops: u64) -> Fig5 {
     let p9 = CoreConfig::power9();
     let p10 = CoreConfig::power10();
     let vsu = dgemm_vsu(1 << 40);
@@ -89,8 +89,8 @@ pub fn run_fig5(ops: u64) -> Fig5 {
         (&p10, &vsu, p10.vsx_peak_dp_flops()),
         (&p10, &mma, p10.mma_peak_dp_flops()),
     ];
-    let [p9_vsu, p10_vsu, p10_mma]: [GemmPoint; 3] =
-        runner::run_jobs_par(&points, |_, &(cfg, kernel, peak)| {
+    let [p9_vsu, p10_vsu, p10_mma]: [GemmPoint; 3] = engine
+        .run_jobs_par(&points, |_, &(cfg, kernel, peak)| {
             measure(cfg, kernel, ops, f64::from(peak))
         })
         .try_into()
@@ -105,10 +105,11 @@ pub fn run_fig5(ops: u64) -> Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
 
     #[test]
     fn fig5_shape_matches_paper() {
-        let f = run_fig5(40_000);
+        let f = run_fig5(&Engine::new(EngineConfig::default()), 40_000);
         // P10 VSU beats P9 VSU substantially (paper 1.95x).
         assert!(
             f.vsu_speedup() > 1.5 && f.vsu_speedup() < 2.5,

@@ -26,14 +26,17 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use p10_core::runner::run_suite_par;
+//! use p10_core::runner::{Engine, EngineConfig};
 //! use p10_core::scenario::SuiteComparison;
 //! use p10_uarch::CoreConfig;
 //! use p10_workloads::specint_like;
 //!
+//! // Every driver runs on an engine the caller builds: the worker pool
+//! // plus the result cache (memory-only here; set `disk_cache` to keep it).
+//! let engine = Engine::new(EngineConfig::default());
 //! let suite = specint_like();
-//! let p9 = run_suite_par(&CoreConfig::power9(), &suite, 42, 120_000);
-//! let p10 = run_suite_par(&CoreConfig::power10(), &suite, 42, 120_000);
+//! let p9 = engine.run_suite(&CoreConfig::power9(), &suite, 42, 120_000);
+//! let p10 = engine.run_suite(&CoreConfig::power10(), &suite, 42, 120_000);
 //! let cmp = SuiteComparison::between(&p9, &p10);
 //! println!(
 //!     "perf {:.2}x power {:.2}x efficiency {:.2}x",

@@ -6,7 +6,7 @@
 //! counter rates (features) and measured power (target, from the
 //! component power model — the stand-in for Einspower reference data).
 
-use crate::runner;
+use crate::runner::{self, Engine};
 use p10_apex::{fig10_snippet, run_apex, ApexReport, Fig10Point};
 use p10_power::PowerModel;
 use p10_powermodel::{fit, forward_select, input_sweep, Dataset, FitOptions, SweepPoint};
@@ -19,12 +19,18 @@ use serde::{Deserialize, Serialize};
 /// core-model then chip-model point. Points come out in benchmark, then
 /// snippet order.
 #[must_use]
-pub fn run_fig10(benchmarks: &[Benchmark], snippets: u32, ops_per_snippet: u64) -> Vec<Fig10Point> {
+pub fn run_fig10(
+    engine: &Engine,
+    benchmarks: &[Benchmark],
+    snippets: u32,
+    ops_per_snippet: u64,
+) -> Vec<Fig10Point> {
     let jobs: Vec<(&Benchmark, u32)> = benchmarks
         .iter()
         .flat_map(|b| (0..snippets).map(move |s| (b, s)))
         .collect();
-    runner::run_jobs_par(&jobs, |_, &(b, s)| fig10_snippet(b, s, ops_per_snippet))
+    engine
+        .run_jobs_par(&jobs, |_, &(b, s)| fig10_snippet(b, s, ops_per_snippet))
         .into_iter()
         .flatten()
         .collect()
@@ -63,6 +69,7 @@ pub enum Target {
 /// benchmarks.
 #[must_use]
 pub fn build_dataset(
+    engine: &Engine,
     cfg: &CoreConfig,
     benchmarks: &[Benchmark],
     seeds: &[u64],
@@ -71,6 +78,7 @@ pub fn build_dataset(
     target: Target,
 ) -> Dataset {
     build_datasets(
+        engine,
         cfg,
         benchmarks,
         seeds,
@@ -93,6 +101,7 @@ pub fn build_dataset(
 /// [`build_dataset`] call for its target.
 #[must_use]
 pub fn build_datasets(
+    engine: &Engine,
     cfg: &CoreConfig,
     benchmarks: &[Benchmark],
     seeds: &[u64],
@@ -117,8 +126,8 @@ pub fn build_datasets(
     // bit-identical by construction) share one cached report. The
     // fetched report is re-stamped with this config's name so a cache
     // hit is byte-identical to a fresh run.
-    let reports: Vec<ApexReport> = runner::run_jobs_par(&points, |_, &(b, seed)| {
-        let mut report = runner::cached(
+    let reports: Vec<ApexReport> = engine.run_jobs_par(&points, |_, &(b, seed)| {
+        let mut report = engine.cached(
             &format!(
                 "apex {} @ {} seed={seed} ops={ops_per_run} win={window_cycles}",
                 b.name, cfg.name
@@ -444,11 +453,13 @@ pub fn run_fig15b(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     fn small_dataset(target: Target) -> Dataset {
         let suite = specint_like();
         build_dataset(
+            &Engine::new(EngineConfig::default()),
             &CoreConfig::power10(),
             &suite[7..10],
             &[1, 2],

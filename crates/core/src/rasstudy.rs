@@ -1,7 +1,7 @@
 //! The SERMiner derating studies: Fig. 13 (per-testcase derating) and
 //! Fig. 14 (POWER9 vs POWER10 derating versus VT).
 
-use crate::runner;
+use crate::runner::Engine;
 use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_serminer::{derating_curve, derating_row, DeratingCurve, DeratingRow};
 use p10_uarch::CoreConfig;
@@ -120,7 +120,7 @@ enum Testcase {
 /// Runs Fig. 13 on a configuration: one pool job per testcase, rows in
 /// testcase order.
 #[must_use]
-pub fn run_fig13(cfg: &CoreConfig, ops: u64, spec_benches: usize) -> Fig13 {
+pub fn run_fig13(engine: &Engine, cfg: &CoreConfig, ops: u64, spec_benches: usize) -> Fig13 {
     let cases: Vec<Testcase> = derating_grid()
         .into_iter()
         .map(Testcase::Grid)
@@ -131,7 +131,7 @@ pub fn run_fig13(cfg: &CoreConfig, ops: u64, spec_benches: usize) -> Fig13 {
                 .map(Testcase::Spec),
         )
         .collect();
-    let rows = runner::run_jobs_par(&cases, |_, case| match case {
+    let rows = engine.run_jobs_par(&cases, |_, case| match case {
         Testcase::Grid(spec) => Some(derating_row(&spec.name(), &grid_detailed(cfg, spec, ops))),
         Testcase::Spec(b) => {
             let set = chopstix::extract(&b.workload(29), ops.min(40_000), 3);
@@ -173,14 +173,14 @@ impl Fig14 {
 /// Runs Fig. 14 across the derating grid workloads: both configs' grid
 /// runs go to the pool as one batch.
 #[must_use]
-pub fn run_fig14(ops: u64, vts: &[f64]) -> Fig14 {
+pub fn run_fig14(engine: &Engine, ops: u64, vts: &[f64]) -> Fig14 {
     const SPECS: usize = 6;
     let cfgs = [CoreConfig::power9(), CoreConfig::power10()];
     let points: Vec<(&CoreConfig, MicrobenchSpec)> = cfgs
         .iter()
         .flat_map(|c| derating_grid().into_iter().take(SPECS).map(move |s| (c, s)))
         .collect();
-    let reports = runner::run_jobs_par(&points, |_, &(cfg, spec)| grid_detailed(cfg, &spec, ops));
+    let reports = engine.run_jobs_par(&points, |_, &(cfg, spec)| grid_detailed(cfg, &spec, ops));
     let mut curves = cfgs.iter().zip(reports.chunks(SPECS)).map(|(cfg, rs)| {
         let refs: Vec<&RtlReport> = rs.iter().map(Arc::as_ref).collect();
         derating_curve(&cfg.name, &refs, vts)
@@ -193,6 +193,7 @@ pub fn run_fig14(ops: u64, vts: &[f64]) -> Fig14 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
 
     #[test]
     fn once_memo_computes_a_key_once_for_concurrent_callers() {
@@ -252,7 +253,12 @@ mod tests {
 
     #[test]
     fn fig13_rows_cover_grid_and_spec() {
-        let f = run_fig13(&CoreConfig::power10(), 6_000, 1);
+        let f = run_fig13(
+            &Engine::new(EngineConfig::default()),
+            &CoreConfig::power10(),
+            6_000,
+            1,
+        );
         assert_eq!(f.rows.len(), 12 + 1);
         for r in &f.rows {
             assert!(r.static_pct >= 0.0 && r.static_pct <= 100.0);
@@ -265,7 +271,11 @@ mod tests {
 
     #[test]
     fn fig14_p10_runtime_derating_exceeds_p9() {
-        let f = run_fig14(6_000, &[0.1, 0.5, 0.9]);
+        let f = run_fig14(
+            &Engine::new(EngineConfig::default()),
+            6_000,
+            &[0.1, 0.5, 0.9],
+        );
         for vt in [0.1, 0.5, 0.9] {
             assert!(
                 f.runtime_gap_at(vt) > 0.0,

@@ -42,7 +42,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// How an [`Engine`] should run jobs and cache results.
@@ -508,57 +508,6 @@ pub fn point_key(cfg: &CoreConfig, bench: &Benchmark, seed: u64, max_ops: u64) -
 
 /// 64-bit FNV-1a, the engine's content-key digest.
 pub use p10_isa::fnv1a64;
-
-static GLOBAL: OnceLock<Engine> = OnceLock::new();
-
-/// Installs the process-wide engine. Returns `false` if one was already
-/// installed (first caller wins); call before any experiment runs.
-pub fn install(engine: Engine) -> bool {
-    GLOBAL.set(engine).is_ok()
-}
-
-/// The process-wide engine: the one [`install`]ed, or else an exact one
-/// with all CPUs, memo-only caching and no progress output. Besides the
-/// free functions below, the sampled runs' interval measurements cache in
-/// it (`sampling::run_traces_sampled_with`).
-pub fn engine() -> &'static Engine {
-    GLOBAL.get_or_init(|| Engine::new(EngineConfig::default()))
-}
-
-/// [`Engine::run_jobs_par`] on the process-wide engine.
-pub fn run_jobs_par<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    engine().run_jobs_par(items, f)
-}
-
-/// [`Engine::run_suite`] on the process-wide engine.
-#[must_use]
-pub fn run_suite_par(
-    cfg: &CoreConfig,
-    suite: &[Benchmark],
-    seed: u64,
-    max_ops: u64,
-) -> SuiteResult {
-    engine().run_suite(cfg, suite, seed, max_ops)
-}
-
-/// [`Engine::cached`] on the process-wide engine.
-pub fn cached<T, F>(label: &str, key: &str, compute: F) -> T
-where
-    T: Clone + Serialize + Deserialize + Send + Sync + 'static,
-    F: FnOnce() -> T,
-{
-    engine().cached(label, key, compute)
-}
-
-/// [`Engine::timed`] on the process-wide engine.
-pub fn timed<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    engine().timed(label, f)
-}
 
 #[cfg(test)]
 mod tests {

@@ -40,7 +40,9 @@
 //! warms once per warm-equivalence class, not once per config, and a
 //! repeated run (or the next round of bound mode) jumps straight to each
 //! boundary instead of replaying the prefix. A corrupt or truncated
-//! checkpoint decodes to `None` and falls back to re-warming.
+//! checkpoint decodes to `None` and falls back to re-warming. The same
+//! store memoizes interval measurements for its lifetime, in memory only,
+//! so reuse never reaches past the store a caller passes.
 //!
 //! Every sampled estimate carries a **statistical error bound**: the
 //! spread of each cluster (BBV distance of members to their
@@ -54,7 +56,7 @@
 //! measured error against exact simulation stays inside the printed
 //! bound. [`SamplingMode::Bound`] inverts the relationship: it grows the
 //! cluster budget round by round — reusing prior rounds' checkpoints and
-//! cached measurements — until the claimed bound meets a target.
+//! memoized measurements — until the claimed bound meets a target.
 //!
 //! [`fit_cross_workload`] fits linear counter→CPI and counter→power
 //! predictors (Gram-cached forward selection from `p10-powermodel`) on
@@ -171,7 +173,7 @@ pub enum SamplingMode {
         warmup_ops: usize,
     },
     /// Target-bound auto-tuning: grow the cluster budget round by round
-    /// (reusing checkpoints and cached interval measurements between
+    /// (reusing checkpoints and memoized interval measurements between
     /// rounds) until the reported error bound meets the target, every
     /// interval is measured, or the budget cannot grow further.
     Bound {
@@ -337,15 +339,23 @@ type ClassBlobs = HashMap<usize, Arc<Vec<u8>>>;
 /// not depend on how concurrent jobs interleave as long as no two
 /// concurrent jobs share a class.
 ///
+/// The store also memoizes interval measurements, by the content key of
+/// (timing projection, trace signature, interval geometry, index), for
+/// its own lifetime and in memory only: bound mode's later rounds and a
+/// repeated run on the same store re-measure nothing, while a fresh store
+/// measures (and warms) from scratch.
+///
 /// All traffic is counted per store (`ckpt_hits`/`ckpt_misses`/
 /// `ckpt_bytes`/`warm_passes`) *and* mirrored into the process-wide
-/// `[obs]` counters `sampling.ckpt_*` / `sampling.warm_passes`; tests
-/// construct private stores so the counts are exact even with other
-/// tests running in parallel.
+/// `[obs]` counters `sampling.ckpt_*` / `sampling.warm_passes`, with
+/// `sampling.meas_memo_hits` / `sampling.meas_computes` for the
+/// measurement memo; tests construct private stores so the counts are
+/// exact even with other tests running in parallel.
 pub struct CkptStore {
     disk: Option<Store>,
     blobs: Mutex<HashMap<u64, ClassBlobs>>,
     feats: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
+    measurements: Mutex<HashMap<u64, RepMeasurement>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes: AtomicU64,
@@ -360,6 +370,7 @@ impl CkptStore {
             disk: dir.map(|d| Store::new(d, "sampling.ckpt_rejects")),
             blobs: Mutex::new(HashMap::new()),
             feats: Mutex::new(HashMap::new()),
+            measurements: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -520,6 +531,31 @@ impl CkptStore {
             .lock()
             .expect("feat memo poisoned")
             .insert(class, feats);
+    }
+
+    /// The interval measurement under `key`, running `measure` on the
+    /// first request. Like [`runner::Engine::cached`], concurrent misses
+    /// on one key both measure, so jobs of one pool batch must not share
+    /// a trace.
+    fn measurement(&self, key: &str, measure: impl FnOnce() -> RepMeasurement) -> RepMeasurement {
+        let key = runner::fnv1a64(key.as_bytes());
+        let hit = self
+            .measurements
+            .lock()
+            .expect("measurement memo poisoned")
+            .get(&key)
+            .cloned();
+        if let Some(m) = hit {
+            p10_obs::counter("sampling.meas_memo_hits", 1);
+            return m;
+        }
+        let m = measure();
+        p10_obs::counter("sampling.meas_computes", 1);
+        self.measurements
+            .lock()
+            .expect("measurement memo poisoned")
+            .insert(key, m.clone());
+        m
     }
 }
 
@@ -684,9 +720,9 @@ fn bbv_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// One simulated representative interval with warmup delta'd out.
-/// Serializable so interval measurements are content-addressable in the
-/// engine's result cache (bound mode re-runs reuse them across rounds).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Memoized per [`CkptStore`] (bound mode re-runs reuse them across
+/// rounds).
+#[derive(Debug, Clone)]
 struct RepMeasurement {
     /// Interval index in the partition.
     interval: usize,
@@ -1099,7 +1135,7 @@ impl<'a> WarmCursor<'a> {
 
 /// The shared sampled-measurement machinery: partition, cluster, and
 /// measure (cold prefix + representatives) through the checkpoint-backed
-/// warm cursor and the engine's content-addressed result cache.
+/// warm cursor and the store's interval-measurement memo.
 struct SampleCore {
     ivs: Vec<Interval>,
     total_ops: u64,
@@ -1149,9 +1185,9 @@ fn sample_core(
     // Measure the representatives on a single forward pass over the
     // trace: warming advances through the checkpoint-backed cursor (so a
     // warm-class repeat jumps boundary to boundary instead of replaying),
-    // and each measurement is content-addressed in the engine cache by
-    // (timing projection, trace signature, interval geometry), so bound
-    // mode's later rounds pay only for the representatives they add.
+    // and each measurement is memoized in the store by (timing
+    // projection, trace signature, interval geometry), so bound mode's
+    // later rounds pay only for the representatives they add.
     let rep_set: HashSet<usize> = sp.selection.picks.iter().map(|&(rep, _)| rep).collect();
     let class = warm_class_key(cfg, name, views, interval_ops);
     let vsig = views_sig(name, views);
@@ -1171,7 +1207,7 @@ fn sample_core(
         if want_cold || rep_set.contains(&idx) {
             let key =
                 format!("sampmeas|{timing_json}|{vsig:016x}|{interval_ops}|{warmup_ops}|{idx}");
-            let m = runner::engine().cached("sample-interval", &key, || {
+            let m = store.measurement(&key, || {
                 simulate_interval(
                     cfg,
                     views,
@@ -1227,29 +1263,13 @@ fn sample_core(
 }
 
 /// Runs pre-built per-thread views in the given sampling mode, warming
-/// through the process-wide engine's checkpoint store
-/// ([`runner::Engine::ckpt_store`]).
+/// through `store` and memoizing interval measurements in it (a private
+/// store gives exact checkpoint-traffic counts regardless of what runs in
+/// parallel).
 ///
 /// Exact mode delegates to [`scenario::run_traces`] (bit-identical to the
 /// reference path) with trivial stats; sampled modes partition, cluster,
 /// simulate representatives, and reconstitute.
-///
-/// # Panics
-///
-/// Panics if `views` contains no ops (nothing to sample).
-#[must_use]
-pub fn run_traces_sampled(
-    cfg: &CoreConfig,
-    name: &str,
-    views: Vec<TraceView>,
-    mode: &SamplingMode,
-) -> SampledScenario {
-    run_traces_sampled_with(cfg, name, views, mode, runner::engine().ckpt_store())
-}
-
-/// [`run_traces_sampled`] against an explicit [`CkptStore`] — the sweep
-/// entry point (and the testable one: a private store gives exact
-/// checkpoint-traffic counts regardless of what runs in parallel).
 ///
 /// # Panics
 ///
@@ -1660,7 +1680,7 @@ pub struct TrainingRow {
 
 /// Collects one benchmark's cross-workload training rows: the benchmark
 /// is partitioned, clustered, and measured exactly as a sampled run
-/// would (sharing `store` checkpoints and cached measurements with those
+/// would (sharing `store` checkpoints and memoized measurements with those
 /// runs), and every detailed interval becomes a row, in interval order.
 /// Benchmarks are independent, so their rows can be collected in
 /// parallel and fitted together with [`fit_cross_workload`].
@@ -1725,11 +1745,11 @@ pub fn fit_cross_workload(rows: &[TrainingRow], max_features: usize) -> Option<C
 /// anchor interval — the medoid, whose feature row sits closest to the
 /// trace's mean feature vector, so it represents steady state rather
 /// than the cold-start transient — is simulated in detail (sharing its
-/// cache key and warm-state checkpoints with [`run_traces_sampled`]'s
-/// interval measurements); every other interval's CPI and power come
-/// from the cross-workload predictors, rescaled by the anchor's
-/// measured-over-predicted ratio so the workload-level offset is
-/// calibrated out.
+/// memo key and warm-state checkpoints in `store` with
+/// [`run_traces_sampled_with`]'s interval measurements); every other
+/// interval's CPI and power come from the cross-workload predictors,
+/// rescaled by the anchor's measured-over-predicted ratio so the
+/// workload-level offset is calibrated out.
 /// The counter mix is scaled from the anchor, so this is the cheapest —
 /// and loosest — mode; its bounds carry the predictors' CV error.
 ///
@@ -1774,7 +1794,7 @@ pub fn run_benchmark_predicted(
     let mut cursor = WarmCursor::new(cfg, &ivs, store, class);
     let key =
         format!("sampmeas|{timing_json}|{vsig:016x}|{interval_ops}|{warmup_ops}|{anchor_idx}");
-    let m0 = runner::engine().cached("sample-interval", &key, || {
+    let m0 = store.measurement(&key, || {
         simulate_interval(
             cfg,
             &views,
@@ -1878,8 +1898,8 @@ pub fn run_benchmark_predicted(
     }
 }
 
-/// [`run_traces_sampled`] over a benchmark's per-thread-seeded views —
-/// the sampled twin of [`scenario::run_benchmark`].
+/// [`run_traces_sampled_with`] over a benchmark's per-thread-seeded
+/// views — the sampled twin of [`scenario::run_benchmark`].
 #[must_use]
 pub fn run_benchmark_sampled(
     cfg: &CoreConfig,
@@ -1887,12 +1907,14 @@ pub fn run_benchmark_sampled(
     seed: u64,
     max_ops: u64,
     mode: &SamplingMode,
+    store: &CkptStore,
 ) -> SampledScenario {
-    run_traces_sampled(
+    run_traces_sampled_with(
         cfg,
         &bench.name,
         scenario::benchmark_views(cfg, bench, seed, max_ops),
         mode,
+        store,
     )
 }
 
@@ -1987,7 +2009,14 @@ mod tests {
     fn exact_mode_is_the_reference_path_with_trivial_stats() {
         let b = &specint_like()[8];
         let cfg = CoreConfig::power10();
-        let s = run_benchmark_sampled(&cfg, b, 1, 4_000, &SamplingMode::Exact);
+        let s = run_benchmark_sampled(
+            &cfg,
+            b,
+            1,
+            4_000,
+            &SamplingMode::Exact,
+            &CkptStore::new(None),
+        );
         let reference = scenario::run_benchmark(&cfg, b, 1, 4_000);
         assert_eq!(
             serde_json::to_string(&s.result).expect("json"),
@@ -2002,7 +2031,7 @@ mod tests {
     fn sampled_run_covers_every_op_and_holds_its_invariants() {
         let b = &specint_like()[8];
         let cfg = CoreConfig::power10();
-        let s = run_benchmark_sampled(&cfg, b, 1, 6_100, &simpoints_mode());
+        let s = run_benchmark_sampled(&cfg, b, 1, 6_100, &simpoints_mode(), &CkptStore::new(None));
         assert_eq!(s.stats.total_ops, 6_100);
         assert_eq!(
             s.stats.simulated_ops + s.stats.skipped_ops,
@@ -2026,8 +2055,9 @@ mod tests {
     fn sampling_is_deterministic() {
         let b = &specint_like()[7];
         let cfg = CoreConfig::power10();
-        let a = run_benchmark_sampled(&cfg, b, 3, 5_000, &simpoints_mode());
-        let b2 = run_benchmark_sampled(&cfg, b, 3, 5_000, &simpoints_mode());
+        let run =
+            || run_benchmark_sampled(&cfg, b, 3, 5_000, &simpoints_mode(), &CkptStore::new(None));
+        let (a, b2) = (run(), run());
         assert_eq!(
             serde_json::to_string(&a).expect("json"),
             serde_json::to_string(&b2).expect("json"),
@@ -2138,13 +2168,36 @@ mod tests {
             "run 2 must load run 1's checkpoints"
         );
         assert_eq!(s2.result.sim.activity.completed, 6_000);
-        // An identical re-run is served from the engine memo and is
-        // byte-identical.
+        // An identical re-run on the same store is served from its
+        // measurement memo and is byte-identical.
         let s1b = run_traces_sampled_with(&cfg, "ckptreuse", views, &cold, &store);
         assert_eq!(
             serde_json::to_string(&s1).expect("json"),
             serde_json::to_string(&s1b).expect("json"),
         );
+    }
+
+    #[test]
+    fn fresh_stores_share_no_measurements() {
+        // Two private stores running the same trace and mode each warm
+        // and measure from scratch: same result, same checkpoint traffic.
+        let cfg = CoreConfig::power10();
+        let views = scenario::benchmark_views(&cfg, &specint_like()[4], 7, 6_000);
+        let mode = SamplingMode::SimPoints {
+            interval_ops: 1_000,
+            k: 3,
+            warmup_ops: 0,
+        };
+        let run = || {
+            let store = CkptStore::new(None);
+            let s = run_traces_sampled_with(&cfg, "isolation", views.clone(), &mode, &store);
+            let json = serde_json::to_string(&s).expect("json");
+            (json, (store.ckpt_misses(), store.ckpt_bytes()))
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.0, b.0, "results must be byte-equal");
+        assert!(a.1 .0 > 0 && a.1 .1 > 0, "a fresh store warms: {:?}", a.1);
+        assert_eq!(a.1, b.1, "(ckpt_misses, ckpt_bytes) of store A vs B");
     }
 
     #[test]
@@ -2508,8 +2561,8 @@ mod tests {
         let cfg = CoreConfig::power10();
         let suite = specint_like();
         let benches = &suite[0..4];
-        // The parallel side runs first, so its interval measurements are
-        // computed on the pool rather than served from the engine memo.
+        // Each side has its own store, so both measure every interval:
+        // the parallel side on the pool, the serial side in order.
         let pool = runner::Engine::new(runner::EngineConfig {
             jobs: 4,
             ..runner::EngineConfig::default()

@@ -284,6 +284,7 @@ pub fn power10_smt(smt: SmtMode) -> CoreConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{Engine, EngineConfig};
     use p10_workloads::{arena, specint_like};
 
     #[test]
@@ -449,8 +450,9 @@ mod tests {
     #[test]
     fn mismatched_suites_are_rejected() {
         let suite = specint_like();
-        let a = crate::runner::run_suite_par(&CoreConfig::power10(), &suite[8..9], 3, 5_000);
-        let b = crate::runner::run_suite_par(&CoreConfig::power9(), &suite[7..9], 3, 5_000);
+        let engine = Engine::new(EngineConfig::default());
+        let a = engine.run_suite(&CoreConfig::power10(), &suite[8..9], 3, 5_000);
+        let b = engine.run_suite(&CoreConfig::power9(), &suite[7..9], 3, 5_000);
         let err = SuiteComparison::try_between(&a, &b).unwrap_err();
         assert!(err.contains("mismatched suites"), "{err}");
         assert!(err.contains(&suite[7].name), "{err}");
@@ -461,7 +463,12 @@ mod tests {
     #[test]
     fn comparison_of_identical_suites_is_unity() {
         let suite = &specint_like()[8..9];
-        let a = crate::runner::run_suite_par(&CoreConfig::power10(), suite, 3, 10_000);
+        let a = Engine::new(EngineConfig::default()).run_suite(
+            &CoreConfig::power10(),
+            suite,
+            3,
+            10_000,
+        );
         let cmp = SuiteComparison::between(&a, &a);
         assert!((cmp.perf_ratio - 1.0).abs() < 1e-9);
         assert!((cmp.power_ratio - 1.0).abs() < 1e-9);

@@ -7,7 +7,7 @@
 //! the stream prefetcher, the long-history branch predictor, and the
 //! unified register file's clock-gating discipline.
 
-use crate::runner;
+use crate::runner::Engine;
 use crate::scenario::geomean;
 use p10_uarch::CoreConfig;
 use p10_workloads::Benchmark;
@@ -90,14 +90,19 @@ pub struct SensitivityRow {
 
 /// Runs the sensitivity study over a suite.
 #[must_use]
-pub fn run_sensitivity(suite: &[Benchmark], seed: u64, ops: u64) -> Vec<SensitivityRow> {
+pub fn run_sensitivity(
+    engine: &Engine,
+    suite: &[Benchmark],
+    seed: u64,
+    ops: u64,
+) -> Vec<SensitivityRow> {
     let base_cfg = CoreConfig::power10();
-    let base = runner::run_suite_par(&base_cfg, suite, seed, ops).results;
+    let base = engine.run_suite(&base_cfg, suite, seed, ops).results;
     DesignChoice::ALL
         .iter()
         .map(|&choice| {
             let cfg = choice.disabled_in(&base_cfg);
-            let disabled = runner::run_suite_par(&cfg, suite, seed, ops).results;
+            let disabled = engine.run_suite(&cfg, suite, seed, ops).results;
             let perf = geomean(
                 base.iter()
                     .zip(disabled.iter())
@@ -137,13 +142,19 @@ pub fn run_sensitivity(suite: &[Benchmark], seed: u64, ops: u64) -> Vec<Sensitiv
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
     fn each_mechanism_helps_energy_efficiency() {
         let suite = specint_like();
         // A representative slice keeps the test quick.
-        let rows = run_sensitivity(&suite[..4], 42, 12_000);
+        let rows = run_sensitivity(
+            &Engine::new(EngineConfig::default()),
+            &suite[..4],
+            42,
+            12_000,
+        );
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(

@@ -6,7 +6,7 @@
 //! instruction window, larger queues and doubled load/store bandwidth
 //! are what keep extra threads fed.
 
-use crate::runner;
+use crate::runner::Engine;
 use p10_uarch::{CoreConfig, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -44,14 +44,15 @@ impl SmtScaling {
 
 /// Runs the SMT scaling study over a suite subset.
 #[must_use]
-pub fn run_smt_scaling(suite: &[Benchmark], seed: u64, ops: u64) -> SmtScaling {
+pub fn run_smt_scaling(engine: &Engine, suite: &[Benchmark], seed: u64, ops: u64) -> SmtScaling {
     let mut points = Vec::new();
     for base in [CoreConfig::power9(), CoreConfig::power10()] {
         let mut st_ipc = 0.0;
         for smt in [SmtMode::St, SmtMode::Smt2, SmtMode::Smt4] {
             let mut cfg = base.clone();
             cfg.smt = smt;
-            let mean_ipc: f64 = runner::run_suite_par(&cfg, suite, seed, ops)
+            let mean_ipc: f64 = engine
+                .run_suite(&cfg, suite, seed, ops)
                 .results
                 .iter()
                 .map(crate::scenario::ScenarioResult::ipc)
@@ -74,6 +75,7 @@ pub fn run_smt_scaling(suite: &[Benchmark], seed: u64, ops: u64) -> SmtScaling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
@@ -81,7 +83,7 @@ mod tests {
         let suite = specint_like();
         // A mixed subset: one compute-bound, one memory-bound, one middle.
         let sel: Vec<_> = [8usize, 2, 7].iter().map(|&i| suite[i].clone()).collect();
-        let s = run_smt_scaling(&sel, 42, 8_000);
+        let s = run_smt_scaling(&Engine::new(EngineConfig::default()), &sel, 42, 8_000);
         assert_eq!(s.points.len(), 6);
         for cfg in ["POWER9", "POWER10"] {
             // More threads never reduce aggregate throughput.

@@ -1,6 +1,6 @@
 //! Table I: chip features and the headline efficiency projections.
 
-use crate::runner::run_suite_par;
+use crate::runner::Engine;
 use crate::scenario::SuiteComparison;
 use p10_uarch::{CoreConfig, SmtMode};
 use p10_workloads::Benchmark;
@@ -31,12 +31,12 @@ pub struct Table1 {
 /// the socket row additionally runs SMT4 (the throughput configuration
 /// dense sockets actually ship).
 #[must_use]
-pub fn run_table1(suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
+pub fn run_table1(engine: &Engine, suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
     let p9 = CoreConfig::power9();
     let p10 = CoreConfig::power10();
     let st = SuiteComparison::between(
-        &run_suite_par(&p9, suite, seed, ops),
-        &run_suite_par(&p10, suite, seed, ops),
+        &engine.run_suite(&p9, suite, seed, ops),
+        &engine.run_suite(&p10, suite, seed, ops),
     );
     // Socket view: SMT4 halves (SMT8 cores), where POWER10's deeper
     // queues and bandwidth stretch further.
@@ -45,8 +45,8 @@ pub fn run_table1(suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
     let mut p10s = p10.clone();
     p10s.smt = SmtMode::Smt2;
     let smt = SuiteComparison::between(
-        &run_suite_par(&p9s, suite, seed, ops / 2),
-        &run_suite_par(&p10s, suite, seed, ops / 2),
+        &engine.run_suite(&p9s, suite, seed, ops / 2),
+        &engine.run_suite(&p10s, suite, seed, ops / 2),
     );
     Table1 {
         smt_per_core: 8,
@@ -62,12 +62,18 @@ pub fn run_table1(suite: &[Benchmark], seed: u64, ops: u64) -> Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
     fn table1_headline_bands() {
         let suite = specint_like();
-        let t = run_table1(&suite[..6], 42, 20_000);
+        let t = run_table1(
+            &Engine::new(EngineConfig::default()),
+            &suite[..6],
+            42,
+            20_000,
+        );
         assert_eq!(t.smt_per_core, 8);
         assert!((t.l2_per_core_mib - 2.0).abs() < 1e-9);
         assert!((t.mmu_ratio - 4.0).abs() < 1e-9);

@@ -9,7 +9,7 @@
 //! functional trace feed Simpoints; both project CPI and are compared to
 //! the full-run truth.
 
-use crate::runner;
+use crate::runner::Engine;
 use p10_apex::run_apex;
 use p10_trace::simpoint::{bbv_intervals, simpoints};
 use p10_trace::tracepoints::{tracepoints, Epoch, TracepointConfig};
@@ -38,22 +38,23 @@ pub struct TraceStudy {
 /// and, via matching windowing, the counter epoch.
 #[must_use]
 pub fn run_trace_study(
+    engine: &Engine,
     cfg: &CoreConfig,
     workload: &Workload,
     total_ops: u64,
     epoch_ops: usize,
     clusters: usize,
 ) -> TraceStudy {
-    let trace = runner::timed(&format!("trace {} ops={total_ops}", workload.name), || {
+    let trace = engine.timed(&format!("trace {} ops={total_ops}", workload.name), || {
         workload.trace_view_or_panic(total_ops)
     });
-    let bbvs = runner::timed("tracestudy bbv intervals", || {
+    let bbvs = engine.timed("tracestudy bbv intervals", || {
         let mut bbvs = bbv_intervals(trace.ops(), epoch_ops, 64);
         // This study aligns BBV intervals 1:1 with equal-size counter
         // epochs, so the ragged partial tail (which has no matching
         // epoch) is dropped here — the sampled-execution engine is the
         // consumer that keeps it, with an ops-proportional weight.
-        if trace.len() % epoch_ops != 0 {
+        if !trace.len().is_multiple_of(epoch_ops) {
             bbvs.pop();
         }
         bbvs
@@ -62,7 +63,7 @@ pub fn run_trace_study(
     // Timing epochs: drive the cycle model and cut windows at epoch_ops
     // completed instructions (approximated by small cycle windows folded
     // into per-epoch aggregates).
-    let report = runner::timed(&format!("apex {} @ {}", workload.name, cfg.name), || {
+    let report = engine.timed(&format!("apex {} @ {}", workload.name, cfg.name), || {
         run_apex(cfg, vec![trace], 64, total_ops * 40)
     });
     let mut epochs: Vec<Epoch> = Vec::new();
@@ -113,12 +114,20 @@ pub fn run_trace_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::suite::phased_pointer_chase;
 
     #[test]
     fn tracepoints_beat_simpoints_on_phased_interpreted_like_code() {
         let w = phased_pointer_chase(2_000);
-        let s = run_trace_study(&CoreConfig::power10(), &w, 60_000, 1_500, 3);
+        let s = run_trace_study(
+            &Engine::new(EngineConfig::default()),
+            &CoreConfig::power10(),
+            &w,
+            60_000,
+            1_500,
+            3,
+        );
         assert!(s.epochs >= 8, "need phases to compare, got {}", s.epochs);
         assert!(
             s.tracepoint_error < 0.10,

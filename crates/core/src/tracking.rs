@@ -4,7 +4,7 @@
 //! switching, and observed latch switching ratio — computed for any
 //! configuration over the suite.
 
-use crate::runner;
+use crate::runner::Engine;
 use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_uarch::CoreConfig;
 use p10_workloads::Benchmark;
@@ -37,12 +37,18 @@ pub struct TrackingRow {
 /// suite means are then summed in suite order, so rows are bit-identical
 /// at any worker count.
 #[must_use]
-pub fn track(cfgs: &[CoreConfig], suite: &[Benchmark], seed: u64, ops: u64) -> Vec<TrackingRow> {
+pub fn track(
+    engine: &Engine,
+    cfgs: &[CoreConfig],
+    suite: &[Benchmark],
+    seed: u64,
+    ops: u64,
+) -> Vec<TrackingRow> {
     let jobs: Vec<(&CoreConfig, &Benchmark)> = cfgs
         .iter()
         .flat_map(|c| suite.iter().map(move |b| (c, b)))
         .collect();
-    let samples = runner::run_jobs_par(&jobs, |_, &(cfg, b)| {
+    let samples = engine.run_jobs_par(&jobs, |_, &(cfg, b)| {
         let trace = b.workload(seed).trace_view_or_panic(ops);
         Sample::of(&run_detailed(
             cfg,
@@ -119,6 +125,7 @@ fn row(cfg: &CoreConfig, samples: &[Sample]) -> TrackingRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineConfig;
     use p10_workloads::specint_like;
 
     #[test]
@@ -126,6 +133,7 @@ mod tests {
         let suite = specint_like();
         let sel = &suite[7..9];
         let [p9, p10]: [TrackingRow; 2] = track(
+            &Engine::new(EngineConfig::default()),
             &[CoreConfig::power9(), CoreConfig::power10()],
             sel,
             42,

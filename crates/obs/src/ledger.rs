@@ -16,20 +16,26 @@
 //! check behind `figures obsreport --gate PCT`).
 //!
 //! Appends are one `write` call of one line to a file opened in append
-//! mode, so concurrent runs interleave whole records; [`read`] skips any
-//! line that fails to parse (torn writes, foreign schema) rather than
-//! failing the whole history.
+//! mode, so concurrent runs interleave whole records. Each line ends in
+//! its checksum, ` fnv1a64:<16 hex>` over the record's JSON (the result
+//! store's trailer convention, on one line), so [`read`] tells an intact
+//! record from a damaged one: a line that is torn, has a changed byte or
+//! digit, or comes from an older schema is counted and skipped rather
+//! than read as a wrong value or failing the whole history.
 
 use crate::Summary;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Schema version stamped into every record. v3 dropped v2's derived
-/// `cache`/`arena`/`sampling`/`workers` sections, which repeated the
-/// summary's counters; v2 lines still parse (the extra fields are
-/// ignored), v1 lines do not and are skipped by [`read`].
-pub const SCHEMA: u32 = 3;
+/// Schema version stamped into every record. v4 frames each line with
+/// its checksum ([`unframe`]); lines of v1–v3 carry none and count as
+/// unreadable. (v3 dropped v2's derived `cache`/`arena`/`sampling`/
+/// `workers` sections, which repeated the summary's counters.)
+pub const SCHEMA: u32 = 4;
+
+/// What separates a ledger line's JSON from its checksum.
+const FRAME: &str = " fnv1a64:";
 
 /// File name of the append-only ledger inside the ledger directory.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
@@ -202,8 +208,18 @@ impl RunRecord {
     }
 }
 
+/// The JSON of one framed ledger line (without its newline): `None`
+/// unless the line ends in ` fnv1a64:<16 hex>` and those digits are the
+/// [`content_key`] of the text before them.
+#[must_use]
+pub fn unframe(line: &str) -> Option<&str> {
+    let (json, sum) = line.rsplit_once(FRAME)?;
+    (sum == content_key(json)).then_some(json)
+}
+
 /// Appends one record to `dir/ledger.jsonl` (creating the directory as
-/// needed) and returns the ledger path. One line, one `write` call.
+/// needed) and returns the ledger path. One framed line, one `write`
+/// call.
 ///
 /// # Errors
 ///
@@ -217,15 +233,15 @@ pub fn append(dir: &Path, record: &RunRecord) -> std::io::Result<PathBuf> {
         .create(true)
         .append(true)
         .open(&path)?;
-    f.write_all(format!("{line}\n").as_bytes())?;
+    f.write_all(format!("{line}{FRAME}{}\n", content_key(&line)).as_bytes())?;
     Ok(path)
 }
 
 /// Reads the full run history from `dir/ledger.jsonl`, oldest first,
 /// and the number of non-empty lines it skipped. A missing ledger is an
-/// empty history; lines that are not UTF-8 or fail to parse (torn
-/// concurrent writes, flipped bytes, foreign schemas) are skipped, so one
-/// bad line costs only its own record.
+/// empty history; lines that are not UTF-8, lack a matching checksum
+/// ([`unframe`]) or fail to parse (torn writes, flipped bytes, older
+/// schemas) are skipped, so one bad line costs only its own record.
 ///
 /// # Errors
 ///
@@ -239,7 +255,7 @@ pub fn read(dir: &Path) -> std::io::Result<(Vec<RunRecord>, usize)> {
     };
     let lines = bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty());
     let parsed: Vec<Option<RunRecord>> = lines
-        .map(|l| serde_json::from_str(std::str::from_utf8(l).ok()?).ok())
+        .map(|l| serde_json::from_str(unframe(std::str::from_utf8(l).ok()?)?).ok())
         .collect();
     let skipped = parsed.iter().filter(|r| r.is_none()).count();
     Ok((parsed.into_iter().flatten().collect(), skipped))
@@ -424,59 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_2_lines_parse_and_give_the_same_rates() {
-        // A v2 record repeated the summary's counters in four derived
-        // sections; a v3 reader ignores them and derives the same rates.
-        let mut v2 = serde_json::to_string(&record("all", &[("fig2", 0.5), ("fig4", 1.5)]))
-            .expect("serialize")
-            .replacen("\"schema\":3", "\"schema\":2", 1);
-        let sections = concat!(
-            "\"cache\":{\"memo_hits\":3,\"disk_hits\":1,\"computes\":4,\"disk_decode_errors\":0},",
-            "\"arena\":{\"hits\":6,\"misses\":2,\"bytes\":0,\"hit_rate\":0.75},",
-            "\"sampling\":{\"intervals\":0,\"clusters\":0,\"simulated_ops\":0,\"skipped_ops\":0,",
-            "\"coverage\":1.0,\"ckpt_hits\":7,\"ckpt_misses\":2,\"ckpt_bytes\":9000,\"warm_passes\":2},",
-            "\"workers\":[{\"worker\":\"worker00\",\"jobs\":5,\"busy_s\":0.5,\"busy_frac\":0.25},",
-            "{\"worker\":\"worker01\",\"jobs\":3,\"busy_s\":0.25,\"busy_frac\":0.125}],",
-        );
-        let at = v2.find("\"summary\":").expect("summary field");
-        v2.insert_str(at, sections);
-        let old = serde_json::parse(&v2).expect("a v2 line is JSON");
-        let num = |section: &str, i: Option<usize>, key: &str| -> f64 {
-            let mut v = old.get(section).expect("v2 section");
-            if let Some(i) = i {
-                v = &v.as_array().expect("v2 workers")[i];
-            }
-            serde_json::from_value(v.get(key).expect("v2 field")).expect("number")
-        };
-        let r: RunRecord = serde_json::from_str(&v2).expect("a v2 line still parses");
-        assert_eq!(r.schema, 2);
-        let s = &r.summary;
-        for (name, section, key) in [
-            ("cache.memo_hits", "cache", "memo_hits"),
-            ("cache.disk_hits", "cache", "disk_hits"),
-            ("cache.computes", "cache", "computes"),
-            ("sampling.ckpt_hits", "sampling", "ckpt_hits"),
-            ("sampling.warm_passes", "sampling", "warm_passes"),
-        ] {
-            #[allow(clippy::cast_precision_loss)]
-            let counted = s.counter(name) as f64;
-            assert_eq!(counted, num(section, None, key), "{name}");
-        }
-        let arena = s.share(&["trace.arena.hits"], &["trace.arena.misses"]);
-        assert_eq!(arena, Some(num("arena", None, "hit_rate")));
-        let coverage = s.share(&["sim.sample.simulated_ops"], &["sim.sample.skipped_ops"]);
-        assert_eq!(coverage.unwrap_or(1.0), num("sampling", None, "coverage"));
-        assert_eq!(s.workers().len(), 2);
-        for (i, (_, jobs, busy_s)) in s.workers().into_iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
-            let jobs = jobs as f64;
-            assert_eq!(jobs, num("workers", Some(i), "jobs"));
-            assert_eq!(busy_s, num("workers", Some(i), "busy_s"));
-            assert_eq!(busy_s / r.wall_s, num("workers", Some(i), "busy_frac"));
-        }
-    }
-
-    #[test]
     fn ledger_appends_and_reads_back_across_runs() {
         let dir = scratch_dir("appendread");
         assert_eq!(read(&dir).expect("missing ledger reads empty"), (vec![], 0));
@@ -498,29 +461,129 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One way to damage a ledger line.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// Cut the line at a random length (a torn append).
+        Truncate,
+        /// Flip one random bit of the line, checksum included.
+        FlipBit,
+        /// Change one decimal digit of the record to another digit.
+        ChangeDigit,
+        /// Flip one bit of the checksum's hex digits.
+        FlipChecksum,
+        /// Replace it with a well-formed line of another format: an
+        /// unframed schema-3 record, or a framed line that is no record.
+        Skew,
+    }
+
+    /// SplitMix64: a seeded, dependency-free source of test randomness.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random index below `n`.
+    fn below(state: &mut u64, n: usize) -> usize {
+        (next(state) % n as u64) as usize
+    }
+
+    /// Damages `line` (no newline): never into one that holds a newline,
+    /// which would make one damaged line read as two.
+    fn damage(rng: &mut u64, line: &[u8], damage: Damage, round: usize) -> Vec<u8> {
+        let mut bytes = line.to_vec();
+        let sum_at = bytes.len() - 16;
+        let flip = |bytes: &mut Vec<u8>, i: usize, rng: &mut u64| loop {
+            let flipped = bytes[i] ^ (1 << below(rng, 8));
+            if flipped != b'\n' {
+                bytes[i] = flipped;
+                return;
+            }
+        };
+        match damage {
+            Damage::Truncate => bytes.truncate(1 + below(rng, bytes.len() - 1)),
+            Damage::FlipBit => {
+                let i = below(rng, bytes.len());
+                flip(&mut bytes, i, rng);
+            }
+            Damage::ChangeDigit => {
+                let digits: Vec<usize> = (0..sum_at - FRAME.len())
+                    .filter(|&i| bytes[i].is_ascii_digit())
+                    .collect();
+                let i = digits[below(rng, digits.len())];
+                bytes[i] = b'0' + (bytes[i] - b'0' + 1 + below(rng, 9) as u8) % 10;
+            }
+            Damage::FlipChecksum => {
+                let i = sum_at + below(rng, 16);
+                flip(&mut bytes, i, rng);
+            }
+            Damage::Skew if round.is_multiple_of(2) => {
+                let json = unframe(std::str::from_utf8(line).expect("utf-8")).expect("intact");
+                bytes = json
+                    .replacen("\"schema\":4", "\"schema\":3", 1)
+                    .into_bytes();
+            }
+            Damage::Skew => {
+                let json = "{\"torn\":1}";
+                bytes = format!("{json}{FRAME}{}", content_key(json)).into_bytes();
+            }
+        }
+        bytes
+    }
+
     #[test]
     fn a_flipped_byte_costs_only_its_own_record() {
         let dir = scratch_dir("flipbyte");
-        let a = record("all", &[("fig2", 0.5)]);
-        let b = record("all", &[("fig2", 0.4)]);
-        let c = record("fig4", &[("fig4", 1.0)]);
-        for r in [&a, &b, &c] {
+        let records = [
+            record("all", &[("fig2", 0.5)]),
+            record("all", &[("fig2", 0.4)]),
+            record("fig4", &[("fig4", 1.0)]),
+        ];
+        for r in &records {
             append(&dir, r).expect("append");
         }
-        // Flip the high bit of a byte in the middle of the second line:
-        // that line is no longer UTF-8, the other two still are.
         let path = dir.join(LEDGER_FILE);
-        let mut bytes = std::fs::read(&path).expect("ledger bytes");
-        let first_nl = bytes.iter().position(|&b| b == b'\n').expect("first line");
-        let second_nl = first_nl
-            + 1
-            + bytes[first_nl + 1..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .expect("second line");
-        bytes[(first_nl + second_nl) / 2] ^= 0x80;
-        std::fs::write(&path, bytes).expect("plant flipped byte");
-        assert_eq!(read(&dir).expect("read with flipped byte"), (vec![a, c], 1));
+        let intact = std::fs::read(&path).expect("ledger bytes");
+        let lines: Vec<&[u8]> = intact
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+            .collect();
+        assert_eq!(read(&dir).expect("intact ledger"), (records.to_vec(), 0));
+        let kinds = [
+            Damage::Truncate,
+            Damage::FlipBit,
+            Damage::ChangeDigit,
+            Damage::FlipChecksum,
+            Damage::Skew,
+        ];
+        let mut rng = 0x5eed_u64;
+        for round in 0..200 {
+            let kind = kinds[round % kinds.len()];
+            let victim = below(&mut rng, lines.len());
+            let mut text = Vec::new();
+            for (i, line) in lines.iter().enumerate() {
+                if i == victim {
+                    text.extend(damage(&mut rng, line, kind, round / kinds.len()));
+                } else {
+                    text.extend_from_slice(line);
+                }
+                // A torn last line may also lose its newline.
+                if i + 1 < lines.len() || !round.is_multiple_of(3) {
+                    text.push(b'\n');
+                }
+            }
+            std::fs::write(&path, &text).expect("plant damaged line");
+            let mut kept = records.to_vec();
+            kept.remove(victim);
+            assert_eq!(
+                read(&dir).expect("read damaged ledger"),
+                (kept, 1),
+                "round {round}: {kind:?} on line {victim}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

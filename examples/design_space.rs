@@ -2,12 +2,11 @@
 //! incremental perf/watt sweep through the `dse` engine — how the
 //! methodology picks design points before committing silicon.
 //!
-//! The sweep runs in two refinement generations: a coarse grid first,
-//! then a refined candidate set from which the streaming Pareto filter
-//! prunes every point whose timing class already proved dominated.
-//! Timing classes are simulated once and every other point is priced by
-//! activity-trace replay, so the second generation costs a fraction of
-//! the first.
+//! The sweep covers two grids in one run: fetch width × SMT at the
+//! POWER10 instruction window, and again at half that window, plus the
+//! paper's two presets. Timing classes are simulated once and every other
+//! point is priced by activity-trace replay, so the knob axes cost a
+//! fraction of the classes.
 //!
 //! Run with: `cargo run --release --example design_space`
 
@@ -16,9 +15,9 @@ use p10sim::core::runner;
 use p10sim::pipedepth::{run_fig2, DepthParams};
 use p10sim::uarch::{CoreConfig, SmtMode};
 
-/// The coarse generation: fetch width × SMT at the POWER10 baseline
-/// window, across the full power/DVFS/WOF knob grid.
-fn generation0() -> Vec<DsePoint> {
+/// Fetch width × SMT at POWER10, with the instruction window at full or
+/// half size, across the full power/DVFS/WOF knob grid.
+fn fetch_smt_grid(half_window: bool) -> Vec<DsePoint> {
     let base = CoreConfig::power10();
     let mut grid = Vec::new();
     for &fetch in &[6u32, 8] {
@@ -27,12 +26,18 @@ fn generation0() -> Vec<DsePoint> {
                 let mut core = base.clone();
                 core.fetch_width = fetch;
                 core.smt = smt;
+                let window = if half_window {
+                    core.itable_entries = base.itable_entries / 2;
+                    "-whalf"
+                } else {
+                    ""
+                };
                 let smt_tag = match smt {
                     SmtMode::St => "st",
                     SmtMode::Smt2 => "smt2",
                     SmtMode::Smt4 => "smt4",
                 };
-                core.name = format!("f{fetch}-{smt_tag}");
+                core.name = format!("f{fetch}{window}-{smt_tag}");
                 grid.push(DsePoint {
                     name: format!("{}-{}", core.name, knobs.label),
                     core,
@@ -42,47 +47,7 @@ fn generation0() -> Vec<DsePoint> {
             }
         }
     }
-    for preset in [CoreConfig::power9(), CoreConfig::power10()] {
-        grid.push(DsePoint {
-            name: format!("{} (paper)", preset.name),
-            core: preset,
-            knobs: PowerKnobs::nominal(),
-            paper: true,
-        });
-    }
     grid
-}
-
-/// The refinement generation: the same axes again (every repeat is
-/// pruned as already-seen) plus a halved instruction window — the new
-/// variants only survive the filter where their base class reached the
-/// running frontier.
-fn generation1() -> Vec<DsePoint> {
-    let mut refined = generation0();
-    let base = CoreConfig::power10();
-    for &fetch in &[6u32, 8] {
-        for smt in [SmtMode::St, SmtMode::Smt2, SmtMode::Smt4] {
-            for knobs in PowerKnobs::grid() {
-                let mut core = base.clone();
-                core.fetch_width = fetch;
-                core.smt = smt;
-                core.itable_entries = base.itable_entries / 2;
-                let smt_tag = match smt {
-                    SmtMode::St => "st",
-                    SmtMode::Smt2 => "smt2",
-                    SmtMode::Smt4 => "smt4",
-                };
-                core.name = format!("f{fetch}-whalf-{smt_tag}");
-                refined.push(DsePoint {
-                    name: format!("{}-{}", core.name, knobs.label),
-                    core,
-                    knobs,
-                    paper: false,
-                });
-            }
-        }
-    }
-    refined
 }
 
 fn main() {
@@ -112,7 +77,7 @@ fn main() {
     println!("  (the paper's finding: stable at ~27 FO4 for the targets of interest,");
     println!("   shifting shallower only for very low power envelopes)\n");
 
-    // --- Incremental DSE: the perf/watt frontier in two generations ---
+    // --- Incremental DSE: the perf/watt frontier over both grids ---
     println!("== Incremental perf/watt exploration (dse engine) ==");
     let engine = runner::Engine::new(runner::EngineConfig {
         jobs: 0,
@@ -120,21 +85,25 @@ fn main() {
         progress: false,
     });
     let cfg = DseConfig::new(42, 20_000);
-    let generations = [generation0(), generation1()];
-    let suite = dse::default_suite();
-    let outcome = dse::run_dse_generations(&engine, &generations, &suite, &cfg);
+    let mut grid = fetch_smt_grid(false);
+    grid.extend(fetch_smt_grid(true));
+    for preset in [CoreConfig::power9(), CoreConfig::power10()] {
+        grid.push(DsePoint {
+            name: format!("{} (paper)", preset.name),
+            core: preset,
+            knobs: PowerKnobs::nominal(),
+            paper: true,
+        });
+    }
+    let outcome = dse::run_dse(&engine, &grid, &dse::default_suite(), &cfg);
     let r = &outcome.result;
     println!(
-        "evaluated {} points ({} timing classes, {} pure replay, {} pruned by the",
-        r.stats.points, r.stats.classes, r.stats.replay_hits, r.stats.pruned_points
+        "evaluated {} points ({} timing classes, {} pure replay)",
+        r.stats.points, r.stats.classes, r.stats.replay_hits
     );
     println!(
-        "streaming Pareto filter); this process simulated {} recordings and computed",
-        outcome.run.recordings_simulated
-    );
-    println!(
-        "{} result-cache shards ({} resumed)\n",
-        outcome.run.shards_computed, outcome.run.shards_resumed
+        "this process simulated {} recordings and computed {} result-cache shards ({} resumed)\n",
+        outcome.run.recordings_simulated, outcome.run.shards_computed, outcome.run.shards_resumed
     );
     print!("{}", dse::frontier_markdown(r));
 

@@ -7,7 +7,9 @@
 //! explicit accuracy contract (see `DESIGN.md`); a violation here means
 //! the *bound* is wrong, which is worse than the estimate being wrong.
 
-use p10sim::core::sampling::{run_benchmark_sampled, run_traces_sampled, SamplingMode};
+use p10sim::core::sampling::{
+    run_benchmark_sampled, run_traces_sampled_with, CkptStore, SampledScenario, SamplingMode,
+};
 use p10sim::core::scenario;
 use p10sim::isa::{Cond, Inst, ProgramBuilder, Reg};
 use p10sim::uarch::{CoreConfig, SmtMode};
@@ -18,13 +20,19 @@ fn rel_err(est: f64, truth: f64) -> f64 {
     (est - truth).abs() / truth.abs().max(1e-12)
 }
 
-/// Runs one benchmark exact and sampled, asserting the accuracy contract
-/// and the coverage invariants.
-fn assert_within_bound(cfg: &CoreConfig, bench_idx: usize, ops: u64, mode: &SamplingMode) {
+/// Runs one benchmark exact and sampled on a fresh checkpoint store,
+/// asserting the accuracy contract and the coverage invariants, and
+/// returns the sampled run.
+fn assert_within_bound(
+    cfg: &CoreConfig,
+    bench_idx: usize,
+    ops: u64,
+    mode: &SamplingMode,
+) -> SampledScenario {
     let suite = specint_like();
     let bench = &suite[bench_idx];
     let exact = scenario::run_benchmark(cfg, bench, 42, ops);
-    let s = run_benchmark_sampled(cfg, bench, 42, ops, mode);
+    let s = run_benchmark_sampled(cfg, bench, 42, ops, mode, &CkptStore::new(None));
     let label = format!("{} @ {} [{}]", bench.name, cfg.name, mode.describe());
 
     // Coverage invariants: every op is either simulated or skipped, the
@@ -60,6 +68,7 @@ fn assert_within_bound(cfg: &CoreConfig, bench_idx: usize, ops: u64, mode: &Samp
         power_err * 100.0,
         s.stats.power_bound_rel * 100.0
     );
+    s
 }
 
 /// The PR's workload slice (leela / exchange / xz analogues): one cache
@@ -95,8 +104,7 @@ fn bound_mode_meets_its_target_or_measures_everything() {
     let suite = specint_like();
     for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
         for idx in BENCHES {
-            assert_within_bound(&cfg, idx, 12_300, &mode);
-            let s = run_benchmark_sampled(&cfg, &suite[idx], 42, 12_300, &mode);
+            let s = assert_within_bound(&cfg, idx, 12_300, &mode);
             assert_eq!(s.stats.mode, "bound:10", "resolved mode label");
             assert!(
                 s.stats.cpi_bound_rel <= 0.10 || s.stats.skipped_ops == 0,
@@ -138,8 +146,8 @@ fn sampling_is_deterministic_end_to_end() {
         k: 4,
         warmup_ops: 125,
     };
-    let a = run_benchmark_sampled(&cfg, &suite[7], 42, 6100, &mode);
-    let b = run_benchmark_sampled(&cfg, &suite[7], 42, 6100, &mode);
+    let run = || run_benchmark_sampled(&cfg, &suite[7], 42, 6100, &mode, &CkptStore::new(None));
+    let (a, b) = (run(), run());
     assert_eq!(
         serde_json::to_string(&a.result).expect("serialize"),
         serde_json::to_string(&b.result).expect("serialize")
@@ -157,7 +165,14 @@ fn exact_mode_is_byte_identical_to_the_reference() {
     let cfg = CoreConfig::power10();
     let suite = specint_like();
     let exact = scenario::run_benchmark(&cfg, &suite[8], 42, 6100);
-    let s = run_benchmark_sampled(&cfg, &suite[8], 42, 6100, &SamplingMode::Exact);
+    let s = run_benchmark_sampled(
+        &cfg,
+        &suite[8],
+        42,
+        6100,
+        &SamplingMode::Exact,
+        &CkptStore::new(None),
+    );
     assert_eq!(
         serde_json::to_string(&exact).expect("serialize"),
         serde_json::to_string(&s.result).expect("serialize")
@@ -240,7 +255,7 @@ mod random_programs {
             let total_ops: u64 = views.iter().map(|v| v.len() as u64).sum();
             let exact = scenario::run_traces(&cfg, "random", views.clone());
             let mode = SamplingMode::SimPoints { interval_ops: 500, k: 3, warmup_ops: 50 };
-            let s = run_traces_sampled(&cfg, "random", views, &mode);
+            let s = run_traces_sampled_with(&cfg, "random", views, &mode, &CkptStore::new(None));
             prop_assert_eq!(s.stats.total_ops, total_ops);
             prop_assert_eq!(s.stats.simulated_ops + s.stats.skipped_ops, total_ops);
             prop_assert_eq!(s.result.sim.activity.completed, total_ops);

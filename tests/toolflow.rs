@@ -5,6 +5,7 @@
 
 use p10sim::apex::run_apex;
 use p10sim::core::powerstudies::{build_dataset, counter_features, Target};
+use p10sim::core::runner::{Engine, EngineConfig};
 use p10sim::powermodel::{fit, forward_select, FitOptions};
 use p10sim::rtlsim::{run_detailed, Roi, ToggleDensity};
 use p10sim::uarch::CoreConfig;
@@ -49,6 +50,7 @@ fn proxy_to_power_model_pipeline() {
 
     // 4. Counter power model fitted on APEX windows of suite runs.
     let data = build_dataset(
+        &Engine::new(EngineConfig::default()),
         &cfg,
         &specint_like()[7..10],
         &[1],
