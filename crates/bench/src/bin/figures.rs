@@ -64,6 +64,9 @@ use std::path::{Path, PathBuf};
 
 /// The default op budget per workload (`--ops`).
 const FULL_OPS: u64 = 60_000;
+/// The smallest `--ops` budget: below it the `fig12` and `fig15b` fits get
+/// too few windows and sampled SMT points get empty threads.
+const MIN_OPS: u64 = 100;
 
 /// An experiment: its name; its driver, which renders into the text and
 /// returns the `--json` payload; whether `all` runs it, whether it runs
@@ -383,6 +386,8 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         }
     } else if given.iter().any(|f| OBSREPORT_FLAGS[1..].contains(f)) {
         usage_error("--gate/--baseline/--min-s only apply to the obsreport experiment");
+    } else if opts.ops < MIN_OPS {
+        usage_error(&format!("--ops must be at least {MIN_OPS}"));
     }
     let ignores_sampling = EXPERIMENTS
         .iter()

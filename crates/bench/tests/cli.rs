@@ -916,46 +916,146 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-#[test]
-fn stdout_and_counters_match_the_committed_goldens() {
-    // Fixed values recorded once, so a change that shifts serial and pool
-    // runs alike still fails. Regenerate them only for an intended change
-    // (see README).
-    let by_name = serde_json::parse(&golden("all-2000.counters.json")).expect("golden parses");
-    let counters: Vec<(String, u64)> = by_name
+/// A counter golden under `tests/goldens/`, as `run_counted` returns
+/// counters.
+fn golden_counters(name: &str) -> Vec<(String, u64)> {
+    let by_name = serde_json::parse(&golden(name)).expect("golden parses");
+    by_name
         .as_object()
         .expect("counter golden is an object")
         .iter()
         .map(|(name, _)| (name.clone(), field_u64(&by_name, name)))
-        .collect();
-    let sampling = serde_json::parse(&golden("sampling-20000.json")).expect("golden parses");
+        .collect()
+}
+
+/// One `name: golden -> got` line per counter that moved, with `absent`
+/// for a counter only one side has; empty when the two sets agree.
+fn counter_diff(golden: &[(String, u64)], got: &[(String, u64)]) -> String {
+    let golden: std::collections::BTreeMap<_, _> = golden.iter().cloned().collect();
+    let got: std::collections::BTreeMap<_, _> = got.iter().cloned().collect();
+    let show = |v: Option<&u64>| v.map_or("absent".to_owned(), u64::to_string);
+    let names: std::collections::BTreeSet<_> = golden.keys().chain(got.keys()).collect();
+    names
+        .into_iter()
+        .filter(|&n| golden.get(n) != got.get(n))
+        .map(|n| format!("  {n}: {} -> {}\n", show(golden.get(n)), show(got.get(n))))
+        .collect()
+}
+
+#[test]
+fn stdout_and_counters_match_the_committed_goldens() {
+    // Fixed values recorded once, so a change that shifts serial and pool
+    // runs alike still fails, and more work in any counted layer fails by
+    // name. Regenerate them only for an intended change (see README).
+    // Stdout is compared byte for byte; `sampling`'s as its payload
+    // without wall-clock fields.
+    let runs: [(&[&str], &str, &str); 4] = [
+        (
+            &["all", "--ops", "2000"],
+            "all-2000.txt",
+            "all-2000.counters.json",
+        ),
+        (
+            &["all", "--ops", "2000", "--json"],
+            "all-2000.json",
+            "all-2000.counters.json",
+        ),
+        (
+            &["dse", "--ops", "2000"],
+            "dse-2000.txt",
+            "dse-2000.counters.json",
+        ),
+        (
+            &["sampling", "--ops", "20000", "--json"],
+            "sampling-20000.json",
+            "sampling-20000.counters.json",
+        ),
+    ];
     for jobs in ["1", "2"] {
-        let (text, all_counters) = run_counted(&["all", "--ops", "2000", "--no-cache"], jobs, &[]);
-        assert!(
-            text == golden("all-2000.txt"),
-            "all text differs at --jobs {jobs}"
-        );
-        assert_eq!(
-            all_counters, counters,
-            "all counters differ at --jobs {jobs}"
-        );
-        let (json, _) = run_counted(&["all", "--ops", "2000", "--no-cache", "--json"], jobs, &[]);
-        assert!(
-            json == golden("all-2000.json"),
-            "all --json differs at --jobs {jobs}"
-        );
-        let (dse, _) = run_counted(&["dse", "--ops", "2000", "--no-cache"], jobs, &[]);
-        assert!(
-            dse == golden("dse-2000.txt"),
-            "dse differs at --jobs {jobs}"
-        );
-        let args = ["sampling", "--ops", "20000", "--no-cache", "--json"];
-        let (study, _) = run_counted(&args, jobs, &[]);
-        assert_eq!(
-            strip_walls(&json_payload(&study)),
-            sampling,
-            "sampling payload differs at --jobs {jobs}"
-        );
+        for (args, stdout_golden, counters_golden) in runs {
+            let args = [args, &["--no-cache"]].concat();
+            let (stdout, counters) = run_counted(&args, jobs, &[]);
+            let expected = golden(stdout_golden);
+            let same = if args[0] == "sampling" {
+                strip_walls(&json_payload(&stdout))
+                    == serde_json::parse(&expected).expect("golden parses")
+            } else {
+                stdout == expected
+            };
+            let moved = counter_diff(&golden_counters(counters_golden), &counters);
+            assert!(
+                same && moved.is_empty(),
+                "{args:?} --jobs {jobs}: stdout {} {stdout_golden}; counters that \
+                 moved from {counters_golden}:\n{moved}",
+                if same { "matches" } else { "differs from" }
+            );
+        }
+    }
+}
+
+#[test]
+fn a_warm_sampling_rerun_decodes_what_the_cold_run_encoded() {
+    // The cold golden run decodes no checkpoint. A rerun on the checkpoint
+    // directory it filled restores every blob it wrote, byte for byte,
+    // replays no warming and prints the golden estimates.
+    let ckpt = scratch("warm-rerun-ckpt", "");
+    let env = [("P10SIM_CKPT_DIR", ckpt.as_path())];
+    let args = ["sampling", "--ops", "20000", "--no-cache", "--json"];
+    let cold = golden_counters("sampling-20000.counters.json");
+    let (_, first) = run_counted(&args, "2", &env);
+    let moved = counter_diff(&cold, &first);
+    assert!(moved.is_empty(), "a checkpoint directory moved:\n{moved}");
+    let (stdout, warm) = run_counted(&args, "2", &env);
+    let expected = [
+        ("sampling.ckpt_decode_bytes", "sampling.ckpt_bytes"),
+        ("sampling.ckpt_hits", "sampling.ckpt_misses"),
+    ]
+    .map(|(read, written)| (read.to_owned(), counter(&cold, written)));
+    let checkpoint_work: Vec<_> = warm
+        .into_iter()
+        .filter(|(n, _)| n.starts_with("sampling.ckpt") || n == "sampling.warm_ops")
+        .collect();
+    let moved = counter_diff(&expected, &checkpoint_work);
+    assert!(
+        moved.is_empty(),
+        "warm rerun checkpoint work, expected -> got:\n{moved}"
+    );
+    let payload = strip_walls(&json_payload(&stdout));
+    let golden = serde_json::parse(&golden("sampling-20000.json")).expect("golden parses");
+    for key in ["rows", "bound", "cross_workload"] {
+        assert_eq!(payload.get(key), golden.get(key), "{key} differs warm");
+    }
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
+fn too_small_op_budgets_fail_loudly() {
+    // Each of these panicked in a model fit or a sampled run of an empty
+    // thread before `--ops` had a floor.
+    for args in [
+        &["fig12", "--ops", "10"][..],
+        &["fig15b", "--ops", "50"],
+        &["all", "--ops", "1"],
+        &["table1", "--ops", "1", "--sampling", "bound:50"],
+        &["fig4", "--ops", "1", "--sampling", "bound:50"],
+        &["smt", "--ops", "1", "--sampling", "bound:50"],
+        &["smt", "--ops", "3", "--sampling", "bound:50"],
+        &["fig15b", "--ops", "99"],
+    ] {
+        assert_usage_error(args, "--ops must be at least 100");
+    }
+    // The floor itself runs, in both modes.
+    for args in [
+        &["fig12", "--ops", "100"][..],
+        &["fig15b", "--ops", "100"],
+        &["smt", "--ops", "100", "--sampling", "bound:50"],
+    ] {
+        let out = figures()
+            .args(args)
+            .args(["--no-cache", "--no-ledger"])
+            .output()
+            .expect("run figures");
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
     }
 }
 

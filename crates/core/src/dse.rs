@@ -438,6 +438,8 @@ fn eval_point(
             .map(PowerReport::active)
             .collect();
         let out = replay_power_series(&gov, &series, ref_active);
+        p10_obs::counter("power.windows", run.trace.windows.len() as u64);
+        p10_obs::counter("wof.replay_steps", out.windows as u64);
         let ipc = run.sim.ipc();
         ipcs.push(ipc);
         perfs.push(ipc * f0 * out.perf_scale);

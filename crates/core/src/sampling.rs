@@ -427,12 +427,12 @@ impl CkptStore {
     /// (`sampling.ckpt_rejects`, emitted only when one happens); a memo
     /// blob is this process's own encoding for this class.
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
+        let decode = |b: &[u8]| {
+            p10_obs::counter("sampling.ckpt_decode_bytes", b.len() as u64);
+            FunctionalWarmer::from_bytes(cfg, b)
+        };
         let w = match &self.disk {
-            Some(disk) => disk
-                .read(&Self::blob_name(class, idx), |b| {
-                    FunctionalWarmer::from_bytes(cfg, b)
-                })
-                .hit()?,
+            Some(disk) => disk.read(&Self::blob_name(class, idx), decode).hit()?,
             None => {
                 let blob = self
                     .blobs
@@ -441,7 +441,7 @@ impl CkptStore {
                     .get(&class)?
                     .get(&idx)
                     .cloned()?;
-                FunctionalWarmer::from_bytes(cfg, &blob)?
+                decode(&blob)?
             }
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -700,6 +700,7 @@ fn partition(
             out.push(per_op(d.l2_misses));
             out.push(per_op(d.l3_misses));
         }
+        p10_obs::counter("sampling.warm_ops", warmer.ops());
         out
     });
     for (iv, chunk) in ivs.iter_mut().zip(feats.chunks(3)) {
@@ -1122,10 +1123,12 @@ impl<'a> WarmCursor<'a> {
                         break;
                     }
                 }
+                let before = self.warmer.ops();
                 while self.pos < idx {
                     self.warmer.observe(&self.ivs[self.pos].slices);
                     self.pos += 1;
                 }
+                p10_obs::counter("sampling.warm_ops", self.warmer.ops() - before);
                 self.store.save(self.class, idx, &self.warmer);
             }
         }

@@ -404,6 +404,7 @@ pub fn run_detailed<T: Into<p10_isa::TraceView>>(
         bookkeeping_ops,
         ..
     } = keeper;
+    p10_obs::counter("rtlsim.fold_ops", bookkeeping_ops);
 
     let warmup = warmup_snapshot.unwrap_or_default();
     let roi_activity = sim.activity.delta(&warmup);

@@ -21,8 +21,10 @@ fn run_with(cfg: &CoreConfig, scheduler: Scheduler, traces: &[p10sim::isa::Trace
     Core::new(cfg).run(traces.to_vec(), 50_000_000)
 }
 
-/// Asserts both schedulers produce a byte-identical serialized result.
-fn assert_schedulers_agree(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], label: &str) {
+/// Asserts both schedulers produce a byte-identical serialized result,
+/// and returns its digest line: `<FNV-1a-64 of the result> <label> @
+/// <config> <SMT mode>`.
+fn assert_schedulers_agree(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], label: &str) -> String {
     let polled = run_with(cfg, Scheduler::Polled, traces);
     let event = run_with(cfg, Scheduler::EventDriven, traces);
     let pj = serde_json::to_string(&polled).expect("serialize polled");
@@ -32,6 +34,40 @@ fn assert_schedulers_agree(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], labe
         "scheduler divergence on {label} @ {}: polled {} cycles vs event-driven {} cycles",
         cfg.name, polled.activity.cycles, event.activity.cycles
     );
+    let digest = p10sim::core::runner::fnv1a64(pj.as_bytes());
+    format!("{digest:016x} {label} @ {} {:?}", cfg.name, cfg.smt)
+}
+
+/// Checks a grid's digest lines against `tests/goldens/<name>`. Agreement
+/// of the two schedulers cannot see a change that moves both alike; the
+/// committed digests can. A mismatch names each moved config as
+/// `label: golden -> got` and prints the whole new file, which replaces
+/// the golden only for an intended change.
+fn assert_digests_match(name: &str, got: &[String]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name);
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let got_text: String = got.iter().map(|l| format!("{l}\n")).collect();
+    if got_text == golden {
+        return;
+    }
+    let by_label = |text: &str| -> std::collections::BTreeMap<String, String> {
+        text.lines()
+            .filter_map(|l| l.split_once(' '))
+            .map(|(digest, label)| (label.to_owned(), digest.to_owned()))
+            .collect()
+    };
+    let (want, have) = (by_label(&golden), by_label(&got_text));
+    let labels: std::collections::BTreeSet<_> = want.keys().chain(have.keys()).collect();
+    let show = |v: Option<&String>| v.map_or("absent".to_owned(), String::clone);
+    let moved: String = labels
+        .into_iter()
+        .filter(|&l| want.get(l) != have.get(l))
+        .map(|l| format!("  {l}: {} -> {}\n", show(want.get(l)), show(have.get(l))))
+        .collect();
+    panic!("{name}: SimResult digests moved:\n{moved}new file:\n{got_text}");
 }
 
 /// Every core preset, in both plain and SMT variants.
@@ -62,24 +98,27 @@ fn smt_mode(threads: u8) -> SmtMode {
 /// plus the ALU-bound, miss-bound and SMT4 throughput extremes.
 #[test]
 fn schedulers_agree_on_specint_suite() {
+    let mut digests = Vec::new();
     for cfg in presets() {
         let threads = cfg.smt.threads();
         for bench in specint_like() {
             let traces: Vec<_> = (0..threads)
                 .map(|t| bench.workload(42 + t as u64).trace_or_panic(3_000))
                 .collect();
-            assert_schedulers_agree(&cfg, &traces, &bench.name);
+            digests.push(assert_schedulers_agree(&cfg, &traces, &bench.name));
         }
     }
     for (label, cfg, traces) in throughput_scenarios() {
-        assert_schedulers_agree(&cfg, &traces, label);
+        digests.push(assert_schedulers_agree(&cfg, &traces, label));
     }
+    assert_digests_match("scheduler-specint.digests", &digests);
 }
 
 /// Fixed-seed regression: every preset × every Fig. 13 derating
 /// microbench (each spec runs at its intended SMT level).
 #[test]
 fn schedulers_agree_on_microbench_grid() {
+    let mut digests = Vec::new();
     for base in [
         CoreConfig::power9(),
         CoreConfig::power10(),
@@ -91,9 +130,10 @@ fn schedulers_agree_on_microbench_grid() {
             let traces: Vec<_> = (0..spec.smt)
                 .map(|t| generate(&spec, 7 + u64::from(t)).trace_or_panic(3_000))
                 .collect();
-            assert_schedulers_agree(&cfg, &traces, &spec.name());
+            digests.push(assert_schedulers_agree(&cfg, &traces, &spec.name()));
         }
     }
+    assert_digests_match("scheduler-microbench.digests", &digests);
 }
 
 /// The always-on cycle-attribution counters ride inside `SimResult`, so
