@@ -392,6 +392,9 @@ pub fn run_detailed<T: Into<p10_isa::TraceView>>(
     p10_obs::counter("sim.observed_runs", 1);
     p10_obs::counter("sim.observed_live_cycles", work.live_steps);
     p10_obs::counter("sim.observed_span_cycles", work.ff_cycles);
+    for (name, value) in work.as_pairs() {
+        p10_obs::counter(name, value);
+    }
 
     let LatchBookkeeper {
         model,
