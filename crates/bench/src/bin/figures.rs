@@ -1185,7 +1185,7 @@ struct ApexSpeedup {
 
 fn compute_apex_speedup(_: &Engine, ops: u64) -> ApexSpeedup {
     let b = &specint_like()[8];
-    let t = b.workload(5).trace_or_panic(ops / 2);
+    let t = b.workload(5).trace_view_or_panic(ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
     // Wall-clock numbers vary run to run; they go to the obs summary on
     // stderr so stdout stays byte-identical across runs.
@@ -1369,14 +1369,13 @@ struct Droop {
 fn compute_droop(_: &Engine, ops: u64) -> Droop {
     let (cfg, window, max_cycles) = (CoreConfig::power10(), 256, 10_000_000);
     // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-    let scalar = specint_like()[8].workload(3).trace_or_panic(ops / 8);
-    let mut ops_list = scalar.ops;
-    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
+    let scalar = specint_like()[8].workload(3).trace_view_or_panic(ops / 8);
+    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_view_or_panic(ops / 4);
     // The kernel workload uses its own memory image; for the droop
     // demand we only need the power series, so run the two phases
     // separately.
     let model = p10_power::PowerModel::for_config(&cfg);
-    let phase_power = |trace: p10_isa::Trace| -> Vec<f64> {
+    let phase_power = |trace: p10_isa::TraceView| -> Vec<f64> {
         let report = p10_apex::run_apex(&cfg, vec![trace], window, max_cycles);
         report
             .windows
@@ -1384,8 +1383,7 @@ fn compute_droop(_: &Engine, ops: u64) -> Droop {
             .map(|w| model.evaluate(&w.activity).core_total())
             .collect()
     };
-    ops_list.truncate(ops as usize / 8);
-    let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
+    let mut powers = phase_power(scalar);
     let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
     powers.extend(phase_power(kernel));
     let demand = demand_from_power(&powers, p_ref);

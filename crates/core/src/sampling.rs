@@ -595,14 +595,13 @@ fn views_sig(name: &str, views: &[TraceView]) -> u64 {
     buf.push(0);
     buf.extend_from_slice(&(views.len() as u64).to_le_bytes());
     for v in views {
-        let ops = v.ops();
-        buf.extend_from_slice(&(ops.len() as u64).to_le_bytes());
-        let stride = (ops.len() / 2048).max(1);
-        for op in ops.iter().step_by(stride) {
-            sig_op(&mut buf, op);
+        buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+        let stride = (v.len() / 2048).max(1);
+        for i in (0..v.len()).step_by(stride) {
+            sig_op(&mut buf, &v.op(i));
         }
-        if let Some(last) = ops.last() {
-            sig_op(&mut buf, last);
+        if let Some(last) = v.len().checked_sub(1) {
+            sig_op(&mut buf, &v.op(last));
         }
     }
     runner::fnv1a64(&buf)
@@ -664,7 +663,7 @@ fn partition(
             let ops: u64 = slices.iter().map(|s| s.len() as u64).sum();
             let mut bbv = vec![0.0f64; BBV_BUCKETS];
             for s in &slices {
-                for op in s.ops() {
+                for op in s.iter() {
                     bbv[((op.pc >> 4) as usize) % BBV_BUCKETS] += 1.0;
                 }
             }
@@ -934,7 +933,7 @@ fn interval_features(iv: &Interval) -> Vec<f64> {
     let mut lines: HashSet<u64> = HashSet::new();
     let mut pages: HashSet<u64> = HashSet::new();
     for s in &iv.slices {
-        for op in s.ops() {
+        for op in s.iter() {
             match op.class {
                 OpClass::Load => counts[0] += 1,
                 OpClass::Store => counts[1] += 1,

@@ -348,7 +348,7 @@ mod tests {
         let legacy = staggered_traces(&w, 4, 2_000);
         assert_eq!(views.len(), legacy.len());
         for (v, t) in views.iter().zip(legacy.iter()) {
-            assert_eq!(v.ops(), &t.ops[..]);
+            assert_eq!(v.to_trace().ops, t.ops);
         }
         // Zero-copy: every thread's view windows the same shared buffer.
         for v in &views[1..] {
@@ -441,7 +441,7 @@ mod tests {
                 let views = staggered_views(&w, threads, max_ops);
                 prop_assert_eq!(legacy.len(), views.len());
                 for (t, v) in legacy.iter().zip(views.iter()) {
-                    prop_assert_eq!(&t.ops[..], v.ops());
+                    prop_assert_eq!(&t.ops, &v.to_trace().ops);
                 }
             }
         }

@@ -49,7 +49,7 @@ pub fn run_trace_study(
         workload.trace_view_or_panic(total_ops)
     });
     let bbvs = engine.timed("tracestudy bbv intervals", || {
-        let mut bbvs = bbv_intervals(trace.ops(), epoch_ops, 64);
+        let mut bbvs = bbv_intervals(trace.iter(), epoch_ops, 64);
         // This study aligns BBV intervals 1:1 with equal-size counter
         // epochs, so the ragged partial tail (which has no matching
         // epoch) is dropped here — the sampled-execution engine is the

@@ -181,11 +181,28 @@ impl Machine {
     pub fn run(&mut self, program: &Program, max_ops: u64) -> Result<Trace, ExecError> {
         let mut trace = Trace::new();
         trace.ops.reserve(max_ops.min(1 << 20) as usize);
+        self.run_with(program, max_ops, |op| trace.ops.push(op))?;
+        Ok(trace)
+    }
+
+    /// Like [`Machine::run`], but hands each executed op to `emit` in
+    /// program order instead of collecting a [`Trace`] — so a caller can
+    /// store ops compactly (see [`crate::TraceBuilder`]) as they execute.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`]; `emit` has seen every op before the fault.
+    pub fn run_with(
+        &mut self,
+        program: &Program,
+        max_ops: u64,
+        mut emit: impl FnMut(DynOp),
+    ) -> Result<(), ExecError> {
         let mut idx = 0usize;
         let mut ops = 0u64;
         while idx < program.len() && ops < max_ops {
             let (op, next) = self.step(program, idx)?;
-            trace.ops.push(op);
+            emit(op);
             ops += 1;
             self.executed += 1;
             match next {
@@ -194,7 +211,7 @@ impl Machine {
                 NextPc::Halt => break,
             }
         }
-        Ok(trace)
+        Ok(())
     }
 
     fn set_cr_cmp(&mut self, bf: Reg, a: i64, b: i64) {

@@ -10,28 +10,42 @@ use rand::{Rng, SeedableRng};
 /// bucketing instruction addresses (`n_buckets` code regions), which
 /// matches BBV behaviour for our generated code layouts.
 ///
-/// A trace whose length is not a multiple of `interval_ops` contributes
-/// its ragged tail as one final *partial* interval (still a normalized
-/// distribution), so the intervals cover 100% of the ops. Callers that
-/// weight intervals by op count should weight the tail by
-/// `len / interval_ops` — see [`simpoints_weighted`]; callers that need
-/// equal-size intervals only (e.g. epoch alignment) can pop the last
-/// entry when `ops.len() % interval_ops != 0`.
+/// The ops come by value, in program order: a `TraceView::iter()`, or a
+/// `Trace`'s ops copied. A trace whose length is not a multiple of
+/// `interval_ops` contributes its ragged tail as one final *partial*
+/// interval (still a normalized distribution), so the intervals cover
+/// 100% of the ops. Callers that weight intervals by op count should
+/// weight the tail by `len / interval_ops` — see [`simpoints_weighted`];
+/// callers that need equal-size intervals only (e.g. epoch alignment) can
+/// pop the last entry when the length is not a multiple of
+/// `interval_ops`.
 #[must_use]
-pub fn bbv_intervals(ops: &[DynOp], interval_ops: usize, n_buckets: usize) -> Vec<Vec<f64>> {
+pub fn bbv_intervals(
+    ops: impl IntoIterator<Item = DynOp>,
+    interval_ops: usize,
+    n_buckets: usize,
+) -> Vec<Vec<f64>> {
     assert!(interval_ops > 0 && n_buckets > 0);
-    let mut out = Vec::new();
-    for chunk in ops.chunks(interval_ops) {
-        let mut v = vec![0.0f64; n_buckets];
-        for op in chunk {
-            let bucket = ((op.pc >> 4) as usize) % n_buckets;
-            v[bucket] += 1.0;
-        }
+    let normalized = |mut v: Vec<f64>| {
         let norm: f64 = v.iter().sum();
         for x in &mut v {
             *x /= norm;
         }
-        out.push(v);
+        v
+    };
+    let mut out = Vec::new();
+    let mut v = vec![0.0f64; n_buckets];
+    let mut filled = 0;
+    for op in ops {
+        v[((op.pc >> 4) as usize) % n_buckets] += 1.0;
+        filled += 1;
+        if filled == interval_ops {
+            out.push(normalized(std::mem::replace(&mut v, vec![0.0; n_buckets])));
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        out.push(normalized(v));
     }
     out
 }
@@ -255,7 +269,7 @@ mod tests {
         b.bdnz(top);
         let t = Machine::new().run(&b.build(), 100_000).unwrap();
         // Interval = multiple of the 7-op loop body so intervals align.
-        let bbvs = bbv_intervals(&t.ops, 700, 16);
+        let bbvs = bbv_intervals(t.ops.iter().copied(), 700, 16);
         assert!(bbvs.len() > 3);
         for v in &bbvs {
             let s: f64 = v.iter().sum();
@@ -280,14 +294,14 @@ mod tests {
         let ops: Vec<DynOp> = (0u64..3100)
             .map(|i| DynOp::new(i * 4, OpClass::IntAlu))
             .collect();
-        let bbvs = bbv_intervals(&ops, 300, 8);
+        let bbvs = bbv_intervals(ops.iter().copied(), 300, 8);
         assert_eq!(bbvs.len(), 11, "10 full intervals + 1 partial tail");
         for v in &bbvs {
             let s: f64 = v.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "tail must still be normalized");
         }
         // An exactly-divisible trace has no tail entry.
-        assert_eq!(bbv_intervals(&ops[..3000], 300, 8).len(), 10);
+        assert_eq!(bbv_intervals(ops[..3000].iter().copied(), 300, 8).len(), 10);
     }
 
     #[test]

@@ -362,6 +362,8 @@ impl Calendar {
 struct FetchedOp {
     /// Index of the op in its thread's trace.
     idx: usize,
+    /// The op, rebuilt once at fetch for dispatch and install.
+    op: DynOp,
     mispredicted: bool,
     fetch_cycle: u64,
 }
@@ -972,9 +974,9 @@ impl Core {
     }
 
     /// The trace op the entry in `slot` holds.
-    fn op(&self, slot: u32) -> &DynOp {
+    fn op(&self, slot: u32) -> DynOp {
         let e = &self.slab[slot as usize];
-        &self.threads[usize::from(e.tid)].ops[e.idx]
+        self.threads[usize::from(e.tid)].ops.op(e.idx)
     }
 
     fn retire(&mut self, tid: usize, slot: u32) {
@@ -1655,15 +1657,16 @@ impl Core {
         // Peek head (and successor for fusion). The fetch buffer holds
         // consecutive trace ops.
         let t = &self.threads[tid];
-        let head_idx = t.fetch_buffer.front().expect("caller checked").idx;
+        let head = t.fetch_buffer.front().expect("caller checked");
+        let head_idx = head.idx;
         let has_second = self.cfg.fusion && t.fetch_buffer.len() >= 2;
         if let Some((idx, second, plan)) = t.dispatch_needs {
             if (idx, second) == (head_idx, has_second) {
                 return plan;
             }
         }
-        let head_op = &t.ops[head_idx];
-        let second_op = has_second.then(|| &t.ops[head_idx + 1]);
+        let head_op = &head.op;
+        let second_op = has_second.then(|| &t.fetch_buffer[1].op);
         let fuse = second_op.and_then(|second| fusion::classify_pair(head_op, second));
         let second_op = second_op.filter(|_| fuse.is_some());
         let needs_lq = |op: &DynOp| u32::from(op.is_load());
@@ -1721,7 +1724,7 @@ impl Core {
             .unwrap_or(u32::try_from(self.slab.len()).expect("slab fits u32 slots"));
         let event_driven = self.event_driven();
         let t = &self.threads[tid];
-        let op = &t.ops[f.idx];
+        let op = &f.op;
         let (class, dests, store) = (
             op.class,
             [op.dest(), op.dest2()],
@@ -1837,7 +1840,7 @@ impl Core {
         }
 
         // One I-cache access per fetch group.
-        let pc = self.threads[tid].ops[self.threads[tid].fetch_idx].pc;
+        let pc = self.threads[tid].ops.op(self.threads[tid].fetch_idx).pc;
         if !self.cfg.ea_tagged_l1 {
             let extra = self.mmu.translate(pc, TranslateSide::Inst, &mut self.act);
             if extra > 0 {
@@ -1866,7 +1869,7 @@ impl Core {
                 break;
             }
             let idx = t.fetch_idx;
-            let op = &t.ops[idx];
+            let op = t.ops.op(idx);
             let (prefixed, pc, branch) = (op.prefixed, op.pc, op.branch);
             let cost = if prefixed { 2 } else { 1 };
             if cost > slots {
@@ -1889,6 +1892,7 @@ impl Core {
             }
             let fetched = FetchedOp {
                 idx,
+                op,
                 mispredicted,
                 fetch_cycle: self.cycle,
             };

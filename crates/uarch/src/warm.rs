@@ -97,8 +97,8 @@ impl FunctionalWarmer {
     pub fn observe(&mut self, views: &[TraceView]) {
         for (tid, v) in views.iter().enumerate() {
             let tid = tid.min(3);
-            for op in v.ops() {
-                self.observe_op(tid, op);
+            for op in v.iter() {
+                self.observe_op(tid, &op);
             }
         }
     }

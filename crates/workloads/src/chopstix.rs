@@ -15,7 +15,7 @@
 //!    along — the "code and data state captured from memory").
 
 use crate::workload::Workload;
-use p10_isa::{Inst, Label, Machine, Program, ProgramBuilder, Reg, Trace};
+use p10_isa::{Inst, Label, Machine, Program, ProgramBuilder, Reg, TraceBuilder, TraceView};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -36,16 +36,19 @@ pub struct Proxy {
 }
 
 impl Proxy {
-    /// Traces the proxy for `max_ops` dynamic instructions.
+    /// Traces the proxy for `max_ops` dynamic instructions, straight
+    /// into compact trace storage.
     ///
     /// # Panics
     ///
     /// Panics if the proxy fails to execute (a bug in extraction).
     #[must_use]
-    pub fn trace(&self, max_ops: u64) -> Trace {
+    pub fn trace(&self, max_ops: u64) -> TraceView {
         let mut m = self.machine.clone();
-        m.run(&self.program, max_ops)
-            .unwrap_or_else(|e| panic!("proxy {} failed: {e}", self.name))
+        let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
+        m.run_with(&self.program, max_ops, |op| b.push(op))
+            .unwrap_or_else(|e| panic!("proxy {} failed: {e}", self.name));
+        b.finish()
     }
 }
 
@@ -75,12 +78,12 @@ pub struct CoverageRow {
 /// tracing `trace_ops` dynamic instructions to rank them.
 #[must_use]
 pub fn extract(workload: &Workload, trace_ops: u64, top_n: usize) -> ProxySet {
-    let trace = workload.trace_or_panic(trace_ops);
+    let trace = workload.trace_view_or_panic(trace_ops);
     let total = trace.len() as u64;
 
     // Attribute dynamic ops to function spans by instruction index.
     let mut counts: HashMap<usize, u64> = HashMap::new();
-    for op in &trace.ops {
+    for op in trace.iter() {
         if let Some(idx) = workload.program.index_of(op.pc) {
             if let Some(fi) = workload.functions.iter().position(|f| f.contains(idx)) {
                 *counts.entry(fi).or_insert(0) += 1;
@@ -257,7 +260,7 @@ mod tests {
         let w = workload("x264ish");
         let set = extract(&w, 40_000, 3);
         let p = &set.proxies[0];
-        let t = p.trace(10_000);
+        let t = p.trace(10_000).to_trace();
         // The proxy should still do real work, not just nops.
         let nop_frac = t.fraction(|o| o.class == p10_isa::OpClass::Nop);
         assert!(nop_frac < 0.5, "proxy mostly nops: {nop_frac}");
@@ -311,7 +314,7 @@ mod weight_tests {
             .proxies
             .iter()
             .map(|p| {
-                let t = p.trace(4_000);
+                let t = p.trace(4_000).to_trace();
                 t.fraction(|o| o.is_load())
             })
             .collect();

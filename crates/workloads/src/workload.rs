@@ -1,6 +1,6 @@
 //! A runnable workload: program, pre-initialized memory, and metadata.
 
-use p10_isa::{ExecError, Fnv1aHasher, Machine, Program, Trace, TraceView};
+use p10_isa::{ExecError, Fnv1aHasher, Machine, Program, Trace, TraceBuilder, TraceView};
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -98,15 +98,17 @@ impl Workload {
         Ok(self.trace_view(max_ops)?.to_trace())
     }
 
-    /// Functionally executes the workload, bypassing the arena — the
-    /// synthesis the arena memoizes.
+    /// Functionally executes the workload straight into compact trace
+    /// storage, bypassing the arena — the synthesis the arena memoizes.
     ///
     /// # Errors
     ///
     /// Propagates functional-execution errors.
-    pub fn trace_uncached(&self, max_ops: u64) -> Result<Trace, ExecError> {
+    pub fn trace_uncached(&self, max_ops: u64) -> Result<TraceView, ExecError> {
         let mut m = self.machine.clone();
-        m.run(&self.program, max_ops)
+        let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
+        m.run_with(&self.program, max_ops, |op| b.push(op))?;
+        Ok(b.finish())
     }
 
     /// A zero-copy view of the first `max_ops` executed ops, served from
@@ -220,13 +222,14 @@ mod tests {
     #[test]
     fn trace_view_matches_trace_with_and_without_arena() {
         let w = crate::specint_like()[8].workload(31_337);
-        let direct = w.trace_uncached(1_500).unwrap();
+        let direct = w.machine.clone().run(&w.program, 1_500).unwrap();
         let view = w.trace_view(1_500).unwrap();
         assert_eq!(
-            view.ops(),
-            &direct.ops[..],
+            view.to_trace().ops,
+            direct.ops,
             "arena view must be bit-identical"
         );
+        assert_eq!(w.trace_uncached(1_500).unwrap(), view);
         let owned = w.trace(1_500).unwrap();
         assert_eq!(owned.ops, direct.ops);
     }

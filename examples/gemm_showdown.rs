@@ -29,7 +29,7 @@ fn main() {
         (&p10, int8gemm_mma(1 << 40), 128.0), // INT8 op-equivalents
     ];
     for (cfg, kernel, peak) in cases {
-        let trace = kernel.trace_or_panic(ops);
+        let trace = kernel.trace_view_or_panic(ops);
         let flops_per_inst = trace.total_flops() as f64 / trace.len() as f64;
         let r = run_traces(cfg, &kernel.name, vec![trace]);
         let fpc = r.sim.activity.flops_per_cycle();

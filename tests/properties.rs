@@ -272,3 +272,62 @@ mod asm_props {
         }
     }
 }
+
+mod compact_traces {
+    use p10sim::isa::{Trace, TraceView};
+    use p10sim::kernels::{extra, gemm};
+    use p10sim::workloads::{chopstix, microbench, specint_like, Workload};
+
+    /// Ops per trace.
+    const OPS: u64 = 5_000;
+
+    fn assert_rebuilds(name: &str, executed: &Trace, view: &TraceView) {
+        assert_eq!(view.len(), executed.ops.len(), "{name}: length");
+        for (i, (got, want)) in view.iter().zip(&executed.ops).enumerate() {
+            assert_eq!(&got, want, "{name}: op {i}");
+        }
+    }
+
+    /// A workload's trace as `exec` produces it, against the arena's
+    /// compact view of it.
+    fn check(w: &Workload) {
+        let executed = w.machine.clone().run(&w.program, OPS).expect("runs");
+        assert_rebuilds(&w.name, &executed, &w.trace_view_or_panic(OPS));
+    }
+
+    /// Every op of every SPECint-like, microbench, Chopstix-proxy and
+    /// kernel trace rebuilds from compact storage equal to the `DynOp`
+    /// that functional execution produced.
+    #[test]
+    fn every_op_rebuilds_exactly() {
+        for b in specint_like() {
+            check(&b.workload(3));
+            // Chopstix proxies are traced outside the arena; `From<Trace>`
+            // interns an executed trace the same way.
+            for p in chopstix::extract(&b.workload(3), 20_000, 2).proxies {
+                let executed = p.machine.clone().run(&p.program, OPS).expect("runs");
+                assert_rebuilds(&p.name, &executed, &p.trace(OPS));
+                assert_rebuilds(&p.name, &executed, &TraceView::from(&executed));
+            }
+        }
+        for spec in microbench::training_grid()
+            .into_iter()
+            .chain(microbench::derating_grid())
+        {
+            check(&microbench::generate(&spec, 7));
+        }
+        for w in [
+            gemm::dgemm_vsu(1 << 40),
+            gemm::dgemm_mma(1 << 40),
+            gemm::sgemm_vsu(1 << 40),
+            gemm::sgemm_mma(1 << 40),
+            gemm::int8gemm_mma(1 << 40),
+            gemm::bf16gemm_mma(1 << 40),
+            extra::conv3x3_mma_finite(),
+            extra::trsm_mma_finite(),
+            extra::dft8_mma_finite(),
+        ] {
+            check(&w);
+        }
+    }
+}
