@@ -232,10 +232,7 @@ pub fn fig10_snippet(b: &Benchmark, snippet: u32, ops_per_snippet: u64) -> [Fig1
     let mut base = CoreConfig::power10();
     base.smt = SmtMode::Smt2;
     let traces: Vec<p10_isa::TraceView> = (0..2)
-        .map(|t| {
-            b.workload(1000 + u64::from(snippet) * 17 + t)
-                .trace_view_or_panic(ops_per_snippet)
-        })
+        .map(|t| b.trace_view_or_panic(1000 + u64::from(snippet) * 17 + t, ops_per_snippet))
         .collect();
     [
         (ApexModel::Core, core_model(base.clone())),

@@ -1155,8 +1155,11 @@ fn render_flushes(s: &flush::FlushStudy, r: &mut Text) {
 }
 
 fn compute_coverage(engine: &Engine, ops: u64) -> Vec<chopstix::CoverageRow> {
-    let workloads: Vec<_> = specint_like().iter().map(|b| b.workload(23)).collect();
-    engine.run_jobs_par(&workloads, |_, w| chopstix::coverage_row(w, ops, 10))
+    // Each job builds its own workload (extraction needs the program and
+    // image), so only the pool's in-flight workloads are resident.
+    engine.run_jobs_par(&specint_like(), |_, b| {
+        chopstix::coverage_row(&b.workload(23), ops, 10)
+    })
 }
 
 fn render_coverage(rows: &Vec<chopstix::CoverageRow>, r: &mut Text) {
@@ -1185,7 +1188,7 @@ struct ApexSpeedup {
 
 fn compute_apex_speedup(_: &Engine, ops: u64) -> ApexSpeedup {
     let b = &specint_like()[8];
-    let t = b.workload(5).trace_view_or_panic(ops / 2);
+    let t = b.trace_view_or_panic(5, ops / 2);
     let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
     // Wall-clock numbers vary run to run; they go to the obs summary on
     // stderr so stdout stays byte-identical across runs.
@@ -1369,7 +1372,7 @@ struct Droop {
 fn compute_droop(_: &Engine, ops: u64) -> Droop {
     let (cfg, window, max_cycles) = (CoreConfig::power10(), 256, 10_000_000);
     // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-    let scalar = specint_like()[8].workload(3).trace_view_or_panic(ops / 8);
+    let scalar = specint_like()[8].trace_view_or_panic(3, ops / 8);
     let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_view_or_panic(ops / 4);
     // The kernel workload uses its own memory image; for the droop
     // demand we only need the power series, so run the two phases

@@ -138,7 +138,7 @@ pub fn build_datasets(
                 serde_json::to_string(b).expect("benchmark serializes"),
             ),
             || {
-                let trace = b.workload(seed).trace_view_or_panic(ops_per_run);
+                let trace = b.trace_view_or_panic(seed, ops_per_run);
                 run_apex(cfg, vec![trace], window_cycles, ops_per_run * 40)
             },
         );
@@ -389,7 +389,7 @@ pub fn run_fig15b(
 ) -> Vec<GranularityPoint> {
     let model = PowerModel::for_config(cfg);
     let fine = windows.iter().copied().min().unwrap_or(10).max(2);
-    let trace = bench.workload(3).trace_view_or_panic(ops);
+    let trace = bench.trace_view_or_panic(3, ops);
     let report = run_apex(cfg, vec![trace], fine, ops * 40);
 
     // Fine-grained instantaneous power and the integrated "true" series.

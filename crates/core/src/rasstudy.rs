@@ -5,7 +5,7 @@ use crate::runner::Engine;
 use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_serminer::{derating_curve, derating_row, DeratingCurve, DeratingRow};
 use p10_uarch::CoreConfig;
-use p10_workloads::microbench::{derating_grid, generate, DataInit, MicrobenchSpec};
+use p10_workloads::microbench::{derating_grid, DataInit, MicrobenchSpec};
 use p10_workloads::{chopstix, specint_like, Benchmark};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -65,7 +65,7 @@ impl<V: Clone> OnceMemo<V> {
 /// A detailed run of one grid testcase, memoized process-wide.
 ///
 /// Fig. 13 on POWER10 and the Fig. 14 POWER10 pass run the same leading
-/// grid specs at the same op budget; since [`generate`] and the detailed
+/// grid specs at the same op budget; since grid traces and the detailed
 /// simulator are both deterministic, the report is fully determined by
 /// `(config, spec, ops)` and can be shared. Concurrent pool jobs on one
 /// key simulate it once (one `detailed_misses`, the rest hits); jobs on
@@ -73,7 +73,7 @@ impl<V: Clone> OnceMemo<V> {
 fn grid_detailed(cfg: &CoreConfig, spec: &MicrobenchSpec, ops: u64) -> Arc<RtlReport> {
     let run = || {
         let traces: Vec<p10_isa::TraceView> = (0..spec.smt)
-            .map(|t| generate(spec, 13 + u64::from(t)).trace_view_or_panic(ops))
+            .map(|t| spec.trace_view_or_panic(13 + u64::from(t), ops))
             .collect();
         detailed(cfg, traces, spec.init)
     };

@@ -3,7 +3,7 @@
 use p10_isa::TraceView;
 use p10_power::{PowerModel, PowerReport};
 use p10_uarch::{Core, CoreConfig, CoreWork, SimResult, SmtMode};
-use p10_workloads::{Benchmark, Workload};
+use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
 /// Result of running one workload on one configuration.
@@ -44,10 +44,10 @@ impl ScenarioResult {
     }
 }
 
-/// Builds `threads` staggered thread streams as zero-copy views: **one**
-/// trace synthesis, then per-thread `[skip, skip + max_ops)` windows by
-/// range arithmetic on the shared buffer — no per-thread clone, no
-/// O(skip) `drain`.
+/// Builds `threads` staggered thread streams of `bench`'s workload seeded
+/// `seed` as zero-copy views: **one** trace synthesis, then per-thread
+/// `[skip, skip + max_ops)` windows by range arithmetic on the shared
+/// buffer — no per-thread clone, no O(skip) `drain`.
 ///
 /// The synthesis cap is padded to the SMT8 depth (`max_ops + 7 * 997`)
 /// regardless of `threads`, so a sweep over SMT modes at one op budget
@@ -61,12 +61,17 @@ impl ScenarioResult {
 /// cap or halts early. (`|F_legacy|` is recovered as
 /// `min(|F|, skip + max_ops)` since `F` extends at least that far.)
 #[must_use]
-pub fn staggered_views(workload: &Workload, threads: usize, max_ops: u64) -> Vec<TraceView> {
+pub fn staggered_views(
+    bench: &Benchmark,
+    seed: u64,
+    threads: usize,
+    max_ops: u64,
+) -> Vec<TraceView> {
     if threads == 0 {
         return Vec::new();
     }
     let deepest = max_ops + (threads as u64 - 1).max(7) * 997;
-    let full = workload.trace_view_or_panic(deepest);
+    let full = bench.trace_view_or_panic(seed, deepest);
     (0..threads)
         .map(|t| {
             let skip = t * 997;
@@ -88,7 +93,11 @@ pub fn staggered_views(workload: &Workload, threads: usize, max_ops: u64) -> Vec
 /// This is the clone-and-drain reference that tests pin
 /// [`staggered_views`] against.
 #[cfg(test)]
-fn staggered_traces(workload: &Workload, threads: usize, max_ops: u64) -> Vec<p10_isa::Trace> {
+fn staggered_traces(
+    workload: &p10_workloads::Workload,
+    threads: usize,
+    max_ops: u64,
+) -> Vec<p10_isa::Trace> {
     (0..threads)
         .map(|t| {
             let skip = t as u64 * 997;
@@ -123,11 +132,7 @@ pub fn benchmark_views(
     max_ops: u64,
 ) -> Vec<TraceView> {
     (0..cfg.smt.threads())
-        .map(|t| {
-            bench
-                .workload(seed + t as u64 * 101)
-                .trace_view_or_panic(max_ops)
-        })
+        .map(|t| bench.trace_view_or_panic(seed + t as u64 * 101, max_ops))
         .collect()
 }
 
@@ -339,12 +344,13 @@ mod tests {
     #[test]
     fn staggered_views_are_zero_copy_and_element_identical() {
         // A seed no other test uses, so this test owns the arena entry.
-        let w = specint_like()[8].workload(424_242);
+        let b = &specint_like()[8];
+        let w = b.workload(424_242);
         // Views first: their padded synthesis is the deepest request, so
         // the legacy path's shallower `trace()` calls below are served
         // from the same buffer (the legacy path also reads through the
         // arena).
-        let views = staggered_views(&w, 4, 2_000);
+        let views = staggered_views(b, 424_242, 4, 2_000);
         let legacy = staggered_traces(&w, 4, 2_000);
         assert_eq!(views.len(), legacy.len());
         for (v, t) in views.iter().zip(legacy.iter()) {
@@ -361,7 +367,7 @@ mod tests {
         let key = w.content_hash();
         let (_, _, synths) = arena::global().entry_stats(key).expect("entry exists");
         assert_eq!(synths, 1, "4 threads x 2 calls must synthesize once");
-        let again = staggered_views(&w, 4, 2_000);
+        let again = staggered_views(b, 424_242, 4, 2_000);
         assert!(again[0].shares_storage(&views[0]));
         let (_, _, synths) = arena::global().entry_stats(key).expect("entry exists");
         assert_eq!(synths, 1);
@@ -370,9 +376,10 @@ mod tests {
     #[test]
     fn sweep_synthesizes_each_trace_once_per_process() {
         // A figures-all-shaped sweep: every SMT mode of both cores over a
-        // few benchmarks at one op budget. The stagger depth is padded to
-        // the SMT8 horizon, so each workload's trace must be synthesized
-        // exactly once for the whole sweep.
+        // few benchmarks at one op budget. Each thread's workload (one
+        // generator key per benchmark, seed and thread) must be built
+        // once and its trace synthesized once for the whole sweep; every
+        // later request is served without building anything.
         let suite = specint_like();
         let seed = 776_001;
         for b in &suite[7..10] {
@@ -385,11 +392,26 @@ mod tests {
             }
         }
         for b in &suite[7..10] {
-            let w = b.workload(seed);
-            let (_, _, synths) = arena::global()
-                .entry_stats(w.content_hash())
-                .expect("sweep populated the arena");
-            assert_eq!(synths, 1, "{}: trace synthesized more than once", b.name);
+            for t in 0..4 {
+                let thread_seed = seed + t * 101;
+                let (key, builds) = arena::global()
+                    .alias_stats(b.generator_key(thread_seed))
+                    .expect("sweep requested every thread's trace");
+                assert_eq!(
+                    builds, 1,
+                    "{} thread {t}: workload built more than once",
+                    b.name
+                );
+                assert_eq!(key, b.workload(thread_seed).content_hash());
+                let (_, _, synths) = arena::global()
+                    .entry_stats(key)
+                    .expect("sweep populated the arena");
+                assert_eq!(
+                    synths, 1,
+                    "{} thread {t}: trace synthesized more than once",
+                    b.name
+                );
+            }
         }
     }
 
@@ -436,9 +458,9 @@ mod tests {
                 max_ops in 1u64..4_000,
                 threads in 1usize..5,
             ) {
-                let w = specint_like()[8].workload(seed);
-                let legacy = staggered_traces(&w, threads, max_ops);
-                let views = staggered_views(&w, threads, max_ops);
+                let b = &specint_like()[8];
+                let legacy = staggered_traces(&b.workload(seed), threads, max_ops);
+                let views = staggered_views(b, seed, threads, max_ops);
                 prop_assert_eq!(legacy.len(), views.len());
                 for (t, v) in legacy.iter().zip(views.iter()) {
                     prop_assert_eq!(&t.ops, &v.to_trace().ops);

@@ -49,7 +49,7 @@ pub fn track(
         .flat_map(|c| suite.iter().map(move |b| (c, b)))
         .collect();
     let samples = engine.run_jobs_par(&jobs, |_, &(cfg, b)| {
-        let trace = b.workload(seed).trace_view_or_panic(ops);
+        let trace = b.trace_view_or_panic(seed, ops);
         Sample::of(&run_detailed(
             cfg,
             vec![trace],

@@ -667,12 +667,41 @@ pub fn finalize() {
     }
 }
 
-/// Flushes and snapshots the aggregate state.
+/// The gauge [`summary`] sets to this process's peak resident set size.
+const PEAK_RSS_GAUGE: &str = "process.peak_rss_mb";
+
+/// This process's peak resident set size in MiB to 0.1 MiB (short in
+/// every ledger line), read from `VmHWM` in `/proc/self/status`; `None`
+/// where that file does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    #[allow(clippy::cast_precision_loss)]
+    parse_vm_hwm_kb(&status).map(|kb| (kb as f64 / 102.4).round() / 10.0)
+}
+
+/// The `VmHWM` (peak resident set) line of a `/proc/<pid>/status`, in kB.
+fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Flushes and snapshots the aggregate state. The snapshot carries the
+/// `process.peak_rss_mb` gauge, read as it is taken, where the platform
+/// reports it.
 #[must_use]
 pub fn summary() -> Summary {
     flush();
     let r = recorder();
-    let agg = r.agg.lock().expect("obs aggregate poisoned");
+    let mut agg = r.agg.lock().expect("obs aggregate poisoned");
+    if let Some(mb) = peak_rss_mb() {
+        agg.gauges.insert(PEAK_RSS_GAUGE.to_owned(), mb);
+    }
     Summary {
         total_wall_s: r.start.elapsed().as_secs_f64(),
         phases: agg
@@ -833,6 +862,20 @@ mod tests {
         gauge("test.gauge", 42.5);
         assert_eq!(summary().gauge("test.gauge"), Some(42.5));
         assert_eq!(summary().gauge("test.gauge_never_set"), None);
+    }
+
+    #[test]
+    fn summary_records_peak_rss_where_the_platform_reports_it() {
+        let peak = summary().gauge(PEAK_RSS_GAUGE);
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak.is_some_and(|mb| mb > 0.0), "peak RSS {peak:?}");
+        } else {
+            assert_eq!(peak, None);
+        }
+        let status = "Name:\tfigures\nVmPeak:\t  900000 kB\nVmHWM:\t  241236 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm_kb(status), Some(241_236));
+        assert_eq!(parse_vm_hwm_kb("VmHWM:\t12 MB\n"), None);
+        assert_eq!(parse_vm_hwm_kb("Name:\tfigures\n"), None);
     }
 
     #[test]

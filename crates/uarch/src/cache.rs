@@ -33,6 +33,9 @@ pub struct Cache {
     ways: usize,
     line_shift: u32,
     stamp: u64,
+    /// Lines that are not cold. A line leaves the cold state on its first
+    /// fill and never returns to it, so this only grows.
+    live: usize,
 }
 
 /// Result of a cache access.
@@ -66,6 +69,7 @@ impl Cache {
             ways: cfg.ways as usize,
             line_shift,
             stamp: 0,
+            live: 0,
         }
     }
 
@@ -109,6 +113,7 @@ impl Cache {
             .iter_mut()
             .min_by_key(|l| if l[0] & VALID != 0 { l[1] } else { 0 })
             .expect("ways >= 1");
+        self.live += usize::from(*victim == [0; 2]);
         *victim = [
             tag | VALID | if is_prefetch { PREFETCHED } else { 0 },
             self.stamp,
@@ -135,9 +140,10 @@ impl Cache {
     }
 
     /// Bytes [`Cache::encode`] appends: a 40-byte header plus one
-    /// 22-byte record per non-default line.
+    /// 22-byte record per non-default line. Kept in step with the fills,
+    /// so sizing a checkpoint does not walk the lines.
     pub(crate) fn encoded_len(&self) -> usize {
-        40 + 22 * self.live_lines().count()
+        40 + 22 * self.live
     }
 
     /// Serializes the replacement state (checkpoint payload): geometry,
@@ -163,6 +169,7 @@ impl Cache {
             wire::put_bool(buf, word & VALID != 0);
             wire::put_bool(buf, word & PREFETCHED != 0);
         }
+        debug_assert_eq!(live, self.live as u64, "live line count out of step");
         buf[count_at..count_at + 8].copy_from_slice(&live.to_le_bytes());
     }
 
@@ -210,6 +217,7 @@ impl Cache {
             }
             c.lines[i as usize] = [word, lru];
         }
+        c.live = live as usize;
         Some(c)
     }
 }
@@ -536,11 +544,19 @@ mod tests {
             small.access(i * 128);
             big.access(i * 128);
         }
-        for c in [&small, &big] {
+        for (c, size_bytes) in [(&small, 64 * 1024), (&big, 1 << 20)] {
             assert_eq!(c.encoded_len(), 40 + 22 * 100);
             let mut buf = Vec::new();
             c.encode(&mut buf);
             assert_eq!(buf.len(), c.encoded_len());
+            // A decoded cache counts its live lines too: hits add none,
+            // a fill of a cold line adds one.
+            let mut back =
+                Cache::decode(&mut Reader::new(&buf), &cfg(size_bytes)).expect("decodes");
+            assert_eq!(back.encoded_len(), buf.len());
+            back.access(0);
+            back.access(100 * 128);
+            assert_eq!(back.encoded_len(), 40 + 22 * 101);
         }
     }
 

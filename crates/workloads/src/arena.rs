@@ -10,11 +10,23 @@
 //! process** and every later request — including shorter-`max_ops`
 //! requests and SMT stagger offsets — is served as a zero-copy
 //! [`TraceView`] into the trace's shared compact storage (a template
-//! table plus one 16-byte record per op; see [`p10_isa::TraceView`]).
+//! table plus one 8-byte record per op; see [`p10_isa::TraceView`]).
 //! Synthesis writes each executed op straight into that storage, and a
 //! miss keeps the storage it was handed, so the arena holds exactly one
 //! copy of each trace, even while it is being published; no
 //! `Vec<DynOp>` of the trace ever exists.
+//!
+//! ## Building workloads on demand
+//!
+//! A trace is all a request keeps. Generator workloads (suite benchmarks,
+//! microbenchmarks) are requested by a fixed-size *generator key* through
+//! [`TraceArena::view_or_build`]: the arena builds the [`TraceSource`]
+//! only on a miss or a grow, and synthesis consumes it, so its program
+//! and memory image are freed as soon as the trace is stored. Beside the
+//! traces the arena keeps one `u64 → u64` alias per generator key (the
+//! content key the first build hashed to), so a later request finds its
+//! trace without building anything. Workloads with equal content share
+//! one trace whichever way they were requested.
 //!
 //! ## Longest-prefix reuse
 //!
@@ -30,11 +42,16 @@
 //!
 //! ## Concurrency
 //!
-//! The map is striped across [`STRIPES`] mutexes keyed by content hash.
-//! A stripe's lock is held *across* synthesis, so concurrent requests for
-//! the same key from the experiment worker pool dedup: exactly one
-//! synthesizes, the rest hit. With equal `max_ops`, hit/miss counts are
-//! therefore deterministic regardless of thread interleaving.
+//! The trace map is striped across [`STRIPES`] mutexes keyed by content
+//! hash. A stripe's lock is held *across* synthesis, so concurrent
+//! requests for the same key from the experiment worker pool dedup:
+//! exactly one synthesizes, the rest hit. The alias map is striped the
+//! same way by generator key, and a first request holds its alias stripe
+//! until it holds the trace stripe, so concurrent first requests for one
+//! generator build once. With equal `max_ops`, hit/miss and build counts
+//! are therefore deterministic regardless of thread interleaving. Locks
+//! are only ever taken alias stripe first, so the two maps cannot
+//! deadlock.
 //!
 //! The process-global arena is published as an `Arc` via [`global`];
 //! `[obs]` counters `trace.arena.hits` / `.misses` / `.ops` / `.bytes` make the
@@ -44,10 +61,25 @@
 use p10_isa::{ExecError, TraceView};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Number of lock stripes in the arena map.
+/// Number of lock stripes in each arena map.
 pub const STRIPES: usize = 16;
+
+/// Something the arena can build on demand and execute into a trace.
+pub trait TraceSource {
+    /// The arena key of the trace this source executes into: sources
+    /// with equal keys produce identical traces.
+    fn content_key(&self) -> u64;
+
+    /// Executes up to `cap` ops into compact trace storage, consuming
+    /// the source.
+    ///
+    /// # Errors
+    ///
+    /// Propagates functional-execution errors.
+    fn into_trace(self, cap: u64) -> Result<TraceView, ExecError>;
+}
 
 /// One memoized trace.
 #[derive(Debug, Clone)]
@@ -75,6 +107,14 @@ impl Entry {
     }
 }
 
+/// What the arena remembers of a generator key: the content key its
+/// source hashed to, and how often the arena built that source.
+#[derive(Debug, Clone, Copy)]
+struct Alias {
+    key: u64,
+    builds: u32,
+}
+
 /// Aggregate arena counters (monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -89,14 +129,23 @@ pub struct ArenaStats {
     pub bytes: u64,
 }
 
+type Stripes<V> = [Mutex<HashMap<u64, V>>; STRIPES];
+
 /// A content-keyed, lock-striped memo of synthesized traces.
 #[derive(Debug, Default)]
 pub struct TraceArena {
-    stripes: [Mutex<HashMap<u64, Entry>>; STRIPES],
+    stripes: Stripes<Entry>,
+    aliases: Stripes<Alias>,
     hits: AtomicU64,
     misses: AtomicU64,
     ops: AtomicU64,
     bytes: AtomicU64,
+}
+
+fn lock<V>(stripes: &Stripes<V>, key: u64) -> MutexGuard<'_, HashMap<u64, V>> {
+    stripes[(key as usize) % STRIPES]
+        .lock()
+        .expect("arena stripe poisoned")
 }
 
 impl TraceArena {
@@ -123,8 +172,61 @@ impl TraceArena {
         max_ops: u64,
         synth: impl FnOnce(u64) -> Result<TraceView, ExecError>,
     ) -> Result<TraceView, ExecError> {
-        let stripe = &self.stripes[(key as usize) % STRIPES];
-        let mut map = stripe.lock().expect("arena stripe poisoned");
+        self.serve(lock(&self.stripes, key), key, max_ops, synth)
+    }
+
+    /// Like [`TraceArena::view_or_synth`] for a source identified by its
+    /// generator key `gen_key`: `build` runs only when a trace must be
+    /// synthesized (the first request for `gen_key`, which also learns
+    /// its content key, or a grow), and synthesis consumes what it
+    /// built. The arena keeps no source once this returns.
+    ///
+    /// `build` must be deterministic: every call for one `gen_key`
+    /// builds an equal source.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a synthesis error; no trace is cached in that case.
+    pub fn view_or_build<S: TraceSource>(
+        &self,
+        gen_key: u64,
+        max_ops: u64,
+        build: impl FnOnce() -> S,
+    ) -> Result<TraceView, ExecError> {
+        let mut aliases = lock(&self.aliases, gen_key);
+        if let Some(alias) = aliases.get(&gen_key) {
+            let key = alias.key;
+            drop(aliases);
+            let mut built = false;
+            let view = self.view_or_synth(key, max_ops, |cap| {
+                built = true;
+                build().into_trace(cap)
+            });
+            if built {
+                let mut aliases = lock(&self.aliases, gen_key);
+                aliases.get_mut(&gen_key).expect("aliases persist").builds += 1;
+            }
+            return view;
+        }
+        // First request: build to learn the content key, and hold the
+        // alias stripe until the trace stripe is held, so a concurrent
+        // request for this generator waits for this synthesis instead of
+        // building its own source.
+        let source = build();
+        let key = source.content_key();
+        aliases.insert(gen_key, Alias { key, builds: 1 });
+        let map = lock(&self.stripes, key);
+        drop(aliases);
+        self.serve(map, key, max_ops, |cap| source.into_trace(cap))
+    }
+
+    fn serve(
+        &self,
+        mut map: MutexGuard<'_, HashMap<u64, Entry>>,
+        key: u64,
+        max_ops: u64,
+        synth: impl FnOnce(u64) -> Result<TraceView, ExecError>,
+    ) -> Result<TraceView, ExecError> {
         let prior = match map.get(&key) {
             Some(e) if e.cap >= max_ops || e.exhausted() => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -172,10 +274,18 @@ impl TraceArena {
     /// Per-entry accounting for a key: `(cap, trace len, synth count)`.
     #[must_use]
     pub fn entry_stats(&self, key: u64) -> Option<(u64, usize, u32)> {
-        let map = self.stripes[(key as usize) % STRIPES]
-            .lock()
-            .expect("arena stripe poisoned");
-        map.get(&key).map(|e| (e.cap, e.view.len(), e.synths))
+        lock(&self.stripes, key)
+            .get(&key)
+            .map(|e| (e.cap, e.view.len(), e.synths))
+    }
+
+    /// Per-generator accounting: `(content key, builds)` — how often
+    /// [`TraceArena::view_or_build`] built the source of `gen_key`.
+    #[must_use]
+    pub fn alias_stats(&self, gen_key: u64) -> Option<(u64, u32)> {
+        lock(&self.aliases, gen_key)
+            .get(&gen_key)
+            .map(|a| (a.key, a.builds))
     }
 
     /// Number of distinct keys resident in the arena.
@@ -195,46 +305,114 @@ pub fn global() -> Arc<TraceArena> {
     Arc::clone(GLOBAL.get_or_init(|| Arc::new(TraceArena::new())))
 }
 
-/// Process-wide memo of *constructed* workloads, keyed by generator
-/// identity (benchmark name, signature, seed).
-///
-/// Re-synthesizing a trace was only half the per-job waste: constructing
-/// the workload itself (program generation plus writing the memory
-/// image — ~11 ms for a cache-hostile footprint) repeated per config ×
-/// per SMT thread too, and the *content* hash can only be computed from a
-/// constructed workload. Sharing one `Arc<Workload>` per generator key
-/// amortizes construction, the lazily computed content fingerprint, and
-/// (through it) the trace arena lookup across the whole sweep.
-///
-/// Construction is deterministic, so sharing is observationally identical.
-pub fn memoized_workload(
-    key: u64,
-    build: impl FnOnce() -> crate::Workload,
-) -> Arc<crate::Workload> {
-    type MemoStripe = Mutex<HashMap<u64, Arc<crate::Workload>>>;
-    static MEMO: OnceLock<[MemoStripe; STRIPES]> = OnceLock::new();
-    let stripes = MEMO.get_or_init(Default::default);
-    let mut map = stripes[(key as usize) % STRIPES]
-        .lock()
-        .expect("workload memo stripe poisoned");
-    if let Some(w) = map.get(&key) {
-        p10_obs::counter("trace.arena.workload_hits", 1);
-        return Arc::clone(w);
-    }
-    p10_obs::counter("trace.arena.workload_misses", 1);
-    let w = Arc::new(build());
-    map.insert(key, Arc::clone(&w));
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::specint_like;
+    use crate::{specint_like, Workload};
+    use std::cell::RefCell;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Weak;
 
-    fn short_workload() -> Arc<crate::Workload> {
+    fn short_workload() -> Workload {
         specint_like()[8].workload(777)
+    }
+
+    /// A workload the test can watch: the arena holds its only strong
+    /// reference, the test a `Weak` that dies with it.
+    struct Watched(Arc<Workload>);
+
+    impl TraceSource for Watched {
+        fn content_key(&self) -> u64 {
+            self.0.content_key()
+        }
+
+        fn into_trace(self, cap: u64) -> Result<TraceView, ExecError> {
+            Arc::try_unwrap(self.0)
+                .expect("the arena holds the only reference")
+                .into_trace(cap)
+        }
+    }
+
+    #[test]
+    fn a_benchmark_request_keeps_no_workload_alive() {
+        let arena = TraceArena::new();
+        let bench = &specint_like()[8];
+        let gen_key = bench.generator_key(5);
+        let built: RefCell<Vec<Weak<Workload>>> = RefCell::new(Vec::new());
+        let request = |max_ops| {
+            arena
+                .view_or_build(gen_key, max_ops, || {
+                    let w = Arc::new(bench.workload(5));
+                    built.borrow_mut().push(Arc::downgrade(&w));
+                    Watched(w)
+                })
+                .unwrap()
+        };
+        let first = request(600);
+        let shorter = request(300);
+        let grown = request(1_500);
+        // A miss and a grow build; the hit in between builds nothing.
+        assert_eq!(built.borrow().len(), 2);
+        for w in built.borrow().iter() {
+            assert!(w.upgrade().is_none(), "a request kept its workload alive");
+        }
+        let content_key = bench.workload(5).content_hash();
+        assert_eq!(arena.alias_stats(gen_key), Some((content_key, 2)));
+        assert_eq!(arena.entry_stats(content_key), Some((1_500, 1_500, 2)));
+        assert_eq!(shorter, first.slice(0..300));
+        assert_eq!(grown.slice(0..600), first);
+        // The synthesized trace is the one execution of the workload gives.
+        assert_eq!(grown, bench.workload(5).trace_uncached(1_500).unwrap());
+    }
+
+    #[test]
+    fn a_generator_whose_content_is_cached_synthesizes_nothing() {
+        // A content-keyed request (chopstix extraction shape) fills the
+        // entry; the first generator-keyed request for the same content
+        // builds once to learn its key, then hits.
+        let arena = TraceArena::new();
+        let w = short_workload();
+        let by_content = arena
+            .view_or_synth(w.content_hash(), 800, |cap| w.trace_uncached(cap))
+            .unwrap();
+        let by_generator = arena.view_or_build(77, 800, short_workload).unwrap();
+        assert!(by_generator.shares_storage(&by_content));
+        assert_eq!(arena.alias_stats(77), Some((w.content_hash(), 1)));
+        assert_eq!((arena.stats().hits, arena.stats().misses), (1, 1));
+        // A second generator key with equal content shares the trace too.
+        let twin = arena.view_or_build(78, 800, short_workload).unwrap();
+        assert!(twin.shares_storage(&by_content));
+        assert_eq!(arena.entries(), 1);
+    }
+
+    #[test]
+    fn concurrent_first_requests_for_a_generator_build_once() {
+        let arena = TraceArena::new();
+        let builds = AtomicU32::new(0);
+        const N: usize = 8;
+        let views: Vec<TraceView> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        arena
+                            .view_or_build(9, 700, || {
+                                builds.fetch_add(1, Ordering::Relaxed);
+                                short_workload()
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            (arena.stats().hits, arena.stats().misses),
+            ((N - 1) as u64, 1)
+        );
+        for v in &views[1..] {
+            assert!(v.shares_storage(&views[0]));
+        }
     }
 
     #[test]
@@ -261,7 +439,6 @@ mod tests {
             assert!(v.shares_storage(&views[0]), "hits must share storage");
         }
     }
-
     #[test]
     fn a_miss_moves_the_synthesized_buffer_into_the_arena() {
         // Synthesis writes compact storage once; the arena keeps that

@@ -209,7 +209,7 @@ mod tests {
     use super::*;
     use crate::suite::specint_like;
 
-    fn workload(name: &str) -> std::sync::Arc<Workload> {
+    fn workload(name: &str) -> Workload {
         specint_like()
             .into_iter()
             .find(|b| b.name == name)

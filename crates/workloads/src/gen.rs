@@ -59,9 +59,11 @@ pub struct Signature {
 }
 
 impl std::hash::Hash for Signature {
-    /// Hashes every knob (floats by bit pattern) — with the generator
-    /// seed, this identifies the exact workload a signature synthesizes,
-    /// keying the process-wide workload memo.
+    /// Hashes every knob (floats by bit pattern) — with the benchmark
+    /// name and generator seed, this identifies the exact workload a
+    /// signature synthesizes: the generator key a trace request looks up
+    /// in the trace arena without building the workload
+    /// ([`crate::Benchmark::generator_key`]).
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.handlers.hash(state);
         self.zipf_alpha.to_bits().hash(state);

@@ -8,9 +8,10 @@
 
 use crate::gen::{WorkloadBuilder, DATA_BASE};
 use crate::workload::Workload;
-use p10_isa::{Inst, Reg};
+use p10_isa::{Inst, Reg, TraceView};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Latch/data initialization for the testcase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,26 +64,41 @@ impl MicrobenchSpec {
         };
         format!("{smt}_dd{}_{init}", self.dep_distance)
     }
+
+    /// The generator key of [`generate`]`(self, seed)`: FNV-1a over the
+    /// spec and seed, which determine the workload.
+    fn generator_key(&self, seed: u64) -> u64 {
+        let mut h = p10_isa::Fnv1aHasher::new();
+        "microbench".hash(&mut h);
+        self.hash(&mut h);
+        seed.hash(&mut h);
+        h.finish()
+    }
+
+    /// A zero-copy view of the first `max_ops` ops of this spec's
+    /// workload seeded `seed`, served from the process-wide trace arena.
+    /// The derating studies replay the same grid specs across core
+    /// configs; the workload is built only when its trace must be
+    /// synthesized, and freed once the trace is stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if functional execution fails (a generator bug).
+    #[must_use]
+    pub fn trace_view_or_panic(&self, seed: u64, max_ops: u64) -> TraceView {
+        crate::arena::global()
+            .view_or_build(self.generator_key(seed), max_ops, || generate(self, seed))
+            .unwrap_or_else(|e| panic!("microbench {} failed to execute: {e}", self.name()))
+    }
 }
 
 /// Generates the microbenchmark workload for one spec (one thread's
-/// program; run `spec.smt` copies with distinct seeds for SMT).
-///
-/// Memoized process-wide through the trace arena's workload memo (the
-/// derating studies replay the same grid specs across core configs), so
-/// repeated calls with equal `(spec, seed)` share one `Arc<Workload>` —
-/// and therefore one content fingerprint and one arena trace buffer.
+/// program; run `spec.smt` copies with distinct seeds for SMT), counted
+/// in the `workloads.builds` counter. Nothing is memoized; callers that
+/// need only the trace use [`MicrobenchSpec::trace_view_or_panic`].
 #[must_use]
-pub fn generate(spec: &MicrobenchSpec, seed: u64) -> std::sync::Arc<Workload> {
-    use std::hash::{Hash, Hasher};
-    let mut h = p10_isa::Fnv1aHasher::new();
-    "microbench".hash(&mut h);
-    spec.hash(&mut h);
-    seed.hash(&mut h);
-    crate::arena::memoized_workload(h.finish(), || generate_uncached(spec, seed))
-}
-
-fn generate_uncached(spec: &MicrobenchSpec, seed: u64) -> Workload {
+pub fn generate(spec: &MicrobenchSpec, seed: u64) -> Workload {
+    p10_obs::counter("workloads.builds", 1);
     let mut w = WorkloadBuilder::new(seed);
     let ops_per_iter = 24u32;
 

@@ -9,9 +9,9 @@
 
 use crate::gen::{synthesize, Signature};
 use crate::workload::Workload;
+use p10_isa::TraceView;
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Workload groups the paper reports on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -44,22 +44,45 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Instantiates the benchmark as a runnable workload.
+    /// Builds the benchmark as a runnable workload (counted in the
+    /// `workloads.builds` counter).
     ///
-    /// Synthesis is deterministic in `(name, signature, seed)`, so the
-    /// result is shared through the process-wide workload memo (see
-    /// [`crate::arena::memoized_workload`]): a config sweep constructs
-    /// each workload once, and every job reuses the same `Arc` — along
-    /// with its cached content fingerprint and arena-resident traces.
+    /// Nothing is memoized: a workload's memory image can be megabytes,
+    /// and a sweep requests hundreds. Callers that need only the trace
+    /// use [`Benchmark::trace_view_or_panic`], which builds the workload
+    /// only to synthesize it; this is for callers that need the program
+    /// or the image itself (proxy extraction).
     #[must_use]
-    pub fn workload(&self, seed: u64) -> Arc<Workload> {
+    pub fn workload(&self, seed: u64) -> Workload {
+        p10_obs::counter("workloads.builds", 1);
+        synthesize(&self.name, &self.signature, seed, 1 << 40)
+    }
+
+    /// The generator key of [`Benchmark::workload`]`(seed)`: FNV-1a over
+    /// the name, signature and seed, which determine the workload.
+    #[must_use]
+    pub fn generator_key(&self, seed: u64) -> u64 {
         let mut h = p10_isa::Fnv1aHasher::new();
         self.name.hash(&mut h);
         self.signature.hash(&mut h);
         seed.hash(&mut h);
-        crate::arena::memoized_workload(h.finish(), || {
-            synthesize(&self.name, &self.signature, seed, 1 << 40)
-        })
+        h.finish()
+    }
+
+    /// A zero-copy view of the first `max_ops` ops of the workload
+    /// seeded `seed`, served from the process-wide trace arena. The
+    /// workload is built only when its trace must be synthesized (the
+    /// first request, or a longer one), and freed once the trace is
+    /// stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if functional execution fails (a generator bug).
+    #[must_use]
+    pub fn trace_view_or_panic(&self, seed: u64, max_ops: u64) -> TraceView {
+        crate::arena::global()
+            .view_or_build(self.generator_key(seed), max_ops, || self.workload(seed))
+            .unwrap_or_else(|e| panic!("workload {} failed to execute: {e}", self.name))
     }
 }
 

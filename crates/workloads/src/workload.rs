@@ -1,5 +1,6 @@
 //! A runnable workload: program, pre-initialized memory, and metadata.
 
+use crate::arena::TraceSource;
 use p10_isa::{ExecError, Fnv1aHasher, Machine, Program, Trace, TraceBuilder, TraceView};
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
@@ -30,7 +31,10 @@ impl FunctionSpan {
 /// Workloads are immutable once built: trace synthesis is memoized
 /// process-wide behind [`Workload::content_hash`] (see [`crate::arena`]),
 /// so mutating the program or machine after the first trace request is
-/// unsupported.
+/// unsupported. A workload's memory image can be megabytes, so a trace
+/// of a generator workload is best requested through its generator
+/// ([`crate::Benchmark::trace_view_or_panic`]), which builds the
+/// workload only to synthesize the trace.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Workload name (e.g. `"mcfish"`).
@@ -105,10 +109,7 @@ impl Workload {
     ///
     /// Propagates functional-execution errors.
     pub fn trace_uncached(&self, max_ops: u64) -> Result<TraceView, ExecError> {
-        let mut m = self.machine.clone();
-        let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
-        m.run_with(&self.program, max_ops, |op| b.push(op))?;
-        Ok(b.finish())
+        execute(self.machine.clone(), &self.program, max_ops)
     }
 
     /// A zero-copy view of the first `max_ops` executed ops, served from
@@ -145,6 +146,26 @@ impl Workload {
     pub fn trace_or_panic(&self, max_ops: u64) -> Trace {
         self.trace(max_ops)
             .unwrap_or_else(|e| panic!("workload {} failed to execute: {e}", self.name))
+    }
+}
+
+/// Runs `program` on `machine` for up to `max_ops` ops into compact
+/// trace storage.
+fn execute(mut machine: Machine, program: &Program, max_ops: u64) -> Result<TraceView, ExecError> {
+    let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
+    machine.run_with(program, max_ops, |op| b.push(op))?;
+    Ok(b.finish())
+}
+
+impl TraceSource for Workload {
+    fn content_key(&self) -> u64 {
+        self.content_hash()
+    }
+
+    /// Executes on the workload's own machine: no copy of the memory
+    /// image is made, and the image is freed with the workload.
+    fn into_trace(self, cap: u64) -> Result<TraceView, ExecError> {
+        execute(self.machine, &self.program, cap)
     }
 }
 
