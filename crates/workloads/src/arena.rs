@@ -21,12 +21,13 @@
 //! A trace is all a request keeps. Generator workloads (suite benchmarks,
 //! microbenchmarks) are requested by a fixed-size *generator key* through
 //! [`TraceArena::view_or_build`]: the arena builds the [`TraceSource`]
-//! only on a miss or a grow, and synthesis consumes it, so its program
-//! and memory image are freed as soon as the trace is stored. Beside the
-//! traces the arena keeps one `u64 → u64` alias per generator key (the
-//! content key the first build hashed to), so a later request finds its
-//! trace without building anything. Workloads with equal content share
-//! one trace whichever way they were requested.
+//! only on the key's first request (to learn its content key) or on a
+//! grow, and synthesis consumes it, so its program and memory image are
+//! freed as soon as the trace is stored. Beside the
+//! traces the arena keeps one fixed-size alias per generator key (the
+//! content key the first build hashed to, and a build count), so a later
+//! request finds its trace without building anything. Workloads with
+//! equal content share one trace whichever way they were requested.
 //!
 //! ## Longest-prefix reuse
 //!
