@@ -91,9 +91,9 @@ impl ApexReport {
 /// Panics if `window_cycles` is zero, or on the conditions of
 /// [`Core::run_counted`].
 #[must_use]
-pub fn run_apex<T: Into<p10_isa::TraceView>>(
+pub fn run_apex(
     cfg: &CoreConfig,
-    traces: Vec<T>,
+    traces: Vec<p10_isa::TraceView>,
     window_cycles: u64,
     max_cycles: u64,
 ) -> ApexReport {
@@ -255,8 +255,8 @@ mod tests {
     use super::*;
     use p10_workloads::specint_like;
 
-    fn trace(bench: usize, ops: u64) -> p10_isa::Trace {
-        specint_like()[bench].workload(5).trace_or_panic(ops)
+    fn trace(bench: usize, ops: u64) -> p10_isa::TraceView {
+        specint_like()[bench].workload(5).trace_view_or_panic(ops)
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         // A memory-hostile workload must look different between the two
         // models (the gray points of Fig. 10).
         let mcf = &specint_like()[2]; // mcfish
-        let t = mcf.workload(9).trace_or_panic(10_000);
+        let t = mcf.workload(9).trace_view_or_panic(10_000);
         let base = CoreConfig::power10();
         let core = run_apex(&core_model(base.clone()), vec![t.clone()], 4096, 10_000_000);
         let chip = run_apex(&chip_model(base), vec![t], 4096, 10_000_000);

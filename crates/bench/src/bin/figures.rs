@@ -1158,7 +1158,7 @@ fn compute_coverage(engine: &Engine, ops: u64) -> Vec<chopstix::CoverageRow> {
     // Each job builds its own workload (extraction needs the program and
     // image), so only the pool's in-flight workloads are resident.
     engine.run_jobs_par(&specint_like(), |_, b| {
-        chopstix::coverage_row(&b.workload(23), ops, 10)
+        chopstix::coverage_row(b.workload(23), ops, 10)
     })
 }
 

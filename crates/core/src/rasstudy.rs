@@ -11,11 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-fn detailed<T: Into<p10_isa::TraceView>>(
-    cfg: &CoreConfig,
-    traces: Vec<T>,
-    init: DataInit,
-) -> RtlReport {
+fn detailed(cfg: &CoreConfig, traces: Vec<p10_isa::TraceView>, init: DataInit) -> RtlReport {
     let toggle = match init {
         DataInit::Zero => ToggleDensity::zero_init(),
         DataInit::Random => ToggleDensity::random_init(),
@@ -134,7 +130,7 @@ pub fn run_fig13(engine: &Engine, cfg: &CoreConfig, ops: u64, spec_benches: usiz
     let rows = engine.run_jobs_par(&cases, |_, case| match case {
         Testcase::Grid(spec) => Some(derating_row(&spec.name(), &grid_detailed(cfg, spec, ops))),
         Testcase::Spec(b) => {
-            let set = chopstix::extract(&b.workload(29), ops.min(40_000), 3);
+            let set = chopstix::extract(b.workload(29), ops.min(40_000), 3);
             set.proxies.first().map(|p| {
                 let r = detailed(cfg, vec![p.trace(ops)], DataInit::Random);
                 derating_row(&format!("{}_spec", b.name), &r)

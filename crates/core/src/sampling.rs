@@ -23,11 +23,11 @@
 //!   checkpoint-free (pipeline-local transients the functional warmer
 //!   cannot see).
 //! * **Cold-prefix detailing**: the leading intervals are measured
-//!   outright until consecutive CPIs agree within [`COLD_TOL_REL`] —
+//!   outright until consecutive CPIs agree within `COLD_TOL_REL` —
 //!   the cold-start transient executes steady-state code and so has no
 //!   BBV signature.
 //! * **Miss-augmented BBVs**: each interval's functionally-warmed
-//!   L1D/L2/L3 per-op miss rates (× [`MISS_FEATURE_WEIGHT`]) extend its
+//!   L1D/L2/L3 per-op miss rates (× `MISS_FEATURE_WEIGHT`) extend its
 //!   BBV, so transient and steady intervals of the same code cluster
 //!   apart.
 //!
@@ -50,8 +50,8 @@
 //! a CPI/power deviation through the observed sensitivity between
 //! representatives, combined across clusters as independent terms,
 //! floored by a model-error allowance that grows with the skipped share
-//! ([`bound_floor_rel`]), plus a boundary-residue term
-//! [`BOUNDARY_RESIDUE_CYCLES`]` / (interval_ops · CPI)` for the
+//! (`bound_floor_rel`), plus a boundary-residue term
+//! `BOUNDARY_RESIDUE_CYCLES / (interval_ops · CPI)` for the
 //! per-measurement granularity error. Differential tests assert the
 //! measured error against exact simulation stays inside the printed
 //! bound. [`SamplingMode::Bound`] inverts the relationship: it grows the

@@ -91,19 +91,25 @@ pub fn staggered_views(
 /// interleave on hardware.
 ///
 /// This is the clone-and-drain reference that tests pin
-/// [`staggered_views`] against.
+/// [`staggered_views`] against: it executes each thread's ops with
+/// [`p10_isa::Machine::run_with`], outside any trace storage.
 #[cfg(test)]
 fn staggered_traces(
     workload: &p10_workloads::Workload,
     threads: usize,
     max_ops: u64,
-) -> Vec<p10_isa::Trace> {
+) -> Vec<Vec<p10_isa::DynOp>> {
     (0..threads)
         .map(|t| {
             let skip = t as u64 * 997;
-            let mut trace = workload.trace_or_panic(max_ops + skip);
-            trace.ops.drain(..trace.ops.len().min(skip as usize));
-            trace
+            let mut ops = Vec::new();
+            workload
+                .machine
+                .clone()
+                .run_with(&workload.program, max_ops + skip, |op| ops.push(op))
+                .expect("workload executes");
+            ops.drain(..ops.len().min(skip as usize));
+            ops
         })
         .collect()
 }
@@ -137,15 +143,8 @@ pub fn benchmark_views(
 }
 
 /// Runs pre-built traces on the configuration and evaluates power.
-///
-/// Accepts owned [`p10_isa::Trace`]s or zero-copy [`TraceView`]s.
 #[must_use]
-pub fn run_traces<T: Into<TraceView>>(
-    cfg: &CoreConfig,
-    name: &str,
-    traces: Vec<T>,
-) -> ScenarioResult {
-    let traces: Vec<TraceView> = traces.into_iter().map(Into::into).collect();
+pub fn run_traces(cfg: &CoreConfig, name: &str, traces: Vec<TraceView>) -> ScenarioResult {
     let total_ops: u64 = traces.iter().map(|t| t.len() as u64).sum();
     let (sim, work) = Core::new(cfg.clone()).run_counted(traces, total_ops * 8 + 100_000, None);
     record_detailed_obs(&sim, &work);
@@ -324,7 +323,7 @@ mod tests {
         let traces = staggered_traces(&w, 4, 2_000);
         assert_eq!(traces.len(), 4);
         for t in &traces {
-            assert_eq!(t.ops.len(), 2_000);
+            assert_eq!(t.len(), 2_000);
         }
         let rendered: Vec<String> = traces
             .iter()
@@ -346,15 +345,13 @@ mod tests {
         // A seed no other test uses, so this test owns the arena entry.
         let b = &specint_like()[8];
         let w = b.workload(424_242);
-        // Views first: their padded synthesis is the deepest request, so
-        // the legacy path's shallower `trace()` calls below are served
-        // from the same buffer (the legacy path also reads through the
-        // arena).
+        // The reference path executes outside the arena, so the views'
+        // padded synthesis is this entry's only one.
         let views = staggered_views(b, 424_242, 4, 2_000);
         let legacy = staggered_traces(&w, 4, 2_000);
         assert_eq!(views.len(), legacy.len());
         for (v, t) in views.iter().zip(legacy.iter()) {
-            assert_eq!(v.to_trace().ops, t.ops);
+            assert!(v.iter().eq(t.iter().copied()));
         }
         // Zero-copy: every thread's view windows the same shared buffer.
         for v in &views[1..] {
@@ -366,7 +363,7 @@ mod tests {
         // views still alias the original storage.
         let key = w.content_hash();
         let (_, _, synths) = arena::global().entry_stats(key).expect("entry exists");
-        assert_eq!(synths, 1, "4 threads x 2 calls must synthesize once");
+        assert_eq!(synths, 1, "4 thread views must synthesize once");
         let again = staggered_views(b, 424_242, 4, 2_000);
         assert!(again[0].shares_storage(&views[0]));
         let (_, _, synths) = arena::global().entry_stats(key).expect("entry exists");
@@ -463,7 +460,7 @@ mod tests {
                 let views = staggered_views(b, seed, threads, max_ops);
                 prop_assert_eq!(legacy.len(), views.len());
                 for (t, v) in legacy.iter().zip(views.iter()) {
-                    prop_assert_eq!(&t.ops, &v.to_trace().ops);
+                    prop_assert_eq!(t, &v.iter().collect::<Vec<_>>());
                 }
             }
         }

@@ -217,62 +217,6 @@ impl DynOp {
     }
 }
 
-/// A dynamic-op trace: the output of functional execution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Trace {
-    /// Executed operations in program (retirement) order.
-    pub ops: Vec<DynOp>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Number of dynamic operations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Total flops (and int-MAC-equivalents) in the trace.
-    #[must_use]
-    pub fn total_flops(&self) -> u64 {
-        self.ops.iter().map(|o| u64::from(o.flops)).sum()
-    }
-
-    /// Fraction of ops satisfying a predicate.
-    #[must_use]
-    pub fn fraction(&self, pred: impl Fn(&DynOp) -> bool) -> f64 {
-        if self.ops.is_empty() {
-            return 0.0;
-        }
-        self.ops.iter().filter(|o| pred(o)).count() as f64 / self.ops.len() as f64
-    }
-}
-
-impl FromIterator<DynOp> for Trace {
-    fn from_iter<T: IntoIterator<Item = DynOp>>(iter: T) -> Self {
-        Trace {
-            ops: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<DynOp> for Trace {
-    fn extend<T: IntoIterator<Item = DynOp>>(&mut self, iter: T) {
-        self.ops.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,22 +256,5 @@ mod tests {
         assert_eq!(MmaKind::F32.ops_per_inst(), 32);
         assert_eq!(MmaKind::Bf16.ops_per_inst(), 64);
         assert_eq!(MmaKind::I8.ops_per_inst(), 128);
-    }
-
-    #[test]
-    fn trace_aggregates() {
-        let mut t = Trace::new();
-        let mut a = DynOp::new(0, OpClass::VsxFp);
-        a.flops = 4;
-        let b = DynOp::new(4, OpClass::IntAlu);
-        t.extend([a, b]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total_flops(), 4);
-        assert!((t.fraction(|o| o.class == OpClass::IntAlu) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_trace_fraction_is_zero() {
-        assert_eq!(Trace::new().fraction(|_| true), 0.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Functional (architectural) execution.
 //!
 //! [`Machine`] holds full architectural state and executes [`Program`]s,
-//! producing the dynamic-op [`Trace`] that the timing model replays.
+//! producing the dynamic-op trace ([`TraceView`]) that the timing model
+//! replays.
 //!
 //! ## Accumulator/VSR aliasing
 //!
@@ -12,11 +13,12 @@
 //! reads of a backing VSR also list the accumulator as a source, so the
 //! timing model sees the true producer.
 
-use crate::dynop::{BranchInfo, BranchKind, DynOp, MemRef, MmaKind, OpClass, Trace};
+use crate::dynop::{BranchInfo, BranchKind, DynOp, MemRef, MmaKind, OpClass};
 use crate::inst::Inst;
 use crate::mem::SparseMemory;
 use crate::program::Program;
 use crate::reg::{Acc, Reg};
+use crate::view::{TraceBuilder, TraceView};
 use std::fmt;
 
 /// The link-register sentinel that means "return to host": a top-level
@@ -167,7 +169,9 @@ impl Machine {
 
     /// Runs `program` from its first instruction until it halts (falls off
     /// the end or returns to [`HALT_ADDR`]) or `max_ops` instructions have
-    /// executed, whichever comes first. Returns the dynamic-op trace.
+    /// executed, whichever comes first. Returns the dynamic-op trace,
+    /// written op by op into compact storage ([`TraceBuilder`]): this is
+    /// the one way to execute a program into a [`TraceView`].
     ///
     /// `max_ops` as a normal stopping condition is deliberate: the paper's
     /// proxy workloads are *endless* L1-contained loops measured over a
@@ -178,16 +182,15 @@ impl Machine {
     /// Returns an error for invalid indirect-branch targets or malformed
     /// MMA register pairs; the machine state reflects execution up to the
     /// faulting instruction.
-    pub fn run(&mut self, program: &Program, max_ops: u64) -> Result<Trace, ExecError> {
-        let mut trace = Trace::new();
-        trace.ops.reserve(max_ops.min(1 << 20) as usize);
-        self.run_with(program, max_ops, |op| trace.ops.push(op))?;
-        Ok(trace)
+    pub fn run(&mut self, program: &Program, max_ops: u64) -> Result<TraceView, ExecError> {
+        let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
+        self.run_with(program, max_ops, |op| b.push(op))?;
+        Ok(b.finish())
     }
 
     /// Like [`Machine::run`], but hands each executed op to `emit` in
-    /// program order instead of collecting a [`Trace`] — so a caller can
-    /// store ops compactly (see [`crate::TraceBuilder`]) as they execute.
+    /// program order instead of storing it — the stream `run` builds its
+    /// view from, and an independent reference for checking that view.
     ///
     /// # Errors
     ///
@@ -878,7 +881,7 @@ mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
 
-    fn run(b: ProgramBuilder) -> (Machine, Trace) {
+    fn run(b: ProgramBuilder) -> (Machine, TraceView) {
         let p = b.build();
         let mut m = Machine::new();
         let t = m.run(&p, 100_000).expect("program must execute");
@@ -931,7 +934,7 @@ mod tests {
         b.bdnz(top);
         let (m, t) = run(b);
         assert_eq!(m.gpr(3), 4);
-        let branches: Vec<_> = t.ops.iter().filter_map(|o| o.branch).collect();
+        let branches: Vec<_> = t.iter().filter_map(|o| o.branch).collect();
         assert_eq!(branches.len(), 4);
         assert!(branches[..3].iter().all(|b| b.taken));
         assert!(!branches[3].taken);
@@ -946,7 +949,7 @@ mod tests {
         b.ld(Reg::gpr(3), Reg::gpr(1), 16);
         let (m, t) = run(b);
         assert_eq!(m.gpr(3), 0x1234_5678);
-        let loads: Vec<_> = t.ops.iter().filter(|o| o.is_load()).collect();
+        let loads: Vec<_> = t.iter().filter(|o| o.is_load()).collect();
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0].mem.unwrap().addr, 0x8010);
     }
@@ -981,11 +984,7 @@ mod tests {
         let (m, t) = run(b);
         assert_eq!(m.gpr(3), 8);
         assert_eq!(m.gpr(4), 9);
-        let kinds: Vec<_> = t
-            .ops
-            .iter()
-            .filter_map(|o| o.branch.map(|b| b.kind))
-            .collect();
+        let kinds: Vec<_> = t.iter().filter_map(|o| o.branch.map(|b| b.kind)).collect();
         assert_eq!(
             kinds,
             vec![BranchKind::Call, BranchKind::Return, BranchKind::Return]
@@ -1224,7 +1223,7 @@ mod tests {
         let t = m.run(&p, 100).unwrap();
         assert_eq!(m.vsr(2), [0, 0]);
         // The store must carry an acc0 dependence.
-        let store = t.ops.iter().find(|o| o.is_store()).unwrap();
+        let store = t.iter().find(|o| o.is_store()).unwrap();
         assert!(store.sources().any(|r| r == Reg::acc(0)));
     }
 
@@ -1260,7 +1259,7 @@ mod tests {
         let t = m.run(&p, 10).unwrap();
         assert_eq!(m.vsr(40), [1, 2]);
         assert_eq!(m.vsr(41), [3, 4]);
-        let ld = t.ops.iter().find(|o| o.is_load()).unwrap();
+        let ld = t.iter().find(|o| o.is_load()).unwrap();
         assert_eq!(ld.mem.unwrap().size, 32);
         assert_eq!(ld.dest2(), Some(Reg::vsr(41)));
     }
@@ -1276,5 +1275,40 @@ mod tests {
         let t = m.run(&p, 1000).unwrap();
         assert_eq!(t.len(), 1000);
         assert_eq!(m.executed(), 1000);
+    }
+
+    #[test]
+    fn run_views_exactly_the_ops_run_with_emits() {
+        // Loads and stores at moving addresses, and a counted branch
+        // taken on all but its last execution.
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::gpr(1), 0x8000);
+        b.li(Reg::gpr(4), 50);
+        b.mtctr(Reg::gpr(4));
+        let top = b.bind_label();
+        b.ld(Reg::gpr(3), Reg::gpr(1), 0);
+        b.std(Reg::gpr(3), Reg::gpr(1), 8);
+        b.addi(Reg::gpr(1), Reg::gpr(1), 16);
+        b.bdnz(top);
+        let p = b.build();
+        let mut emitted = Vec::new();
+        let mut reference = Machine::new();
+        reference
+            .run_with(&p, 1_000, |op| emitted.push(op))
+            .unwrap();
+        let mut m = Machine::new();
+        let view = m.run(&p, 1_000).unwrap();
+        assert_eq!(view.len(), 203);
+        assert!(view.iter().eq(emitted));
+        assert_eq!(m.executed(), reference.executed());
+
+        // A fault surfaces from `run` as the error `run_with` returns.
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::gpr(1), 0x3);
+        b.mtctr(Reg::gpr(1));
+        b.push(Inst::Bctr);
+        let p = b.build();
+        let want = Machine::new().run_with(&p, 100, |_| {}).unwrap_err();
+        assert_eq!(Machine::new().run(&p, 100).unwrap_err(), want);
     }
 }

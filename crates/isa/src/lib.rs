@@ -16,14 +16,16 @@
 //!    instruction sequences, the unit that workload generators produce and
 //!    the functional machine executes.
 //! 3. **Functional execution** ([`Machine`]) — an architectural simulator
-//!    with full register and (sparse) memory state. Running a program yields
-//!    a *dynamic-operation trace*.
+//!    with full register and (sparse) memory state. Running a program
+//!    ([`Machine::run`]) yields its dynamic-operation trace as a
+//!    [`TraceView`].
 //! 4. **Dynamic operations** ([`DynOp`]) — the resolved per-instruction
 //!    records (operand registers, memory addresses, branch outcomes, flop
 //!    counts) that the cycle-level model in `p10-uarch` consumes. This is the
 //!    classic trace-driven split: functional correctness here, timing there.
-//!    Traces are stored compactly ([`TraceBuilder`], [`TraceView`]): one
-//!    8-byte record per op over a table of interned static parts.
+//!    A trace is stored compactly ([`TraceBuilder`], [`TraceView`]): one
+//!    8-byte record per op over a table of interned static parts; there is
+//!    no other trace type.
 //!
 //! Instruction **fusion** legality (the paper reports >200 fusible pair
 //! types detected at pre-decode) is defined at the ISA level in [`fusion`]
@@ -48,7 +50,7 @@
 //! let mut m = Machine::new();
 //! let trace = m.run(&prog, 1_000).unwrap();
 //! assert_eq!(m.gpr(3), 55);
-//! assert!(trace.ops.len() > 30);
+//! assert!(trace.len() > 30);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +67,7 @@ mod program;
 mod reg;
 mod view;
 
-pub use dynop::{BranchInfo, BranchKind, DynOp, MemRef, MmaKind, OpClass, Trace, MAX_SRCS};
+pub use dynop::{BranchInfo, BranchKind, DynOp, MemRef, MmaKind, OpClass, MAX_SRCS};
 pub use exec::{bf16_to_f32, f32_to_bf16, ExecError, Machine, HALT_ADDR};
 pub use fnv::{fnv1a64, Fnv1aHasher};
 pub use inst::{Cond, Inst};

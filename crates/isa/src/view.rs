@@ -26,16 +26,16 @@
 //! A [`TraceView`] is an `(Arc<storage>, offset, len)` triple: many views
 //! share one immutable storage, so slicing a trace — SMT stagger offsets,
 //! chopstix/simpoint windows, shorter-`max_ops` reuse — is range
-//! arithmetic, never a copy. Functional execution writes ops straight
-//! into a [`TraceBuilder`] ([`crate::Machine::run_with`]), so a
-//! synthesized trace never exists as a `Vec<DynOp>`; a plain [`Trace`] or
-//! `Vec<DynOp>` converts via `From` by interning its ops.
+//! arithmetic, never a copy. [`crate::Machine::run`] executes a program
+//! straight into a [`TraceBuilder`], so an executed trace never exists as
+//! a `Vec<DynOp>`; hand-built ops (a `Vec<DynOp>` or any iterator of ops)
+//! convert via `From`/`FromIterator` by interning them.
 //!
 //! Views compare equal iff they denote the same op sequence, regardless
 //! of which storage backs them; [`TraceView::shares_storage`] is the
 //! identity test used by allocation-regression tests.
 
-use crate::dynop::{BranchInfo, BranchKind, DynOp, MemRef, OpClass, Trace, MAX_SRCS};
+use crate::dynop::{BranchInfo, BranchKind, DynOp, MemRef, OpClass, MAX_SRCS};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -301,12 +301,6 @@ impl TraceView {
             + s.targets.len() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// Materializes the view into an owned [`Trace`].
-    #[must_use]
-    pub fn to_trace(&self) -> Trace {
-        self.iter().collect()
-    }
-
     /// Total flops (and int-MAC-equivalents) in the view.
     #[must_use]
     pub fn total_flops(&self) -> u64 {
@@ -364,21 +358,9 @@ impl FromIterator<DynOp> for TraceView {
     }
 }
 
-impl From<Trace> for TraceView {
-    fn from(t: Trace) -> Self {
-        t.ops.into_iter().collect()
-    }
-}
-
 impl From<Vec<DynOp>> for TraceView {
     fn from(ops: Vec<DynOp>) -> Self {
         ops.into_iter().collect()
-    }
-}
-
-impl From<&Trace> for TraceView {
-    fn from(t: &Trace) -> Self {
-        t.ops.iter().copied().collect()
     }
 }
 
@@ -400,13 +382,12 @@ mod tests {
 
     #[test]
     fn full_view_round_trips() {
-        let t = Trace { ops: ops(5) };
+        let t = ops(5);
         let v = TraceView::from(t.clone());
         assert_eq!(v.len(), 5);
         assert!(!v.is_empty());
-        assert_eq!(collect(&v), t.ops);
-        assert_eq!(v.to_trace().ops, t.ops);
-        assert_eq!(v.op(3), t.ops[3]);
+        assert_eq!(collect(&v), t);
+        assert_eq!(v.op(3), t[3]);
     }
 
     #[test]
@@ -520,8 +501,10 @@ mod tests {
     fn total_flops_matches_trace() {
         let mut v = ops(3);
         v[1].flops = 7;
-        let trace = Trace { ops: v };
-        assert_eq!(TraceView::from(&trace).total_flops(), trace.total_flops());
+        let view = TraceView::from(v);
+        assert_eq!(view.total_flops(), 7);
+        assert_eq!(view.slice(1..2).total_flops(), 7);
+        assert_eq!(view.slice(2..3).total_flops(), 0);
     }
 
     /// A hand-built op from raw parts: the static fields come from a

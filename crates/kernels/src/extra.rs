@@ -504,7 +504,7 @@ mod tests {
         for w in [conv3x3_mma_finite(), trsm_mma_finite(), dft8_mma_finite()] {
             let mut m = w.machine.clone();
             let t = m.run(&w.program, 10_000_000).unwrap();
-            let mma_ops = t.ops.iter().filter(|o| o.is_mma_compute()).count();
+            let mma_ops = t.iter().filter(|o| o.is_mma_compute()).count();
             assert!(mma_ops > 0, "{} must use the grid", w.name);
         }
     }

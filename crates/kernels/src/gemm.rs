@@ -467,7 +467,7 @@ mod tests {
             int8gemm_mma(1 << 40),
             bf16gemm_mma(1 << 40),
         ] {
-            let t = w.trace_or_panic(5_000);
+            let t = w.trace_view_or_panic(5_000);
             assert_eq!(t.len(), 5_000, "{} must loop", w.name);
             assert!(t.total_flops() > 0, "{} must do flops", w.name);
         }
@@ -475,8 +475,8 @@ mod tests {
 
     #[test]
     fn mma_kernel_does_more_flops_per_instruction() {
-        let vsu = dgemm_vsu(1 << 40).trace_or_panic(20_000);
-        let mma = dgemm_mma(1 << 40).trace_or_panic(20_000);
+        let vsu = dgemm_vsu(1 << 40).trace_view_or_panic(20_000);
+        let mma = dgemm_mma(1 << 40).trace_view_or_panic(20_000);
         let fpi_vsu = vsu.total_flops() as f64 / vsu.len() as f64;
         let fpi_mma = mma.total_flops() as f64 / mma.len() as f64;
         assert!(
@@ -489,11 +489,11 @@ mod tests {
     fn dgemm_kernels_do_identical_math_per_k_step() {
         // 64 flops per k-step VSU, 128 per k-step MMA, but VSU covers a
         // 4x8 tile vs MMA 8x8: flops per C element per k are equal (2).
-        let vsu = dgemm_vsu(1 << 40).trace_or_panic(30_000);
-        let mma = dgemm_mma(1 << 40).trace_or_panic(30_000);
-        let per_iter = |t: &p10_isa::Trace, tile: f64| {
+        let vsu = dgemm_vsu(1 << 40).trace_view_or_panic(30_000);
+        let mma = dgemm_mma(1 << 40).trace_view_or_panic(30_000);
+        let per_iter = |t: &p10_isa::TraceView, tile: f64| {
             // flops per branch (= per k-step), normalized by tile size
-            let iters = t.ops.iter().filter(|o| o.class == OpClass::Branch).count() as f64;
+            let iters = t.iter().filter(|o| o.class == OpClass::Branch).count() as f64;
             t.total_flops() as f64 / iters / tile
         };
         let v = per_iter(&vsu, 32.0);
@@ -537,17 +537,16 @@ mod tests {
 
     #[test]
     fn bf16_kernel_uses_bf16_mma_ops_and_outpaces_sgemm() {
-        let bf16 = bf16gemm_mma(1 << 40).trace_or_panic(10_000);
+        let bf16 = bf16gemm_mma(1 << 40).trace_view_or_panic(10_000);
         let bf16_ops = bf16
-            .ops
             .iter()
             .filter(|o| o.class == OpClass::Mma(p10_isa::MmaKind::Bf16))
             .count();
         assert!(bf16_ops > 1_000);
         // Per-instruction math density: bf16 (64 fl/inst) doubles fp32
         // (32 fl/inst) at identical loop structure.
-        let sp = sgemm_mma(1 << 40).trace_or_panic(10_000);
-        let fpi = |t: &p10_isa::Trace| t.total_flops() as f64 / t.len() as f64;
+        let sp = sgemm_mma(1 << 40).trace_view_or_panic(10_000);
+        let fpi = |t: &p10_isa::TraceView| t.total_flops() as f64 / t.len() as f64;
         assert!(
             fpi(&bf16) > 1.7 * fpi(&sp),
             "bf16 {} vs sgemm {}",
@@ -558,9 +557,8 @@ mod tests {
 
     #[test]
     fn int8_kernel_uses_int8_mma_ops() {
-        let t = int8gemm_mma(1 << 40).trace_or_panic(5_000);
+        let t = int8gemm_mma(1 << 40).trace_view_or_panic(5_000);
         let int8_ops = t
-            .ops
             .iter()
             .filter(|o| o.class == OpClass::Mma(p10_isa::MmaKind::I8))
             .count();

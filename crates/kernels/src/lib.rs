@@ -20,8 +20,8 @@
 //! let vsu = dgemm_vsu(64);
 //! let mma = dgemm_mma(64);
 //! // Both kernels perform the same mathematical work per iteration.
-//! let t_vsu = vsu.trace_or_panic(10_000);
-//! let t_mma = mma.trace_or_panic(10_000);
+//! let t_vsu = vsu.trace_view_or_panic(10_000);
+//! let t_mma = mma.trace_view_or_panic(10_000);
 //! assert!(t_mma.total_flops() > 0);
 //! assert!(t_vsu.total_flops() > 0);
 //! ```

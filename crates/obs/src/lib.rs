@@ -454,7 +454,7 @@ fn emit(local: &mut Local, kind: EventKind) {
 
 // ---- the recording API ----
 
-/// Times a phase; created by [`span`] (or the `span!` macro). Records on
+/// Times a phase; created by [`span()`] (or the [`span!`] macro). Records on
 /// [`Span::finish`] or on drop.
 #[must_use = "a span records its duration when finished or dropped"]
 pub struct Span {

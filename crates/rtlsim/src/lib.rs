@@ -24,7 +24,7 @@
 //! use p10_workloads::specint_like;
 //!
 //! let bench = &specint_like()[8];
-//! let trace = bench.workload(1).trace_or_panic(8_000);
+//! let trace = bench.trace_view_or_panic(1, 8_000);
 //! let report = run_detailed(
 //!     &CoreConfig::power10(),
 //!     vec![trace],
@@ -377,9 +377,9 @@ impl SpanObserver for LatchBookkeeper {
 /// per-group statistics become the Powerminer report, bit-identical to
 /// per-cycle stepping.
 #[must_use]
-pub fn run_detailed<T: Into<p10_isa::TraceView>>(
+pub fn run_detailed(
     cfg: &CoreConfig,
-    traces: Vec<T>,
+    traces: Vec<p10_isa::TraceView>,
     roi: Roi,
     toggle: ToggleDensity,
 ) -> RtlReport {
@@ -491,8 +491,8 @@ mod tests {
     use super::*;
     use p10_workloads::specint_like;
 
-    fn trace(ops: u64) -> p10_isa::Trace {
-        specint_like()[8].workload(3).trace_or_panic(ops)
+    fn trace(ops: u64) -> p10_isa::TraceView {
+        specint_like()[8].workload(3).trace_view_or_panic(ops)
     }
 
     #[test]

@@ -224,7 +224,7 @@ mod tests {
             init,
             mix: OpMix::Mixed,
         };
-        let t = generate(&spec, 7).trace_or_panic(8_000);
+        let t = generate(&spec, 7).trace_view_or_panic(8_000);
         let toggle = match init {
             DataInit::Zero => ToggleDensity::zero_init(),
             DataInit::Random => ToggleDensity::random_init(),
@@ -309,7 +309,7 @@ mod tests {
             init: DataInit::Random,
             mix: OpMix::Vsx,
         };
-        let t = generate(&spec, 9).trace_or_panic(8_000);
+        let t = generate(&spec, 9).trace_view_or_panic(8_000);
         let b = run_detailed(
             &cfg,
             vec![t],

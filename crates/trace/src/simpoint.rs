@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 /// matches BBV behaviour for our generated code layouts.
 ///
 /// The ops come by value, in program order: a `TraceView::iter()`, or a
-/// `Trace`'s ops copied. A trace whose length is not a multiple of
+/// slice of ops copied. A trace whose length is not a multiple of
 /// `interval_ops` contributes its ragged tail as one final *partial*
 /// interval (still a normalized distribution), so the intervals cover
 /// 100% of the ops. Callers that weight intervals by op count should
@@ -269,7 +269,7 @@ mod tests {
         b.bdnz(top);
         let t = Machine::new().run(&b.build(), 100_000).unwrap();
         // Interval = multiple of the 7-op loop body so intervals align.
-        let bbvs = bbv_intervals(t.ops.iter().copied(), 700, 16);
+        let bbvs = bbv_intervals(t.iter(), 700, 16);
         assert!(bbvs.len() > 3);
         for v in &bbvs {
             let s: f64 = v.iter().sum();
@@ -278,7 +278,7 @@ mod tests {
         // A single loop: every steady-state *full* interval has the same
         // BBV (skip the first, which contains the prologue, and the
         // ragged tail, which is a partial interval).
-        let full = t.ops.len() / 700;
+        let full = t.len() / 700;
         for v in &bbvs[2..full] {
             assert!(dist2(v, &bbvs[1]) < 1e-12);
         }

@@ -550,14 +550,11 @@ impl Core {
     /// Runs one trace per hardware thread to completion (or `max_cycles`)
     /// and returns the results.
     ///
-    /// Accepts owned [`p10_isa::Trace`]s (moved into views, no copy) or
-    /// [`TraceView`]s (zero-copy windows into arena-shared op buffers).
-    ///
     /// # Panics
     ///
     /// Panics if more traces are supplied than the configured SMT mode
     /// supports, or if no traces are supplied.
-    pub fn run<T: Into<TraceView>>(self, traces: Vec<T>, max_cycles: u64) -> SimResult {
+    pub fn run(self, traces: Vec<TraceView>, max_cycles: u64) -> SimResult {
         self.run_counted(traces, max_cycles, None).0
     }
 
@@ -571,9 +568,9 @@ impl Core {
     ///
     /// Panics if more traces are supplied than the configured SMT mode
     /// supports, or if no traces are supplied.
-    pub fn run_spanned<T: Into<TraceView>>(
+    pub fn run_spanned(
         self,
-        traces: Vec<T>,
+        traces: Vec<TraceView>,
         max_cycles: u64,
         observer: &mut dyn SpanObserver,
     ) -> SimResult {
@@ -587,13 +584,12 @@ impl Core {
     ///
     /// Panics if more traces are supplied than the configured SMT mode
     /// supports, or if no traces are supplied.
-    pub fn run_counted<T: Into<TraceView>>(
+    pub fn run_counted(
         mut self,
-        traces: Vec<T>,
+        traces: Vec<TraceView>,
         max_cycles: u64,
         mut observer: Option<&mut dyn SpanObserver>,
     ) -> (SimResult, CoreWork) {
-        let traces: Vec<TraceView> = traces.into_iter().map(Into::into).collect();
         assert!(!traces.is_empty(), "at least one thread trace required");
         assert!(
             traces.len() <= self.cfg.smt.threads(),
@@ -1990,11 +1986,11 @@ struct DispatchPlan {
 mod tests {
     use super::*;
     use crate::config::SmtMode;
-    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, Trace};
+    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, TraceView};
 
     /// An L1-contained counted loop of `iters` iterations with `body_alus`
     /// independent adds per iteration.
-    fn alu_loop_trace(iters: i64, body_alus: u16) -> Trace {
+    fn alu_loop_trace(iters: i64, body_alus: u16) -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(4), iters);
         b.mtctr(Reg::gpr(4));
@@ -2008,7 +2004,7 @@ mod tests {
         Machine::new().run(&prog, 10_000_000).expect("loop runs")
     }
 
-    fn run_cfg(cfg: CoreConfig, trace: Trace) -> SimResult {
+    fn run_cfg(cfg: CoreConfig, trace: TraceView) -> SimResult {
         Core::new(cfg).run(vec![trace], 10_000_000)
     }
 
@@ -2242,7 +2238,7 @@ mod tests {
     #[test]
     fn smt2_throughput_beats_st_on_stall_heavy_code() {
         // Memory-latency-bound pointer chase: SMT2 overlaps stalls.
-        let chase = |seed: u64| -> Trace {
+        let chase = |seed: u64| -> TraceView {
             let mut b = ProgramBuilder::new();
             b.li(Reg::gpr(1), 0x20_0000 + (seed * 0x4_0000) as i64);
             b.li(Reg::gpr(4), 300);
@@ -2355,9 +2351,9 @@ mod calendar_tests {
 #[cfg(test)]
 mod gating_tests {
     use super::*;
-    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, Trace};
+    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, TraceView};
 
-    fn mma_burst_program(prelude_alus: u16, hint: bool) -> Trace {
+    fn mma_burst_program(prelude_alus: u16, hint: bool) -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(4), 2_000);
         b.mtctr(Reg::gpr(4));
@@ -2435,9 +2431,9 @@ mod gating_tests {
 mod smt_policy_tests {
     use super::*;
     use crate::config::{FetchPolicy, SmtMode};
-    use p10_isa::{Machine, ProgramBuilder, Reg, Trace};
+    use p10_isa::{Machine, ProgramBuilder, Reg, TraceView};
 
-    fn compute_trace(ops: u64) -> Trace {
+    fn compute_trace(ops: u64) -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(4), i64::MAX / 2);
         b.mtctr(Reg::gpr(4));
@@ -2449,7 +2445,7 @@ mod smt_policy_tests {
         Machine::new().run(&b.build(), ops).unwrap()
     }
 
-    fn memory_trace(ops: u64) -> Trace {
+    fn memory_trace(ops: u64) -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(1), 0x40_0000);
         b.li(Reg::gpr(4), i64::MAX / 2);
@@ -2496,7 +2492,7 @@ mod smt_policy_tests {
 mod corner_tests {
     use super::*;
     use crate::config::SmtMode;
-    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, Trace};
+    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, TraceView};
 
     #[test]
     fn divides_serialize_on_the_unpipelined_unit() {
@@ -2532,7 +2528,7 @@ mod corner_tests {
     fn prefixed_instructions_consume_two_fetch_slots() {
         // A loop of prefixed (large-immediate) li ops fetches at half
         // rate; compare against plain adds.
-        let make = |prefixed: bool| -> Trace {
+        let make = |prefixed: bool| -> TraceView {
             let mut b = ProgramBuilder::new();
             b.li(Reg::gpr(4), 1500);
             b.mtctr(Reg::gpr(4));
@@ -2661,9 +2657,9 @@ mod corner_tests {
 #[cfg(test)]
 mod attribution_tests {
     use super::*;
-    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, Trace};
+    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, TraceView};
 
-    fn alu_trace(iters: i64) -> Trace {
+    fn alu_trace(iters: i64) -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(4), iters);
         b.mtctr(Reg::gpr(4));
@@ -2675,7 +2671,7 @@ mod attribution_tests {
         Machine::new().run(&b.build(), 1_000_000).unwrap()
     }
 
-    fn chase_trace() -> Trace {
+    fn chase_trace() -> TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(1), 0x40_0000);
         b.li(Reg::gpr(4), 300);
@@ -2688,7 +2684,7 @@ mod attribution_tests {
         Machine::new().run(&b.build(), 1_000_000).unwrap()
     }
 
-    fn mma_cold_trace() -> Trace {
+    fn mma_cold_trace() -> TraceView {
         let mut b = ProgramBuilder::new();
         b.push(Inst::Xxsetaccz { at: Reg::acc(0) });
         b.li(Reg::gpr(6), 100);

@@ -13,11 +13,16 @@
 //!    (out-of-span control flow is neutralized, the body is wrapped in an
 //!    endless counted loop, and the original memory image is carried
 //!    along — the "code and data state captured from memory").
+//!
+//! [`extract`] consumes the workload: its proxies share the workload's
+//! one memory image, and [`Proxy::trace`] copies it only to run a proxy,
+//! straight into a [`TraceView`] ([`Machine::run`]).
 
 use crate::workload::Workload;
-use p10_isa::{Inst, Label, Machine, Program, ProgramBuilder, Reg, TraceBuilder, TraceView};
+use p10_isa::{Inst, Label, Machine, Program, ProgramBuilder, Reg, TraceView};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One extracted proxy workload.
 #[derive(Debug, Clone)]
@@ -26,8 +31,9 @@ pub struct Proxy {
     pub name: String,
     /// The L1-contained endless-loop program.
     pub program: Program,
-    /// The memory image to run it against.
-    pub machine: Machine,
+    /// The memory image to run it against, shared by every proxy of one
+    /// extraction.
+    pub machine: Arc<Machine>,
     /// Fraction of the application's dynamic instructions this function
     /// accounted for (its weight in suite-level projections).
     pub weight: f64,
@@ -36,19 +42,17 @@ pub struct Proxy {
 }
 
 impl Proxy {
-    /// Traces the proxy for `max_ops` dynamic instructions, straight
-    /// into compact trace storage.
+    /// Traces the proxy for `max_ops` dynamic instructions on a copy of
+    /// its memory image.
     ///
     /// # Panics
     ///
     /// Panics if the proxy fails to execute (a bug in extraction).
     #[must_use]
     pub fn trace(&self, max_ops: u64) -> TraceView {
-        let mut m = self.machine.clone();
-        let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
-        m.run_with(&self.program, max_ops, |op| b.push(op))
-            .unwrap_or_else(|e| panic!("proxy {} failed: {e}", self.name));
-        b.finish()
+        Machine::clone(&self.machine)
+            .run(&self.program, max_ops)
+            .unwrap_or_else(|e| panic!("proxy {} failed: {e}", self.name))
     }
 }
 
@@ -75,9 +79,10 @@ pub struct CoverageRow {
 }
 
 /// Extracts the top-`top_n` hottest functions of `workload` as proxies,
-/// tracing `trace_ops` dynamic instructions to rank them.
+/// tracing `trace_ops` dynamic instructions to rank them. The proxies
+/// share the workload's memory image.
 #[must_use]
-pub fn extract(workload: &Workload, trace_ops: u64, top_n: usize) -> ProxySet {
+pub fn extract(workload: Workload, trace_ops: u64, top_n: usize) -> ProxySet {
     let trace = workload.trace_view_or_panic(trace_ops);
     let total = trace.len() as u64;
 
@@ -95,6 +100,7 @@ pub fn extract(workload: &Workload, trace_ops: u64, top_n: usize) -> ProxySet {
     ranked.truncate(top_n);
 
     let covered: u64 = ranked.iter().map(|(_, c)| c).sum();
+    let image = Arc::new(workload.machine);
     let proxies = ranked
         .iter()
         .map(|&(fi, ops)| {
@@ -102,7 +108,7 @@ pub fn extract(workload: &Workload, trace_ops: u64, top_n: usize) -> ProxySet {
             Proxy {
                 name: format!("{}/{}", workload.name, f.name),
                 program: loopify(&workload.program, f.start, f.end),
-                machine: workload.machine.clone(),
+                machine: Arc::clone(&image),
                 weight: if total == 0 {
                     0.0
                 } else {
@@ -195,10 +201,11 @@ fn direct_target(program: &Program, inst: Inst) -> Option<usize> {
 /// table (the paper's §III-A numbers). Rows are independent, so the
 /// table's workloads can be extracted concurrently.
 #[must_use]
-pub fn coverage_row(workload: &Workload, trace_ops: u64, top_n: usize) -> CoverageRow {
+pub fn coverage_row(workload: Workload, trace_ops: u64, top_n: usize) -> CoverageRow {
+    let name = workload.name.clone();
     let set = extract(workload, trace_ops, top_n);
     CoverageRow {
-        workload: workload.name.clone(),
+        workload: name,
         proxies: set.proxies.len(),
         coverage: set.coverage,
     }
@@ -220,7 +227,7 @@ mod tests {
     #[test]
     fn extraction_finds_hot_functions_and_reports_coverage() {
         let w = workload("perlish");
-        let set = extract(&w, 40_000, 10);
+        let set = extract(w, 40_000, 10);
         assert!(!set.proxies.is_empty());
         assert!(set.proxies.len() <= 10);
         assert!(set.coverage > 0.5 && set.coverage <= 1.0);
@@ -233,7 +240,7 @@ mod tests {
     #[test]
     fn proxies_execute_endlessly() {
         let w = workload("xzish");
-        let set = extract(&w, 30_000, 5);
+        let set = extract(w, 30_000, 5);
         for p in &set.proxies {
             let t = p.trace(5_000);
             assert_eq!(t.len(), 5_000, "proxy {} must loop endlessly", p.name);
@@ -243,8 +250,8 @@ mod tests {
     #[test]
     fn concentrated_workload_covers_more_than_spread_one() {
         // The paper: xz ~99% (concentrated) vs gcc ~41% (spread).
-        let xz = extract(&workload("xzish"), 40_000, 10);
-        let gcc = extract(&workload("gccish"), 40_000, 10);
+        let xz = extract(workload("xzish"), 40_000, 10);
+        let gcc = extract(workload("gccish"), 40_000, 10);
         assert!(
             xz.coverage > gcc.coverage,
             "xzish {} must exceed gccish {}",
@@ -258,18 +265,38 @@ mod tests {
     #[test]
     fn proxy_op_mix_resembles_source_function() {
         let w = workload("x264ish");
-        let set = extract(&w, 40_000, 3);
+        let set = extract(w, 40_000, 3);
         let p = &set.proxies[0];
-        let t = p.trace(10_000).to_trace();
+        let t = p.trace(10_000);
         // The proxy should still do real work, not just nops.
-        let nop_frac = t.fraction(|o| o.class == p10_isa::OpClass::Nop);
+        let nops = t.iter().filter(|o| o.class == p10_isa::OpClass::Nop);
+        let nop_frac = nops.count() as f64 / t.len() as f64;
         assert!(nop_frac < 0.5, "proxy mostly nops: {nop_frac}");
+    }
+
+    #[test]
+    fn proxies_of_one_extraction_share_one_image() {
+        let set = extract(workload("perlish"), 40_000, 10);
+        assert!(set.proxies.len() > 1);
+        let image = &set.proxies[0].machine;
+        for p in &set.proxies {
+            assert!(
+                Arc::ptr_eq(&p.machine, image),
+                "{} has its own image",
+                p.name
+            );
+        }
+        assert_eq!(Arc::strong_count(image), set.proxies.len());
+        // Running a proxy copies the image and leaves the shared one as it was.
+        let before = image.executed();
+        assert_eq!(set.proxies[1].trace(1_000).len(), 1_000);
+        assert_eq!(image.executed(), before);
     }
 
     #[test]
     fn coverage_row_names_its_workload() {
         for name in ["xzish", "exchangeish"] {
-            let row = coverage_row(&workload(name), 20_000, 10);
+            let row = coverage_row(workload(name), 20_000, 10);
             assert_eq!(row.workload, name);
             assert!(row.proxies > 0 && row.coverage > 0.0);
         }
@@ -284,7 +311,7 @@ mod weight_tests {
     #[test]
     fn proxy_weights_equal_coverage() {
         let w = specint_like()[9].workload(23); // xzish
-        let set = extract(&w, 30_000, 10);
+        let set = extract(w, 30_000, 10);
         let weight_sum: f64 = set.proxies.iter().map(|p| p.weight).sum();
         assert!(
             (weight_sum - set.coverage).abs() < 1e-9,
@@ -296,8 +323,8 @@ mod weight_tests {
     #[test]
     fn more_proxies_never_reduce_coverage() {
         let w = specint_like()[1].workload(23); // gccish: spread
-        let small = extract(&w, 30_000, 3);
-        let big = extract(&w, 30_000, 10);
+        let small = extract(w.clone(), 30_000, 3);
+        let big = extract(w, 30_000, 10);
         assert!(big.coverage >= small.coverage - 1e-12);
         assert!(big.proxies.len() >= small.proxies.len());
     }
@@ -309,13 +336,13 @@ mod weight_tests {
         // weighted mix of per-proxy IPC-proxy metrics is finite and
         // bounded by the per-proxy extremes.
         let w = specint_like()[0].workload(23);
-        let set = extract(&w, 30_000, 8);
+        let set = extract(w, 30_000, 8);
         let metrics: Vec<f64> = set
             .proxies
             .iter()
             .map(|p| {
-                let t = p.trace(4_000).to_trace();
-                t.fraction(|o| o.is_load())
+                let t = p.trace(4_000);
+                t.iter().filter(|o| o.is_load()).count() as f64 / t.len() as f64
             })
             .collect();
         let total_w: f64 = set.proxies.iter().map(|p| p.weight).sum();

@@ -556,7 +556,7 @@ mod tests {
     fn synthesized_workload_executes() {
         let sig = Signature::default();
         let w = synthesize("basic", &sig, 42, 1 << 40);
-        let t = w.trace(20_000).expect("must execute");
+        let t = w.trace_view(20_000).expect("must execute");
         assert_eq!(t.len(), 20_000, "endless loop bounded by max_ops");
     }
 
@@ -567,9 +567,11 @@ mod tests {
             chase_loads: 2,
             ..Signature::default()
         };
-        let a = synthesize("d", &sig, 7, 1 << 40).trace_or_panic(5_000);
-        let b = synthesize("d", &sig, 7, 1 << 40).trace_or_panic(5_000);
-        assert_eq!(a.ops, b.ops);
+        // Executed outside the arena, so the two traces are compared op by
+        // op rather than found to share one buffer.
+        let a = synthesize("d", &sig, 7, 1 << 40).trace_uncached(5_000);
+        let b = synthesize("d", &sig, 7, 1 << 40).trace_uncached(5_000);
+        assert_eq!(a.expect("runs"), b.expect("runs"));
     }
 
     #[test]
@@ -579,9 +581,9 @@ mod tests {
             branch_entropy: 0.8,
             ..Signature::default()
         };
-        let a = synthesize("d", &sig, 1, 1 << 40).trace_or_panic(5_000);
-        let b = synthesize("d", &sig, 2, 1 << 40).trace_or_panic(5_000);
-        assert_ne!(a.ops, b.ops);
+        let a = synthesize("d", &sig, 1, 1 << 40).trace_view_or_panic(5_000);
+        let b = synthesize("d", &sig, 2, 1 << 40).trace_view_or_panic(5_000);
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -591,9 +593,8 @@ mod tests {
             ..Signature::default()
         };
         let w = synthesize("ind", &sig, 3, 1 << 40);
-        let t = w.trace_or_panic(10_000);
+        let t = w.trace_view_or_panic(10_000);
         let indirect = t
-            .ops
             .iter()
             .filter(|o| {
                 o.branch
@@ -609,9 +610,8 @@ mod tests {
             calls: 2,
             ..Signature::default()
         };
-        let t = synthesize("c", &sig, 3, 1 << 40).trace_or_panic(10_000);
+        let t = synthesize("c", &sig, 3, 1 << 40).trace_view_or_panic(10_000);
         let calls = t
-            .ops
             .iter()
             .filter(|o| {
                 o.branch
@@ -619,7 +619,6 @@ mod tests {
             })
             .count();
         let rets = t
-            .ops
             .iter()
             .filter(|o| {
                 o.branch
@@ -637,10 +636,9 @@ mod tests {
             footprint_kb: 256,
             ..Signature::default()
         };
-        let t = synthesize("chase", &sig, 5, 1 << 40).trace_or_panic(20_000);
+        let t = synthesize("chase", &sig, 5, 1 << 40).trace_view_or_panic(20_000);
         // Chase loads must produce loads at non-monotonic addresses.
         let mut chase_addrs: Vec<u64> = t
-            .ops
             .iter()
             .filter(|o| o.is_load())
             .filter_map(|o| o.mem)
@@ -683,9 +681,8 @@ mod tests {
             branch_entropy: 1.0,
             ..Signature::default()
         };
-        let t = synthesize("e", &sig, 11, 1 << 40).trace_or_panic(30_000);
+        let t = synthesize("e", &sig, 11, 1 << 40).trace_view_or_panic(30_000);
         let cond: Vec<bool> = t
-            .ops
             .iter()
             .filter_map(|o| o.branch)
             .filter(|bi| bi.kind == p10_isa::BranchKind::Conditional)

@@ -260,7 +260,7 @@ mod tests {
     fn all_microbenches_execute() {
         for spec in training_grid() {
             let w = generate(&spec, 3);
-            let t = w.trace(2_000).unwrap();
+            let t = w.trace_view(2_000).unwrap();
             assert_eq!(t.len(), 2_000, "{} must loop", spec.name());
         }
     }
@@ -277,10 +277,9 @@ mod tests {
             },
             1,
         );
-        let t = dd0.trace(1_000).unwrap();
+        let t = dd0.trace_view(1_000).unwrap();
         // Every int op writes r8 in DD0.
         let int_ops: Vec<_> = t
-            .ops
             .iter()
             .filter(|o| o.class == p10_isa::OpClass::IntAlu && o.dest().is_some())
             .collect();
@@ -302,7 +301,8 @@ mod tests {
             },
             9,
         );
-        let t = w.trace(2_000).unwrap();
-        assert!(t.fraction(|o| o.class == p10_isa::OpClass::VsxFp) > 0.5);
+        let t = w.trace_view(2_000).unwrap();
+        let vsx = t.iter().filter(|o| o.class == p10_isa::OpClass::VsxFp);
+        assert!(vsx.count() as f64 / t.len() as f64 > 0.5);
     }
 }

@@ -533,7 +533,7 @@ mod tests {
         for b in specint_like().iter().chain(extended_groups().iter()) {
             let w = b.workload(17);
             let t = w
-                .trace(5_000)
+                .trace_view(5_000)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", b.name));
             assert_eq!(t.len(), 5_000, "{} must run endlessly", b.name);
         }
@@ -581,8 +581,9 @@ mod tests {
             .into_iter()
             .find(|b| b.name == "mlish")
             .unwrap();
-        let t = b.workload(5).trace_or_panic(10_000);
-        let vsx_frac = t.fraction(|o| o.class == p10_isa::OpClass::VsxFp);
+        let t = b.workload(5).trace_view_or_panic(10_000);
+        let vsx = t.iter().filter(|o| o.class == p10_isa::OpClass::VsxFp);
+        let vsx_frac = vsx.count() as f64 / t.len() as f64;
         assert!(vsx_frac > 0.2, "mlish vsx fraction {vsx_frac}");
     }
 }

@@ -1,7 +1,11 @@
 //! A runnable workload: program, pre-initialized memory, and metadata.
+//!
+//! Its trace is a [`TraceView`], executed by [`Machine::run`] and served
+//! through the process-wide arena ([`Workload::trace_view`]), or
+//! executed outside it ([`Workload::trace_uncached`]).
 
 use crate::arena::TraceSource;
-use p10_isa::{ExecError, Fnv1aHasher, Machine, Program, Trace, TraceBuilder, TraceView};
+use p10_isa::{ExecError, Fnv1aHasher, Machine, Program, TraceView};
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -88,28 +92,14 @@ impl Workload {
     }
 
     /// Functionally executes the workload for up to `max_ops` dynamic
-    /// instructions and returns an owned trace.
-    ///
-    /// Routed through the process-wide trace arena, so repeated requests
-    /// re-use one synthesis; the returned `Trace` is a
-    /// private copy — prefer [`Workload::trace_view`] to stay zero-copy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates functional-execution errors (which indicate a bug in the
-    /// workload generator).
-    pub fn trace(&self, max_ops: u64) -> Result<Trace, ExecError> {
-        Ok(self.trace_view(max_ops)?.to_trace())
-    }
-
-    /// Functionally executes the workload straight into compact trace
-    /// storage, bypassing the arena — the synthesis the arena memoizes.
+    /// instructions on a copy of its machine ([`Machine::run`]), bypassing
+    /// the arena — the synthesis the arena memoizes.
     ///
     /// # Errors
     ///
     /// Propagates functional-execution errors.
     pub fn trace_uncached(&self, max_ops: u64) -> Result<TraceView, ExecError> {
-        execute(self.machine.clone(), &self.program, max_ops)
+        self.machine.clone().run(&self.program, max_ops)
     }
 
     /// A zero-copy view of the first `max_ops` executed ops, served from
@@ -125,7 +115,8 @@ impl Workload {
             .view_or_synth(self.content_hash(), max_ops, |cap| self.trace_uncached(cap))
     }
 
-    /// Like [`Workload::trace_view`] but panics on error.
+    /// Like [`Workload::trace_view`] but panics on error, for generator
+    /// code paths where failure is a bug.
     ///
     /// # Panics
     ///
@@ -135,26 +126,6 @@ impl Workload {
         self.trace_view(max_ops)
             .unwrap_or_else(|e| panic!("workload {} failed to execute: {e}", self.name))
     }
-
-    /// Like [`Workload::trace`] but panics on error, for generator code
-    /// paths where failure is a bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if functional execution fails.
-    #[must_use]
-    pub fn trace_or_panic(&self, max_ops: u64) -> Trace {
-        self.trace(max_ops)
-            .unwrap_or_else(|e| panic!("workload {} failed to execute: {e}", self.name))
-    }
-}
-
-/// Runs `program` on `machine` for up to `max_ops` ops into compact
-/// trace storage.
-fn execute(mut machine: Machine, program: &Program, max_ops: u64) -> Result<TraceView, ExecError> {
-    let mut b = TraceBuilder::with_capacity(max_ops.min(1 << 20) as usize);
-    machine.run_with(program, max_ops, |op| b.push(op))?;
-    Ok(b.finish())
 }
 
 impl TraceSource for Workload {
@@ -165,7 +136,8 @@ impl TraceSource for Workload {
     /// Executes on the workload's own machine: no copy of the memory
     /// image is made, and the image is freed with the workload.
     fn into_trace(self, cap: u64) -> Result<TraceView, ExecError> {
-        execute(self.machine, &self.program, cap)
+        let mut machine = self.machine;
+        machine.run(&self.program, cap)
     }
 }
 
@@ -193,10 +165,11 @@ mod tests {
         b.li(Reg::gpr(3), 1);
         b.addi(Reg::gpr(3), Reg::gpr(3), 2);
         let w = Workload::new("t".into(), b.build(), Machine::new(), vec![]);
-        let t1 = w.trace(100).unwrap();
-        let t2 = w.trace(100).unwrap();
+        let t1 = w.trace_uncached(100).unwrap();
+        let t2 = w.trace_uncached(100).unwrap();
         assert_eq!(t1.len(), 2);
-        assert_eq!(t1.ops, t2.ops, "tracing must be repeatable");
+        assert!(!t1.shares_storage(&t2));
+        assert_eq!(t1, t2, "tracing must be repeatable");
     }
 
     #[test]
@@ -243,15 +216,17 @@ mod tests {
     #[test]
     fn trace_view_matches_trace_with_and_without_arena() {
         let w = crate::specint_like()[8].workload(31_337);
-        let direct = w.machine.clone().run(&w.program, 1_500).unwrap();
+        // The executed ops, collected without any trace storage.
+        let mut direct = Vec::new();
+        w.machine
+            .clone()
+            .run_with(&w.program, 1_500, |op| direct.push(op))
+            .unwrap();
         let view = w.trace_view(1_500).unwrap();
-        assert_eq!(
-            view.to_trace().ops,
-            direct.ops,
+        assert!(
+            view.iter().eq(direct.iter().copied()),
             "arena view must be bit-identical"
         );
-        assert_eq!(w.trace_uncached(1_500).unwrap(), view);
-        let owned = w.trace(1_500).unwrap();
-        assert_eq!(owned.ops, direct.ops);
+        assert!(w.trace_uncached(1_500).unwrap().iter().eq(direct));
     }
 }

@@ -50,6 +50,7 @@ fn main() {
             m.mem.write_f64(0x10_0000 + i * 8, (i % 17) as f64 * 0.5);
             m.mem.write_f64(0x14_0000 + i * 8, (i % 13) as f64 * 0.25);
         }
+        // The executed trace, as a view both timing models replay.
         let trace = m.run(&program, 10_000_000).expect("kernel runs");
         println!("== {name} ({} dynamic instructions) ==", trace.len());
         for cfg in [CoreConfig::power9(), CoreConfig::power10()] {

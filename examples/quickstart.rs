@@ -22,8 +22,8 @@ fn main() {
     b.bdnz(top);
     let program = b.build();
 
-    // 2. Execute functionally: full architectural state, and a dynamic-op
-    //    trace as the by-product.
+    // 2. Execute functionally: full architectural state, and the dynamic-op
+    //    trace as the by-product, stored compactly as a `TraceView`.
     let mut machine = Machine::new();
     for i in 0..5_000u64 {
         machine.mem.write_u64(0x10_0000 + i * 8, i);
@@ -35,7 +35,8 @@ fn main() {
         trace.len()
     );
 
-    // 3. Replay the same trace through both timing models.
+    // 3. Replay the same trace through both timing models (a cloned view
+    //    shares the trace's storage; no op is copied).
     println!(
         "\n{:<10} {:>8} {:>10} {:>12} {:>12}",
         "machine", "IPC", "cycles", "core power", "perf/watt"

@@ -1,6 +1,6 @@
 //! Property-based tests on core invariants (proptest).
 
-use p10sim::isa::{Cond, Inst, Machine, ProgramBuilder, Reg, Trace};
+use p10sim::isa::{Cond, Inst, Machine, ProgramBuilder, Reg, TraceView};
 use p10sim::power::PowerModel;
 use p10sim::uarch::{Activity, Core, CoreConfig};
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ pub fn build_program(body: &[Inst], iters: i64) -> p10sim::isa::Program {
     b.build()
 }
 
-fn run_functional(program: &p10sim::isa::Program) -> (Machine, Trace) {
+fn run_functional(program: &p10sim::isa::Program) -> (Machine, TraceView) {
     let mut m = Machine::new();
     for i in 0..256u64 {
         m.mem
@@ -91,8 +91,8 @@ proptest! {
         let p = build_program(&body, iters);
         let (m1, t1) = run_functional(&p);
         let (m2, t2) = run_functional(&p);
-        prop_assert_eq!(t1.ops.len(), t2.ops.len());
-        prop_assert_eq!(t1.ops, t2.ops);
+        prop_assert_eq!(t1.len(), t2.len());
+        prop_assert_eq!(t1, t2);
         for r in 0..32 {
             prop_assert_eq!(m1.gpr(r), m2.gpr(r));
         }
@@ -274,16 +274,27 @@ mod asm_props {
 }
 
 mod compact_traces {
-    use p10sim::isa::{Trace, TraceView};
+    use p10sim::isa::{DynOp, Machine, Program, TraceView};
     use p10sim::kernels::{extra, gemm};
     use p10sim::workloads::{chopstix, microbench, specint_like, Workload};
 
     /// Ops per trace.
     const OPS: u64 = 5_000;
 
-    fn assert_rebuilds(name: &str, executed: &Trace, view: &TraceView) {
-        assert_eq!(view.len(), executed.ops.len(), "{name}: length");
-        for (i, (got, want)) in view.iter().zip(&executed.ops).enumerate() {
+    /// The ops functional execution emits, one by one through
+    /// `run_with`, collected outside any trace storage.
+    fn executed(machine: &Machine, program: &Program) -> Vec<DynOp> {
+        let mut ops = Vec::new();
+        machine
+            .clone()
+            .run_with(program, OPS, |op| ops.push(op))
+            .expect("runs");
+        ops
+    }
+
+    fn assert_rebuilds(name: &str, executed: &[DynOp], view: &TraceView) {
+        assert_eq!(view.len(), executed.len(), "{name}: length");
+        for (i, (got, want)) in view.iter().zip(executed).enumerate() {
             assert_eq!(&got, want, "{name}: op {i}");
         }
     }
@@ -291,8 +302,8 @@ mod compact_traces {
     /// A workload's trace as `exec` produces it, against the arena's
     /// compact view of it.
     fn check(w: &Workload) {
-        let executed = w.machine.clone().run(&w.program, OPS).expect("runs");
-        assert_rebuilds(&w.name, &executed, &w.trace_view_or_panic(OPS));
+        let ops = executed(&w.machine, &w.program);
+        assert_rebuilds(&w.name, &ops, &w.trace_view_or_panic(OPS));
     }
 
     /// Every op of every SPECint-like, microbench, Chopstix-proxy and
@@ -302,12 +313,10 @@ mod compact_traces {
     fn every_op_rebuilds_exactly() {
         for b in specint_like() {
             check(&b.workload(3));
-            // Chopstix proxies are traced outside the arena; `From<Trace>`
-            // interns an executed trace the same way.
-            for p in chopstix::extract(&b.workload(3), 20_000, 2).proxies {
-                let executed = p.machine.clone().run(&p.program, OPS).expect("runs");
-                assert_rebuilds(&p.name, &executed, &p.trace(OPS));
-                assert_rebuilds(&p.name, &executed, &TraceView::from(&executed));
+            // Chopstix proxies are traced outside the arena.
+            for p in chopstix::extract(b.workload(3), 20_000, 2).proxies {
+                let ops = executed(&p.machine, &p.program);
+                assert_rebuilds(&p.name, &ops, &p.trace(OPS));
             }
         }
         for spec in microbench::training_grid()

@@ -218,7 +218,7 @@ mod random_programs {
         ]
     }
 
-    fn trace_of(body: &[Inst], iters: i64) -> p10sim::isa::Trace {
+    fn trace_of(body: &[Inst], iters: i64) -> p10sim::isa::TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(1), 0x20_0000);
         b.li(Reg::gpr(2), iters);
@@ -249,9 +249,8 @@ mod random_programs {
             body in proptest::collection::vec(arb_body_op(), 1..16),
             iters in 20i64..120,
         ) {
-            let trace = trace_of(&body, iters);
             let cfg = CoreConfig::power10();
-            let views = vec![p10sim::isa::TraceView::from(trace)];
+            let views = vec![trace_of(&body, iters)];
             let total_ops: u64 = views.iter().map(|v| v.len() as u64).sum();
             let exact = scenario::run_traces(&cfg, "random", views.clone());
             let mode = SamplingMode::SimPoints { interval_ops: 500, k: 3, warmup_ops: 50 };

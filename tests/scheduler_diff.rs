@@ -15,7 +15,11 @@ use p10sim::workloads::{
 use proptest::prelude::*;
 
 /// Runs the same traces under one scheduler setting.
-fn run_with(cfg: &CoreConfig, scheduler: Scheduler, traces: &[p10sim::isa::Trace]) -> SimResult {
+fn run_with(
+    cfg: &CoreConfig,
+    scheduler: Scheduler,
+    traces: &[p10sim::isa::TraceView],
+) -> SimResult {
     let mut cfg = cfg.clone();
     cfg.scheduler = scheduler;
     Core::new(cfg).run(traces.to_vec(), 50_000_000)
@@ -24,7 +28,11 @@ fn run_with(cfg: &CoreConfig, scheduler: Scheduler, traces: &[p10sim::isa::Trace
 /// Asserts both schedulers produce a byte-identical serialized result,
 /// and returns its digest line: `<FNV-1a-64 of the result> <label> @
 /// <config> <SMT mode>`.
-fn assert_schedulers_agree(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], label: &str) -> String {
+fn assert_schedulers_agree(
+    cfg: &CoreConfig,
+    traces: &[p10sim::isa::TraceView],
+    label: &str,
+) -> String {
     let polled = run_with(cfg, Scheduler::Polled, traces);
     let event = run_with(cfg, Scheduler::EventDriven, traces);
     let pj = serde_json::to_string(&polled).expect("serialize polled");
@@ -103,7 +111,7 @@ fn schedulers_agree_on_specint_suite() {
         let threads = cfg.smt.threads();
         for bench in specint_like() {
             let traces: Vec<_> = (0..threads)
-                .map(|t| bench.workload(42 + t as u64).trace_or_panic(3_000))
+                .map(|t| bench.workload(42 + t as u64).trace_view_or_panic(3_000))
                 .collect();
             digests.push(assert_schedulers_agree(&cfg, &traces, &bench.name));
         }
@@ -128,7 +136,7 @@ fn schedulers_agree_on_microbench_grid() {
             let mut cfg = base.clone();
             cfg.smt = smt_mode(spec.smt);
             let traces: Vec<_> = (0..spec.smt)
-                .map(|t| generate(&spec, 7 + u64::from(t)).trace_or_panic(3_000))
+                .map(|t| generate(&spec, 7 + u64::from(t)).trace_view_or_panic(3_000))
                 .collect();
             digests.push(assert_schedulers_agree(&cfg, &traces, &spec.name()));
         }
@@ -150,7 +158,7 @@ fn cycle_attribution_is_scheduler_invariant_on_microbench_grid() {
             let mut cfg = base.clone();
             cfg.smt = smt_mode(spec.smt);
             let traces: Vec<_> = (0..spec.smt)
-                .map(|t| generate(&spec, 7 + u64::from(t)).trace_or_panic(3_000))
+                .map(|t| generate(&spec, 7 + u64::from(t)).trace_view_or_panic(3_000))
                 .collect();
             let polled = run_with(&cfg, Scheduler::Polled, &traces);
             let event = run_with(&cfg, Scheduler::EventDriven, &traces);
@@ -184,12 +192,12 @@ fn schedulers_agree_on_mma_kernels() {
         ("int8gemm_mma", int8gemm_mma(64)),
         ("dgemm_vsu", dgemm_vsu(64)),
     ] {
-        let traces = vec![w.trace_or_panic(4_000)];
+        let traces = vec![w.trace_view_or_panic(4_000)];
         assert_schedulers_agree(&p10, &traces, name);
     }
     // The no-MMA preset cannot execute MMA ops; cover it with the VSU
     // variant only.
-    let traces = vec![dgemm_vsu(64).trace_or_panic(4_000)];
+    let traces = vec![dgemm_vsu(64).trace_view_or_panic(4_000)];
     assert_schedulers_agree(&CoreConfig::power10_no_mma(), &traces, "dgemm_vsu");
 }
 
@@ -200,7 +208,7 @@ fn schedulers_agree_on_mma_kernels() {
 /// independent ops sit just inside or just beyond the scheduler's reach
 /// while the chain is outstanding, so they are ready but visible to the
 /// select network only once the frontier moves.
-fn reach_boundary_trace(waiting: u16, fused_pair: bool, ready: u16) -> p10sim::isa::Trace {
+fn reach_boundary_trace(waiting: u16, fused_pair: bool, ready: u16) -> p10sim::isa::TraceView {
     let mut b = ProgramBuilder::new();
     b.li(Reg::gpr(1), 0x100_0000);
     b.li(Reg::gpr(2), 5);
@@ -288,7 +296,7 @@ fn schedulers_agree_on_reach_boundaries_in_smt4_icount() {
 
 /// Independent adds in a counted loop: issue-width bound, almost no stall
 /// cycles, so the event-driven scheduler has nothing to fast-forward.
-fn alu_loop_trace(iters: i64) -> p10sim::isa::Trace {
+fn alu_loop_trace(iters: i64) -> p10sim::isa::TraceView {
     let mut b = ProgramBuilder::new();
     b.li(Reg::gpr(4), iters);
     b.mtctr(Reg::gpr(4));
@@ -306,7 +314,7 @@ fn alu_loop_trace(iters: i64) -> p10sim::isa::Trace {
 /// loaded value (zero, so the walk stays a plain stride), so every
 /// iteration serializes behind a miss and nearly every cycle is idle,
 /// the fast-forward's best case. `seed` moves the chase to its own region.
-fn page_chase_trace(iters: i64, seed: i64) -> p10sim::isa::Trace {
+fn page_chase_trace(iters: i64, seed: i64) -> p10sim::isa::TraceView {
     let mut b = ProgramBuilder::new();
     b.li(Reg::gpr(1), 0x20_0000 + seed * 0x40_0000);
     b.li(Reg::gpr(4), iters);
@@ -324,7 +332,7 @@ fn page_chase_trace(iters: i64, seed: i64) -> p10sim::isa::Trace {
 /// The scheduler's two extremes and their SMT mix: an ALU loop on
 /// POWER10, a page chase on POWER10 without prefetch, and four staggered
 /// chases on SMT4.
-fn throughput_scenarios() -> Vec<(&'static str, CoreConfig, Vec<p10sim::isa::Trace>)> {
+fn throughput_scenarios() -> Vec<(&'static str, CoreConfig, Vec<p10sim::isa::TraceView>)> {
     let mut no_prefetch = CoreConfig::power10();
     no_prefetch.prefetch_streams = 0;
     let mut smt4 = CoreConfig::power10();
@@ -412,7 +420,11 @@ impl<F: FnMut(u64, &p10sim::uarch::Activity)> p10sim::uarch::SpanObserver for Pe
 /// span in here is additionally cross-checked inside the simulator
 /// against a cycle-by-cycle replay of the skipped stretch
 /// (`cross_check_spans`) — this is the wiring point for that invariant.
-fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], label: &str) {
+fn assert_observation_is_transparent(
+    cfg: &CoreConfig,
+    traces: &[p10sim::isa::TraceView],
+    label: &str,
+) {
     let mut cfg = cfg.clone();
     cfg.scheduler = Scheduler::EventDriven;
     let plain = Core::new(cfg.clone()).run(traces.to_vec(), 50_000_000);
@@ -465,7 +477,7 @@ fn observed_runs_match_unobserved_on_specint_suite() {
         let threads = cfg.smt.threads();
         for bench in specint_like() {
             let traces: Vec<_> = (0..threads)
-                .map(|t| bench.workload(42 + t as u64).trace_or_panic(3_000))
+                .map(|t| bench.workload(42 + t as u64).trace_view_or_panic(3_000))
                 .collect();
             assert_observation_is_transparent(&cfg, &traces, &bench.name);
         }
@@ -484,7 +496,7 @@ fn observed_runs_match_unobserved_on_microbench_grid() {
             let mut cfg = base.clone();
             cfg.smt = smt_mode(spec.smt);
             let traces: Vec<_> = (0..spec.smt)
-                .map(|t| generate(&spec, 7 + u64::from(t)).trace_or_panic(3_000))
+                .map(|t| generate(&spec, 7 + u64::from(t)).trace_view_or_panic(3_000))
                 .collect();
             assert_observation_is_transparent(&cfg, &traces, &spec.name());
         }
@@ -503,7 +515,7 @@ fn rtlsim_observed_sim_matches_plain_run() {
     for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
         for bench_idx in [2usize, 8] {
             let bench = &specint_like()[bench_idx];
-            let traces = vec![bench.workload(42).trace_or_panic(2_000)];
+            let traces = vec![bench.workload(42).trace_view_or_panic(2_000)];
             cases.push((bench.name.clone(), cfg.clone(), traces));
         }
     }
@@ -543,7 +555,7 @@ fn rtlsim_observed_sim_matches_plain_run() {
 #[test]
 fn observed_run_sees_every_cycle_under_both_schedulers() {
     let bench = &specint_like()[2]; // mcf-like: memory-bound, long idles
-    let trace = bench.workload(42).trace_or_panic(2_000);
+    let trace = bench.workload(42).trace_view_or_panic(2_000);
     let mut logs: Vec<Vec<(u64, u64)>> = Vec::new();
     for scheduler in [Scheduler::Polled, Scheduler::EventDriven] {
         let mut cfg = CoreConfig::power10();
@@ -578,7 +590,7 @@ fn observed_run_sees_every_cycle_under_both_schedulers() {
 fn rtlsim_report_is_scheduler_invariant() {
     use p10sim::rtlsim::{run_detailed, Roi, ToggleDensity};
     let bench = &specint_like()[8]; // exchangeish: compact and fast
-    let trace = bench.workload(42).trace_or_panic(2_000);
+    let trace = bench.workload(42).trace_view_or_panic(2_000);
     let mut reports = Vec::new();
     for scheduler in [Scheduler::Polled, Scheduler::EventDriven] {
         let mut cfg = CoreConfig::power10();
@@ -608,7 +620,7 @@ fn rtlsim_report_matches_golden_digests() {
     use p10sim::core::runner::fnv1a64;
     use p10sim::rtlsim::{run_detailed, Roi, ToggleDensity};
     let bench = &specint_like()[8];
-    let trace = |seed| bench.workload(seed).trace_or_panic(4_000);
+    let trace = |seed| bench.workload(seed).trace_view_or_panic(4_000);
     let mut smt2 = CoreConfig::power10();
     smt2.smt = SmtMode::Smt2;
     let cases = [
@@ -679,7 +691,7 @@ mod random_programs {
         ]
     }
 
-    fn trace_of(body: &[Inst], iters: i64) -> p10sim::isa::Trace {
+    fn trace_of(body: &[Inst], iters: i64) -> p10sim::isa::TraceView {
         let mut b = ProgramBuilder::new();
         b.li(Reg::gpr(1), 0x20_0000);
         b.li(Reg::gpr(2), iters);

@@ -21,7 +21,7 @@ fn proxy_to_power_model_pipeline() {
     let workload = bench.workload(23);
 
     // 1. Chopstix: hot-function proxies with coverage accounting.
-    let proxies = chopstix::extract(&workload, 25_000, 5);
+    let proxies = chopstix::extract(workload, 25_000, 5);
     assert!(proxies.coverage > 0.8, "coverage {}", proxies.coverage);
     let hot = &proxies.proxies[0];
 
@@ -73,7 +73,7 @@ fn proxy_to_power_model_pipeline() {
 #[test]
 fn roi_windows_are_consistent_across_modes() {
     let cfg = CoreConfig::power9();
-    let trace = specint_like()[8].workload(5).trace_or_panic(10_000);
+    let trace = specint_like()[8].workload(5).trace_view_or_panic(10_000);
     let detailed = run_detailed(
         &cfg,
         vec![trace.clone()],
@@ -91,7 +91,7 @@ fn roi_windows_are_consistent_across_modes() {
 #[test]
 fn component_power_sums_to_total() {
     let cfg = CoreConfig::power10();
-    let trace = specint_like()[7].workload(3).trace_or_panic(10_000);
+    let trace = specint_like()[7].workload(3).trace_view_or_panic(10_000);
     let apex = run_apex(&cfg, vec![trace], 4096, 1_000_000);
     let total = apex.power.total();
     let sum: f64 = apex.power.components.iter().map(|c| c.total()).sum();
